@@ -234,13 +234,17 @@ _TABLE_HEADER = ("n", "fixed_count", "transpositions", "total",
                  "orbit_count", "K2", "chi", "c2", "image_names")
 
 
-def _table_row(n: int, config: RunConfig) -> Dict[str, object]:
+def _search_degree(n: int, config: RunConfig) -> search.EnumerationResult:
     res = _enumerate(n, config, collect=config.collect)
     if config.collect:
         res = search.analyze(res)
-    inv = surface.invariants_for(n)
+    return res
+
+
+def _table_row(res: search.EnumerationResult) -> Dict[str, object]:
+    inv = surface.invariants_for(res.n)
     return {
-        "n": n,
+        "n": res.n,
         "fixed_count": res.fixed_count,
         "transpositions": res.transpositions,
         "total": res.total_count,
@@ -279,9 +283,7 @@ def _render_table(rows: List[Dict[str, object]], fmt: str) -> str:
 
 def _cmd_count(config: RunConfig) -> int:
     n = config.single_degree
-    res = _enumerate(n, config, collect=config.collect)
-    if config.collect:
-        res = search.analyze(res)
+    res = _search_degree(n, config)
     inv = surface.invariants_for(n)
     verdict = surface.existence_verdict(n, res)
     if config.fmt == "json":
@@ -290,15 +292,7 @@ def _cmd_count(config: RunConfig) -> int:
         doc["existence"] = verdict.to_json_dict()
         _write(_dumps(doc), config.out)
     elif config.fmt == "csv":
-        row = {
-            "n": n, "fixed_count": res.fixed_count,
-            "transpositions": res.transpositions, "total": res.total_count,
-            "orbit_count": res.orbit_count, "K2": inv.K2, "chi": inv.chi,
-            "c2": inv.c2,
-            "image_names": (None if res.image_fingerprint_histogram is None
-                            else sorted(res.image_fingerprint_histogram)),
-        }
-        _write(_render_table([row], "csv"), config.out)
+        _write(_render_table([_table_row(res)], "csv"), config.out)
     else:
         lines = [
             str(res),
@@ -317,7 +311,7 @@ def _cmd_count(config: RunConfig) -> int:
 
 
 def _cmd_table(config: RunConfig) -> int:
-    rows = [_table_row(n, config) for n in config.degrees]
+    rows = [_table_row(_search_degree(n, config)) for n in config.degrees]
     _write(_render_table(rows, config.fmt), config.out)
     return 0
 

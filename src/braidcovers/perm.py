@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from typing import Iterable, Iterator, Sequence, Tuple
+from typing import Iterator, Sequence, Tuple
 
 Perm = Tuple[int, ...]
 
@@ -57,13 +57,6 @@ def compose(p: Perm, q: Perm) -> Perm:
     if len(p) != len(q):
         raise ValueError(f"degree mismatch: {len(p)} vs {len(q)}")
     return tuple(q[x] for x in p)
-
-
-def compose_all(perms: Iterable[Perm], n: int) -> Perm:
-    out = identity(n)
-    for p in perms:
-        out = compose(out, p)
-    return out
 
 
 def inverse(p: Perm) -> Perm:

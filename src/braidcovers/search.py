@@ -32,14 +32,27 @@ set.  Three further skips are sound necessary conditions:
   * the torus relation puts b2^-1 a2^-1 b2 = a2^-1 k^-1, conjugate
     elements share a cycle type, so a2^-1 and a2^-1 k^-1 must.
 
-Pure counting runs additionally factor the a1 loop by symmetry:
-conjugating a solution coordinatewise by any h in C(s) fixes sigma and
-permutes the solution set, so the count below a1 depends only on the
-C(s)-conjugation orbit of a1.  Counting visits one representative per
-orbit and multiplies by the orbit size (_conj_class_reps); collecting
-and streaming runs keep the plain loop so the produced solution order
-never depends on the counting strategy.  The two paths are tested for
-equal counts on every degree with a known value.
+Pure counting runs factor every search level by symmetry (orderly
+generation in the sense of McKay, "Isomorph-free exhaustive generation",
+J. Algorithms 1998).  Let H be the subgroup of C(s) fixing the prefix
+chosen so far: H0 = C(s) before a1, H1 = C(s) n C(a1) before b1 and
+H2 = H1 n C(b1) before a2.  Conjugating coordinatewise by any h in H
+  * fixes sigma and every coordinate of the prefix;
+  * commutes with s, so h (s x s) h^-1 = s (h x h^-1) s and the next
+    candidate list (S_n, C1 or C2) is mapped onto itself;
+  * preserves R2, the k-membership tests, cycle types, the torus
+    relation and transitivity, so it maps candidates that pass a prune
+    to candidates that pass it, and solutions to solutions.
+Hence the number of solutions below (prefix, x) is constant on each
+H-orbit of the candidates x.  Counting visits one candidate per orbit
+and multiplies by the orbit size (_orbit_reps), at the a1 level over all
+of S_n, at the b1 level over C1 after the R2(b1) and k in C2 prunes, and
+at the a2 level over C2 after the R2(a2), k in C3 and cycle-type
+prunes; where H is trivial it keeps the plain loop.  Collecting and
+streaming runs keep the plain loop at every level, so the produced
+solution order never depends on the counting strategy.  The two paths
+share their prune code and are tested for equal counts below every a1
+representative.
 
 Exact agreement with the relation-table-driven brute force is enforced
 by brute_force_oracle and its tests, not assumed.
@@ -52,7 +65,8 @@ import itertools
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 from . import groups, perm, words
 from .perm import Perm
@@ -203,13 +217,48 @@ def _is_transitive_tuple(s: Perm, raw: RawSolution, n: int) -> bool:
     return size == n
 
 
-def _iter_for_a1(n: int, s: Perm, a1: Perm) -> Iterator[RawSolution]:
-    """All solutions below one fixed a1."""
-    cycle_type = perm.cycle_type
-    sa1s = _sigma_conj(a1, s)
-    if not _commutes(a1, sa1s):                          # R2(a1)
-        return
-    c1 = _centralizer_list(sa1s)
+def _orbit_reps(group: Sequence[Perm], candidates: Iterable[Perm]
+                ) -> List[Tuple[Perm, int]]:
+    """One (representative, orbit size) per orbit of group, acting by
+    conjugation, on the candidates.
+
+    group lists every element of the acting group and the candidates
+    must be a union of its orbits.  The representative of an orbit is
+    its first candidate, and orbits come in the order of their
+    representatives; lexicographically ordered candidates therefore give
+    lexicographically least representatives.
+    """
+    pairs = [(h, _inverse(h)) for h in group]
+    # orbit members are kept as bytes, a third of a tuple's memory, since
+    # at the a1 level they fill a set of all n! permutations
+    seen: set = set()
+    reps: List[Tuple[Perm, int]] = []
+    for x in candidates:
+        if bytes(x) in seen:
+            continue
+        # h x h^-1 maps h(i) to h(x(i))
+        orbit = {bytes([h[x[j]] for j in h_inv]) for h, h_inv in pairs}
+        seen |= orbit
+        reps.append((x, len(orbit)))
+    return reps
+
+
+def _weighted(group: Optional[Sequence[Perm]], items: Iterable[tuple]
+              ) -> Iterable[Tuple[tuple, int]]:
+    """Candidate items, each a tuple led by its permutation, paired with
+    a weight.  Without a group, or with a trivial one, every item comes
+    with weight 1 in its own order; otherwise one item per group orbit
+    comes with the orbit size."""
+    if group is None or len(group) == 1:
+        return zip(items, itertools.repeat(1))
+    by_perm = {item[0]: item for item in items}
+    return [(by_perm[rep], size) for rep, size in _orbit_reps(group, by_perm)]
+
+
+def _b1_candidates(s: Perm, a1: Perm, sa1s: Perm, c1: Sequence[Perm]
+                   ) -> Iterator[Tuple[Perm, Perm, Perm]]:
+    """(b1, s b1 s, k) for every b1 in C1 that passes R2(b1) and whose
+    k = [a1, b1^-1] lies in C2, in C1 order."""
     a1_inv = _inverse(a1)
     for b1 in c1:
         sb1s = _sigma_conj(b1, s)
@@ -218,22 +267,53 @@ def _iter_for_a1(n: int, s: Perm, a1: Perm) -> Iterator[RawSolution]:
         b1_inv = _inverse(b1)
         # k = [a1, b1^-1]; the torus relation will force
         # [a2, b2^-1] = k^-1, an element of C2, so k must lie in C2.
-        k = tuple(b1[a1_inv[b1_inv[a1[x]]]] for x in range(n))
+        k = tuple(b1[a1_inv[b1_inv[x]]] for x in a1)
         if not (_commutes(k, sa1s) and _commutes(k, sb1s)):
             continue
+        yield b1, sb1s, k
+
+
+def _a2_candidates(s: Perm, k: Perm, c2: Sequence[Perm]
+                   ) -> Iterator[Tuple[Perm, Perm, Perm, Perm]]:
+    """(a2, s a2 s, a2^-1, target) for every a2 in C2 that passes R2(a2),
+    keeps k in C3 and passes the cycle-type test, in C2 order."""
+    cycle_type = perm.cycle_type
+    k_inv = _inverse(k)
+    for a2 in c2:
+        sa2s = _sigma_conj(a2, s)
+        if not _commutes(a2, sa2s):                      # R2(a2)
+            continue
+        if not _commutes(k, sa2s):                       # k must lie in C3
+            continue
+        a2_inv = _inverse(a2)
+        # torus relation, rearranged: b2^-1 a2^-1 b2 = a2^-1 k^-1
+        target = tuple(k_inv[x] for x in a2_inv)
+        if cycle_type(a2_inv) != cycle_type(target):
+            continue
+        yield a2, sa2s, a2_inv, target
+
+
+def _iter_for_a1(n: int, s: Perm, a1: Perm,
+                 stab: Optional[Sequence[Perm]] = None
+                 ) -> Iterator[Tuple[RawSolution, int]]:
+    """Solutions below one fixed a1, each with a weight.
+
+    Without stab this is the plain loop: every solution once, weight 1.
+    With stab the elements of C(s) n C(a1), the b1 level walks one
+    candidate per stab-orbit and the a2 level one per orbit of its
+    subgroup fixing b1, and the weights sum to the count below a1.
+    """
+    sa1s = _sigma_conj(a1, s)
+    if not _commutes(a1, sa1s):                          # R2(a1)
+        return
+    c1 = _centralizer_list(sa1s)
+    for (b1, sb1s, k), w1 in _weighted(
+            stab, _b1_candidates(s, a1, sa1s, c1)):
         c2 = _intersect_next(c1, (sa1s,), sb1s)
-        k_inv = _inverse(k)
-        for a2 in c2:
-            sa2s = _sigma_conj(a2, s)
-            if not _commutes(a2, sa2s):                  # R2(a2)
-                continue
-            if not _commutes(k, sa2s):                   # k must lie in C3
-                continue
-            a2_inv = _inverse(a2)
-            # torus relation, rearranged: b2^-1 a2^-1 b2 = a2^-1 k^-1
-            target = tuple(k_inv[x] for x in a2_inv)
-            if cycle_type(a2_inv) != cycle_type(target):
-                continue
+        stab2 = (None if stab is None
+                 else [h for h in stab if _commutes(h, b1)])
+        for (a2, sa2s, a2_inv, target), w2 in _weighted(
+                stab2, _a2_candidates(s, k, c2)):
             c3 = _intersect_next(c2, (sa1s, sb1s), sa2s)
             for b2 in c3:
                 ok = True
@@ -247,14 +327,15 @@ def _iter_for_a1(n: int, s: Perm, a1: Perm) -> Iterator[RawSolution]:
                     continue
                 raw = (a1, a2, b1, b2)
                 if _is_transitive_tuple(s, raw, n):
-                    yield raw
+                    yield raw, w1 * w2
 
 
 def _iter_solutions(n: int, s: Perm, start: int, stop: int
                     ) -> Iterator[RawSolution]:
     """Solutions whose a1 has lexicographic index in [start, stop)."""
     for a1 in itertools.islice(itertools.permutations(range(n)), start, stop):
-        yield from _iter_for_a1(n, s, a1)
+        for raw, _ in _iter_for_a1(n, s, a1):
+            yield raw
 
 
 def _search_chunk(args: Tuple[int, Perm, int, int, bool]
@@ -278,51 +359,23 @@ def _split_ranges(total: int, pieces: int) -> List[Tuple[int, int]]:
     return bounds
 
 
-# Counting runs collapse the a1 loop to one representative per
-# conjugation orbit; bounded because the orbit walk holds a set of all
-# n! permutations.
+# Counting runs factor the search by symmetry; bounded because the
+# a1-level orbit walk holds a set of all n! permutations.
 _FACTOR_MAX_DEGREE = 9
 
 
-def _conj_class_reps(n: int, s: Perm) -> List[Tuple[Perm, int]]:
-    """Representatives and sizes of the orbits of C(s) acting on S_n by
-    conjugation, representatives lexicographically least, listed in
-    representative order.
-
-    Conjugating a solution coordinatewise by any h in C(s) fixes the
-    sigma coordinate and permutes the solution set, so the number of
-    solutions below a1 is constant on each orbit: counting runs search
-    one representative per orbit and multiply by the orbit size.
-    """
-    gens = groups.centralizer_generators(s)
-    visited = set()
-    reps: List[Tuple[Perm, int]] = []
-    for p in itertools.permutations(range(n)):
-        if p in visited:
-            continue
-        orbit = {p}
-        frontier = [p]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for h in gens:
-                    y = perm.conjugate(x, h)
-                    if y not in orbit:
-                        orbit.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        visited |= orbit
-        reps.append((p, len(orbit)))
-    return reps
+def _count_for_a1(n: int, s: Perm, a1: Perm, cent: Sequence[Perm]) -> int:
+    """Number of solutions below a1, orbit-factored; cent lists C(s)."""
+    stab = [h for h in cent if _commutes(h, a1)]
+    return sum(w for _, w in _iter_for_a1(n, s, a1, stab))
 
 
 def _count_chunk(args: Tuple[int, Perm, List[Tuple[Perm, int]]]
                  ) -> Tuple[int, None]:
     n, s, pairs = args
-    total = 0
-    for a1, size in pairs:
-        total += size * sum(1 for _ in _iter_for_a1(n, s, a1))
-    return total, None
+    cent = _centralizer_list(s)
+    return sum(size * _count_for_a1(n, s, a1, cent)
+               for a1, size in pairs), None
 
 
 def _resolve_sigma(n: int, sigma: Optional[Perm]) -> Perm:
@@ -366,7 +419,8 @@ def _run(n: int, sigma: Optional[Perm], workers: int, collect: bool,
             jobs = [(n, s, lo, hi, keep) for lo, hi in pieces]
             worker_fn = _search_chunk
         else:
-            reps = _conj_class_reps(n, s)
+            reps = _orbit_reps(_centralizer_list(s),
+                               itertools.permutations(range(n)))
             pieces = _split_ranges(len(reps), max(workers * 8, 32))
             jobs = [(n, s, reps[lo:hi]) for lo, hi in pieces]
             worker_fn = _count_chunk

@@ -1,5 +1,6 @@
 import itertools
 import math
+import os
 
 import pytest
 
@@ -103,12 +104,18 @@ def test_oracle_agrees_small():
         search.brute_force_oracle(5)
 
 
+def _a1_reps(n, s):
+    return search._orbit_reps(search._centralizer_list(s),
+                              itertools.permutations(range(n)))
+
+
 def test_conj_class_reps_partition_sn():
-    # orbit sizes sum to n!, representatives are lex-least and distinct,
-    # and the orbit count matches Burnside's lemma computed from scratch
+    # the orbit helper at the a1 level: orbit sizes sum to n!,
+    # representatives are lex-least and distinct, and the orbit count
+    # matches Burnside's lemma computed from scratch
     for n in (2, 3, 4, 5):
         s = perm.transposition(n, 1, 2)
-        reps = search._conj_class_reps(n, s)
+        reps = _a1_reps(n, s)
         assert sum(size for _, size in reps) == math.factorial(n)
         assert len({rep for rep, _ in reps}) == len(reps)
         cent = search._centralizer_list(s)
@@ -120,19 +127,76 @@ def test_conj_class_reps_partition_sn():
         assert len(reps) * len(cent) == fixed
 
 
+def test_b1_orbits_partition_filtered_c1():
+    # the orbit helper at the b1 level: the orbits of C(s) n C(a1) on the
+    # pruned C1 are disjoint, each lies inside the candidates, and they
+    # cover the candidates, each led by its first candidate
+    n = 5
+    s = perm.transposition(n, 1, 2)
+    cent = search._centralizer_list(s)
+    checked = 0
+    for a1, _ in _a1_reps(n, s):
+        sa1s = search._sigma_conj(a1, s)
+        if not perm.commutes(a1, sa1s):
+            continue
+        stab = [h for h in cent if perm.commutes(h, a1)]
+        cands = [b1 for b1, _, _ in search._b1_candidates(
+            s, a1, sa1s, search._centralizer_list(sa1s))]
+        reps = search._orbit_reps(stab, cands)
+        covered = set()
+        for rep, size in reps:
+            orbit = {perm.conjugate(rep, h) for h in stab}
+            assert len(orbit) == size
+            assert orbit <= set(cands)
+            assert not orbit & covered
+            assert min(cands.index(x) for x in orbit) == cands.index(rep)
+            covered |= orbit
+        assert covered == set(cands)
+        assert sum(size for _, size in reps) == len(cands)
+        checked += len(stab) > 1 and len(reps) < len(cands)
+    assert checked  # some a1 had orbits of more than one candidate
+
+
+def _per_a1_counts(n, sigma):
+    cent = search._centralizer_list(sigma)
+    return [(search._count_for_a1(n, sigma, a1, cent),
+             sum(1 for _ in search._iter_for_a1(n, sigma, a1)))
+            for a1, _ in search._orbit_reps(cent,
+                                            itertools.permutations(range(n)))]
+
+
 def test_factored_count_matches_plain_loop():
-    # counting runs collapse a1 to orbit representatives; collecting runs
-    # keep the plain loop; both must produce the same counts
+    # counting runs factor the a1, b1 and a2 levels by symmetry; collecting
+    # runs keep the plain loop; both must produce the same counts, in total
+    # and below every a1 representative
     for n in range(2, 7):
         fast = search.enumerate_fixed_sigma(n)
         plain = search.enumerate_fixed_sigma(n, collect=True)
         assert fast.fixed_count == plain.fixed_count
         assert fast.total_count == plain.total_count
+    for factored, plain in _per_a1_counts(6, perm.transposition(6, 1, 2)):
+        assert factored == plain
     for i, j in ((1, 3), (2, 3)):
         sig = perm.transposition(4, i, j)
         fast = search.enumerate_fixed_sigma(4, sigma=sig)
         plain = search.enumerate_fixed_sigma(4, collect=True, sigma=sig)
         assert fast.fixed_count == plain.fixed_count == 480
+        for factored, plain_count in _per_a1_counts(4, sig):
+            assert factored == plain_count
+
+
+@pytest.mark.long
+@pytest.mark.skipif(os.environ.get("BRAIDCOVERS_LONG_TESTS") != "1",
+                    reason="set BRAIDCOVERS_LONG_TESTS=1")
+def test_factored_n8_heavy_subtrees():
+    # the two a1 whose stabilizer is all of C(s), by both routes
+    n = 8
+    s = perm.transposition(n, 1, 2)
+    cent = search._centralizer_list(s)
+    for a1, expected in ((perm.identity(n), 17280),
+                         (perm.transposition(n, 1, 2), 0)):
+        assert search._count_for_a1(n, s, a1, cent) == expected
+        assert sum(1 for _ in search._iter_for_a1(n, s, a1)) == expected
 
 
 def test_centralizer_list_matches_reference(rng):
