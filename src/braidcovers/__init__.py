@@ -15,9 +15,9 @@ from .perm import (all_permutations, compose, conjugate, cycle_type,
                    is_transposition, order_of, parse_cycles, to_images,
                    transposition)
 from .search import (EnumerationResult, Orbit, analyze, brute_force_oracle,
-                     enumerate_fixed_sigma, enumerate_parallel,
-                     full_conjugacy_classes, full_orbit_check,
-                     image_name_histogram, orbit_decomposition)
+                     enumerate_fixed_sigma, full_conjugacy_classes,
+                     full_orbit_check, image_name_histogram,
+                     orbit_decomposition)
 from .surface import (ExistenceReport, SurfaceInvariants, existence_verdict,
                       invariants_for)
 from .words import (RELATOR_LABELS, RELATORS, Assignment, Gen,
@@ -33,7 +33,7 @@ __all__ = [
     "analyze", "brute_force_oracle", "centralizer_elements",
     "centralizer_order",
     "check_relations", "closure", "compose", "conjugate", "cycle_type",
-    "enumerate_fixed_sigma", "enumerate_parallel", "evaluate",
+    "enumerate_fixed_sigma", "evaluate",
     "existence_verdict", "fingerprint", "format_cycles",
     "full_conjugacy_classes", "full_orbit_check", "from_images", "identity",
     "image_name_histogram", "intersect", "invariants_for", "inverse",

@@ -9,19 +9,22 @@ Subcommands:
     oracle      compare the engine against the unpruned relation scan (n <= 4)
     invariants  surface invariants only, no enumeration
 
-Every run is deterministic: same command, same bytes out.  Exit codes:
-0 success, 1 usage error, 2 oracle mismatch.
+Every run is deterministic: same command, same bytes out, for any
+--workers, and list streams under the pool too.  Exit codes: 0 success,
+1 usage error or failure, 2 oracle mismatch, 130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import io
 import json
+import os
 import sys
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, TextIO
 
 from . import groups, perm, search, surface
 from .words import Assignment
@@ -147,21 +150,13 @@ def _configure(args: argparse.Namespace) -> RunConfig:
 
 
 def _progress_printer(n: int):
+    """Slice progress on stderr for the long degrees, None below them."""
+    if n < LONG_DEGREE:
+        return None
+
     def progress(done: int, total: int) -> None:
         print(f"n={n}: slice {done}/{total} searched", file=sys.stderr, flush=True)
     return progress
-
-
-def _enumerate(n: int, config: RunConfig, collect: bool
-               ) -> search.EnumerationResult:
-    progress = _progress_printer(n) if n >= LONG_DEGREE else None
-    if config.workers == 1:
-        return search.enumerate_fixed_sigma(
-            n, collect=collect, allow_large=config.allow_large,
-            progress=progress)
-    return search.enumerate_parallel(
-        n, config.workers, collect=collect, allow_large=config.allow_large,
-        progress=progress)
 
 
 def _dumps(doc) -> str:
@@ -179,12 +174,28 @@ def _csv_text(rows: Sequence[Sequence[object]]) -> str:
     return buf.getvalue()
 
 
-def _write(text: str, out: Optional[str]) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+@contextlib.contextmanager
+def _output_file(path: str) -> Iterator[TextIO]:
+    """A handle for --out: a temporary file beside the target, created
+    before any search runs, moved onto the target when the block
+    completes and removed on any failure or interrupt.  An existing
+    target that is not a regular file, such as /dev/null, is written in
+    place."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        return
+    target = os.path.realpath(path)  # a symlink keeps pointing at the output
+    directory, name = os.path.split(target)
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    fh = open(tmp, "x", encoding="utf-8", newline="")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, target)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 class _ImageCache:
@@ -235,7 +246,9 @@ _TABLE_HEADER = ("n", "fixed_count", "transpositions", "total",
 
 
 def _search_degree(n: int, config: RunConfig) -> search.EnumerationResult:
-    res = _enumerate(n, config, collect=config.collect)
+    res = search.enumerate_fixed_sigma(
+        n, collect=config.collect, workers=config.workers,
+        allow_large=config.allow_large, progress=_progress_printer(n))
     if config.collect:
         res = search.analyze(res)
     return res
@@ -281,7 +294,7 @@ def _render_table(rows: List[Dict[str, object]], fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_count(config: RunConfig) -> int:
+def _cmd_count(config: RunConfig, out: TextIO) -> int:
     n = config.single_degree
     res = _search_degree(n, config)
     inv = surface.invariants_for(n)
@@ -290,9 +303,9 @@ def _cmd_count(config: RunConfig) -> int:
         doc = _result_json(res)
         doc["surface"] = inv.to_json_dict()
         doc["existence"] = verdict.to_json_dict()
-        _write(_dumps(doc), config.out)
+        out.write(_dumps(doc))
     elif config.fmt == "csv":
-        _write(_render_table([_table_row(res)], "csv"), config.out)
+        out.write(_render_table([_table_row(res)], "csv"))
     else:
         lines = [
             str(res),
@@ -306,19 +319,21 @@ def _cmd_count(config: RunConfig) -> int:
                     f"{name} x{count}" for name, count in
                     res.image_fingerprint_histogram.items()))
         lines.append(str(verdict))
-        _write("\n".join(lines) + "\n", config.out)
+        out.write("\n".join(lines) + "\n")
     return 0
 
 
-def _cmd_table(config: RunConfig) -> int:
+def _cmd_table(config: RunConfig, out: TextIO) -> int:
     rows = [_table_row(_search_degree(n, config)) for n in config.degrees]
-    _write(_render_table(rows, config.fmt), config.out)
+    out.write(_render_table(rows, config.fmt))
     return 0
 
 
-def _cmd_orbits(config: RunConfig) -> int:
+def _cmd_orbits(config: RunConfig, out: TextIO) -> int:
     n = config.single_degree
-    res = _enumerate(n, config, collect=True)
+    res = search.enumerate_fixed_sigma(
+        n, collect=True, workers=config.workers,
+        allow_large=config.allow_large, progress=_progress_printer(n))
     orbits = search.orbit_decomposition(list(res.solutions), n)
     cache = _ImageCache()
     if config.fmt == "json":
@@ -332,7 +347,7 @@ def _cmd_orbits(config: RunConfig) -> int:
                 "representative": _solution_json(o.representative, cache),
             } for o in orbits],
         }
-        _write(_dumps(doc), config.out)
+        out.write(_dumps(doc))
     elif config.fmt == "csv":
         data = [("n", "orbit", "size", "image", "sigma", "a1", "a2", "b1", "b2")]
         for i, o in enumerate(orbits, start=1):
@@ -341,7 +356,7 @@ def _cmd_orbits(config: RunConfig) -> int:
                          perm.format_cycles(rep.sigma),
                          perm.format_cycles(rep.a1), perm.format_cycles(rep.a2),
                          perm.format_cycles(rep.b1), perm.format_cycles(rep.b2)))
-        _write(_csv_text(data), config.out)
+        out.write(_csv_text(data))
     else:
         lines = [f"n={n}: {res.fixed_count} solutions in {len(orbits)} "
                  f"conjugacy classes under the sigma centralizer"]
@@ -349,37 +364,29 @@ def _cmd_orbits(config: RunConfig) -> int:
             rep = o.representative
             lines.append(f"  class {i}: size={o.size} "
                          f"image={cache.get(rep).name} {rep}")
-        _write("\n".join(lines) + "\n", config.out)
+        out.write("\n".join(lines) + "\n")
     return 0
 
 
-def _cmd_list(config: RunConfig) -> int:
+def _cmd_list(config: RunConfig, out: TextIO) -> int:
     n = config.single_degree
     cache = _ImageCache()
-    out_fh = (sys.stdout if config.out is None
-              else open(config.out, "w", encoding="utf-8", newline=""))
-    try:
-        if config.workers == 1:
-            def sink(sol: Assignment) -> None:
-                out_fh.write(_dumps_line(_solution_json(sol, cache)))
-            search.enumerate_fixed_sigma(
-                n, allow_large=config.allow_large, sink=sink,
-                progress=_progress_printer(n) if n >= LONG_DEGREE else None)
-        else:
-            res = _enumerate(n, config, collect=True)
-            for sol in res.solutions:
-                out_fh.write(_dumps_line(_solution_json(sol, cache)))
-    finally:
-        if out_fh is not sys.stdout:
-            out_fh.close()
+
+    def sink(sol: Assignment) -> None:
+        out.write(_dumps_line(_solution_json(sol, cache)))
+
+    search.enumerate_fixed_sigma(
+        n, workers=config.workers, allow_large=config.allow_large,
+        sink=sink, progress=_progress_printer(n))
     return 0
 
 
-def _cmd_oracle(config: RunConfig) -> int:
+def _cmd_oracle(config: RunConfig, out: TextIO) -> int:
     n = config.single_degree
     if n > 4:
         raise UsageError(f"the unpruned scan is limited to degree <= 4, got {n}")
-    engine = _enumerate(n, config, collect=True)
+    engine = search.enumerate_fixed_sigma(n, collect=True,
+                                          workers=config.workers)
     brute = search.brute_force_oracle(n, collect=True)
     engine_keys = {sol.sort_key() for sol in engine.solutions}
     brute_keys = {sol.sort_key() for sol in brute.solutions}
@@ -388,35 +395,31 @@ def _cmd_oracle(config: RunConfig) -> int:
     if config.fmt == "json":
         doc = {"n": n, "match": match, "engine_count": engine.fixed_count,
                "brute_force_count": brute.fixed_count}
-        _write(_dumps(doc), config.out)
+        out.write(_dumps(doc))
     elif config.fmt == "csv":
         data = [("n", "match", "engine_count", "brute_force_count"),
                 (n, match, engine.fixed_count, brute.fixed_count)]
-        _write(_csv_text(data), config.out)
+        out.write(_csv_text(data))
+    elif match:
+        out.write(f"MATCH: {engine.fixed_count} = {brute.fixed_count}\n")
     else:
-        if match:
-            _write(f"MATCH: {engine.fixed_count} = {brute.fixed_count}\n",
-                   config.out)
-        else:
-            only_engine = len(engine_keys - brute_keys)
-            only_brute = len(brute_keys - engine_keys)
-            _write(f"MISMATCH: {engine.fixed_count} != {brute.fixed_count} "
-                   f"(only-engine={only_engine} only-brute={only_brute})\n",
-                   config.out)
+        only_engine = len(engine_keys - brute_keys)
+        only_brute = len(brute_keys - engine_keys)
+        out.write(f"MISMATCH: {engine.fixed_count} != {brute.fixed_count} "
+                  f"(only-engine={only_engine} only-brute={only_brute})\n")
     return 0 if match else 2
 
 
-def _cmd_invariants(config: RunConfig) -> int:
+def _cmd_invariants(config: RunConfig, out: TextIO) -> int:
     records = [surface.invariants_for(n) for n in config.degrees]
     if config.fmt == "json":
-        _write(_dumps({"rows": [r.to_json_dict() for r in records]}),
-               config.out)
+        out.write(_dumps({"rows": [r.to_json_dict() for r in records]}))
     elif config.fmt == "csv":
         header = ("n", "chi", "K2", "c2", "pa_Z", "Gamma2", "Z2", "GammaZ",
                   "R2", "RZ", "RR0", "general_type", "z_reducible_forced")
         data = [header]
         data += [tuple(getattr(r, h) for h in header) for r in records]
-        _write(_csv_text(data), config.out)
+        out.write(_csv_text(data))
     else:
         lines = []
         for r in records:
@@ -426,7 +429,7 @@ def _cmd_invariants(config: RunConfig) -> int:
                 f"R^2={r.R2} R.Z={r.RZ} R.R0={r.RR0} "
                 f"general_type={r.general_type} "
                 f"z_reducible_forced={r.z_reducible_forced}")
-        _write("\n".join(lines) + "\n", config.out)
+        out.write("\n".join(lines) + "\n")
     return 0
 
 
@@ -441,7 +444,11 @@ _COMMANDS = {
 
 
 def run(config: RunConfig) -> int:
-    return _COMMANDS[config.command](config)
+    command = _COMMANDS[config.command]
+    if config.out is None:
+        return command(config, sys.stdout)
+    with _output_file(config.out) as out:
+        return command(config, out)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -459,6 +466,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except RuntimeError as exc:
         print(f"braidcovers: error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("braidcovers: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -60,13 +60,16 @@ by brute_force_oracle and its tests, not assumed.
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import dataclasses
 import itertools
 import math
+import signal
 import time
-from concurrent.futures import ProcessPoolExecutor
-from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
-                    Sequence, Tuple)
+from concurrent.futures import Future, ProcessPoolExecutor, wait
+from typing import (Callable, Collection, Dict, Iterable, Iterator, List,
+                    Optional, Sequence, Tuple)
 
 from . import groups, perm, words
 from .perm import Perm
@@ -131,13 +134,6 @@ def _commutes(p: Perm, q: Perm) -> bool:
         if q[p[i]] != p[q[i]]:
             return False
     return True
-
-
-def _inverse(p: Perm) -> Perm:
-    out = [0] * len(p)
-    for i, x in enumerate(p):
-        out[x] = i
-    return tuple(out)
 
 
 def _centralizer_list(g: Perm) -> List[Perm]:
@@ -228,7 +224,7 @@ def _orbit_reps(group: Sequence[Perm], candidates: Iterable[Perm]
     representatives; lexicographically ordered candidates therefore give
     lexicographically least representatives.
     """
-    pairs = [(h, _inverse(h)) for h in group]
+    pairs = [(h, perm.inverse(h)) for h in group]
     # orbit members are kept as bytes, a third of a tuple's memory, since
     # at the a1 level they fill a set of all n! permutations
     seen: set = set()
@@ -259,12 +255,12 @@ def _b1_candidates(s: Perm, a1: Perm, sa1s: Perm, c1: Sequence[Perm]
                    ) -> Iterator[Tuple[Perm, Perm, Perm]]:
     """(b1, s b1 s, k) for every b1 in C1 that passes R2(b1) and whose
     k = [a1, b1^-1] lies in C2, in C1 order."""
-    a1_inv = _inverse(a1)
+    a1_inv = perm.inverse(a1)
     for b1 in c1:
         sb1s = _sigma_conj(b1, s)
         if not _commutes(b1, sb1s):                      # R2(b1)
             continue
-        b1_inv = _inverse(b1)
+        b1_inv = perm.inverse(b1)
         # k = [a1, b1^-1]; the torus relation will force
         # [a2, b2^-1] = k^-1, an element of C2, so k must lie in C2.
         k = tuple(b1[a1_inv[b1_inv[x]]] for x in a1)
@@ -278,14 +274,14 @@ def _a2_candidates(s: Perm, k: Perm, c2: Sequence[Perm]
     """(a2, s a2 s, a2^-1, target) for every a2 in C2 that passes R2(a2),
     keeps k in C3 and passes the cycle-type test, in C2 order."""
     cycle_type = perm.cycle_type
-    k_inv = _inverse(k)
+    k_inv = perm.inverse(k)
     for a2 in c2:
         sa2s = _sigma_conj(a2, s)
         if not _commutes(a2, sa2s):                      # R2(a2)
             continue
         if not _commutes(k, sa2s):                       # k must lie in C3
             continue
-        a2_inv = _inverse(a2)
+        a2_inv = perm.inverse(a2)
         # torus relation, rearranged: b2^-1 a2^-1 b2 = a2^-1 k^-1
         target = tuple(k_inv[x] for x in a2_inv)
         if cycle_type(a2_inv) != cycle_type(target):
@@ -378,6 +374,18 @@ def _count_chunk(args: Tuple[int, Perm, List[Tuple[Perm, int]]]
                for a1, size in pairs), None
 
 
+def _drop_pending(futures: Collection[Future]) -> None:
+    """Cancel the pool slices not yet started once a search stops.
+
+    Ctrl-C kills the pool workers (their SIGINT action is SIG_DFL)
+    and the pool then fails every pending slice itself; cancelling one
+    first crashes the pool's manager thread (InvalidStateError on
+    Python 3.11), so the pool gets a moment to do so."""
+    wait(futures, timeout=1.0)
+    for future in futures:
+        future.cancel()
+
+
 def _resolve_sigma(n: int, sigma: Optional[Perm]) -> Perm:
     if sigma is None:
         return perm.transposition(n, 1, 2)
@@ -388,10 +396,21 @@ def _resolve_sigma(n: int, sigma: Optional[Perm]) -> Perm:
     return sigma
 
 
-def _run(n: int, sigma: Optional[Perm], workers: int, collect: bool,
-         allow_large: bool,
-         sink: Optional[Callable[[Assignment], None]],
-         progress: Optional[Callable[[int, int], None]]) -> EnumerationResult:
+def enumerate_fixed_sigma(n: int, collect: bool = False, *,
+                          workers: int = 1,
+                          sigma: Optional[Perm] = None,
+                          allow_large: bool = False,
+                          sink: Optional[Callable[[Assignment], None]] = None,
+                          progress: Optional[Callable[[int, int], None]] = None,
+                          ) -> EnumerationResult:
+    """Count (and with collect=True, return) all solutions with the given
+    sigma image, default (1,2).
+
+    With workers > 1 the a1 range is split into slices searched by worker
+    processes.  Slices are absorbed in job order, so the result, the order
+    of the solutions handed to sink and the progress calls (slices done,
+    slices in all) are the same for every worker count.
+    """
     _check_degree(n, allow_large)
     if workers < 1:
         raise ValueError(f"workers must be positive, got {workers}")
@@ -424,19 +443,22 @@ def _run(n: int, sigma: Optional[Perm], workers: int, collect: bool,
             pieces = _split_ranges(len(reps), max(workers * 8, 32))
             jobs = [(n, s, reps[lo:hi]) for lo, hi in pieces]
             worker_fn = _count_chunk
-        if workers == 1:
-            for i, job in enumerate(jobs):
-                absorb(*worker_fn(job))
+        with contextlib.ExitStack() as stack:
+            outputs: Iterable[tuple] = map(worker_fn, jobs)
+            if workers > 1:
+                # slices are absorbed in job order, so aggregation is
+                # deterministic and identical to the single-worker pass
+                pool = stack.enter_context(ProcessPoolExecutor(
+                    max_workers=workers, initializer=signal.signal,
+                    initargs=(signal.SIGINT, signal.SIG_DFL)))
+                pending = collections.deque(
+                    pool.submit(worker_fn, job) for job in jobs)
+                stack.callback(_drop_pending, pending)
+                outputs = (pending.popleft().result() for _ in jobs)
+            for i, out in enumerate(outputs):
+                absorb(*out)
                 if progress is not None:
                     progress(i + 1, len(jobs))
-        else:
-            # map() preserves job order, so aggregation is deterministic
-            # and identical to the single-worker pass.
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for i, out in enumerate(pool.map(worker_fn, jobs)):
-                    absorb(*out)
-                    if progress is not None:
-                        progress(i + 1, len(jobs))
     except MemoryError:
         raise RuntimeError(
             f"out of memory holding degree-{n} solutions; rerun without "
@@ -452,27 +474,6 @@ def _run(n: int, sigma: Optional[Perm], workers: int, collect: bool,
         elapsed_seconds=elapsed,
         solutions=tuple(collected) if collect else None,
     )
-
-
-def enumerate_fixed_sigma(n: int, collect: bool = False, *,
-                          sigma: Optional[Perm] = None,
-                          allow_large: bool = False,
-                          sink: Optional[Callable[[Assignment], None]] = None,
-                          progress: Optional[Callable[[int, int], None]] = None,
-                          ) -> EnumerationResult:
-    """Count (and with collect=True, return) all solutions with the given
-    sigma image, default (1,2).  Single process; the reference semantics."""
-    return _run(n, sigma, 1, collect, allow_large, sink, progress)
-
-
-def enumerate_parallel(n: int, workers: int, collect: bool = False, *,
-                       sigma: Optional[Perm] = None,
-                       allow_large: bool = False,
-                       progress: Optional[Callable[[int, int], None]] = None,
-                       ) -> EnumerationResult:
-    """Same result as enumerate_fixed_sigma, with the a1 range split into
-    chunks searched by worker processes."""
-    return _run(n, sigma, workers, collect, allow_large, None, progress)
 
 
 def brute_force_oracle(n: int, collect: bool = True) -> EnumerationResult:
@@ -514,6 +515,35 @@ def brute_force_oracle(n: int, collect: bool = True) -> EnumerationResult:
     )
 
 
+def _conjugation_orbits(keys: Collection[Tuple[Perm, ...]],
+                        group: Sequence[Perm]
+                        ) -> List[Tuple[Tuple[Perm, ...], int]]:
+    """(least member, size) for every orbit of group, acting by
+    coordinatewise conjugation, on the set keys of permutation tuples,
+    in increasing order of the least member.
+
+    The walk visits the keys in sorted order, so the first key of each
+    orbit it meets is that orbit's least member.  Raises AssertionError
+    when an orbit leaves keys.
+    """
+    orbits: List[Tuple[Tuple[Perm, ...], int]] = []
+    visited: set = set()
+    for key in sorted(keys):
+        if key in visited:
+            continue
+        orbit = set()
+        for h in group:
+            moved = tuple(perm.conjugate(p, h) for p in key)
+            if moved not in keys:
+                raise AssertionError(
+                    "conjugation left the set; the input is not closed "
+                    "under the acting group")
+            orbit.add(moved)
+        visited |= orbit
+        orbits.append((key, len(orbit)))
+    return orbits
+
+
 def orbit_decomposition(solutions: Sequence[Assignment], n: int,
                         ) -> List[Orbit]:
     """Split a fixed-sigma solution set into orbits of the centralizer
@@ -522,7 +552,8 @@ def orbit_decomposition(solutions: Sequence[Assignment], n: int,
     Conjugating by C(sigma) fixes the sigma coordinate and permutes the
     solution set, so these orbits are exactly the restrictions of the
     full simultaneous-conjugacy classes to the fixed-sigma slice.  The
-    representative of each orbit is its lexicographically least member.
+    representative of each orbit is its lexicographically least member,
+    and orbits come sorted by representative.
     """
     if not solutions:
         return []
@@ -536,27 +567,8 @@ def orbit_decomposition(solutions: Sequence[Assignment], n: int,
         key_set.add((sol.a1, sol.a2, sol.b1, sol.b2))
     if len(key_set) != len(solutions):
         raise ValueError("duplicate solutions")
-    conjugators = _centralizer_list(s)
-    orbits: List[Orbit] = []
-    visited = set()
-    for sol in sorted(solutions, key=Assignment.sort_key):
-        key = (sol.a1, sol.a2, sol.b1, sol.b2)
-        if key in visited:
-            continue
-        orbit_keys = set()
-        for h in conjugators:
-            moved = tuple(perm.conjugate(p, h) for p in key)
-            if moved not in key_set:
-                raise AssertionError(
-                    "conjugation by the sigma centralizer left the set; "
-                    "the input is not a full fixed-sigma solution set")
-            orbit_keys.add(moved)
-        visited |= orbit_keys
-        rep_key = min(orbit_keys)
-        rep = Assignment(n, s, *rep_key)
-        orbits.append(Orbit(representative=rep, size=len(orbit_keys)))
-    orbits.sort(key=lambda o: o.representative.sort_key())
-    return orbits
+    return [Orbit(representative=Assignment(n, s, *key), size=size)
+            for key, size in _conjugation_orbits(key_set, _centralizer_list(s))]
 
 
 def full_conjugacy_classes(solutions: Sequence[Assignment], n: int
@@ -569,34 +581,18 @@ def full_conjugacy_classes(solutions: Sequence[Assignment], n: int
         key_set.add((sol.sigma, sol.a1, sol.a2, sol.b1, sol.b2))
     if len(key_set) != len(solutions):
         raise ValueError("duplicate solutions")
-    everyone = list(itertools.permutations(range(n)))
-    orbits: List[Orbit] = []
-    visited = set()
-    for key in sorted(key_set):
-        if key in visited:
-            continue
-        orbit_keys = set()
-        for h in everyone:
-            moved = tuple(perm.conjugate(p, h) for p in key)
-            if moved not in key_set:
-                raise AssertionError(
-                    "conjugation left the set; the input is not closed "
-                    "under simultaneous conjugation")
-            orbit_keys.add(moved)
-        visited |= orbit_keys
-        rep_key = min(orbit_keys)
-        rep = Assignment(n, rep_key[0], *rep_key[1:])
-        orbits.append(Orbit(representative=rep, size=len(orbit_keys)))
-    orbits.sort(key=lambda o: o.representative.sort_key())
-    return orbits
+    return [Orbit(representative=Assignment(n, *key), size=size)
+            for key, size in _conjugation_orbits(
+                key_set, list(itertools.permutations(range(n))))]
 
 
 def full_orbit_check(n: int) -> bool:
     """Cross-check the fixed-sigma orbit decomposition against the orbits
     of the whole solution set (every sigma transposition) under all of
-    S_n.  The slice orbits must expand to pairwise-disjoint full classes
-    that cover everything, each of size n(n-1)/2 times the slice size.
-    Exhaustive, so n <= 4 only.
+    S_n.  The whole set must hold no duplicates and be closed under
+    conjugation; each slice orbit must lie in its own full class, of
+    size n(n-1)/2 times the slice size, and every class must meet the
+    slice.  Exhaustive, so n <= 4 only.
     """
     if not 2 <= n <= 4:
         raise ValueError(f"the full orbit check is restricted to 2 <= n <= 4, got {n}")
@@ -607,31 +603,23 @@ def full_orbit_check(n: int) -> bool:
             res = enumerate_fixed_sigma(
                 n, collect=True, sigma=perm.transposition(n, i, j))
             everything.extend(res.solutions)
-    all_keys = {(sol.sigma, sol.a1, sol.a2, sol.b1, sol.b2)
-                for sol in everything}
-    if len(all_keys) != len(everything):
+    try:
+        classes = {c.representative.sort_key(): c.size
+                   for c in full_conjugacy_classes(everything, n)}
+    except (ValueError, AssertionError):  # duplicates, or not closed
         return False
-    fixed = [sol for sol in everything if sol.sigma == base]
-    slice_orbits = orbit_decomposition(fixed, n)
     t = n * (n - 1) // 2
     expected_size = {2: 1, 3: 6, 4: 12}[n]
-    everyone = list(itertools.permutations(range(n)))
-    covered: set = set()
-    for orbit in slice_orbits:
-        rep = orbit.representative
-        key = (rep.sigma, rep.a1, rep.a2, rep.b1, rep.b2)
-        full_keys = {tuple(perm.conjugate(p, h) for p in key)
-                     for h in everyone}
-        if not full_keys <= all_keys:
+    met = set()
+    fixed = [sol for sol in everything if sol.sigma == base]
+    for orbit in orbit_decomposition(fixed, n):
+        least = min(orbit.representative.conjugated(h).sort_key()
+                    for h in itertools.permutations(range(n)))
+        size = classes[least]
+        if size != orbit.size * t or size != expected_size or least in met:
             return False
-        if len(full_keys) != orbit.size * t:
-            return False
-        if len(full_keys) != expected_size:
-            return False
-        if covered & full_keys:
-            return False
-        covered |= full_keys
-    return covered == all_keys
+        met.add(least)
+    return len(met) == len(classes)
 
 
 def analyze(result: EnumerationResult) -> EnumerationResult:

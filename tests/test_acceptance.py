@@ -48,10 +48,10 @@ def test_criterion_1_count_table():
 @pytest.mark.long
 @pytest.mark.skipif(not RUN_LONG, reason="set BRAIDCOVERS_LONG_TESTS=1")
 def test_criterion_2_large_degrees():
-    # 172800 at degree 8 and none at degree 9, via the parallel driver
+    # 172800 at degree 8 and none at degree 9, on every core
     workers = os.cpu_count() or 1
-    r8 = search.enumerate_parallel(8, workers)
-    r9 = search.enumerate_parallel(9, workers)
+    r8 = search.enumerate_fixed_sigma(8, workers=workers)
+    r9 = search.enumerate_fixed_sigma(9, workers=workers)
     _report(
         "2 (degrees 8 and 9)",
         r8.fixed_count == 172800 and r8.total_count == 4838400
@@ -192,7 +192,7 @@ def test_criterion_7_property_suites():
     reference = search.enumerate_fixed_sigma(6, collect=True)
     ok_workers = True
     for workers in (2, 8):
-        par = search.enumerate_parallel(6, workers, collect=True)
+        par = search.enumerate_fixed_sigma(6, collect=True, workers=workers)
         ok_workers = ok_workers and (
             par.fixed_count == reference.fixed_count
             and par.solutions == reference.solutions)

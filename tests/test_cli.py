@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -214,9 +215,11 @@ def test_list_to_file(tmp_path, capsys):
 
 
 def test_list_parallel_matches_stream(tmp_path, capsys):
-    _, streamed, _ = run(capsys, "list", "--n", "3")
-    _, pooled, _ = run(capsys, "list", "--n", "3", "--workers", "2")
-    assert streamed == pooled
+    # n=6 has many non-empty slices, streamed through the pool in job order
+    for n in ("3", "6"):
+        _, streamed, _ = run(capsys, "list", "--n", n)
+        _, pooled, _ = run(capsys, "list", "--n", n, "--workers", "2")
+        assert streamed == pooled
 
 
 def test_oracle_match(capsys):
@@ -302,6 +305,121 @@ def test_unwritable_out_path_exits_1(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert "cannot write output" in err
+
+
+def test_unwritable_out_path_fails_before_search(capsys, tmp_path):
+    import time
+    missing = tmp_path / "missing" / "dir" / "x"
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "count", "--n", "9", "--confirm-long",
+                         "--out", str(missing))
+    assert code == 1
+    assert out == ""
+    assert "cannot write output" in err
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_interrupted_out_leaves_no_file(capsys, monkeypatch, tmp_path):
+    from braidcovers import search
+
+    real = search.enumerate_fixed_sigma
+
+    def interrupted(n, collect=False, *, sink=None, **kwargs):
+        written = []
+
+        def stop_after_ten(sol):
+            sink(sol)
+            written.append(sol)
+            if len(written) == 10:
+                raise KeyboardInterrupt
+        return real(n, collect, sink=stop_after_ten, **kwargs)
+
+    monkeypatch.setattr(search, "enumerate_fixed_sigma", interrupted)
+    path = tmp_path / "sols.jsonl"
+    code, out, err = run(capsys, "list", "--n", "6", "--out", str(path))
+    assert code == 130
+    assert out == ""
+    assert err == "braidcovers: interrupted\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_out_to_device_writes_in_place(capsys):
+    import stat
+
+    code, out, _ = run(capsys, "invariants", "--n", "2", "--out", os.devnull)
+    assert code == 0 and out == ""
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+
+def test_interrupt_exits_130(capsys, monkeypatch):
+    from braidcovers import search
+
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(search, "enumerate_fixed_sigma", interrupted)
+    code, out, err = run(capsys, "count", "--n", "4", "--workers", "2")
+    assert code == 130
+    assert out == ""
+    assert err == "braidcovers: interrupted\n"
+
+
+def _group_size(pgid):
+    """Live processes in a process group, read from /proc."""
+    size = 0
+    for pid in os.listdir("/proc"):
+        if not pid.isdigit():
+            continue
+        try:
+            with open(f"/proc/{pid}/stat") as fh:
+                fields = fh.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        size += int(fields[2]) == pgid
+    return size
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+def test_ctrl_c_under_pool_exits_130():
+    # SIGINT to the whole process group, as a terminal's Ctrl-C sends it,
+    # once the two pool workers are running
+    import pathlib
+    import signal
+    import subprocess
+    import sys
+    import time
+
+    import braidcovers
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(pathlib.Path(braidcovers.__file__).parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "braidcovers.cli", "count", "--n", "9",
+         "--confirm-long", "--workers", "2"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        start_new_session=True,
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
+    try:
+        deadline = time.monotonic() + 60
+        while _group_size(proc.pid) < 3 and time.monotonic() < deadline:
+            time.sleep(0.05)
+        time.sleep(1.0)
+        assert proc.poll() is None
+        os.killpg(proc.pid, signal.SIGINT)
+        out, err = proc.communicate(timeout=30)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert proc.returncode == 130
+    assert out == b""
+    assert b"Traceback" not in err
+    assert err.splitlines()[-1] == b"braidcovers: interrupted"
+    for _ in range(50):
+        if _group_size(proc.pid) == 0:
+            break
+        time.sleep(0.1)
+    assert _group_size(proc.pid) == 0
 
 
 def test_gate_blocks_before_any_search(capsys):

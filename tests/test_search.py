@@ -51,17 +51,29 @@ def test_deterministic_repeat(n4_result):
 
 def test_parallel_matches_single(n6_result):
     for workers in (2, 8):
-        par = search.enumerate_parallel(6, workers, collect=True)
+        par = search.enumerate_fixed_sigma(6, collect=True, workers=workers)
         assert par.fixed_count == n6_result.fixed_count == 2880
         assert par.solutions == n6_result.solutions
 
 
 def test_sink_streams_same_solutions(n3_result):
-    streamed = []
-    res = search.enumerate_fixed_sigma(3, sink=streamed.append)
-    assert res.fixed_count == 80
-    assert res.solutions is None
-    assert tuple(streamed) == n3_result.solutions
+    # under the pool the sink runs in this process, in job order
+    for workers in (1, 2):
+        streamed = []
+        res = search.enumerate_fixed_sigma(3, workers=workers,
+                                           sink=streamed.append)
+        assert res.fixed_count == 80
+        assert res.solutions is None
+        assert tuple(streamed) == n3_result.solutions
+
+
+def test_sink_error_stops_pooled_search():
+    # the sink's exception reaches the caller; the pool drops what is left
+    def refuse(sol):
+        raise RuntimeError("sink refused")
+
+    with pytest.raises(RuntimeError, match="sink refused"):
+        search.enumerate_fixed_sigma(6, workers=2, sink=refuse)
 
 
 def test_progress_reports_all_slices():
@@ -91,7 +103,7 @@ def test_sigma_validation():
     with pytest.raises(ValueError):
         search.enumerate_fixed_sigma(13)
     with pytest.raises(ValueError):
-        search.enumerate_parallel(4, 0)
+        search.enumerate_fixed_sigma(4, workers=0)
 
 
 def test_oracle_agrees_small():
