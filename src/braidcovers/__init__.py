@@ -15,7 +15,7 @@ from .perm import (all_permutations, compose, conjugate, cycle_type,
                    is_transposition, order_of, parse_cycles, to_images,
                    transposition)
 from .search import (EnumerationResult, Orbit, analyze, brute_force_oracle,
-                     enumerate_fixed_sigma, full_conjugacy_classes,
+                     classify, enumerate_fixed_sigma, full_conjugacy_classes,
                      full_orbit_check, image_name_histogram,
                      orbit_decomposition)
 from .surface import (ExistenceReport, SurfaceInvariants, existence_verdict,
@@ -32,7 +32,8 @@ __all__ = [
     "RelationReport", "Relator", "SurfaceInvariants", "all_permutations",
     "analyze", "brute_force_oracle", "centralizer_elements",
     "centralizer_order",
-    "check_relations", "closure", "compose", "conjugate", "cycle_type",
+    "check_relations", "classify", "closure", "compose", "conjugate",
+    "cycle_type",
     "enumerate_fixed_sigma", "evaluate",
     "existence_verdict", "fingerprint", "format_cycles",
     "full_conjugacy_classes", "full_orbit_check", "from_images", "identity",

@@ -9,9 +9,16 @@ Subcommands:
     oracle      compare the engine against the unpruned relation scan (n <= 4)
     invariants  surface invariants only, no enumeration
 
+`orbits`, and `count`/`table` with --collect, report the conjugacy
+classes and their image groups from the orbit-factored count search,
+fingerprinting one representative per class, without keeping the
+solutions; only `list` and `oracle` hold or stream every solution.
+
 Every run is deterministic: same command, same bytes out, for any
 --workers, and list streams under the pool too.  Exit codes: 0 success,
-1 usage error or failure, 2 oracle mismatch, 130 interrupted (Ctrl-C).
+1 usage error or failure, 2 oracle mismatch, 130 interrupted (Ctrl-C),
+143 terminated (SIGTERM).  An interrupted or terminated run leaves no
+--out file behind.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ import dataclasses
 import io
 import json
 import os
+import signal
 import sys
 from typing import Dict, Iterator, List, Optional, Sequence, TextIO
 
@@ -34,6 +42,15 @@ LONG_DEGREE = 8  # searches from here up want an explicit go-ahead
 
 class UsageError(Exception):
     pass
+
+
+class _Terminated(BaseException):
+    """SIGTERM, raised in the main thread like KeyboardInterrupt so that
+    the --out temporary file is removed on the way out."""
+
+
+def _terminate(signum, frame):
+    raise _Terminated
 
 
 class _Parser(argparse.ArgumentParser):
@@ -107,7 +124,9 @@ def _build_parser() -> _Parser:
         p.add_argument("--allow-large", action="store_true",
                        help=f"lift the degree cap of {search.MAX_DEGREE}")
         p.add_argument("--collect", action="store_true",
-                       help="keep solutions to report orbits and image groups")
+                       help=("report conjugacy classes and image groups, "
+                             "one representative per class; no solutions "
+                             "are kept"))
         p.add_argument("--seed", default=None, help=argparse.SUPPRESS)
         return p
 
@@ -246,12 +265,14 @@ _TABLE_HEADER = ("n", "fixed_count", "transpositions", "total",
 
 
 def _search_degree(n: int, config: RunConfig) -> search.EnumerationResult:
-    res = search.enumerate_fixed_sigma(
-        n, collect=config.collect, workers=config.workers,
-        allow_large=config.allow_large, progress=_progress_printer(n))
     if config.collect:
-        res = search.analyze(res)
-    return res
+        res, _ = search.classify(
+            n, workers=config.workers, allow_large=config.allow_large,
+            progress=_progress_printer(n))
+        return res
+    return search.enumerate_fixed_sigma(
+        n, workers=config.workers, allow_large=config.allow_large,
+        progress=_progress_printer(n))
 
 
 def _table_row(res: search.EnumerationResult) -> Dict[str, object]:
@@ -331,10 +352,9 @@ def _cmd_table(config: RunConfig, out: TextIO) -> int:
 
 def _cmd_orbits(config: RunConfig, out: TextIO) -> int:
     n = config.single_degree
-    res = search.enumerate_fixed_sigma(
-        n, collect=True, workers=config.workers,
-        allow_large=config.allow_large, progress=_progress_printer(n))
-    orbits = search.orbit_decomposition(list(res.solutions), n)
+    res, orbits = search.classify(
+        n, workers=config.workers, allow_large=config.allow_large,
+        progress=_progress_printer(n))
     cache = _ImageCache()
     if config.fmt == "json":
         doc = {
@@ -453,6 +473,7 @@ def run(config: RunConfig) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
+    previous = signal.signal(signal.SIGTERM, _terminate)
     try:
         args = parser.parse_args(argv)
         return run(_configure(args))
@@ -469,6 +490,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except KeyboardInterrupt:
         print("braidcovers: interrupted", file=sys.stderr)
         return 130
+    except _Terminated:
+        print("braidcovers: terminated", file=sys.stderr)
+        return 143
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

@@ -54,6 +54,24 @@ solution order never depends on the counting strategy.  The two paths
 share their prune code and are tested for equal counts below every a1
 representative.
 
+The conjugacy classes of the fixed-sigma solutions (orbits of C(s)
+acting by coordinatewise conjugation) come from the same factored walk
+(classify).  Every class has members whose a1 is the least element of
+a1's C(s)-class, which is the representative _orbit_reps picks; those
+members form one H1-orbit, since two of them differ by an element of
+C(s) fixing a1.  Below that a1 the walk visits at least one member of
+every H1-orbit of solutions: conjugating by H1 brings any solution's b1
+to its orbit representative, then conjugating by H2 brings its a2 to
+its representative, and every b2 is visited.  So for each leaf not yet
+seen below a1, its H1-orbit is built and marked seen; (a1,) plus the
+least (a2, b1, b2) of that orbit is the least member of the whole class
+in the (a1, a2, b1, b2) order, and the class meets the fixed-sigma
+slice in |C(s)-class of a1| * |H1-orbit| solutions.  Sorting the
+classes below each a1, with the a1 representatives in lexicographic
+order, lists the classes in the order orbit_decomposition gives.  The
+class sizes must add up to the weighted count of the same walk, which
+is checked.
+
 Exact agreement with the relation-table-driven brute force is enforced
 by brute_force_oracle and its tests, not assumed.
 """
@@ -85,10 +103,11 @@ class EnumerationResult:
     """Counts for one degree, plus orbit and image data once analyzed.
 
     orbit_count, orbit_size_histogram and image_fingerprint_histogram
-    are filled in by analyze(), which needs collected solutions; they
-    stay None on plain counting runs.  The size histogram is over full
-    simultaneous-conjugacy classes (size -> number of classes), so its
-    sizes weighted by multiplicity sum to total_count.
+    are filled in by classify(), or by analyze() from collected
+    solutions; they stay None on plain counting runs.  The size
+    histogram is over full simultaneous-conjugacy classes (size ->
+    number of classes), so its sizes weighted by multiplicity sum to
+    total_count.
     """
 
     n: int
@@ -115,13 +134,24 @@ class Orbit:
     size: int  # solutions in the fixed-sigma slice of the class
 
 
-def _check_degree(n: int, allow_large: bool) -> None:
+def _check_run(n: int, workers: int, allow_large: bool) -> None:
     if n < 2:
         raise ValueError(f"degree must be at least 2, got {n}")
     if n > MAX_DEGREE and not allow_large:
         raise ValueError(
             f"degree {n} exceeds the safety cap {MAX_DEGREE}; "
             f"pass allow_large=True to search anyway")
+    if workers < 1:
+        raise ValueError(f"workers must be positive, got {workers}")
+
+
+def _result(n: int, s: Perm, count: int, elapsed: float,
+            solutions: Optional[Tuple[Assignment, ...]] = None
+            ) -> EnumerationResult:
+    t = n * (n - 1) // 2
+    return EnumerationResult(n=n, sigma=s, fixed_count=count,
+                             transpositions=t, total_count=count * t,
+                             elapsed_seconds=elapsed, solutions=solutions)
 
 
 def _sigma_conj(p: Perm, s: Perm) -> Perm:
@@ -359,19 +389,64 @@ def _split_ranges(total: int, pieces: int) -> List[Tuple[int, int]]:
 # a1-level orbit walk holds a set of all n! permutations.
 _FACTOR_MAX_DEGREE = 9
 
-
 def _count_for_a1(n: int, s: Perm, a1: Perm, cent: Sequence[Perm]) -> int:
     """Number of solutions below a1, orbit-factored; cent lists C(s)."""
     stab = [h for h in cent if _commutes(h, a1)]
     return sum(w for _, w in _iter_for_a1(n, s, a1, stab))
 
 
-def _count_chunk(args: Tuple[int, Perm, List[Tuple[Perm, int]]]
-                 ) -> Tuple[int, None]:
-    n, s, pairs = args
+def _classes_for_a1(n: int, s: Perm, a1: Perm, cent: Sequence[Perm]
+                    ) -> Tuple[int, List[Tuple[RawSolution, int]]]:
+    """Number of solutions below a1, orbit-factored, and one (least
+    member, orbit size) per orbit of H1 = C(s) n C(a1) on them, sorted;
+    cent lists C(s).  See the module docstring for why the factored
+    walk meets every orbit."""
+    stab = [h for h in cent if _commutes(h, a1)]
+    pairs = [(h, perm.inverse(h)) for h in stab]
+    count = 0
+    seen: set = set()
+    classes = []
+    for (_, a2, b1, b2), w in _iter_for_a1(n, s, a1, stab):
+        count += w
+        if (a2, b1, b2) in seen:
+            continue
+        # h x h^-1 maps h(i) to h(x(i))
+        orbit = {tuple(tuple(h[p[j]] for j in h_inv) for p in (a2, b1, b2))
+                 for h, h_inv in pairs}
+        seen |= orbit
+        classes.append(((a1,) + min(orbit), len(orbit)))
+    classes.sort()
+    return count, classes
+
+
+def _factored_chunk(args: Tuple[int, Perm, List[Tuple[Perm, int]], bool]
+                    ) -> Tuple[int, Optional[List[Orbit]]]:
+    """Solutions below a slice of (a1 representative, C(s)-class size)
+    pairs: their number, and with with_classes set their conjugacy
+    classes in order, each with its fixed-sigma size.  A pure count
+    does no canonicalisation."""
+    n, s, pairs, with_classes = args
     cent = _centralizer_list(s)
-    return sum(size * _count_for_a1(n, s, a1, cent)
-               for a1, size in pairs), None
+    count = 0
+    found: List[Orbit] = []
+    for a1, size in pairs:
+        if with_classes:
+            below, classes = _classes_for_a1(n, s, a1, cent)
+            found += [Orbit(representative=Assignment(n, s, *key),
+                            size=size * orbit) for key, orbit in classes]
+        else:
+            below = _count_for_a1(n, s, a1, cent)
+        count += size * below
+    return count, found if with_classes else None
+
+
+def _a1_slices(n: int, s: Perm, workers: int
+               ) -> List[List[Tuple[Perm, int]]]:
+    """The C(s)-class representatives of a1, in lexicographic order with
+    their class sizes, cut into the slices of a factored run."""
+    reps = _orbit_reps(_centralizer_list(s), itertools.permutations(range(n)))
+    return [reps[lo:hi]
+            for lo, hi in _split_ranges(len(reps), max(workers * 8, 32))]
 
 
 def _drop_pending(futures: Collection[Future]) -> None:
@@ -384,6 +459,35 @@ def _drop_pending(futures: Collection[Future]) -> None:
     wait(futures, timeout=1.0)
     for future in futures:
         future.cancel()
+
+
+def _default_signals() -> None:
+    """Pool worker initializer: Ctrl-C and SIGTERM end a worker at once,
+    whatever handlers the parent process had installed."""
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        signal.signal(signum, signal.SIG_DFL)
+
+
+def _run_slices(worker_fn: Callable[[tuple], tuple], jobs: Sequence[tuple],
+                workers: int, absorb: Callable[..., None],
+                progress: Optional[Callable[[int, int], None]]) -> None:
+    """worker_fn on every job, in this process or in a pool of worker
+    processes, with each output absorbed in job order, so aggregation
+    and the progress calls (slices done, slices in all) are the same
+    for every worker count."""
+    with contextlib.ExitStack() as stack:
+        outputs: Iterable[tuple] = map(worker_fn, jobs)
+        if workers > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(
+                max_workers=workers, initializer=_default_signals))
+            pending = collections.deque(
+                pool.submit(worker_fn, job) for job in jobs)
+            stack.callback(_drop_pending, pending)
+            outputs = (pending.popleft().result() for _ in jobs)
+        for i, out in enumerate(outputs):
+            absorb(*out)
+            if progress is not None:
+                progress(i + 1, len(jobs))
 
 
 def _resolve_sigma(n: int, sigma: Optional[Perm]) -> Perm:
@@ -411,9 +515,7 @@ def enumerate_fixed_sigma(n: int, collect: bool = False, *,
     of the solutions handed to sink and the progress calls (slices done,
     slices in all) are the same for every worker count.
     """
-    _check_degree(n, allow_large)
-    if workers < 1:
-        raise ValueError(f"workers must be positive, got {workers}")
+    _check_run(n, workers, allow_large)
     s = _resolve_sigma(n, sigma)
     keep = collect or sink is not None
     t0 = time.perf_counter()
@@ -435,45 +537,56 @@ def enumerate_fixed_sigma(n: int, collect: bool = False, *,
     try:
         if keep or n > _FACTOR_MAX_DEGREE:
             pieces = _split_ranges(math.factorial(n), max(workers * 8, 32))
-            jobs = [(n, s, lo, hi, keep) for lo, hi in pieces]
-            worker_fn = _search_chunk
+            _run_slices(_search_chunk, [(n, s, lo, hi, keep)
+                                        for lo, hi in pieces],
+                        workers, absorb, progress)
         else:
-            reps = _orbit_reps(_centralizer_list(s),
-                               itertools.permutations(range(n)))
-            pieces = _split_ranges(len(reps), max(workers * 8, 32))
-            jobs = [(n, s, reps[lo:hi]) for lo, hi in pieces]
-            worker_fn = _count_chunk
-        with contextlib.ExitStack() as stack:
-            outputs: Iterable[tuple] = map(worker_fn, jobs)
-            if workers > 1:
-                # slices are absorbed in job order, so aggregation is
-                # deterministic and identical to the single-worker pass
-                pool = stack.enter_context(ProcessPoolExecutor(
-                    max_workers=workers, initializer=signal.signal,
-                    initargs=(signal.SIGINT, signal.SIG_DFL)))
-                pending = collections.deque(
-                    pool.submit(worker_fn, job) for job in jobs)
-                stack.callback(_drop_pending, pending)
-                outputs = (pending.popleft().result() for _ in jobs)
-            for i, out in enumerate(outputs):
-                absorb(*out)
-                if progress is not None:
-                    progress(i + 1, len(jobs))
+            _run_slices(_factored_chunk, [(n, s, pairs, False) for pairs
+                                          in _a1_slices(n, s, workers)],
+                        workers, absorb, progress)
     except MemoryError:
         raise RuntimeError(
             f"out of memory holding degree-{n} solutions; rerun without "
             f"collect, or stream them through a sink") from None
-    elapsed = time.perf_counter() - t0
-    t = n * (n - 1) // 2
-    return EnumerationResult(
-        n=n,
-        sigma=s,
-        fixed_count=count,
-        transpositions=t,
-        total_count=count * t,
-        elapsed_seconds=elapsed,
-        solutions=tuple(collected) if collect else None,
-    )
+    return _result(n, s, count, time.perf_counter() - t0,
+                   tuple(collected) if collect else None)
+
+
+def classify(n: int, *, workers: int = 1, allow_large: bool = False,
+             progress: Optional[Callable[[int, int], None]] = None,
+             ) -> Tuple[EnumerationResult, List[Orbit]]:
+    """The conjugacy classes of the solutions with sigma = (1,2), and
+    the result with its orbit and image fields filled in as analyze
+    fills them, without keeping the solutions.
+
+    The classes are those of orbit_decomposition, in its order and with
+    the same representatives, found by the orbit-factored count search;
+    workers and progress work as in enumerate_fixed_sigma.  Above
+    degree 9 the search collects every solution and decomposes them.
+    """
+    _check_run(n, workers, allow_large)
+    if n > _FACTOR_MAX_DEGREE:
+        res = enumerate_fixed_sigma(n, collect=True, workers=workers,
+                                    allow_large=allow_large,
+                                    progress=progress)
+        orbits = orbit_decomposition(list(res.solutions), n)
+        res = dataclasses.replace(res, solutions=None)
+        return _summarize(res, orbits), orbits
+    s = perm.transposition(n, 1, 2)
+    t0 = time.perf_counter()
+    count = 0
+    orbits: List[Orbit] = []
+
+    def absorb(chunk_count: int, classes: List[Orbit]) -> None:
+        nonlocal count
+        count += chunk_count
+        orbits.extend(classes)
+
+    _run_slices(_factored_chunk, [(n, s, pairs, True) for pairs
+                                  in _a1_slices(n, s, workers)],
+                workers, absorb, progress)
+    res = _result(n, s, count, time.perf_counter() - t0)
+    return _summarize(res, orbits), orbits
 
 
 def brute_force_oracle(n: int, collect: bool = True) -> EnumerationResult:
@@ -502,17 +615,8 @@ def brute_force_oracle(n: int, collect: bool = True) -> EnumerationResult:
                     count += 1
                     if collect:
                         sols.append(asg)
-    elapsed = time.perf_counter() - t0
-    t = n * (n - 1) // 2
-    return EnumerationResult(
-        n=n,
-        sigma=s,
-        fixed_count=count,
-        transpositions=t,
-        total_count=count * t,
-        elapsed_seconds=elapsed,
-        solutions=tuple(sols) if collect else None,
-    )
+    return _result(n, s, count, time.perf_counter() - t0,
+                   tuple(sols) if collect else None)
 
 
 def _conjugation_orbits(keys: Collection[Tuple[Perm, ...]],
@@ -627,7 +731,16 @@ def analyze(result: EnumerationResult) -> EnumerationResult:
     image_fingerprint_histogram from a collected result."""
     if result.solutions is None:
         raise ValueError("analyze needs a result with collected solutions")
-    orbits = orbit_decomposition(list(result.solutions), result.n)
+    return _summarize(result,
+                      orbit_decomposition(list(result.solutions), result.n))
+
+
+def _summarize(result: EnumerationResult, orbits: Sequence[Orbit]
+               ) -> EnumerationResult:
+    """result with the orbit and image fields filled in from its
+    fixed-sigma classes.  Image fingerprints are isomorphism invariants,
+    so one representative per class is fingerprinted and counted once
+    per solution of its class."""
     sizes: Dict[int, int] = {}
     for o in orbits:
         full = o.size * result.transpositions
@@ -644,23 +757,30 @@ def analyze(result: EnumerationResult) -> EnumerationResult:
         result,
         orbit_count=len(orbits),
         orbit_size_histogram=dict(sorted(sizes.items())),
-        image_fingerprint_histogram=image_name_histogram(
-            result.solutions, result.n),
+        image_fingerprint_histogram=_image_names(
+            ((o.representative, o.size) for o in orbits), result.n),
     )
 
 
 def image_name_histogram(solutions: Sequence[Assignment], n: int
                          ) -> dict[str, int]:
-    """Image-group name -> number of solutions, with a cache keyed by the
-    generator set (solutions heavily share images)."""
+    """Image-group name -> number of solutions."""
+    return _image_names(((sol, 1) for sol in solutions), n)
+
+
+def _image_names(weighted: Iterable[Tuple[Assignment, int]], n: int
+                 ) -> dict[str, int]:
+    """Image-group name -> total weight of the solutions with that
+    image, with a cache keyed by the generator set (solutions heavily
+    share images)."""
     cache: dict[frozenset, str] = {}
     out: dict[str, int] = {}
-    for sol in solutions:
+    for sol, weight in weighted:
         gens = (sol.sigma, sol.a1, sol.a2, sol.b1, sol.b2)
         key = frozenset(gens)
         name = cache.get(key)
         if name is None:
             name = groups.fingerprint(gens, n).name
             cache[key] = name
-        out[name] = out.get(name, 0) + 1
+        out[name] = out.get(name, 0) + weight
     return dict(sorted(out.items()))

@@ -190,6 +190,24 @@ def test_orbits_json(capsys):
                for o in doc["orbits"])
 
 
+def test_orbits_workers_do_not_change_output(capsys):
+    _, solo, _ = run(capsys, "orbits", "--n", "6", "--format", "json")
+    _, duo, _ = run(capsys, "orbits", "--n", "6", "--format", "json",
+                    "--workers", "2")
+    assert solo == duo
+    assert json.loads(solo)["orbit_count"] == 60
+
+
+def test_table_collect_through_degree_seven(capsys):
+    # classes come from the factored search, so degree 7 is quick
+    code, out, _ = run(capsys, "table", "--n", "2..7", "--collect",
+                       "--format", "csv")
+    assert code == 0
+    rows = out.splitlines()
+    assert rows[:5] == TABLE_CSV.splitlines()
+    assert rows[6] == "7,0,21,0,0,3,1,9,"
+
+
 def test_list_streams_solutions(capsys):
     code, out, _ = run(capsys, "list", "--n", "2")
     assert code == 0
@@ -420,6 +438,43 @@ def test_ctrl_c_under_pool_exits_130():
             break
         time.sleep(0.1)
     assert _group_size(proc.pid) == 0
+
+
+def test_sigterm_removes_partial_out(tmp_path):
+    # SIGTERM mid-search ends the run with 143 and one stderr line, and
+    # the temporary file beside the target is removed
+    import pathlib
+    import signal
+    import subprocess
+    import sys
+    import time
+
+    import braidcovers
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(pathlib.Path(braidcovers.__file__).parents[1])
+    target = tmp_path / "sols.jsonl"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "braidcovers.cli", "list", "--n", "6",
+         "--out", str(target)],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        deadline = time.monotonic() + 30
+        while not list(tmp_path.iterdir()) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert [p.name for p in tmp_path.iterdir()] == [
+            f".sols.jsonl.{proc.pid}.tmp"]
+        assert proc.poll() is None
+        proc.send_signal(signal.SIGTERM)
+        out, err = proc.communicate(timeout=30)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    assert proc.returncode == 143
+    assert out == b""
+    assert err == b"braidcovers: terminated\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_gate_blocks_before_any_search(capsys):

@@ -211,6 +211,58 @@ def test_factored_n8_heavy_subtrees():
         assert sum(1 for _ in search._iter_for_a1(n, s, a1)) == expected
 
 
+_RESULT_FIELDS = ("n", "sigma", "fixed_count", "transpositions",
+                  "total_count", "orbit_count", "orbit_size_histogram",
+                  "image_fingerprint_histogram")
+
+
+@pytest.mark.parametrize("n,classes",
+                         [(2, 16), (3, 40), (4, 240), (5, 0), (6, 60), (7, 0)])
+def test_classify_matches_collected_decomposition(n, classes):
+    # the classes from the factored walk equal those of the collected
+    # plain-loop solutions, representatives, sizes and order included,
+    # and the summary fields equal analyze's; degrees 5 and 7 have none
+    collected = search.enumerate_fixed_sigma(n, collect=True, workers=2)
+    expected = search.orbit_decomposition(list(collected.solutions), n)
+    analyzed = search.analyze(collected)
+    for workers in (1, 2):
+        res, orbits = search.classify(n, workers=workers)
+        assert len(orbits) == res.orbit_count == classes
+        assert orbits == expected
+        assert res.solutions is None
+        for field in _RESULT_FIELDS:
+            assert getattr(res, field) == getattr(analyzed, field), field
+
+
+def test_classify_collects_above_factor_limit(monkeypatch):
+    # past the factoring limit classify decomposes collected solutions,
+    # with the same classes and fields and without keeping the solutions
+    factored, factored_orbits = search.classify(4)
+    monkeypatch.setattr(search, "_FACTOR_MAX_DEGREE", 3)
+    res, orbits = search.classify(4, workers=2)
+    assert orbits == factored_orbits
+    assert res.solutions is None
+    for field in _RESULT_FIELDS:
+        assert getattr(res, field) == getattr(factored, field), field
+
+
+@pytest.mark.long
+@pytest.mark.skipif(os.environ.get("BRAIDCOVERS_LONG_TESTS") != "1",
+                    reason="set BRAIDCOVERS_LONG_TESTS=1")
+def test_classify_n8():
+    res, orbits = search.classify(8, workers=os.cpu_count() or 1)
+    assert res.fixed_count == 172800
+    assert len(orbits) == res.orbit_count == 240
+    assert {o.size for o in orbits} == {720}
+    keys = [o.representative.sort_key() for o in orbits]
+    assert keys == sorted(keys)
+    for o in orbits:
+        rep = o.representative
+        image = groups.fingerprint(
+            (rep.sigma, rep.a1, rep.a2, rep.b1, rep.b2), 8)
+        assert image.order == 64
+
+
 def test_centralizer_list_matches_reference(rng):
     for n in range(1, 7):
         seen_types = set()
