@@ -7,9 +7,8 @@ decomposes them into conjugacy classes, fingerprints the image groups,
 and reports the invariants of the associated branched double covers.
 """
 
-from .groups import (ElementSet, GroupFingerprint, centralizer_elements,
-                     centralizer_order, closure, fingerprint, intersect,
-                     is_transitive)
+from .groups import (GroupFingerprint, centralizer_elements,
+                     centralizer_order, closure, fingerprint, is_transitive)
 from .perm import (all_permutations, compose, conjugate, cycle_type,
                    format_cycles, from_images, identity, inverse,
                    is_transposition, order_of, parse_cycles, to_images,
@@ -27,7 +26,7 @@ from .words import (RELATOR_LABELS, RELATORS, Assignment, Gen,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Assignment", "ElementSet", "EnumerationResult", "ExistenceReport",
+    "Assignment", "EnumerationResult", "ExistenceReport",
     "Gen", "GroupFingerprint", "Orbit", "RELATORS", "RELATOR_LABELS",
     "RelationReport", "Relator", "SurfaceInvariants", "all_permutations",
     "analyze", "brute_force_oracle", "centralizer_elements",
@@ -37,7 +36,7 @@ __all__ = [
     "enumerate_fixed_sigma", "evaluate",
     "existence_verdict", "fingerprint", "format_cycles",
     "full_conjugacy_classes", "full_orbit_check", "from_images", "identity",
-    "image_name_histogram", "intersect", "invariants_for", "inverse",
+    "image_name_histogram", "invariants_for", "inverse",
     "is_transitive", "is_transposition", "orbit_decomposition", "order_of",
     "parse_cycles", "relator_table", "satisfies_all_relations", "to_images",
     "transposition", "__version__",

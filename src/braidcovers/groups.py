@@ -3,56 +3,23 @@
 Everything here works with literal element sets, which is the right
 scale for this problem: the groups that occur are subgroups of S_n for
 n at most 12, and the ones that get fingerprinted are small monodromy
-images.  Centralizers are built from cycle-structure generators and
-closed, not by scanning all of S_n.
+images.  Centralizers are enumerated directly from the cycle structure,
+not closed from generators or found by scanning all of S_n.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from collections import Counter
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from . import perm
 from .perm import Perm
 
 
-class ElementSet:
-    """An immutable set of same-degree permutations, iterated in sorted order."""
-
-    __slots__ = ("degree", "_set", "_sorted")
-
-    def __init__(self, degree: int, elements: Iterable[Perm]):
-        self.degree = degree
-        self._set = frozenset(elements)
-        for p in self._set:
-            if len(p) != degree:
-                raise ValueError(
-                    f"element of degree {len(p)} in a degree-{degree} set")
-        self._sorted = tuple(sorted(self._set))
-
-    def __len__(self) -> int:
-        return len(self._set)
-
-    def __iter__(self):
-        return iter(self._sorted)
-
-    def __contains__(self, p: Perm) -> bool:
-        return p in self._set
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, ElementSet)
-                and self.degree == other.degree and self._set == other._set)
-
-    def __hash__(self) -> int:
-        return hash((self.degree, self._set))
-
-    def __repr__(self) -> str:
-        return f"ElementSet(degree={self.degree}, order={len(self)})"
-
-
-def closure(generators: Sequence[Perm], n: int) -> ElementSet:
+def closure(generators: Sequence[Perm], n: int) -> FrozenSet[Perm]:
     """The subgroup generated inside S_n, as an explicit element set."""
     for g in generators:
         if len(g) != n:
@@ -69,7 +36,7 @@ def closure(generators: Sequence[Perm], n: int) -> ElementSet:
                     seen.add(y)
                     nxt.append(y)
         frontier = nxt
-    return ElementSet(n, seen)
+    return frozenset(seen)
 
 
 def is_transitive(generators: Sequence[Perm], n: int) -> bool:
@@ -102,48 +69,43 @@ def centralizer_order(g: Perm) -> int:
     return out
 
 
-def centralizer_generators(g: Perm) -> list[Perm]:
-    """Generators for C(g) in S_n: each cycle of g, plus one swap of
-    consecutive equal-length cycles per length class."""
-    n = len(g)
-    cycles = perm.disjoint_cycles(g)
-    by_length: Dict[int, list] = {}
-    for c in cycles:
-        by_length.setdefault(len(c), []).append(c)
-    gens = []
-    for length in sorted(by_length):
-        cs = by_length[length]
-        if length > 1:
-            for c in cs:
-                rot = list(range(n))
-                for a, b in zip(c, c[1:] + c[:1]):
-                    rot[a] = b
-                gens.append(tuple(rot))
-        for c, d in zip(cs, cs[1:]):
-            swap = list(range(n))
-            for a, b in zip(c, d):
-                swap[a], swap[b] = b, a
-            gens.append(tuple(swap))
-    return gens
+def centralizer_elements(g: Perm, n: int) -> List[Perm]:
+    """C(g) in S_n, every element once, in a deterministic order.
 
-
-def centralizer_elements(g: Perm, n: int) -> ElementSet:
-    """C(g) in S_n as an explicit set, built from generators and closed."""
+    A centralizing element permutes the cycles of g within each length
+    class and rotates each cycle, so one element is enumerated per
+    (cycle permutation, rotation offsets) choice per class, at O(n) cost
+    per element.
+    """
     if len(g) != n:
         raise ValueError(f"degree mismatch: {len(g)} vs {n}")
-    out = closure(centralizer_generators(g), n)
-    if len(out) != centralizer_order(g):
-        raise AssertionError(
-            f"centralizer closure has order {len(out)}, "
-            f"cycle type predicts {centralizer_order(g)}")
-    return out
-
-
-def intersect(a: ElementSet, b: ElementSet) -> ElementSet:
-    if a.degree != b.degree:
-        raise ValueError(f"degree mismatch: {a.degree} vs {b.degree}")
-    small, large = (a, b) if len(a) <= len(b) else (b, a)
-    return ElementSet(a.degree, (p for p in small if p in large))
+    if g == tuple(range(n)):
+        return list(itertools.permutations(range(n)))
+    by_length: Dict[int, list] = {}
+    for c in perm.disjoint_cycles(g):
+        by_length.setdefault(len(c), []).append(c)
+    images: List[List[int]] = [[-1] * n]
+    for length in sorted(by_length):
+        cs = by_length[length]
+        k = len(cs)
+        options: List[List[Tuple[int, int]]] = []
+        for pi in itertools.permutations(range(k)):
+            for offsets in itertools.product(range(length), repeat=k):
+                pairs = []
+                for j in range(k):
+                    src, dst, off = cs[j], cs[pi[j]], offsets[j]
+                    for t in range(length):
+                        pairs.append((src[t], dst[(t + off) % length]))
+                options.append(pairs)
+        extended = []
+        for base in images:
+            for pairs in options:
+                im = base.copy()
+                for src, dst in pairs:
+                    im[src] = dst
+                extended.append(im)
+        images = extended
+    return [tuple(im) for im in images]
 
 
 # Fixed label vocabulary for image groups.  Within it, (order, abelian?)

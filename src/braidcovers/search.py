@@ -18,10 +18,11 @@ centralizer conditions:
 
 so the six R3/R4 relations say exactly: b1 in C(s a1 s), a2 and b2 in
 C(s a1 s) n C(s b1 s), and b2 in C(s a2 s).  The nested loops below run
-a1 over all of S_n, b1 over C1 = C(s a1 s), a2 over C2 = C1 n C(s b1 s),
-b2 over C3 = C2 n C(s a2 s), and check R2, the torus relation and
-transitivity explicitly, which is therefore the full unpruned solution
-set.  Three further skips are sound necessary conditions:
+a1 over the elements of S_n that pass R2, b1 over C1 = C(s a1 s), a2
+over C2 = C1 n C(s b1 s), b2 over C3 = C2 n C(s a2 s), and check R2,
+the torus relation and transitivity explicitly, which is therefore the
+full solution set.  Three skips, the a1 one among them, are sound
+necessary conditions:
 
   * R2(x) involves only x and s, so a failing x dooms its whole subtree;
   * a2 and b2 both lie in the subgroup C2 (for a2 this is membership,
@@ -45,14 +46,15 @@ H2 = H1 n C(b1) before a2.  Conjugating coordinatewise by any h in H
     to candidates that pass it, and solutions to solutions.
 Hence the number of solutions below (prefix, x) is constant on each
 H-orbit of the candidates x.  Counting visits one candidate per orbit
-and multiplies by the orbit size (_orbit_reps), at the a1 level over all
-of S_n, at the b1 level over C1 after the R2(b1) and k in C2 prunes, and
-at the a2 level over C2 after the R2(a2), k in C3 and cycle-type
-prunes; where H is trivial it keeps the plain loop.  Collecting and
-streaming runs keep the plain loop at every level, so the produced
-solution order never depends on the counting strategy.  The two paths
-share their prune code and are tested for equal counts below every a1
-representative.
+and multiplies by the orbit size (_orbit_reps), at the a1 level over the
+elements of S_n that pass R2(a1), at the b1 level over C1 after the
+R2(b1) and k in C2 prunes, and at the a2 level over C2 after the R2(a2),
+k in C3 and cycle-type prunes; where H is trivial it keeps the plain
+loop.  Collecting and streaming runs keep the plain loop at every level,
+so the produced solution order never depends on the counting strategy.
+Both paths take their a1 from the same pruned list (_a1_slices), share
+their prune code at every level and are tested for equal counts below
+every a1 representative.
 
 The conjugacy classes of the fixed-sigma solutions (orbits of C(s)
 acting by coordinatewise conjugation) come from the same factored walk
@@ -166,47 +168,6 @@ def _commutes(p: Perm, q: Perm) -> bool:
     return True
 
 
-def _centralizer_list(g: Perm) -> List[Perm]:
-    """All elements of S_n commuting with g, in a deterministic order.
-
-    Direct construction: a centralizing element permutes the cycles of g
-    within each length class and rotates each cycle, so one element is
-    enumerated per (cycle permutation, rotation offsets) choice per
-    class.  Cost is O(n) per element, with none of the closure overhead
-    of the generator-based construction in groups (which stays the
-    reference; the two are tested to agree).
-    """
-    n = len(g)
-    ident = tuple(range(n))
-    if g == ident:
-        return list(itertools.permutations(range(n)))
-    by_length: dict[int, list] = {}
-    for c in perm.disjoint_cycles(g):
-        by_length.setdefault(len(c), []).append(c)
-    images: List[List[int]] = [[-1] * n]
-    for length in sorted(by_length):
-        cs = by_length[length]
-        k = len(cs)
-        options: List[List[Tuple[int, int]]] = []
-        for pi in itertools.permutations(range(k)):
-            for offsets in itertools.product(range(length), repeat=k):
-                pairs = []
-                for j in range(k):
-                    src, dst, off = cs[j], cs[pi[j]], offsets[j]
-                    for t in range(length):
-                        pairs.append((src[t], dst[(t + off) % length]))
-                options.append(pairs)
-        extended = []
-        for base in images:
-            for pairs in options:
-                im = base.copy()
-                for src, dst in pairs:
-                    im[src] = dst
-                extended.append(im)
-        images = extended
-    return [tuple(im) for im in images]
-
-
 def _intersect_next(prev: Sequence[Perm], prev_conjs: Sequence[Perm],
                     new_conj: Perm) -> List[Perm]:
     """prev n C(new_conj), where prev is an intersection of centralizers
@@ -220,7 +181,8 @@ def _intersect_next(prev: Sequence[Perm], prev_conjs: Sequence[Perm],
     """
     direct_size = groups.centralizer_order(new_conj)
     if direct_size * (len(prev_conjs) + 2) < len(prev):
-        return [z for z in _centralizer_list(new_conj)
+        return [z for z in groups.centralizer_elements(new_conj,
+                                                       len(new_conj))
                 if all(_commutes(z, c) for c in prev_conjs)]
     return [z for z in prev if _commutes(z, new_conj)]
 
@@ -255,15 +217,13 @@ def _orbit_reps(group: Sequence[Perm], candidates: Iterable[Perm]
     lexicographically least representatives.
     """
     pairs = [(h, perm.inverse(h)) for h in group]
-    # orbit members are kept as bytes, a third of a tuple's memory, since
-    # at the a1 level they fill a set of all n! permutations
     seen: set = set()
     reps: List[Tuple[Perm, int]] = []
     for x in candidates:
-        if bytes(x) in seen:
+        if x in seen:
             continue
         # h x h^-1 maps h(i) to h(x(i))
-        orbit = {bytes([h[x[j]] for j in h_inv]) for h, h_inv in pairs}
+        orbit = {tuple([h[x[j]] for j in h_inv]) for h, h_inv in pairs}
         seen |= orbit
         reps.append((x, len(orbit)))
     return reps
@@ -279,6 +239,13 @@ def _weighted(group: Optional[Sequence[Perm]], items: Iterable[tuple]
         return zip(items, itertools.repeat(1))
     by_perm = {item[0]: item for item in items}
     return [(by_perm[rep], size) for rep, size in _orbit_reps(group, by_perm)]
+
+
+def _a1_candidates(n: int, s: Perm) -> Iterator[Perm]:
+    """Every a1 in S_n that passes R2(a1), in lexicographic order."""
+    for a1 in itertools.permutations(range(n)):
+        if _commutes(a1, _sigma_conj(a1, s)):            # R2(a1)
+            yield a1
 
 
 def _b1_candidates(s: Perm, a1: Perm, sa1s: Perm, c1: Sequence[Perm]
@@ -322,7 +289,8 @@ def _a2_candidates(s: Perm, k: Perm, c2: Sequence[Perm]
 def _iter_for_a1(n: int, s: Perm, a1: Perm,
                  stab: Optional[Sequence[Perm]] = None
                  ) -> Iterator[Tuple[RawSolution, int]]:
-    """Solutions below one fixed a1, each with a weight.
+    """Solutions below one fixed a1 that passes R2(a1), each with a
+    weight.
 
     Without stab this is the plain loop: every solution once, weight 1.
     With stab the elements of C(s) n C(a1), the b1 level walks one
@@ -330,9 +298,7 @@ def _iter_for_a1(n: int, s: Perm, a1: Perm,
     subgroup fixing b1, and the weights sum to the count below a1.
     """
     sa1s = _sigma_conj(a1, s)
-    if not _commutes(a1, sa1s):                          # R2(a1)
-        return
-    c1 = _centralizer_list(sa1s)
+    c1 = groups.centralizer_elements(sa1s, n)
     for (b1, sb1s, k), w1 in _weighted(
             stab, _b1_candidates(s, a1, sa1s, c1)):
         c2 = _intersect_next(c1, (sa1s,), sb1s)
@@ -356,23 +322,6 @@ def _iter_for_a1(n: int, s: Perm, a1: Perm,
                     yield raw, w1 * w2
 
 
-def _iter_solutions(n: int, s: Perm, start: int, stop: int
-                    ) -> Iterator[RawSolution]:
-    """Solutions whose a1 has lexicographic index in [start, stop)."""
-    for a1 in itertools.islice(itertools.permutations(range(n)), start, stop):
-        for raw, _ in _iter_for_a1(n, s, a1):
-            yield raw
-
-
-def _search_chunk(args: Tuple[int, Perm, int, int, bool]
-                  ) -> Tuple[int, Optional[List[RawSolution]]]:
-    n, s, start, stop, collect = args
-    if collect:
-        sols = list(_iter_solutions(n, s, start, stop))
-        return len(sols), sols
-    return sum(1 for _ in _iter_solutions(n, s, start, stop)), None
-
-
 def _split_ranges(total: int, pieces: int) -> List[Tuple[int, int]]:
     pieces = max(1, min(pieces, total))
     step, extra = divmod(total, pieces)
@@ -384,10 +333,6 @@ def _split_ranges(total: int, pieces: int) -> List[Tuple[int, int]]:
         lo = hi
     return bounds
 
-
-# Counting runs factor the search by symmetry; bounded because the
-# a1-level orbit walk holds a set of all n! permutations.
-_FACTOR_MAX_DEGREE = 9
 
 def _count_for_a1(n: int, s: Perm, a1: Perm, cent: Sequence[Perm]) -> int:
     """Number of solutions below a1, orbit-factored; cent lists C(s)."""
@@ -419,34 +364,45 @@ def _classes_for_a1(n: int, s: Perm, a1: Perm, cent: Sequence[Perm]
     return count, classes
 
 
-def _factored_chunk(args: Tuple[int, Perm, List[Tuple[Perm, int]], bool]
-                    ) -> Tuple[int, Optional[List[Orbit]]]:
-    """Solutions below a slice of (a1 representative, C(s)-class size)
-    pairs: their number, and with with_classes set their conjugacy
-    classes in order, each with its fixed-sigma size.  A pure count
-    does no canonicalisation."""
-    n, s, pairs, with_classes = args
-    cent = _centralizer_list(s)
+def _search_chunk(args: Tuple[int, Perm, List[Tuple[Perm, int]], str]
+                  ) -> Tuple[int, Optional[list]]:
+    """The solutions below a slice of (a1, weight) pairs.
+
+    mode "solutions" gives their number and the solutions, from the
+    plain loop (every weight is 1).  Otherwise each a1 stands for its
+    C(s)-class, weighted by the class size, and the search below it is
+    orbit-factored: "count" gives the number alone, with no
+    canonicalisation, and "classes" also the conjugacy classes in order,
+    each with its fixed-sigma size.
+    """
+    n, s, pairs, mode = args
+    if mode == "solutions":
+        sols = [raw for a1, _ in pairs for raw, _ in _iter_for_a1(n, s, a1)]
+        return len(sols), sols
+    cent = groups.centralizer_elements(s, n)
     count = 0
     found: List[Orbit] = []
     for a1, size in pairs:
-        if with_classes:
+        if mode == "classes":
             below, classes = _classes_for_a1(n, s, a1, cent)
             found += [Orbit(representative=Assignment(n, s, *key),
                             size=size * orbit) for key, orbit in classes]
         else:
             below = _count_for_a1(n, s, a1, cent)
         count += size * below
-    return count, found if with_classes else None
+    return count, found if mode == "classes" else None
 
 
-def _a1_slices(n: int, s: Perm, workers: int
+def _a1_slices(n: int, s: Perm, workers: int, factored: bool
                ) -> List[List[Tuple[Perm, int]]]:
-    """The C(s)-class representatives of a1, in lexicographic order with
-    their class sizes, cut into the slices of a factored run."""
-    reps = _orbit_reps(_centralizer_list(s), itertools.permutations(range(n)))
-    return [reps[lo:hi]
-            for lo, hi in _split_ranges(len(reps), max(workers * 8, 32))]
+    """The a1 candidates in lexicographic order, each with its weight,
+    cut into the slices of a run: every candidate with weight 1, or with
+    factored one per C(s)-class with the class size."""
+    candidates = _a1_candidates(n, s)
+    pairs = (_orbit_reps(groups.centralizer_elements(s, n), candidates)
+             if factored else [(a1, 1) for a1 in candidates])
+    return [pairs[lo:hi]
+            for lo, hi in _split_ranges(len(pairs), max(workers * 8, 32))]
 
 
 def _drop_pending(futures: Collection[Future]) -> None:
@@ -468,26 +424,32 @@ def _default_signals() -> None:
         signal.signal(signum, signal.SIG_DFL)
 
 
-def _run_slices(worker_fn: Callable[[tuple], tuple], jobs: Sequence[tuple],
-                workers: int, absorb: Callable[..., None],
+def _run_slices(n: int, s: Perm, mode: str, workers: int,
+                absorb: Callable[..., None],
                 progress: Optional[Callable[[int, int], None]]) -> None:
-    """worker_fn on every job, in this process or in a pool of worker
-    processes, with each output absorbed in job order, so aggregation
-    and the progress calls (slices done, slices in all) are the same
-    for every worker count."""
-    with contextlib.ExitStack() as stack:
-        outputs: Iterable[tuple] = map(worker_fn, jobs)
-        if workers > 1:
-            pool = stack.enter_context(ProcessPoolExecutor(
-                max_workers=workers, initializer=_default_signals))
-            pending = collections.deque(
-                pool.submit(worker_fn, job) for job in jobs)
-            stack.callback(_drop_pending, pending)
-            outputs = (pending.popleft().result() for _ in jobs)
-        for i, out in enumerate(outputs):
-            absorb(*out)
-            if progress is not None:
-                progress(i + 1, len(jobs))
+    """_search_chunk in the given mode on every a1 slice, in this process
+    or in a pool of worker processes, with each output absorbed in job
+    order, so aggregation and the progress calls (slices done, slices in
+    all) are the same for every worker count.  Running out of memory
+    becomes a RuntimeError with a one-line message."""
+    jobs = [(n, s, pairs, mode) for pairs
+            in _a1_slices(n, s, workers, factored=mode != "solutions")]
+    try:
+        with contextlib.ExitStack() as stack:
+            outputs: Iterable[tuple] = map(_search_chunk, jobs)
+            if workers > 1:
+                pool = stack.enter_context(ProcessPoolExecutor(
+                    max_workers=workers, initializer=_default_signals))
+                pending = collections.deque(
+                    pool.submit(_search_chunk, job) for job in jobs)
+                stack.callback(_drop_pending, pending)
+                outputs = (pending.popleft().result() for _ in jobs)
+            for i, out in enumerate(outputs):
+                absorb(*out)
+                if progress is not None:
+                    progress(i + 1, len(jobs))
+    except MemoryError:
+        raise RuntimeError(f"out of memory in the degree-{n} search") from None
 
 
 def _resolve_sigma(n: int, sigma: Optional[Perm]) -> Perm:
@@ -534,20 +496,8 @@ def enumerate_fixed_sigma(n: int, collect: bool = False, *,
             if collect:
                 collected.append(asg)
 
-    try:
-        if keep or n > _FACTOR_MAX_DEGREE:
-            pieces = _split_ranges(math.factorial(n), max(workers * 8, 32))
-            _run_slices(_search_chunk, [(n, s, lo, hi, keep)
-                                        for lo, hi in pieces],
-                        workers, absorb, progress)
-        else:
-            _run_slices(_factored_chunk, [(n, s, pairs, False) for pairs
-                                          in _a1_slices(n, s, workers)],
-                        workers, absorb, progress)
-    except MemoryError:
-        raise RuntimeError(
-            f"out of memory holding degree-{n} solutions; rerun without "
-            f"collect, or stream them through a sink") from None
+    _run_slices(n, s, "solutions" if keep else "count", workers, absorb,
+                progress)
     return _result(n, s, count, time.perf_counter() - t0,
                    tuple(collected) if collect else None)
 
@@ -561,17 +511,9 @@ def classify(n: int, *, workers: int = 1, allow_large: bool = False,
 
     The classes are those of orbit_decomposition, in its order and with
     the same representatives, found by the orbit-factored count search;
-    workers and progress work as in enumerate_fixed_sigma.  Above
-    degree 9 the search collects every solution and decomposes them.
+    workers and progress work as in enumerate_fixed_sigma.
     """
     _check_run(n, workers, allow_large)
-    if n > _FACTOR_MAX_DEGREE:
-        res = enumerate_fixed_sigma(n, collect=True, workers=workers,
-                                    allow_large=allow_large,
-                                    progress=progress)
-        orbits = orbit_decomposition(list(res.solutions), n)
-        res = dataclasses.replace(res, solutions=None)
-        return _summarize(res, orbits), orbits
     s = perm.transposition(n, 1, 2)
     t0 = time.perf_counter()
     count = 0
@@ -582,9 +524,7 @@ def classify(n: int, *, workers: int = 1, allow_large: bool = False,
         count += chunk_count
         orbits.extend(classes)
 
-    _run_slices(_factored_chunk, [(n, s, pairs, True) for pairs
-                                  in _a1_slices(n, s, workers)],
-                workers, absorb, progress)
+    _run_slices(n, s, "classes", workers, absorb, progress)
     res = _result(n, s, count, time.perf_counter() - t0)
     return _summarize(res, orbits), orbits
 
@@ -672,7 +612,8 @@ def orbit_decomposition(solutions: Sequence[Assignment], n: int,
     if len(key_set) != len(solutions):
         raise ValueError("duplicate solutions")
     return [Orbit(representative=Assignment(n, s, *key), size=size)
-            for key, size in _conjugation_orbits(key_set, _centralizer_list(s))]
+            for key, size in _conjugation_orbits(
+                key_set, groups.centralizer_elements(s, n))]
 
 
 def full_conjugacy_classes(solutions: Sequence[Assignment], n: int

@@ -1,8 +1,19 @@
+import os
 import random
 
 import pytest
 
 from braidcovers import search
+
+
+def pytest_collection_modifyitems(config, items):
+    """Skip the long-marked tests unless BRAIDCOVERS_LONG_TESTS=1."""
+    if os.environ.get("BRAIDCOVERS_LONG_TESTS") == "1":
+        return
+    skip = pytest.mark.skip(reason="set BRAIDCOVERS_LONG_TESTS=1")
+    for item in items:
+        if "long" in item.keywords:
+            item.add_marker(skip)
 
 
 @pytest.fixture(scope="session")

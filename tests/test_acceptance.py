@@ -14,8 +14,6 @@ import pytest
 from braidcovers import groups, perm, search, surface, words
 from conftest import random_perm
 
-RUN_LONG = os.environ.get("BRAIDCOVERS_LONG_TESTS") == "1"
-
 
 def _report(name: str, ok: bool, detail: str = "") -> None:
     tail = f"  ({detail})" if detail else ""
@@ -46,7 +44,6 @@ def test_criterion_1_count_table():
 
 
 @pytest.mark.long
-@pytest.mark.skipif(not RUN_LONG, reason="set BRAIDCOVERS_LONG_TESTS=1")
 def test_criterion_2_large_degrees():
     # 172800 at degree 8 and none at degree 9, on every core
     workers = os.cpu_count() or 1

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -17,6 +18,11 @@ COUNT_CSV = """\
 n,fixed_count,transpositions,total,orbit_count,K2,chi,c2,image_names
 3,80,3,240,,7,1,5,
 """
+
+
+# sha256 of `list --n 6` stdout
+LIST_N6_SHA256 = (
+    "a6729e30e4b8ff1cd3127659cfc7c4e3301f5861d64d0f25995b46bb8c655054")
 
 
 def run(capsys, *argv):
@@ -233,11 +239,13 @@ def test_list_to_file(tmp_path, capsys):
 
 
 def test_list_parallel_matches_stream(tmp_path, capsys):
-    # n=6 has many non-empty slices, streamed through the pool in job order
+    # n=6 has many non-empty slices, streamed through the pool in job
+    # order; the digest of its output pins the solution order
     for n in ("3", "6"):
         _, streamed, _ = run(capsys, "list", "--n", n)
         _, pooled, _ = run(capsys, "list", "--n", n, "--workers", "2")
         assert streamed == pooled
+    assert hashlib.sha256(streamed.encode()).hexdigest() == LIST_N6_SHA256
 
 
 def test_oracle_match(capsys):
@@ -382,9 +390,10 @@ def test_interrupt_exits_130(capsys, monkeypatch):
     assert err == "braidcovers: interrupted\n"
 
 
-def _group_size(pgid):
-    """Live processes in a process group, read from /proc."""
-    size = 0
+def _group_members(pgid):
+    """(pid, parent pid) of the live processes in a process group, read
+    from /proc."""
+    members = []
     for pid in os.listdir("/proc"):
         if not pid.isdigit():
             continue
@@ -393,14 +402,20 @@ def _group_size(pgid):
                 fields = fh.read().rsplit(")", 1)[1].split()
         except OSError:
             continue
-        size += int(fields[2]) == pgid
-    return size
+        if int(fields[2]) == pgid:
+            members.append((int(pid), int(fields[1])))
+    return members
 
 
-@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
-def test_ctrl_c_under_pool_exits_130():
-    # SIGINT to the whole process group, as a terminal's Ctrl-C sends it,
-    # once the two pool workers are running
+def _group_size(pgid):
+    return len(_group_members(pgid))
+
+
+def _pooled_count_n9():
+    """count --n 9 on two workers in a subprocess leading its own process
+    group, returned once both pool workers have run for a second.  The
+    parent builds the a1 representatives before the pool starts, so a
+    fixed delay could come before any worker exists."""
     import pathlib
     import signal
     import subprocess
@@ -417,27 +432,73 @@ def test_ctrl_c_under_pool_exits_130():
         env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         start_new_session=True,
         preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
+    deadline = time.monotonic() + 60
+    while _group_size(proc.pid) < 3 and time.monotonic() < deadline:
+        time.sleep(0.05)
+    time.sleep(1.0)
+    return proc
+
+
+def _finish(proc):
+    """stdout and stderr of a pooled run; whatever of its process group
+    still runs after 30 s is killed."""
+    import signal
     try:
-        deadline = time.monotonic() + 60
-        while _group_size(proc.pid) < 3 and time.monotonic() < deadline:
-            time.sleep(0.05)
-        time.sleep(1.0)
-        assert proc.poll() is None
-        os.killpg(proc.pid, signal.SIGINT)
-        out, err = proc.communicate(timeout=30)
+        return proc.communicate(timeout=30)
     finally:
         if proc.poll() is None:
             os.killpg(proc.pid, signal.SIGKILL)
             proc.wait()
+
+
+def _assert_group_gone(pgid):
+    import time
+    for _ in range(50):
+        if _group_size(pgid) == 0:
+            break
+        time.sleep(0.1)
+    assert _group_size(pgid) == 0
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+def test_ctrl_c_under_pool_exits_130():
+    # SIGINT to the whole process group, as a terminal's Ctrl-C sends it,
+    # once the two pool workers are running
+    import signal
+
+    proc = _pooled_count_n9()
+    try:
+        assert proc.poll() is None
+        os.killpg(proc.pid, signal.SIGINT)
+    finally:
+        out, err = _finish(proc)
     assert proc.returncode == 130
     assert out == b""
     assert b"Traceback" not in err
     assert err.splitlines()[-1] == b"braidcovers: interrupted"
-    for _ in range(50):
-        if _group_size(proc.pid) == 0:
-            break
-        time.sleep(0.1)
-    assert _group_size(proc.pid) == 0
+    _assert_group_gone(proc.pid)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+def test_killed_worker_exits_1():
+    # a pool worker killed outright ends the run with one error line,
+    # and the other worker goes with it
+    import signal
+
+    proc = _pooled_count_n9()
+    try:
+        assert proc.poll() is None
+        workers = [pid for pid, parent in _group_members(proc.pid)
+                   if parent == proc.pid]
+        assert len(workers) == 2
+        os.kill(workers[0], signal.SIGKILL)
+    finally:
+        out, err = _finish(proc)
+    assert proc.returncode == 1
+    assert out == b""
+    assert b"Traceback" not in err
+    assert err.splitlines()[-1].startswith(b"braidcovers: error:")
+    _assert_group_gone(proc.pid)
 
 
 def test_sigterm_removes_partial_out(tmp_path):
@@ -475,6 +536,19 @@ def test_sigterm_removes_partial_out(tmp_path):
     assert out == b""
     assert err == b"braidcovers: terminated\n"
     assert list(tmp_path.iterdir()) == []
+
+
+def test_out_of_memory_exits_1(capsys, monkeypatch):
+    from braidcovers import search
+
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(search, "_search_chunk", exhausted)
+    code, out, err = run(capsys, "orbits", "--n", "4")
+    assert code == 1
+    assert out == ""
+    assert err == "braidcovers: error: out of memory in the degree-4 search\n"
 
 
 def test_gate_blocks_before_any_search(capsys):

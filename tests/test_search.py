@@ -5,7 +5,6 @@ import os
 import pytest
 
 from braidcovers import groups, perm, search, words
-from conftest import random_perm
 
 EXPECTED_FIXED = {2: 16, 3: 80, 4: 480, 5: 0, 6: 2880}
 EXPECTED_ORBITS = {2: 16, 3: 40, 4: 240}
@@ -117,7 +116,7 @@ def test_oracle_agrees_small():
 
 
 def _a1_reps(n, s):
-    return search._orbit_reps(search._centralizer_list(s),
+    return search._orbit_reps(groups.centralizer_elements(s, n),
                               itertools.permutations(range(n)))
 
 
@@ -130,7 +129,7 @@ def test_conj_class_reps_partition_sn():
         reps = _a1_reps(n, s)
         assert sum(size for _, size in reps) == math.factorial(n)
         assert len({rep for rep, _ in reps}) == len(reps)
-        cent = search._centralizer_list(s)
+        cent = groups.centralizer_elements(s, n)
         for rep, _ in reps[:20]:
             assert all(rep <= perm.conjugate(rep, h) for h in cent)
         fixed = sum(
@@ -145,7 +144,7 @@ def test_b1_orbits_partition_filtered_c1():
     # cover the candidates, each led by its first candidate
     n = 5
     s = perm.transposition(n, 1, 2)
-    cent = search._centralizer_list(s)
+    cent = groups.centralizer_elements(s, n)
     checked = 0
     for a1, _ in _a1_reps(n, s):
         sa1s = search._sigma_conj(a1, s)
@@ -153,7 +152,7 @@ def test_b1_orbits_partition_filtered_c1():
             continue
         stab = [h for h in cent if perm.commutes(h, a1)]
         cands = [b1 for b1, _, _ in search._b1_candidates(
-            s, a1, sa1s, search._centralizer_list(sa1s))]
+            s, a1, sa1s, groups.centralizer_elements(sa1s, n))]
         reps = search._orbit_reps(stab, cands)
         covered = set()
         for rep, size in reps:
@@ -169,12 +168,25 @@ def test_b1_orbits_partition_filtered_c1():
     assert checked  # some a1 had orbits of more than one candidate
 
 
+def test_a1_candidates_are_the_r2_filter():
+    # the pruned a1 list is S_n filtered by R2(a1) from the relator word
+    # itself, in lexicographic order
+    r2 = words.RELATORS[words.RELATOR_LABELS.index("R2_a1")].word
+    for n in range(2, 8):
+        s = perm.transposition(n, 1, 2)
+        e = perm.identity(n)
+        expected = [
+            a1 for a1 in itertools.permutations(range(n))
+            if words.evaluate(r2, words.Assignment(n, s, a1, e, e, e)) == e]
+        assert list(search._a1_candidates(n, s)) == expected
+
+
 def _per_a1_counts(n, sigma):
-    cent = search._centralizer_list(sigma)
+    cent = groups.centralizer_elements(sigma, n)
     return [(search._count_for_a1(n, sigma, a1, cent),
              sum(1 for _ in search._iter_for_a1(n, sigma, a1)))
-            for a1, _ in search._orbit_reps(cent,
-                                            itertools.permutations(range(n)))]
+            for a1, _ in search._orbit_reps(
+                cent, search._a1_candidates(n, sigma))]
 
 
 def test_factored_count_matches_plain_loop():
@@ -198,13 +210,11 @@ def test_factored_count_matches_plain_loop():
 
 
 @pytest.mark.long
-@pytest.mark.skipif(os.environ.get("BRAIDCOVERS_LONG_TESTS") != "1",
-                    reason="set BRAIDCOVERS_LONG_TESTS=1")
 def test_factored_n8_heavy_subtrees():
     # the two a1 whose stabilizer is all of C(s), by both routes
     n = 8
     s = perm.transposition(n, 1, 2)
-    cent = search._centralizer_list(s)
+    cent = groups.centralizer_elements(s, n)
     for a1, expected in ((perm.identity(n), 17280),
                          (perm.transposition(n, 1, 2), 0)):
         assert search._count_for_a1(n, s, a1, cent) == expected
@@ -234,21 +244,22 @@ def test_classify_matches_collected_decomposition(n, classes):
             assert getattr(res, field) == getattr(analyzed, field), field
 
 
-def test_classify_collects_above_factor_limit(monkeypatch):
-    # past the factoring limit classify decomposes collected solutions,
-    # with the same classes and fields and without keeping the solutions
-    factored, factored_orbits = search.classify(4)
-    monkeypatch.setattr(search, "_FACTOR_MAX_DEGREE", 3)
-    res, orbits = search.classify(4, workers=2)
-    assert orbits == factored_orbits
-    assert res.solutions is None
-    for field in _RESULT_FIELDS:
-        assert getattr(res, field) == getattr(factored, field), field
+def test_out_of_memory_is_one_line(monkeypatch):
+    # a chunk that runs out of memory ends either search with a
+    # RuntimeError, not a MemoryError traceback
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(search, "_search_chunk", exhausted)
+    for run in (lambda: search.enumerate_fixed_sigma(4),
+                lambda: search.enumerate_fixed_sigma(4, collect=True),
+                lambda: search.classify(4)):
+        with pytest.raises(RuntimeError, match="out of memory in the "
+                                               "degree-4 search"):
+            run()
 
 
 @pytest.mark.long
-@pytest.mark.skipif(os.environ.get("BRAIDCOVERS_LONG_TESTS") != "1",
-                    reason="set BRAIDCOVERS_LONG_TESTS=1")
 def test_classify_n8():
     res, orbits = search.classify(8, workers=os.cpu_count() or 1)
     assert res.fixed_count == 172800
@@ -261,25 +272,6 @@ def test_classify_n8():
         image = groups.fingerprint(
             (rep.sigma, rep.a1, rep.a2, rep.b1, rep.b2), 8)
         assert image.order == 64
-
-
-def test_centralizer_list_matches_reference(rng):
-    for n in range(1, 7):
-        seen_types = set()
-        for g in itertools.permutations(range(n)):
-            t = perm.cycle_type(g)
-            if t in seen_types:
-                continue
-            seen_types.add(t)
-            direct = search._centralizer_list(g)
-            assert len(direct) == len(set(direct)) == groups.centralizer_order(g)
-            assert set(direct) == set(groups.centralizer_elements(g, n))
-    for _ in range(20):
-        g = random_perm(rng, 8)
-        direct = search._centralizer_list(g)
-        assert len(direct) == len(set(direct)) == groups.centralizer_order(g)
-        for z in direct[:: max(1, len(direct) // 40)]:
-            assert perm.commutes(z, g)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -333,7 +325,7 @@ def test_orbit_count_matches_burnside(n, expected):
     res = search.enumerate_fixed_sigma(n, collect=True)
     keys = {(s.a1, s.a2, s.b1, s.b2) for s in res.solutions}
     total_fixed = 0
-    for h in search._centralizer_list(res.sigma):
+    for h in groups.centralizer_elements(res.sigma, n):
         total_fixed += sum(
             1 for key in keys
             if tuple(perm.conjugate(p, h) for p in key) == key)
