@@ -33,6 +33,19 @@ necessary conditions:
   * the torus relation puts b2^-1 a2^-1 b2 = a2^-1 k^-1, conjugate
     elements share a cycle type, so a2^-1 and a2^-1 k^-1 must.
 
+Transitivity is tested exactly at the leaves, and also cut above them
+(_transitive).  Every later coordinate lies in the centralizer list of
+its level: b1, a2 and b2 in C1, a2 and b2 in C2, b2 in C3.  So the group
+a solution generates lies in <s, a1, C1>, and in <s, a1, b1, C2> and
+<s, a1, b1, a2, C3> below b1 and a2; if that group is not transitive,
+no solution below the prefix is, and its subtree is cut.  At the b1 and
+a2 levels the lists C2 and C3 are already built and are read until the
+points form one block.  At the a1 level no list is needed
+(_a1_transitive): an element of C(g) maps each cycle of g onto a cycle
+of the same length, and swapping two such cycles or rotating one
+centralizes g, so the point orbits of C(g) are exactly the unions of
+the cycles of g of equal length.
+
 Pure counting runs factor every search level by symmetry (orderly
 generation in the sense of McKay, "Isomorph-free exhaustive generation",
 J. Algorithms 1998).  Let H be the subgroup of C(s) fixing the prefix
@@ -42,19 +55,20 @@ H2 = H1 n C(b1) before a2.  Conjugating coordinatewise by any h in H
   * commutes with s, so h (s x s) h^-1 = s (h x h^-1) s and the next
     candidate list (S_n, C1 or C2) is mapped onto itself;
   * preserves R2, the k-membership tests, cycle types, the torus
-    relation and transitivity, so it maps candidates that pass a prune
+    relation and transitivity (it conjugates the group each
+    transitivity prune tests), so it maps candidates that pass a prune
     to candidates that pass it, and solutions to solutions.
 Hence the number of solutions below (prefix, x) is constant on each
 H-orbit of the candidates x.  Counting visits one candidate per orbit
 and multiplies by the orbit size (_orbit_reps), at the a1 level over the
-elements of S_n that pass R2(a1), at the b1 level over C1 after the
-R2(b1) and k in C2 prunes, and at the a2 level over C2 after the R2(a2),
-k in C3 and cycle-type prunes; where H is trivial it keeps the plain
-loop.  Collecting and streaming runs keep the plain loop at every level,
-so the produced solution order never depends on the counting strategy.
-Both paths take their a1 from the same pruned list (_a1_slices), share
-their prune code at every level and are tested for equal counts below
-every a1 representative.
+elements of S_n that pass R2(a1) and the a1 transitivity prune, at the
+b1 level over C1 after the R2(b1) and k in C2 prunes, and at the a2
+level over C2 after the R2(a2), k in C3 and cycle-type prunes; where H
+is trivial it keeps the plain loop.  Collecting and streaming runs keep
+the plain loop at every level, so the produced solution order never
+depends on the counting strategy.  Both paths take their a1 from the
+same pruned list (_a1_slices), share their prune code at every level
+and are tested for equal counts below every a1 representative.
 
 The conjugacy classes of the fixed-sigma solutions (orbits of C(s)
 acting by coordinatewise conjugation) come from the same factored walk
@@ -205,6 +219,47 @@ def _is_transitive_tuple(s: Perm, raw: RawSolution, n: int) -> bool:
     return size == n
 
 
+def _transitive(n: int, gens: Sequence[Perm], group: Iterable[Perm]
+                ) -> bool:
+    """True when gens and the elements of group together generate a
+    transitive subgroup of S_n.
+
+    Points are joined to their images under each permutation, gens
+    first, and the scan stops as soon as one block remains, so a long
+    group list is read in full only when the answer is False.
+    """
+    label = list(range(n))
+    blocks = n
+    for p in itertools.chain(gens, group):
+        if [label[y] for y in p] == label:
+            continue
+        for x in range(n):
+            a, b = label[x], label[p[x]]
+            if a != b:
+                label = [a if i == b else i for i in label]
+                blocks -= 1
+                if blocks == 1:
+                    return True
+    return blocks == 1
+
+
+def _a1_transitive(n: int, s: Perm, a1: Perm) -> bool:
+    """The a1-level transitivity prune: <s, a1, C1> is transitive.
+
+    The point orbits of C1 = C(s a1 s) are the unions of the cycles of
+    s a1 s of equal length, so one permutation cycling through each
+    union stands for all of C1.
+    """
+    unions: Dict[int, List[int]] = {}
+    for c in perm.disjoint_cycles(_sigma_conj(a1, s)):
+        unions.setdefault(len(c), []).extend(c)
+    u = list(range(n))
+    for points in unions.values():
+        for x, y in zip(points, points[1:] + points[:1]):
+            u[x] = y
+    return _transitive(n, (s, a1), [u])
+
+
 def _orbit_reps(group: Sequence[Perm], candidates: Iterable[Perm]
                 ) -> List[Tuple[Perm, int]]:
     """One (representative, orbit size) per orbit of group, acting by
@@ -302,11 +357,15 @@ def _iter_for_a1(n: int, s: Perm, a1: Perm,
     for (b1, sb1s, k), w1 in _weighted(
             stab, _b1_candidates(s, a1, sa1s, c1)):
         c2 = _intersect_next(c1, (sa1s,), sb1s)
+        if not _transitive(n, (s, a1, b1), c2):          # a2, b2 in C2
+            continue
         stab2 = (None if stab is None
                  else [h for h in stab if _commutes(h, b1)])
         for (a2, sa2s, a2_inv, target), w2 in _weighted(
                 stab2, _a2_candidates(s, k, c2)):
             c3 = _intersect_next(c2, (sa1s, sb1s), sa2s)
+            if not _transitive(n, (s, a1, b1, a2), c3):  # b2 in C3
+                continue
             for b2 in c3:
                 ok = True
                 for y in range(n):
@@ -395,10 +454,12 @@ def _search_chunk(args: Tuple[int, Perm, List[Tuple[Perm, int]], str]
 
 def _a1_slices(n: int, s: Perm, workers: int, factored: bool
                ) -> List[List[Tuple[Perm, int]]]:
-    """The a1 candidates in lexicographic order, each with its weight,
-    cut into the slices of a run: every candidate with weight 1, or with
-    factored one per C(s)-class with the class size."""
-    candidates = _a1_candidates(n, s)
+    """The a1 candidates that pass the a1 transitivity prune, in
+    lexicographic order, each with its weight, cut into the slices of a
+    run: every candidate with weight 1, or with factored one per
+    C(s)-class with the class size."""
+    candidates = (a1 for a1 in _a1_candidates(n, s)
+                  if _a1_transitive(n, s, a1))
     pairs = (_orbit_reps(groups.centralizer_elements(s, n), candidates)
              if factored else [(a1, 1) for a1 in candidates])
     return [pairs[lo:hi]

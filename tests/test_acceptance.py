@@ -1,8 +1,8 @@
 """Acceptance gate: every published claim the package must reproduce,
 one pass/fail line per criterion.
 
-Criterion 2 (degrees 8 and 9) takes about a quarter of a minute on two
-cores and only runs when BRAIDCOVERS_LONG_TESTS=1 is set.
+Criterion 2 (degrees 8 and 9) takes about ten seconds on two cores and
+only runs when BRAIDCOVERS_LONG_TESTS=1 is set.
 """
 
 import os
@@ -23,8 +23,7 @@ def _report(name: str, ok: bool, detail: str = "") -> None:
 
 def test_criterion_1_count_table():
     # fixed-sigma counts 16, 80, 480, 0, 2880, 0 for degrees 2..7, with
-    # totals scaled by n(n-1)/2; degrees up to 6 in well under a second,
-    # 7 in about a second
+    # totals scaled by n(n-1)/2; each degree in well under a second
     expected = {2: 16, 3: 80, 4: 480, 5: 0, 6: 2880, 7: 0}
     t0 = time.perf_counter()
     got = {n: search.enumerate_fixed_sigma(n) for n in range(2, 7)}

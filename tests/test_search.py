@@ -181,6 +181,102 @@ def test_a1_candidates_are_the_r2_filter():
         assert list(search._a1_candidates(n, s)) == expected
 
 
+def _s_conj(p, s):
+    return perm.compose(perm.compose(s, p), s)
+
+
+def _reference_transitive(n, s, prefix, c1):
+    # <s, prefix, C>, with C the elements of c1 = C(s a1 s) that commute
+    # with s x s for every later x in the prefix, all of them listed
+    later = [_s_conj(x, s) for x in prefix[1:]]
+    group = [z for z in c1 if all(perm.commutes(z, y) for y in later)]
+    return groups.is_transitive([s, *prefix] + group, n)
+
+
+def _c1(n, s, a1):
+    return groups.centralizer_elements(_s_conj(a1, s), n)
+
+
+def test_a1_prune_matches_reference():
+    # the a1-level verdict, from the equal-length cycle unions of s a1 s,
+    # equals transitivity of <s, a1, C(s a1 s)> with C listed in full
+    verdicts = set()
+    for n in range(2, 8):
+        s = perm.transposition(n, 1, 2)
+        for a1 in search._a1_candidates(n, s):
+            verdict = search._a1_transitive(n, s, a1)
+            assert verdict == _reference_transitive(
+                n, s, [a1], _c1(n, s, a1)), (n, a1)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_prune_verdicts_match_reference(monkeypatch):
+    # every transitivity verdict the plain loop takes at n=6, at the a1, b1
+    # and a2 levels, equals the reference built from explicit lists
+    n = 6
+    s = perm.transposition(n, 1, 2)
+    real = search._transitive
+    calls = []
+
+    def spy(n, gens, group):
+        verdict = real(n, gens, group)
+        calls.append((tuple(gens), verdict))
+        return verdict
+
+    monkeypatch.setattr(search, "_transitive", spy)
+    res = search.enumerate_fixed_sigma(n, collect=True)
+    c1 = {}
+    seen = set()
+    for gens, verdict in calls:
+        assert gens[0] == s
+        a1 = gens[1]
+        if a1 not in c1:
+            c1[a1] = _c1(n, s, a1)
+        assert verdict == _reference_transitive(n, s, gens[1:], c1[a1]), gens
+        seen.add((len(gens), verdict))
+    # both verdicts occur at the b1 (s, a1, b1) and a2 (s, a1, b1, a2) levels
+    assert {(3, True), (3, False), (4, True), (4, False)} <= seen
+    assert res.fixed_count == 2880
+
+
+def _symmetry_images(key):
+    # phi, psi and the swap of the two handles, on (a1, a2, b1, b2)
+    a1, a2, b1, b2 = key
+    return ((perm.compose(a1, b1), a2, b1, b2),
+            (a1, a2, perm.compose(a1, b1), b2),
+            (a2, a1, b2, b1))
+
+
+def _assert_symmetry_closed(solutions):
+    keys = {(sol.a1, sol.a2, sol.b1, sol.b2) for sol in solutions}
+    for key in keys:
+        for image in _symmetry_images(key):
+            assert image in keys, (key, image)
+
+
+def test_solutions_closed_under_symmetries(n4_result, n6_result):
+    # a1 -> a1 b1, b1 -> a1 b1 and (a1, b1) <-> (a2, b2) map solutions to
+    # solutions; the reversed product b1 a1 does not
+    _assert_symmetry_closed(n4_result.solutions)
+    _assert_symmetry_closed(n6_result.solutions)
+    keys = {(sol.a1, sol.a2, sol.b1, sol.b2) for sol in n6_result.solutions}
+    reversed_images = sum((perm.compose(b1, a1), a2, b1, b2) in keys
+                          for a1, a2, b1, b2 in keys)
+    assert (reversed_images, len(keys)) == (2016, 2880)
+
+
+@pytest.mark.long
+def test_classify_matches_plain_loop_n8():
+    # the class walk against the plain loop at degree 8, and the plain
+    # loop's solutions closed under the symmetries
+    collected = search.enumerate_fixed_sigma(8, collect=True, workers=2)
+    assert collected.fixed_count == 172800
+    _, orbits = search.classify(8, workers=2)
+    assert orbits == search.orbit_decomposition(list(collected.solutions), 8)
+    _assert_symmetry_closed(collected.solutions)
+
+
 def _per_a1_counts(n, sigma):
     cent = groups.centralizer_elements(sigma, n)
     return [(search._count_for_a1(n, sigma, a1, cent),
