@@ -70,6 +70,38 @@ depends on the counting strategy.  Both paths take their a1 from the
 same pruned list (_a1_slices), share their prune code at every level
 and are tested for equal counts below every a1 representative.
 
+Counting skips the a1 = () subtree, the only one whose C1 is all of
+S_n, by the Nielsen moves of the mapping-class-group action on the
+presentation (Birman, "Braids, Links, and Mapping Class Groups", 1974;
+Bellingeri, J. Algebra 2004).  phi(a1, a2, b1, b2) = (a1 b1, a2, b1, b2)
+maps solutions to solutions: "y commutes with s x s" is symmetric in x
+and y and closed under products, so R2 and R3/R4 hold for a1 b1;
+[a1 b1, b1^-1] = [a1, b1^-1] leaves the torus relation alone; and the
+generated group does not change.  phi commutes with conjugation by C(s)
+and maps {a1 = ()} one-to-one onto {a1 = b1}.  Write N(r) for the
+number of solutions below a1 = r, N(r, b1=r) for those with b1 = r as
+well, M(r) for those with a1 = b1 = () and a2 = r, L(r) = 1 when
+((), r, (), r) is a solution and 0 otherwise, and |cls r| for the size
+of the C(s)-class of r.  Then, r running over the a1 representatives:
+
+  * N(()) = N((), ()) + sum over r != () of |cls r| N(r, b1=r), by phi;
+  * below a1 = b1 = () the relations leave a2 the R2-passing elements of
+    S_n and H2 = C(s), so a2 runs over the same representatives and
+    N((), ()) = sum over r of |cls r| M(r);
+  * phi' = swap phi swap, (a1, a2, b1, b2) -> (a1, a2 b2, b1, b2), maps
+    {a1 = b1 = a2 = ()} onto {a1 = b1 = (), a2 = b2}, so
+    M(()) = sum over r of |cls r| L(r).
+
+So the count is L(()) plus, for each r != (), |cls r| times
+N(r) + N(r, b1=r) + M(r) + L(r) (_count_share), and no list the size
+of S_n is built.  N(r, b1=r) is read off the walk for N(r): b1 = r
+passes the b1 prunes and is fixed by H1, so its leaves carry their
+a2-level weight alone.  M(r) lists C(s r s) n C(r).  A representative
+the a1 prune cuts needs no term: <s, r, C(s r s)> is not transitive,
+and it contains the group of every solution the three terms count, so
+N(r, b1=r) = M(r) = L(r) = 0.  The () representative keeps its slot in
+the a1 list, so slices and progress do not change.
+
 The conjugacy classes of the fixed-sigma solutions (orbits of C(s)
 acting by coordinatewise conjugation) come from the same factored walk
 (classify).  Every class has members whose a1 is the least element of
@@ -393,10 +425,44 @@ def _split_ranges(total: int, pieces: int) -> List[Tuple[int, int]]:
     return bounds
 
 
-def _count_for_a1(n: int, s: Perm, a1: Perm, cent: Sequence[Perm]) -> int:
-    """Number of solutions below a1, orbit-factored; cent lists C(s)."""
+def _count_for_a1(n: int, s: Perm, a1: Perm, cent: Sequence[Perm]
+                  ) -> Tuple[int, int]:
+    """N(a1), the number of solutions below a1, and N(a1, b1=a1), those
+    with b1 = a1, from one orbit-factored walk; cent lists C(s).  b1 = a1
+    is fixed by H1, so its leaves carry their a2-level weight alone."""
     stab = [h for h in cent if _commutes(h, a1)]
-    return sum(w for _, w in _iter_for_a1(n, s, a1, stab))
+    count = fixed = 0
+    for (_, _, b1, _), w in _iter_for_a1(n, s, a1, stab):
+        count += w
+        if b1 == a1:
+            fixed += w
+    return count, fixed
+
+
+def _count_unit_a1_b1(n: int, s: Perm, a2: Perm) -> int:
+    """M(a2), the number of solutions with a1 = b1 = () and this a2, which
+    must pass R2(a2): b2 runs over C(s a2 s) n C(a2), where the torus
+    relation reduces to b2 commuting with a2."""
+    e = perm.identity(n)
+    return sum(1 for b2 in groups.centralizer_elements(_sigma_conj(a2, s), n)
+               if _commutes(b2, a2)                        # torus relation
+               and _commutes(b2, _sigma_conj(b2, s))        # R2(b2)
+               and _is_transitive_tuple(s, (e, a2, e, b2), n))
+
+
+def _count_share(n: int, s: Perm, r: Perm, cent: Sequence[Perm]) -> int:
+    """What one a1 representative r adds to a count, before its class-size
+    weight: L(()) for r = (), else N(r) + N(r, b1=r) + M(r) + L(r), which
+    also carries r's share of the a1 = () subtree (module docstring).
+    L(r) tells whether ((), r, (), r) is a solution; every relation holds
+    there once r passes R2, so only transitivity is tested.  cent lists
+    C(s)."""
+    e = perm.identity(n)
+    unit_leaf = int(_is_transitive_tuple(s, (e, r, e, r), n))
+    if r == e:
+        return unit_leaf
+    return (sum(_count_for_a1(n, s, r, cent)) + _count_unit_a1_b1(n, s, r)
+            + unit_leaf)
 
 
 def _classes_for_a1(n: int, s: Perm, a1: Perm, cent: Sequence[Perm]
@@ -431,8 +497,9 @@ def _search_chunk(args: Tuple[int, Perm, List[Tuple[Perm, int]], str]
     plain loop (every weight is 1).  Otherwise each a1 stands for its
     C(s)-class, weighted by the class size, and the search below it is
     orbit-factored: "count" gives the number alone, with no
-    canonicalisation, and "classes" also the conjugacy classes in order,
-    each with its fixed-sigma size.
+    canonicalisation and the a1 = () subtree spread over the other
+    representatives (_count_share), and "classes" also the conjugacy
+    classes in order, each with its fixed-sigma size.
     """
     n, s, pairs, mode = args
     if mode == "solutions":
@@ -447,7 +514,7 @@ def _search_chunk(args: Tuple[int, Perm, List[Tuple[Perm, int]], str]
             found += [Orbit(representative=Assignment(n, s, *key),
                             size=size * orbit) for key, orbit in classes]
         else:
-            below = _count_for_a1(n, s, a1, cent)
+            below = _count_share(n, s, a1, cent)
         count += size * below
     return count, found if mode == "classes" else None
 
@@ -500,7 +567,8 @@ def _run_slices(n: int, s: Perm, mode: str, workers: int,
             outputs: Iterable[tuple] = map(_search_chunk, jobs)
             if workers > 1:
                 pool = stack.enter_context(ProcessPoolExecutor(
-                    max_workers=workers, initializer=_default_signals))
+                    max_workers=min(workers, len(jobs)),
+                    initializer=_default_signals))
                 pending = collections.deque(
                     pool.submit(_search_chunk, job) for job in jobs)
                 stack.callback(_drop_pending, pending)

@@ -1,15 +1,12 @@
 """Acceptance gate: every published claim the package must reproduce,
 one pass/fail line per criterion.
 
-Criterion 2 (degrees 8 and 9) takes about ten seconds on two cores and
-only runs when BRAIDCOVERS_LONG_TESTS=1 is set.
+Criterion 2 (degrees 8 and 9) takes a few seconds on two cores.
 """
 
 import os
 import random
 import time
-
-import pytest
 
 from braidcovers import groups, perm, search, surface, words
 from conftest import random_perm
@@ -42,7 +39,6 @@ def test_criterion_1_count_table():
         f"2..6 in {small_elapsed:.1f}s, 7 in {seven_elapsed:.1f}s")
 
 
-@pytest.mark.long
 def test_criterion_2_large_degrees():
     # 172800 at degree 8 and none at degree 9, on every core
     workers = os.cpu_count() or 1

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import sys
 
 import pytest
 
@@ -411,11 +412,12 @@ def _group_size(pgid):
     return len(_group_members(pgid))
 
 
-def _pooled_count_n9():
-    """count --n 9 on two workers in a subprocess leading its own process
-    group, returned once both pool workers have run for a second.  The
-    parent builds the a1 representatives before the pool starts, so a
-    fixed delay could come before any worker exists."""
+def _pooled_list_n8(out_path):
+    """list --n 8 --out out_path on two workers in a subprocess leading
+    its own process group, returned once both pool workers have run for a
+    second; the run takes about 20 s more.  The parent builds the a1 list
+    before the pool starts, so a fixed delay could come before any worker
+    exists."""
     import pathlib
     import signal
     import subprocess
@@ -427,8 +429,8 @@ def _pooled_count_n9():
     env = dict(os.environ)
     env["PYTHONPATH"] = str(pathlib.Path(braidcovers.__file__).parents[1])
     proc = subprocess.Popen(
-        [sys.executable, "-m", "braidcovers.cli", "count", "--n", "9",
-         "--confirm-long", "--workers", "2"],
+        [sys.executable, "-m", "braidcovers.cli", "list", "--n", "8",
+         "--confirm-long", "--workers", "2", "--out", str(out_path)],
         env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         start_new_session=True,
         preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
@@ -461,12 +463,13 @@ def _assert_group_gone(pgid):
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
-def test_ctrl_c_under_pool_exits_130():
+def test_ctrl_c_under_pool_exits_130(tmp_path):
     # SIGINT to the whole process group, as a terminal's Ctrl-C sends it,
-    # once the two pool workers are running
+    # once the two pool workers are running; neither the target nor the
+    # temporary file beside it is left
     import signal
 
-    proc = _pooled_count_n9()
+    proc = _pooled_list_n8(tmp_path / "sols.jsonl")
     try:
         assert proc.poll() is None
         os.killpg(proc.pid, signal.SIGINT)
@@ -477,15 +480,16 @@ def test_ctrl_c_under_pool_exits_130():
     assert b"Traceback" not in err
     assert err.splitlines()[-1] == b"braidcovers: interrupted"
     _assert_group_gone(proc.pid)
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
-def test_killed_worker_exits_1():
+def test_killed_worker_exits_1(tmp_path):
     # a pool worker killed outright ends the run with one error line,
     # and the other worker goes with it
     import signal
 
-    proc = _pooled_count_n9()
+    proc = _pooled_list_n8(tmp_path / "sols.jsonl")
     try:
         assert proc.poll() is None
         workers = [pid for pid, parent in _group_members(proc.pid)
@@ -536,6 +540,31 @@ def test_sigterm_removes_partial_out(tmp_path):
     assert out == b""
     assert err == b"braidcovers: terminated\n"
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="ru_maxrss is in KiB on Linux")
+def test_count_n9_peak_rss_under_40mb():
+    # a single-worker degree-9 count lists no C1 the size of S_n; the
+    # peak is read by a wrapper child, so earlier children of this
+    # process do not count
+    import pathlib
+    import subprocess
+
+    import braidcovers
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(pathlib.Path(braidcovers.__file__).parents[1])
+    wrapper = ("import resource, subprocess, sys; "
+               "subprocess.run(sys.argv[1:], check=True); "
+               "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
+    proc = subprocess.run(
+        [sys.executable, "-c", wrapper, sys.executable, "-m",
+         "braidcovers.cli", "count", "--n", "9", "--confirm-long"],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    *out, peak_kib = proc.stdout.splitlines()
+    assert out[0].startswith("n=9: 0 representations")
+    assert int(peak_kib) < 40 * 1024
 
 
 def test_out_of_memory_exits_1(capsys, monkeypatch):

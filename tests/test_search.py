@@ -1,3 +1,4 @@
+import concurrent.futures
 import itertools
 import math
 import os
@@ -53,6 +54,34 @@ def test_parallel_matches_single(n6_result):
         par = search.enumerate_fixed_sigma(6, collect=True, workers=workers)
         assert par.fixed_count == n6_result.fixed_count == 2880
         assert par.solutions == n6_result.solutions
+
+
+def test_pool_capped_at_slice_count(monkeypatch):
+    # the pool asks for no more worker processes than there are slices;
+    # an in-process stand-in records the request, so none is started
+    requested = []
+
+    class InlinePool:
+        def __init__(self, max_workers, initializer=None):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", InlinePool)
+    s = perm.transposition(4, 1, 2)
+    jobs = len(search._a1_slices(4, s, 64, factored=True))
+    res = search.enumerate_fixed_sigma(4, workers=64)
+    assert res.fixed_count == 480
+    assert len(requested) == 1 and requested[0] <= jobs < 64
 
 
 def test_sink_streams_same_solutions(n3_result):
@@ -278,11 +307,47 @@ def test_classify_matches_plain_loop_n8():
 
 
 def _per_a1_counts(n, sigma):
+    # (N(a1), N(a1, b1=a1)) from the factored walk and from the plain loop
     cent = groups.centralizer_elements(sigma, n)
-    return [(search._count_for_a1(n, sigma, a1, cent),
-             sum(1 for _ in search._iter_for_a1(n, sigma, a1)))
-            for a1, _ in search._orbit_reps(
-                cent, search._a1_candidates(n, sigma))]
+    out = []
+    for a1, _ in search._orbit_reps(cent, search._a1_candidates(n, sigma)):
+        plain = [b1 for (_, _, b1, _), _ in search._iter_for_a1(n, sigma, a1)]
+        out.append((search._count_for_a1(n, sigma, a1, cent),
+                    (len(plain), plain.count(a1))))
+    return out
+
+
+def _unit_subtree_routes(n, s):
+    # the count below a1 = () by the Nielsen-move route, with its parts
+    # N((), ()) and the sum of |cls r| N(r, b1=r) over the r != ()
+    cent = groups.centralizer_elements(s, n)
+    e = perm.identity(n)
+    reps = [pair for chunk in search._a1_slices(n, s, 1, factored=True)
+            for pair in chunk]
+    assert reps[0] == (e, 1)
+    unit_leaf = sum(size * search._is_transitive_tuple(s, (e, r, e, r), n)
+                    for r, size in reps)
+    unit_b1 = unit_leaf + sum(size * search._count_unit_a1_b1(n, s, r)
+                              for r, size in reps[1:])
+    walks = [(r, size, search._count_for_a1(n, s, r, cent))
+             for r, size in reps[1:]]
+    fixed_b1 = sum(size * fixed for _, size, (_, fixed) in walks)
+    share = search._count_share(n, s, e, cent) + sum(
+        size * (search._count_share(n, s, r, cent) - below)
+        for r, size, (below, _) in walks)
+    return share, unit_b1, fixed_b1
+
+
+def _unit_subtree_plain(n, s):
+    # the same three numbers from the plain loop: every solution with
+    # a1 = (), those with b1 = () too, and those with a1 = b1 != ()
+    e = perm.identity(n)
+    unit = [raw for raw, _ in search._iter_for_a1(n, s, e)]
+    fixed_b1 = sum(raw[2] == raw[0]
+                   for chunk in search._a1_slices(n, s, 1, factored=False)
+                   for a1, _ in chunk if a1 != e
+                   for raw, _ in search._iter_for_a1(n, s, a1))
+    return len(unit), sum(raw[2] == e for raw in unit), fixed_b1
 
 
 def test_factored_count_matches_plain_loop():
@@ -303,18 +368,28 @@ def test_factored_count_matches_plain_loop():
         assert fast.fixed_count == plain.fixed_count == 480
         for factored, plain_count in _per_a1_counts(4, sig):
             assert factored == plain_count
+    # the a1 = () subtree by the Nielsen moves phi and phi', and its two
+    # parts, against the plain loop
+    sigmas = [perm.transposition(n, 1, 2) for n in range(2, 8)]
+    sigmas += [perm.transposition(4, 1, 3), perm.transposition(4, 2, 3)]
+    for sig in sigmas:
+        n = len(sig)
+        assert _unit_subtree_routes(n, sig) == _unit_subtree_plain(n, sig)
+    assert _unit_subtree_plain(4, sigmas[2]) == (112, 24, 88)
 
 
 @pytest.mark.long
 def test_factored_n8_heavy_subtrees():
-    # the two a1 whose stabilizer is all of C(s), by both routes
+    # the two a1 whose stabilizer is all of C(s), by both walks
     n = 8
     s = perm.transposition(n, 1, 2)
     cent = groups.centralizer_elements(s, n)
     for a1, expected in ((perm.identity(n), 17280),
                          (perm.transposition(n, 1, 2), 0)):
-        assert search._count_for_a1(n, s, a1, cent) == expected
+        assert search._count_for_a1(n, s, a1, cent)[0] == expected
         assert sum(1 for _ in search._iter_for_a1(n, s, a1)) == expected
+    # and the a1 = () count by the Nielsen-move route
+    assert _unit_subtree_routes(n, s)[0] == 17280
 
 
 _RESULT_FIELDS = ("n", "sigma", "fixed_count", "transpositions",
