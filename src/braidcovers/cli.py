@@ -68,7 +68,6 @@ class RunConfig:
     fmt: str
     out: Optional[str]
     confirm_long: bool
-    allow_large: bool
     collect: bool
 
     @property
@@ -121,8 +120,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--out", default=None, help="write output to this file")
         p.add_argument("--confirm-long", action="store_true",
                        help=f"required for degrees >= {LONG_DEGREE}")
-        p.add_argument("--allow-large", action="store_true",
-                       help=f"lift the degree cap of {search.MAX_DEGREE}")
         p.add_argument("--collect", action="store_true",
                        help=("report conjugacy classes and image groups, "
                              "one representative per class; no solutions "
@@ -153,7 +150,6 @@ def _configure(args: argparse.Namespace) -> RunConfig:
         fmt=args.fmt,
         out=args.out,
         confirm_long=args.confirm_long,
-        allow_large=args.allow_large,
         collect=args.collect,
     )
     needs_search = config.command in ("count", "table", "orbits", "list")
@@ -161,10 +157,9 @@ def _configure(args: argparse.Namespace) -> RunConfig:
         raise UsageError(
             f"degree {max(degrees)} can run for a long time; "
             f"pass --confirm-long to proceed")
-    if needs_search and max(degrees) > search.MAX_DEGREE and not config.allow_large:
+    if needs_search and max(degrees) > search.MAX_DEGREE:
         raise UsageError(
-            f"degree {max(degrees)} exceeds the cap {search.MAX_DEGREE}; "
-            f"pass --allow-large as well")
+            f"degree {max(degrees)} exceeds the cap {search.MAX_DEGREE}")
     return config
 
 
@@ -267,12 +262,10 @@ _TABLE_HEADER = ("n", "fixed_count", "transpositions", "total",
 def _search_degree(n: int, config: RunConfig) -> search.EnumerationResult:
     if config.collect:
         res, _ = search.classify(
-            n, workers=config.workers, allow_large=config.allow_large,
-            progress=_progress_printer(n))
+            n, workers=config.workers, progress=_progress_printer(n))
         return res
     return search.enumerate_fixed_sigma(
-        n, workers=config.workers, allow_large=config.allow_large,
-        progress=_progress_printer(n))
+        n, workers=config.workers, progress=_progress_printer(n))
 
 
 def _table_row(res: search.EnumerationResult) -> Dict[str, object]:
@@ -353,8 +346,7 @@ def _cmd_table(config: RunConfig, out: TextIO) -> int:
 def _cmd_orbits(config: RunConfig, out: TextIO) -> int:
     n = config.single_degree
     res, orbits = search.classify(
-        n, workers=config.workers, allow_large=config.allow_large,
-        progress=_progress_printer(n))
+        n, workers=config.workers, progress=_progress_printer(n))
     cache = _ImageCache()
     if config.fmt == "json":
         doc = {
@@ -396,8 +388,8 @@ def _cmd_list(config: RunConfig, out: TextIO) -> int:
         out.write(_dumps_line(_solution_json(sol, cache)))
 
     search.enumerate_fixed_sigma(
-        n, workers=config.workers, allow_large=config.allow_large,
-        sink=sink, progress=_progress_printer(n))
+        n, workers=config.workers, sink=sink,
+        progress=_progress_printer(n))
     return 0
 
 
@@ -407,7 +399,7 @@ def _cmd_oracle(config: RunConfig, out: TextIO) -> int:
         raise UsageError(f"the unpruned scan is limited to degree <= 4, got {n}")
     engine = search.enumerate_fixed_sigma(n, collect=True,
                                           workers=config.workers)
-    brute = search.brute_force_oracle(n, collect=True)
+    brute = search.brute_force_oracle(n)
     engine_keys = {sol.sort_key() for sol in engine.solutions}
     brute_keys = {sol.sort_key() for sol in brute.solutions}
     match = (engine.fixed_count == brute.fixed_count

@@ -2,8 +2,8 @@
 
 A permutation of degree n is stored as a tuple ``p`` of length n with
 entries in ``0..n-1``, where ``p[i]`` is the image of the point ``i``.
-All public input and output (cycle strings, image tables) is 1-indexed;
-the 0-indexed tuples are the working representation everywhere else.
+All public input and output (cycle strings) is 1-indexed; the
+0-indexed tuples are the working representation everywhere else.
 
 Products are taken left to right: ``compose(p, q)`` is "apply p, then
 q", so ``compose(p, q)[x] == q[p[x]]``.  Every function in the package
@@ -12,10 +12,9 @@ assumes this one convention.
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
-from typing import Iterator, Sequence, Tuple
+from typing import Tuple
 
 Perm = Tuple[int, ...]
 
@@ -24,32 +23,6 @@ def identity(n: int) -> Perm:
     if n < 1:
         raise ValueError(f"degree must be at least 1, got {n}")
     return tuple(range(n))
-
-
-def is_valid(p: Sequence[int]) -> bool:
-    """True when p is a bijection of 0..len(p)-1."""
-    n = len(p)
-    if n == 0:
-        return False
-    seen = [False] * n
-    for x in p:
-        if not isinstance(x, int) or not 0 <= x < n or seen[x]:
-            return False
-        seen[x] = True
-    return True
-
-
-def from_images(images: Sequence[int]) -> Perm:
-    """Build a permutation from the 1-indexed image table [p(1), ..., p(n)]."""
-    p = tuple(x - 1 for x in images)
-    if not is_valid(p):
-        raise ValueError(f"not an image table of a permutation: {list(images)}")
-    return p
-
-
-def to_images(p: Perm) -> Tuple[int, ...]:
-    """The 1-indexed image table [p(1), ..., p(n)]."""
-    return tuple(x + 1 for x in p)
 
 
 def compose(p: Perm, q: Perm) -> Perm:
@@ -83,7 +56,10 @@ def conjugate(p: Perm, by: Perm) -> Perm:
 def commutes(p: Perm, q: Perm) -> bool:
     if len(p) != len(q):
         raise ValueError(f"degree mismatch: {len(p)} vs {len(q)}")
-    return all(q[p[i]] == p[q[i]] for i in range(len(p)))
+    for i in range(len(p)):
+        if q[p[i]] != p[q[i]]:
+            return False
+    return True
 
 
 def power(p: Perm, k: int) -> Perm:
@@ -143,11 +119,6 @@ def transposition(n: int, i: int, j: int) -> Perm:
     out = list(range(n))
     out[i - 1], out[j - 1] = j - 1, i - 1
     return tuple(out)
-
-
-def all_permutations(n: int) -> Iterator[Perm]:
-    """All of S_n in lexicographic image-table order."""
-    return itertools.permutations(range(n))
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")

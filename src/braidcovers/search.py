@@ -182,13 +182,11 @@ class Orbit:
     size: int  # solutions in the fixed-sigma slice of the class
 
 
-def _check_run(n: int, workers: int, allow_large: bool) -> None:
+def _check_run(n: int, workers: int) -> None:
     if n < 2:
         raise ValueError(f"degree must be at least 2, got {n}")
-    if n > MAX_DEGREE and not allow_large:
-        raise ValueError(
-            f"degree {n} exceeds the safety cap {MAX_DEGREE}; "
-            f"pass allow_large=True to search anyway")
+    if n > MAX_DEGREE:
+        raise ValueError(f"degree {n} exceeds the cap {MAX_DEGREE}")
     if workers < 1:
         raise ValueError(f"workers must be positive, got {workers}")
 
@@ -200,18 +198,6 @@ def _result(n: int, s: Perm, count: int, elapsed: float,
     return EnumerationResult(n=n, sigma=s, fixed_count=count,
                              transpositions=t, total_count=count * t,
                              elapsed_seconds=elapsed, solutions=solutions)
-
-
-def _sigma_conj(p: Perm, s: Perm) -> Perm:
-    # s p s with s an involution
-    return tuple(s[p[x]] for x in s)
-
-
-def _commutes(p: Perm, q: Perm) -> bool:
-    for i in range(len(p)):
-        if q[p[i]] != p[q[i]]:
-            return False
-    return True
 
 
 def _intersect_next(prev: Sequence[Perm], prev_conjs: Sequence[Perm],
@@ -229,26 +215,8 @@ def _intersect_next(prev: Sequence[Perm], prev_conjs: Sequence[Perm],
     if direct_size * (len(prev_conjs) + 2) < len(prev):
         return [z for z in groups.centralizer_elements(new_conj,
                                                        len(new_conj))
-                if all(_commutes(z, c) for c in prev_conjs)]
-    return [z for z in prev if _commutes(z, new_conj)]
-
-
-def _is_transitive_tuple(s: Perm, raw: RawSolution, n: int) -> bool:
-    reached = 1 | 1 << s[0]
-    size = 2 if s[0] else 1
-    frontier = [0, s[0]] if s[0] else [0]
-    gens = (s,) + raw
-    while frontier and size < n:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = g[x]
-                if not reached >> y & 1:
-                    reached |= 1 << y
-                    size += 1
-                    nxt.append(y)
-        frontier = nxt
-    return size == n
+                if all(perm.commutes(z, c) for c in prev_conjs)]
+    return [z for z in prev if perm.commutes(z, new_conj)]
 
 
 def _transitive(n: int, gens: Sequence[Perm], group: Iterable[Perm]
@@ -283,7 +251,7 @@ def _a1_transitive(n: int, s: Perm, a1: Perm) -> bool:
     union stands for all of C1.
     """
     unions: Dict[int, List[int]] = {}
-    for c in perm.disjoint_cycles(_sigma_conj(a1, s)):
+    for c in perm.disjoint_cycles(perm.conjugate(a1, s)):
         unions.setdefault(len(c), []).extend(c)
     u = list(range(n))
     for points in unions.values():
@@ -303,14 +271,12 @@ def _orbit_reps(group: Sequence[Perm], candidates: Iterable[Perm]
     representatives; lexicographically ordered candidates therefore give
     lexicographically least representatives.
     """
-    pairs = [(h, perm.inverse(h)) for h in group]
     seen: set = set()
     reps: List[Tuple[Perm, int]] = []
     for x in candidates:
         if x in seen:
             continue
-        # h x h^-1 maps h(i) to h(x(i))
-        orbit = {tuple([h[x[j]] for j in h_inv]) for h, h_inv in pairs}
+        orbit = {perm.conjugate(x, h) for h in group}
         seen |= orbit
         reps.append((x, len(orbit)))
     return reps
@@ -331,7 +297,7 @@ def _weighted(group: Optional[Sequence[Perm]], items: Iterable[tuple]
 def _a1_candidates(n: int, s: Perm) -> Iterator[Perm]:
     """Every a1 in S_n that passes R2(a1), in lexicographic order."""
     for a1 in itertools.permutations(range(n)):
-        if _commutes(a1, _sigma_conj(a1, s)):            # R2(a1)
+        if perm.commutes(a1, perm.conjugate(a1, s)):       # R2(a1)
             yield a1
 
 
@@ -341,14 +307,14 @@ def _b1_candidates(s: Perm, a1: Perm, sa1s: Perm, c1: Sequence[Perm]
     k = [a1, b1^-1] lies in C2, in C1 order."""
     a1_inv = perm.inverse(a1)
     for b1 in c1:
-        sb1s = _sigma_conj(b1, s)
-        if not _commutes(b1, sb1s):                      # R2(b1)
+        sb1s = perm.conjugate(b1, s)
+        if not perm.commutes(b1, sb1s):                    # R2(b1)
             continue
         b1_inv = perm.inverse(b1)
         # k = [a1, b1^-1]; the torus relation will force
         # [a2, b2^-1] = k^-1, an element of C2, so k must lie in C2.
         k = tuple(b1[a1_inv[b1_inv[x]]] for x in a1)
-        if not (_commutes(k, sa1s) and _commutes(k, sb1s)):
+        if not (perm.commutes(k, sa1s) and perm.commutes(k, sb1s)):
             continue
         yield b1, sb1s, k
 
@@ -360,10 +326,10 @@ def _a2_candidates(s: Perm, k: Perm, c2: Sequence[Perm]
     cycle_type = perm.cycle_type
     k_inv = perm.inverse(k)
     for a2 in c2:
-        sa2s = _sigma_conj(a2, s)
-        if not _commutes(a2, sa2s):                      # R2(a2)
+        sa2s = perm.conjugate(a2, s)
+        if not perm.commutes(a2, sa2s):                    # R2(a2)
             continue
-        if not _commutes(k, sa2s):                       # k must lie in C3
+        if not perm.commutes(k, sa2s):                     # k must lie in C3
             continue
         a2_inv = perm.inverse(a2)
         # torus relation, rearranged: b2^-1 a2^-1 b2 = a2^-1 k^-1
@@ -384,7 +350,7 @@ def _iter_for_a1(n: int, s: Perm, a1: Perm,
     candidate per stab-orbit and the a2 level one per orbit of its
     subgroup fixing b1, and the weights sum to the count below a1.
     """
-    sa1s = _sigma_conj(a1, s)
+    sa1s = perm.conjugate(a1, s)
     c1 = groups.centralizer_elements(sa1s, n)
     for (b1, sb1s, k), w1 in _weighted(
             stab, _b1_candidates(s, a1, sa1s, c1)):
@@ -392,7 +358,7 @@ def _iter_for_a1(n: int, s: Perm, a1: Perm,
         if not _transitive(n, (s, a1, b1), c2):          # a2, b2 in C2
             continue
         stab2 = (None if stab is None
-                 else [h for h in stab if _commutes(h, b1)])
+                 else [h for h in stab if perm.commutes(h, b1)])
         for (a2, sa2s, a2_inv, target), w2 in _weighted(
                 stab2, _a2_candidates(s, k, c2)):
             c3 = _intersect_next(c2, (sa1s, sb1s), sa2s)
@@ -406,10 +372,10 @@ def _iter_for_a1(n: int, s: Perm, a1: Perm,
                         break
                 if not ok:
                     continue
-                if not _commutes(b2, _sigma_conj(b2, s)):  # R2(b2)
+                if not perm.commutes(b2, perm.conjugate(b2, s)):  # R2(b2)
                     continue
                 raw = (a1, a2, b1, b2)
-                if _is_transitive_tuple(s, raw, n):
+                if groups.is_transitive((s,) + raw, n):
                     yield raw, w1 * w2
 
 
@@ -430,7 +396,7 @@ def _count_for_a1(n: int, s: Perm, a1: Perm, cent: Sequence[Perm]
     """N(a1), the number of solutions below a1, and N(a1, b1=a1), those
     with b1 = a1, from one orbit-factored walk; cent lists C(s).  b1 = a1
     is fixed by H1, so its leaves carry their a2-level weight alone."""
-    stab = [h for h in cent if _commutes(h, a1)]
+    stab = [h for h in cent if perm.commutes(h, a1)]
     count = fixed = 0
     for (_, _, b1, _), w in _iter_for_a1(n, s, a1, stab):
         count += w
@@ -444,10 +410,11 @@ def _count_unit_a1_b1(n: int, s: Perm, a2: Perm) -> int:
     must pass R2(a2): b2 runs over C(s a2 s) n C(a2), where the torus
     relation reduces to b2 commuting with a2."""
     e = perm.identity(n)
-    return sum(1 for b2 in groups.centralizer_elements(_sigma_conj(a2, s), n)
-               if _commutes(b2, a2)                        # torus relation
-               and _commutes(b2, _sigma_conj(b2, s))        # R2(b2)
-               and _is_transitive_tuple(s, (e, a2, e, b2), n))
+    c = groups.centralizer_elements(perm.conjugate(a2, s), n)
+    return sum(1 for b2 in c
+               if perm.commutes(b2, a2)                     # torus relation
+               and perm.commutes(b2, perm.conjugate(b2, s))  # R2(b2)
+               and groups.is_transitive((s, e, a2, e, b2), n))
 
 
 def _count_share(n: int, s: Perm, r: Perm, cent: Sequence[Perm]) -> int:
@@ -458,7 +425,7 @@ def _count_share(n: int, s: Perm, r: Perm, cent: Sequence[Perm]) -> int:
     there once r passes R2, so only transitivity is tested.  cent lists
     C(s)."""
     e = perm.identity(n)
-    unit_leaf = int(_is_transitive_tuple(s, (e, r, e, r), n))
+    unit_leaf = int(groups.is_transitive((s, e, r, e, r), n))
     if r == e:
         return unit_leaf
     return (sum(_count_for_a1(n, s, r, cent)) + _count_unit_a1_b1(n, s, r)
@@ -471,8 +438,7 @@ def _classes_for_a1(n: int, s: Perm, a1: Perm, cent: Sequence[Perm]
     member, orbit size) per orbit of H1 = C(s) n C(a1) on them, sorted;
     cent lists C(s).  See the module docstring for why the factored
     walk meets every orbit."""
-    stab = [h for h in cent if _commutes(h, a1)]
-    pairs = [(h, perm.inverse(h)) for h in stab]
+    stab = [h for h in cent if perm.commutes(h, a1)]
     count = 0
     seen: set = set()
     classes = []
@@ -480,9 +446,8 @@ def _classes_for_a1(n: int, s: Perm, a1: Perm, cent: Sequence[Perm]
         count += w
         if (a2, b1, b2) in seen:
             continue
-        # h x h^-1 maps h(i) to h(x(i))
-        orbit = {tuple(tuple(h[p[j]] for j in h_inv) for p in (a2, b1, b2))
-                 for h, h_inv in pairs}
+        orbit = {tuple(perm.conjugate(p, h) for p in (a2, b1, b2))
+                 for h in stab}
         seen |= orbit
         classes.append(((a1,) + min(orbit), len(orbit)))
     classes.sort()
@@ -594,7 +559,6 @@ def _resolve_sigma(n: int, sigma: Optional[Perm]) -> Perm:
 def enumerate_fixed_sigma(n: int, collect: bool = False, *,
                           workers: int = 1,
                           sigma: Optional[Perm] = None,
-                          allow_large: bool = False,
                           sink: Optional[Callable[[Assignment], None]] = None,
                           progress: Optional[Callable[[int, int], None]] = None,
                           ) -> EnumerationResult:
@@ -606,7 +570,7 @@ def enumerate_fixed_sigma(n: int, collect: bool = False, *,
     of the solutions handed to sink and the progress calls (slices done,
     slices in all) are the same for every worker count.
     """
-    _check_run(n, workers, allow_large)
+    _check_run(n, workers)
     s = _resolve_sigma(n, sigma)
     keep = collect or sink is not None
     t0 = time.perf_counter()
@@ -631,7 +595,7 @@ def enumerate_fixed_sigma(n: int, collect: bool = False, *,
                    tuple(collected) if collect else None)
 
 
-def classify(n: int, *, workers: int = 1, allow_large: bool = False,
+def classify(n: int, *, workers: int = 1,
              progress: Optional[Callable[[int, int], None]] = None,
              ) -> Tuple[EnumerationResult, List[Orbit]]:
     """The conjugacy classes of the solutions with sigma = (1,2), and
@@ -642,7 +606,7 @@ def classify(n: int, *, workers: int = 1, allow_large: bool = False,
     the same representatives, found by the orbit-factored count search;
     workers and progress work as in enumerate_fixed_sigma.
     """
-    _check_run(n, workers, allow_large)
+    _check_run(n, workers)
     s = perm.transposition(n, 1, 2)
     t0 = time.perf_counter()
     count = 0
@@ -658,7 +622,7 @@ def classify(n: int, *, workers: int = 1, allow_large: bool = False,
     return _summarize(res, orbits), orbits
 
 
-def brute_force_oracle(n: int, collect: bool = True) -> EnumerationResult:
+def brute_force_oracle(n: int) -> EnumerationResult:
     """Scan all (n!)^4 tuples against the relation tables; no pruning.
 
     Kept deliberately independent of the engine: solutions are recognised
@@ -671,7 +635,6 @@ def brute_force_oracle(n: int, collect: bool = True) -> EnumerationResult:
     t0 = time.perf_counter()
     all_perms = list(itertools.permutations(range(n)))
     sols: List[Assignment] = []
-    count = 0
     for a1 in all_perms:
         for a2 in all_perms:
             for b1 in all_perms:
@@ -681,11 +644,8 @@ def brute_force_oracle(n: int, collect: bool = True) -> EnumerationResult:
                         continue
                     if not groups.is_transitive((s, a1, a2, b1, b2), n):
                         continue
-                    count += 1
-                    if collect:
-                        sols.append(asg)
-    return _result(n, s, count, time.perf_counter() - t0,
-                   tuple(sols) if collect else None)
+                    sols.append(asg)
+    return _result(n, s, len(sols), time.perf_counter() - t0, tuple(sols))
 
 
 def _conjugation_orbits(keys: Collection[Tuple[Perm, ...]],
@@ -745,21 +705,6 @@ def orbit_decomposition(solutions: Sequence[Assignment], n: int,
                 key_set, groups.centralizer_elements(s, n))]
 
 
-def full_conjugacy_classes(solutions: Sequence[Assignment], n: int
-                           ) -> List[Orbit]:
-    """Orbits under all of S_n acting on 5-tuples (sigma moves too)."""
-    key_set = set()
-    for sol in solutions:
-        if sol.n != n:
-            raise ValueError(f"solution of degree {sol.n} in a degree-{n} set")
-        key_set.add((sol.sigma, sol.a1, sol.a2, sol.b1, sol.b2))
-    if len(key_set) != len(solutions):
-        raise ValueError("duplicate solutions")
-    return [Orbit(representative=Assignment(n, *key), size=size)
-            for key, size in _conjugation_orbits(
-                key_set, list(itertools.permutations(range(n))))]
-
-
 def full_orbit_check(n: int) -> bool:
     """Cross-check the fixed-sigma orbit decomposition against the orbits
     of the whole solution set (every sigma transposition) under all of
@@ -777,10 +722,14 @@ def full_orbit_check(n: int) -> bool:
             res = enumerate_fixed_sigma(
                 n, collect=True, sigma=perm.transposition(n, i, j))
             everything.extend(res.solutions)
+    keys = {(sol.sigma, sol.a1, sol.a2, sol.b1, sol.b2) for sol in everything}
+    if len(keys) != len(everything):  # duplicates
+        return False
     try:
-        classes = {c.representative.sort_key(): c.size
-                   for c in full_conjugacy_classes(everything, n)}
-    except (ValueError, AssertionError):  # duplicates, or not closed
+        classes = {Assignment(n, *key).sort_key(): size
+                   for key, size in _conjugation_orbits(
+                       keys, list(itertools.permutations(range(n))))}
+    except AssertionError:  # not closed under conjugation
         return False
     t = n * (n - 1) // 2
     expected_size = {2: 1, 3: 6, 4: 12}[n]

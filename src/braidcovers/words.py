@@ -109,12 +109,6 @@ RELATORS: Tuple[Relator, ...] = _build_relators()
 RELATOR_LABELS: Tuple[str, ...] = tuple(r.label for r in RELATORS)
 
 
-def relator_table() -> str:
-    """The eleven relators as one debugging-friendly text block; not a
-    stable wire format."""
-    return "\n".join(str(r) for r in RELATORS)
-
-
 @dataclasses.dataclass(frozen=True)
 class Assignment:
     """Images of the five generators in one symmetric group S_n."""

@@ -33,7 +33,7 @@ def n6_result():
 
 @pytest.fixture(scope="session")
 def n4_brute():
-    return search.brute_force_oracle(4, collect=True)
+    return search.brute_force_oracle(4)
 
 
 @pytest.fixture()

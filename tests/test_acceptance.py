@@ -96,7 +96,7 @@ def test_criterion_5_oracle_equivalence():
     details = []
     for n in (2, 3, 4):
         t0 = time.perf_counter()
-        brute = search.brute_force_oracle(n, collect=True)
+        brute = search.brute_force_oracle(n)
         engine = search.enumerate_fixed_sigma(n, collect=True)
         elapsed = time.perf_counter() - t0
         same = ({s.sort_key() for s in brute.solutions}

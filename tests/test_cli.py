@@ -260,8 +260,8 @@ def test_oracle_mismatch_exits_2(capsys, monkeypatch):
 
     real = search.brute_force_oracle
 
-    def doctored(n, collect=True):
-        res = real(n, collect=collect)
+    def doctored(n):
+        res = real(n)
         import dataclasses
         return dataclasses.replace(
             res, fixed_count=res.fixed_count - 1,
@@ -298,7 +298,7 @@ def test_invariants_text(capsys):
 
 
 def test_invariants_need_no_search_gates(capsys):
-    # pure formulas: no --confirm-long or --allow-large needed at any degree
+    # pure formulas: neither --confirm-long nor the degree cap applies
     code, out, _ = run(capsys, "invariants", "--n", "13..14")
     assert code == 0
     assert "n=13" in out and "n=14" in out and "general_type=False" in out
@@ -314,7 +314,7 @@ def test_invariants_need_no_search_gates(capsys):
     ("orbits", "--n", "3", "--seed", "7"),
     ("list", "--n", "9"),              # missing --confirm-long
     ("table", "--n", "2..8"),          # range reaching the long degrees
-    ("count", "--n", "13", "--confirm-long"),  # missing --allow-large
+    ("count", "--n", "13", "--confirm-long"),  # above the degree cap
     ("oracle", "--n", "5"),            # oracle is capped at 4
     ("bogus", "--n", "3"),
 ])

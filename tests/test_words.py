@@ -76,17 +76,6 @@ def test_degree_two_all_sixteen_assignments_pass():
     assert len(passing) == 16
 
 
-def test_relator_table_dump():
-    text = words.relator_table()
-    lines = text.splitlines()
-    assert len(lines) == 11
-    assert lines[0].startswith("R2_a1:")
-    assert lines[-1].startswith("TR:")
-    assert "sigma^-1" in lines[0]
-    for label in words.RELATOR_LABELS:
-        assert any(line.startswith(f"{label}:") for line in lines)
-
-
 def test_three_cycle_with_trivial_partners_passes():
     # both commutators are trivial here, so the torus relation holds too
     asg = _assignment(3, perm.parse_cycles("(1,2)", 3),
