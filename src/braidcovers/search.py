@@ -46,11 +46,12 @@ of the same length, and swapping two such cycles or rotating one
 centralizes g, so the point orbits of C(g) are exactly the unions of
 the cycles of g of equal length.
 
-Pure counting runs factor every search level by symmetry (orderly
-generation in the sense of McKay, "Isomorph-free exhaustive generation",
-J. Algorithms 1998).  Let H be the subgroup of C(s) fixing the prefix
-chosen so far: H0 = C(s) before a1, H1 = C(s) n C(a1) before b1 and
-H2 = H1 n C(b1) before a2.  Conjugating coordinatewise by any h in H
+Every run walks below each a1 with one walk (_iter_for_a1), factored
+by symmetry (orderly generation in the sense of McKay, "Isomorph-free
+exhaustive generation", J. Algorithms 1998).  Let H be the subgroup of
+C(s) fixing the prefix chosen so far: H0 = C(s) before a1,
+H1 = C(s) n C(a1) before b1 and H2 = H1 n C(b1) before a2.  Conjugating
+coordinatewise by any h in H
   * fixes sigma and every coordinate of the prefix;
   * commutes with s, so h (s x s) h^-1 = s (h x h^-1) s and the next
     candidate list (S_n, C1 or C2) is mapped onto itself;
@@ -59,48 +60,52 @@ H2 = H1 n C(b1) before a2.  Conjugating coordinatewise by any h in H
     transitivity prune tests), so it maps candidates that pass a prune
     to candidates that pass it, and solutions to solutions.
 Hence the number of solutions below (prefix, x) is constant on each
-H-orbit of the candidates x.  Counting visits one candidate per orbit
+H-orbit of the candidates x.  The walk visits one candidate per orbit
 and multiplies by the orbit size (_orbit_reps), at the a1 level over the
 elements of S_n that pass R2(a1) and the a1 transitivity prune, at the
 b1 level over C1 after the R2(b1) and k in C2 prunes, and at the a2
-level over C2 after the R2(a2), k in C3 and cycle-type prunes; where H
-is trivial it keeps the plain loop.  Collecting and streaming runs keep
-the plain loop at every level, so the produced solution order never
-depends on the counting strategy.  Both paths take their a1 from the
-same pruned list (_a1_slices), share their prune code at every level
-and are tested for equal counts below every a1 representative.
+level over C2 after the R2(a2), k in C3 and cycle-type prunes.  Counts
+and classes take H0 = C(s).  Collecting and streaming runs take the
+trivial group, whose orbits are single candidates in their own order:
+the plain loop is the walk over the trivial group, so the produced
+solution order never depends on the counting strategy.
 
 Counting skips the a1 = () subtree, the only one whose C1 is all of
-S_n, by the Nielsen moves of the mapping-class-group action on the
-presentation (Birman, "Braids, Links, and Mapping Class Groups", 1974;
-Bellingeri, J. Algebra 2004).  phi(a1, a2, b1, b2) = (a1 b1, a2, b1, b2)
-maps solutions to solutions: "y commutes with s x s" is symmetric in x
-and y and closed under products, so R2 and R3/R4 hold for a1 b1;
-[a1 b1, b1^-1] = [a1, b1^-1] leaves the torus relation alone; and the
-generated group does not change.  phi commutes with conjugation by C(s)
-and maps {a1 = ()} one-to-one onto {a1 = b1}.  Write N(r) for the
-number of solutions below a1 = r, N(r, b1=r) for those with b1 = r as
-well, M(r) for those with a1 = b1 = () and a2 = r, L(r) = 1 when
-((), r, (), r) is a solution and 0 otherwise, and |cls r| for the size
-of the C(s)-class of r.  Then, r running over the a1 representatives:
+S_n, by moves of the mapping-class-group action on the presentation
+(Birman, "Braids, Links, and Mapping Class Groups", 1974; Bellingeri,
+J. Algebra 2004).  The Nielsen move phi(a1, a2, b1, b2) =
+(a1 b1, a2, b1, b2) maps solutions to solutions: "y commutes with s x s"
+is symmetric in x and y and closed under products, so R2 and R3/R4 hold
+for a1 b1; [a1 b1, b1^-1] = [a1, b1^-1] leaves the torus relation alone;
+and the generated group does not change.  phi commutes with conjugation
+by C(s) and maps {a1 = ()} one-to-one onto {a1 = b1}.  The handle swap
+(a1, a2, b1, b2) -> (a2, a1, b2, b1) maps solutions to solutions too: by
+that symmetry the six R3/R4 conditions go to one another, the torus
+relation goes to a conjugate of itself, and the group stays.  Write N(r)
+for the number of solutions below a1 = r, N(r, b1=r) for those with
+b1 = r as well, M(r) for those with a1 = b1 = () and a2 = r, L(r) = 1
+when ((), r, (), r) is a solution and 0 otherwise, and |cls r| for the
+size of the C(s)-class of r.  Then, r running over the a1
+representatives:
 
   * N(()) = N((), ()) + sum over r != () of |cls r| N(r, b1=r), by phi;
   * below a1 = b1 = () the relations leave a2 the R2-passing elements of
     S_n and H2 = C(s), so a2 runs over the same representatives and
     N((), ()) = sum over r of |cls r| M(r);
-  * phi' = swap phi swap, (a1, a2, b1, b2) -> (a1, a2 b2, b1, b2), maps
-    {a1 = b1 = a2 = ()} onto {a1 = b1 = (), a2 = b2}, so
-    M(()) = sum over r of |cls r| L(r).
+  * ((), (), (), r) and ((), r, (), r) are solutions exactly when r
+    passes R2 and <s, r> is transitive, so M(()) = sum of |cls r| L(r).
 
 So the count is L(()) plus, for each r != (), |cls r| times
 N(r) + N(r, b1=r) + M(r) + L(r) (_count_share), and no list the size
-of S_n is built.  N(r, b1=r) is read off the walk for N(r): b1 = r
-passes the b1 prunes and is fixed by H1, so its leaves carry their
-a2-level weight alone.  M(r) lists C(s r s) n C(r).  A representative
-the a1 prune cuts needs no term: <s, r, C(s r s)> is not transitive,
-and it contains the group of every solution the three terms count, so
-N(r, b1=r) = M(r) = L(r) = 0.  The () representative keeps its slot in
-the a1 list, so slices and progress do not change.
+of S_n is built.  The swap maps the solutions ((), r, (), x) one-to-one
+onto the solutions (r, (), x, ()), and the leaf ((), r, (), r) onto
+(r, (), r, ()).  So all four terms count leaves of the walk below r,
+N(r) + N(r, b1=r) + M(r) + L(r) = sum of w (1 + [b1 = r])
+(1 + [a2 = b2 = ()]) over its leaves and weights w: conjugating by H1
+or H2 fixes b1 = r and a2 = b2 = (), so a weight counts only members of
+its own terms.  A representative the a1 prune cuts has no solutions
+below it, and so no terms.  The () representative keeps its slot in the
+a1 list, so slices and progress do not change.
 
 The conjugacy classes of the fixed-sigma solutions (orbits of C(s)
 acting by coordinatewise conjugation) come from the same factored walk
@@ -260,38 +265,30 @@ def _a1_transitive(n: int, s: Perm, a1: Perm) -> bool:
     return _transitive(n, (s, a1), [u])
 
 
-def _orbit_reps(group: Sequence[Perm], candidates: Iterable[Perm]
-                ) -> List[Tuple[Perm, int]]:
-    """One (representative, orbit size) per orbit of group, acting by
-    conjugation, on the candidates.
+def _orbit_reps(group: Sequence[Perm], items: Iterable[tuple]
+                ) -> Iterable[Tuple[tuple, int]]:
+    """One (item, orbit size) per orbit of group, acting by conjugation,
+    on the candidate items, each a tuple led by its permutation.
 
-    group lists every element of the acting group and the candidates
-    must be a union of its orbits.  The representative of an orbit is
-    its first candidate, and orbits come in the order of their
-    representatives; lexicographically ordered candidates therefore give
-    lexicographically least representatives.
+    group lists every element of the acting group and the permutations
+    must be a union of its orbits.  An orbit is represented by its first
+    item, and orbits come in the order of their representatives;
+    lexicographically ordered items therefore give lexicographically
+    least representatives.  Over the trivial group every item comes with
+    weight 1, in its own order, and no set is built.
     """
+    if len(group) == 1:
+        return zip(items, itertools.repeat(1))
     seen: set = set()
-    reps: List[Tuple[Perm, int]] = []
-    for x in candidates:
+    reps: List[Tuple[tuple, int]] = []
+    for item in items:
+        x = item[0]
         if x in seen:
             continue
         orbit = {perm.conjugate(x, h) for h in group}
         seen |= orbit
-        reps.append((x, len(orbit)))
+        reps.append((item, len(orbit)))
     return reps
-
-
-def _weighted(group: Optional[Sequence[Perm]], items: Iterable[tuple]
-              ) -> Iterable[Tuple[tuple, int]]:
-    """Candidate items, each a tuple led by its permutation, paired with
-    a weight.  Without a group, or with a trivial one, every item comes
-    with weight 1 in its own order; otherwise one item per group orbit
-    comes with the orbit size."""
-    if group is None or len(group) == 1:
-        return zip(items, itertools.repeat(1))
-    by_perm = {item[0]: item for item in items}
-    return [(by_perm[rep], size) for rep, size in _orbit_reps(group, by_perm)]
 
 
 def _a1_candidates(n: int, s: Perm) -> Iterator[Perm]:
@@ -339,27 +336,26 @@ def _a2_candidates(s: Perm, k: Perm, c2: Sequence[Perm]
         yield a2, sa2s, a2_inv, target
 
 
-def _iter_for_a1(n: int, s: Perm, a1: Perm,
-                 stab: Optional[Sequence[Perm]] = None
+def _iter_for_a1(n: int, s: Perm, a1: Perm, stab: Sequence[Perm]
                  ) -> Iterator[Tuple[RawSolution, int]]:
     """Solutions below one fixed a1 that passes R2(a1), each with a
     weight.
 
-    Without stab this is the plain loop: every solution once, weight 1.
-    With stab the elements of C(s) n C(a1), the b1 level walks one
+    stab lists a subgroup of C(s) n C(a1): the b1 level walks one
     candidate per stab-orbit and the a2 level one per orbit of its
     subgroup fixing b1, and the weights sum to the count below a1.
+    Over the trivial group this is the plain loop: every solution once,
+    in order, with weight 1.
     """
     sa1s = perm.conjugate(a1, s)
     c1 = groups.centralizer_elements(sa1s, n)
-    for (b1, sb1s, k), w1 in _weighted(
+    for (b1, sb1s, k), w1 in _orbit_reps(
             stab, _b1_candidates(s, a1, sa1s, c1)):
         c2 = _intersect_next(c1, (sa1s,), sb1s)
         if not _transitive(n, (s, a1, b1), c2):          # a2, b2 in C2
             continue
-        stab2 = (None if stab is None
-                 else [h for h in stab if perm.commutes(h, b1)])
-        for (a2, sa2s, a2_inv, target), w2 in _weighted(
+        stab2 = [h for h in stab if perm.commutes(h, b1)]
+        for (a2, sa2s, a2_inv, target), w2 in _orbit_reps(
                 stab2, _a2_candidates(s, k, c2)):
             c3 = _intersect_next(c2, (sa1s, sb1s), sa2s)
             if not _transitive(n, (s, a1, b1, a2), c3):  # b2 in C3
@@ -391,54 +387,25 @@ def _split_ranges(total: int, pieces: int) -> List[Tuple[int, int]]:
     return bounds
 
 
-def _count_for_a1(n: int, s: Perm, a1: Perm, cent: Sequence[Perm]
-                  ) -> Tuple[int, int]:
-    """N(a1), the number of solutions below a1, and N(a1, b1=a1), those
-    with b1 = a1, from one orbit-factored walk; cent lists C(s).  b1 = a1
-    is fixed by H1, so its leaves carry their a2-level weight alone."""
-    stab = [h for h in cent if perm.commutes(h, a1)]
-    count = fixed = 0
-    for (_, _, b1, _), w in _iter_for_a1(n, s, a1, stab):
-        count += w
-        if b1 == a1:
-            fixed += w
-    return count, fixed
-
-
-def _count_unit_a1_b1(n: int, s: Perm, a2: Perm) -> int:
-    """M(a2), the number of solutions with a1 = b1 = () and this a2, which
-    must pass R2(a2): b2 runs over C(s a2 s) n C(a2), where the torus
-    relation reduces to b2 commuting with a2."""
-    e = perm.identity(n)
-    c = groups.centralizer_elements(perm.conjugate(a2, s), n)
-    return sum(1 for b2 in c
-               if perm.commutes(b2, a2)                     # torus relation
-               and perm.commutes(b2, perm.conjugate(b2, s))  # R2(b2)
-               and groups.is_transitive((s, e, a2, e, b2), n))
-
-
-def _count_share(n: int, s: Perm, r: Perm, cent: Sequence[Perm]) -> int:
+def _count_share(n: int, s: Perm, r: Perm, stab: Sequence[Perm]) -> int:
     """What one a1 representative r adds to a count, before its class-size
     weight: L(()) for r = (), else N(r) + N(r, b1=r) + M(r) + L(r), which
-    also carries r's share of the a1 = () subtree (module docstring).
-    L(r) tells whether ((), r, (), r) is a solution; every relation holds
-    there once r passes R2, so only transitivity is tested.  cent lists
-    C(s)."""
+    also carries r's share of the a1 = () subtree, read off the walk below
+    r (module docstring); stab lists C(s) n C(r).  L(()) tells whether
+    ((), (), (), ()) is a solution, which only transitivity decides."""
     e = perm.identity(n)
-    unit_leaf = int(groups.is_transitive((s, e, r, e, r), n))
     if r == e:
-        return unit_leaf
-    return (sum(_count_for_a1(n, s, r, cent)) + _count_unit_a1_b1(n, s, r)
-            + unit_leaf)
+        return int(groups.is_transitive((s, e, e, e, e), n))
+    return sum(w * (1 + (b1 == r)) * (1 + (a2 == b2 == e))
+               for (_, a2, b1, b2), w in _iter_for_a1(n, s, r, stab))
 
 
-def _classes_for_a1(n: int, s: Perm, a1: Perm, cent: Sequence[Perm]
+def _classes_for_a1(n: int, s: Perm, a1: Perm, stab: Sequence[Perm]
                     ) -> Tuple[int, List[Tuple[RawSolution, int]]]:
     """Number of solutions below a1, orbit-factored, and one (least
     member, orbit size) per orbit of H1 = C(s) n C(a1) on them, sorted;
-    cent lists C(s).  See the module docstring for why the factored
-    walk meets every orbit."""
-    stab = [h for h in cent if perm.commutes(h, a1)]
+    stab lists H1.  See the module docstring for why the factored walk
+    meets every orbit."""
     count = 0
     seen: set = set()
     classes = []
@@ -458,42 +425,52 @@ def _search_chunk(args: Tuple[int, Perm, List[Tuple[Perm, int]], str]
                   ) -> Tuple[int, Optional[list]]:
     """The solutions below a slice of (a1, weight) pairs.
 
-    mode "solutions" gives their number and the solutions, from the
-    plain loop (every weight is 1).  Otherwise each a1 stands for its
-    C(s)-class, weighted by the class size, and the search below it is
-    orbit-factored: "count" gives the number alone, with no
-    canonicalisation and the a1 = () subtree spread over the other
-    representatives (_count_share), and "classes" also the conjugacy
-    classes in order, each with its fixed-sigma size.
+    Each a1 stands for its orbit under the mode's group (_acting_group),
+    weighted by the orbit size, and the walk below it is factored by the
+    same group.  mode "solutions" gives the number and the solutions,
+    from the plain loop over the trivial group.  The others factor by
+    C(s): "count" gives the number alone, with no canonicalisation and
+    the a1 = () subtree spread over the other representatives
+    (_count_share), and "classes" also the conjugacy classes in order,
+    each with its fixed-sigma size.
     """
     n, s, pairs, mode = args
-    if mode == "solutions":
-        sols = [raw for a1, _ in pairs for raw, _ in _iter_for_a1(n, s, a1)]
-        return len(sols), sols
-    cent = groups.centralizer_elements(s, n)
+    group = _acting_group(n, s, mode)
     count = 0
-    found: List[Orbit] = []
+    found: list = []
     for a1, size in pairs:
-        if mode == "classes":
-            below, classes = _classes_for_a1(n, s, a1, cent)
+        stab = [h for h in group if perm.commutes(h, a1)]
+        if mode == "solutions":
+            sols = [raw for raw, _ in _iter_for_a1(n, s, a1, stab)]
+            below = len(sols)
+            found += sols
+        elif mode == "classes":
+            below, classes = _classes_for_a1(n, s, a1, stab)
             found += [Orbit(representative=Assignment(n, s, *key),
                             size=size * orbit) for key, orbit in classes]
         else:
-            below = _count_share(n, s, a1, cent)
+            below = _count_share(n, s, a1, stab)
         count += size * below
-    return count, found if mode == "classes" else None
+    return count, None if mode == "count" else found
 
 
-def _a1_slices(n: int, s: Perm, workers: int, factored: bool
+def _acting_group(n: int, s: Perm, mode: str) -> List[Perm]:
+    """The group a run of _search_chunk's mode factors its walk by: the
+    trivial group for "solutions", which yields every solution, else
+    C(s)."""
+    if mode == "solutions":
+        return [perm.identity(n)]
+    return groups.centralizer_elements(s, n)
+
+
+def _a1_slices(n: int, s: Perm, workers: int, group: Sequence[Perm]
                ) -> List[List[Tuple[Perm, int]]]:
     """The a1 candidates that pass the a1 transitivity prune, in
-    lexicographic order, each with its weight, cut into the slices of a
-    run: every candidate with weight 1, or with factored one per
-    C(s)-class with the class size."""
-    candidates = (a1 for a1 in _a1_candidates(n, s)
+    lexicographic order, one per orbit of group (a subgroup of C(s))
+    with the orbit size, cut into the slices of a run."""
+    candidates = ((a1,) for a1 in _a1_candidates(n, s)
                   if _a1_transitive(n, s, a1))
-    pairs = (_orbit_reps(groups.centralizer_elements(s, n), candidates)
-             if factored else [(a1, 1) for a1 in candidates])
+    pairs = [(a1, size) for (a1,), size in _orbit_reps(group, candidates)]
     return [pairs[lo:hi]
             for lo, hi in _split_ranges(len(pairs), max(workers * 8, 32))]
 
@@ -526,7 +503,7 @@ def _run_slices(n: int, s: Perm, mode: str, workers: int,
     all) are the same for every worker count.  Running out of memory
     becomes a RuntimeError with a one-line message."""
     jobs = [(n, s, pairs, mode) for pairs
-            in _a1_slices(n, s, workers, factored=mode != "solutions")]
+            in _a1_slices(n, s, workers, _acting_group(n, s, mode))]
     try:
         with contextlib.ExitStack() as stack:
             outputs: Iterable[tuple] = map(_search_chunk, jobs)

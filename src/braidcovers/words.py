@@ -36,9 +36,6 @@ class Gen(enum.Enum):
     B1 = "b1"
     B2 = "b2"
 
-    def __repr__(self) -> str:  # keeps relator dumps readable
-        return self.value
-
 
 Letter = Tuple[Gen, int]
 Word = Tuple[Letter, ...]
@@ -48,22 +45,10 @@ def inverted(word: Word) -> Word:
     return tuple((g, -e) for g, e in reversed(word))
 
 
-def word_str(word: Word) -> str:
-    if not word:
-        return "1"
-    parts = []
-    for g, e in word:
-        parts.append(g.value if e == 1 else f"{g.value}^{e}")
-    return " ".join(parts)
-
-
 @dataclasses.dataclass(frozen=True)
 class Relator:
     label: str
     word: Word
-
-    def __str__(self) -> str:
-        return f"{self.label}: {word_str(self.word)}"
 
 
 def _equation(label: str, lhs: Word, rhs: Word) -> Relator:

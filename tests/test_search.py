@@ -78,7 +78,8 @@ def test_pool_capped_at_slice_count(monkeypatch):
 
     monkeypatch.setattr(search, "ProcessPoolExecutor", InlinePool)
     s = perm.transposition(4, 1, 2)
-    jobs = len(search._a1_slices(4, s, 64, factored=True))
+    cent = groups.centralizer_elements(s, 4)
+    jobs = len(search._a1_slices(4, s, 64, cent))
     res = search.enumerate_fixed_sigma(4, workers=64)
     assert res.fixed_count == 480
     assert len(requested) == 1 and requested[0] <= jobs < 64
@@ -145,8 +146,9 @@ def test_oracle_agrees_small():
 
 
 def _a1_reps(n, s):
-    return search._orbit_reps(groups.centralizer_elements(s, n),
-                              itertools.permutations(range(n)))
+    items = ((x,) for x in itertools.permutations(range(n)))
+    return [(x, size) for (x,), size in search._orbit_reps(
+        groups.centralizer_elements(s, n), items)]
 
 
 def test_conj_class_reps_partition_sn():
@@ -180,11 +182,14 @@ def test_b1_orbits_partition_filtered_c1():
         if not perm.commutes(a1, sa1s):
             continue
         stab = [h for h in cent if perm.commutes(h, a1)]
-        cands = [b1 for b1, _, _ in search._b1_candidates(
-            s, a1, sa1s, groups.centralizer_elements(sa1s, n))]
-        reps = search._orbit_reps(stab, cands)
+        items = list(search._b1_candidates(
+            s, a1, sa1s, groups.centralizer_elements(sa1s, n)))
+        cands = [b1 for b1, _, _ in items]
+        reps = list(search._orbit_reps(stab, items))
         covered = set()
-        for rep, size in reps:
+        for item, size in reps:
+            rep = item[0]
+            assert item == items[cands.index(rep)]  # the whole item
             orbit = {perm.conjugate(rep, h) for h in stab}
             assert len(orbit) == size
             assert orbit <= set(cands)
@@ -195,6 +200,20 @@ def test_b1_orbits_partition_filtered_c1():
         assert sum(size for _, size in reps) == len(cands)
         checked += len(stab) > 1 and len(reps) < len(cands)
     assert checked  # some a1 had orbits of more than one candidate
+
+
+def test_orbit_reps_over_trivial_group_keep_every_item():
+    # over the trivial group the orbit helper is the plain loop: every
+    # item, in its own order, with weight 1
+    n = 4
+    s = perm.transposition(n, 1, 2)
+    a1 = perm.parse_cycles("(1,3)(2,4)", n)
+    sa1s = perm.conjugate(a1, s)
+    items = list(search._b1_candidates(
+        s, a1, sa1s, groups.centralizer_elements(sa1s, n)))
+    assert len(items) > 1
+    weighted = list(search._orbit_reps([perm.identity(n)], iter(items)))
+    assert weighted == [(item, 1) for item in items]
 
 
 def test_a1_candidates_are_the_r2_filter():
@@ -306,76 +325,91 @@ def test_classify_matches_plain_loop_n8():
     _assert_symmetry_closed(collected.solutions)
 
 
-def _per_a1_counts(n, sigma):
-    # (N(a1), N(a1, b1=a1)) from the factored walk and from the plain loop
-    cent = groups.centralizer_elements(sigma, n)
-    out = []
-    for a1, _ in search._orbit_reps(cent, search._a1_candidates(n, sigma)):
-        plain = [b1 for (_, _, b1, _), _ in search._iter_for_a1(n, sigma, a1)]
-        out.append((search._count_for_a1(n, sigma, a1, cent),
-                    (len(plain), plain.count(a1))))
-    return out
-
-
-def _unit_subtree_routes(n, s):
-    # the count below a1 = () by the Nielsen-move route, with its parts
-    # N((), ()) and the sum of |cls r| N(r, b1=r) over the r != ()
+def _count_reps(n, s):
+    # the a1 representatives of a count run, with their C(s)-class sizes
     cent = groups.centralizer_elements(s, n)
-    e = perm.identity(n)
-    reps = [pair for chunk in search._a1_slices(n, s, 1, factored=True)
+    return [pair for chunk in search._a1_slices(n, s, 1, cent)
             for pair in chunk]
-    assert reps[0] == (e, 1)
-    unit_leaf = sum(size * groups.is_transitive((s, e, r, e, r), n)
-                    for r, size in reps)
-    unit_b1 = unit_leaf + sum(size * search._count_unit_a1_b1(n, s, r)
-                              for r, size in reps[1:])
-    walks = [(r, size, search._count_for_a1(n, s, r, cent))
-             for r, size in reps[1:]]
-    fixed_b1 = sum(size * fixed for _, size, (_, fixed) in walks)
-    share = search._count_share(n, s, e, cent) + sum(
-        size * (search._count_share(n, s, r, cent) - below)
-        for r, size, (below, _) in walks)
-    return share, unit_b1, fixed_b1
 
 
-def _unit_subtree_plain(n, s):
-    # the same three numbers from the plain loop: every solution with
-    # a1 = (), those with b1 = () too, and those with a1 = b1 != ()
+def _stab(n, s, a1):
+    return [h for h in groups.centralizer_elements(s, n)
+            if perm.commutes(h, a1)]
+
+
+def _factored_terms(n, s, r):
+    # N(r), N(r, b1=r), M(r) and L(r) read off the factored walk below r:
+    # the weights of all its leaves, of those with b1 = r, of those with
+    # a2 = b2 = (), and of those with both
     e = perm.identity(n)
-    unit = [raw for raw, _ in search._iter_for_a1(n, s, e)]
-    fixed_b1 = sum(raw[2] == raw[0]
-                   for chunk in search._a1_slices(n, s, 1, factored=False)
-                   for a1, _ in chunk if a1 != e
-                   for raw, _ in search._iter_for_a1(n, s, a1))
-    return len(unit), sum(raw[2] == e for raw in unit), fixed_b1
+    terms = [0, 0, 0, 0]
+    for (_, a2, b1, b2), w in search._iter_for_a1(n, s, r, _stab(n, s, r)):
+        unit = a2 == b2 == e
+        for i, hit in enumerate((True, b1 == r, unit, b1 == r and unit)):
+            terms[i] += w * hit
+    return tuple(terms)
+
+
+def _plain_terms(n, s, r, unit):
+    # the same four numbers from the plain loop, M(r) and L(r) by their
+    # definitions: the solutions with a1 = b1 = () and a2 = r, and whether
+    # ((), r, (), r) is a solution; unit holds the plain solutions below
+    # a1 = ()
+    e = perm.identity(n)
+    below = [raw for raw, _ in search._iter_for_a1(n, s, r, [e])]
+    return (len(below), sum(raw[2] == r for raw in below),
+            sum(raw[1] == r and raw[2] == e for raw in unit),
+            int((e, r, e, r) in unit))
+
+
+def _unit_subtree_route(n, s):
+    # the count below a1 = () by the Nielsen move and the handle swap:
+    # each share less its N(r), weighted by the class size of r
+    e = perm.identity(n)
+    reps = _count_reps(n, s)
+    assert reps[0] == (e, 1)
+    route = search._count_share(n, s, e, _stab(n, s, e))
+    for r, size in reps[1:]:
+        route += size * (search._count_share(n, s, r, _stab(n, s, r))
+                         - _factored_terms(n, s, r)[0])
+    return route
 
 
 def test_factored_count_matches_plain_loop():
     # counting runs factor the a1, b1 and a2 levels by symmetry; collecting
-    # runs keep the plain loop; both must produce the same counts, in total
-    # and below every a1 representative
+    # runs walk over the trivial group; both must produce the same counts,
+    # in total and term by term below every a1 representative
     for n in range(2, 7):
         fast = search.enumerate_fixed_sigma(n)
         plain = search.enumerate_fixed_sigma(n, collect=True)
         assert fast.fixed_count == plain.fixed_count
         assert fast.total_count == plain.total_count
-    for factored, plain in _per_a1_counts(6, perm.transposition(6, 1, 2)):
-        assert factored == plain
     for i, j in ((1, 3), (2, 3)):
         sig = perm.transposition(4, i, j)
         fast = search.enumerate_fixed_sigma(4, sigma=sig)
         plain = search.enumerate_fixed_sigma(4, collect=True, sigma=sig)
         assert fast.fixed_count == plain.fixed_count == 480
-        for factored, plain_count in _per_a1_counts(4, sig):
-            assert factored == plain_count
-    # the a1 = () subtree by the Nielsen moves phi and phi', and its two
-    # parts, against the plain loop
+    # the four Nielsen terms of every r != () against the plain loop, M(r)
+    # and L(r) counted below a1 = (), and the a1 = () subtree they carry
     sigmas = [perm.transposition(n, 1, 2) for n in range(2, 8)]
     sigmas += [perm.transposition(4, 1, 3), perm.transposition(4, 2, 3)]
+    units = []
     for sig in sigmas:
         n = len(sig)
-        assert _unit_subtree_routes(n, sig) == _unit_subtree_plain(n, sig)
-    assert _unit_subtree_plain(4, sigmas[2]) == (112, 24, 88)
+        e = perm.identity(n)
+        unit = {raw for raw, _ in search._iter_for_a1(n, sig, e, [e])}
+        assert sum(w for _, w in search._iter_for_a1(
+            n, sig, e, _stab(n, sig, e))) == len(unit)  # N(()) factored
+        assert search._count_share(n, sig, e, _stab(n, sig, e)) \
+            == int((e, e, e, e) in unit)  # L(())
+        for r, _ in _count_reps(n, sig)[1:]:
+            terms = _plain_terms(n, sig, r, unit)
+            assert _factored_terms(n, sig, r) == terms
+            assert search._count_share(n, sig, r, _stab(n, sig, r)) \
+                == sum(terms)
+        units.append(len(unit))
+        assert _unit_subtree_route(n, sig) == len(unit)
+    assert units == [8, 26, 112, 0, 480, 0, 112, 112]
 
 
 @pytest.mark.long
@@ -384,12 +418,15 @@ def test_factored_n8_heavy_subtrees():
     n = 8
     s = perm.transposition(n, 1, 2)
     cent = groups.centralizer_elements(s, n)
+    trivial = [perm.identity(n)]
     for a1, expected in ((perm.identity(n), 17280),
                          (perm.transposition(n, 1, 2), 0)):
-        assert search._count_for_a1(n, s, a1, cent)[0] == expected
-        assert sum(1 for _ in search._iter_for_a1(n, s, a1)) == expected
-    # and the a1 = () count by the Nielsen-move route
-    assert _unit_subtree_routes(n, s)[0] == 17280
+        assert sum(w for _, w in search._iter_for_a1(n, s, a1, cent)) \
+            == expected
+        assert sum(1 for _ in search._iter_for_a1(n, s, a1, trivial)) \
+            == expected
+    # and the a1 = () count by the Nielsen move and the handle swap
+    assert _unit_subtree_route(n, s) == 17280
 
 
 _RESULT_FIELDS = ("n", "sigma", "fixed_count", "transpositions",

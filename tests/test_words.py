@@ -33,11 +33,6 @@ def test_inverted():
     assert prod == perm.identity(3)
 
 
-def test_word_str():
-    assert words.word_str(()) == "1"
-    assert words.word_str(((Gen.SIGMA, -1), (Gen.A1, 1))) == "sigma^-1 a1"
-
-
 def test_evaluate_left_to_right():
     asg = _assignment(3, perm.identity(3),
                       a1=perm.parse_cycles("(1,2)", 3),
