@@ -16,19 +16,18 @@ from .search import (EnumerationResult, Orbit, analyze, brute_force_oracle,
                      classify, enumerate_fixed_sigma, orbit_decomposition)
 from .surface import (ExistenceReport, SurfaceInvariants, existence_verdict,
                       invariants_for)
-from .words import (RELATOR_LABELS, RELATORS, Assignment, Gen,
-                    RelationReport, Relator, check_relations, evaluate,
+from .words import (RELATORS, Assignment, Gen, Relator, evaluate,
                     satisfies_all_relations)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Assignment", "EnumerationResult", "ExistenceReport",
-    "Gen", "GroupFingerprint", "Orbit", "RELATORS", "RELATOR_LABELS",
-    "RelationReport", "Relator", "SurfaceInvariants",
+    "Gen", "GroupFingerprint", "Orbit", "RELATORS", "Relator",
+    "SurfaceInvariants",
     "analyze", "brute_force_oracle", "centralizer_elements",
     "centralizer_order",
-    "check_relations", "classify", "closure", "compose", "conjugate",
+    "classify", "closure", "compose", "conjugate",
     "cycle_type",
     "enumerate_fixed_sigma", "evaluate",
     "existence_verdict", "fingerprint", "format_cycles", "identity",

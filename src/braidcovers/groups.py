@@ -40,7 +40,12 @@ def closure(generators: Sequence[Perm], n: int) -> FrozenSet[Perm]:
 
 
 def is_transitive(generators: Sequence[Perm], n: int) -> bool:
-    """True when the generated group has a single orbit on 1..n."""
+    """True when the generated group has a single orbit on 1..n.
+
+    The orbit of point 0 grows breadth first and the scan stops as soon
+    as it holds every point, so a long generator list is read in full
+    only when the answer is False.
+    """
     for g in generators:
         if len(g) != n:
             raise ValueError(f"generator of degree {len(g)}, expected {n}")
@@ -55,6 +60,8 @@ def is_transitive(generators: Sequence[Perm], n: int) -> bool:
                 if not reached >> y & 1:
                     reached |= 1 << y
                     size += 1
+                    if size == n:
+                        return True
                     nxt.append(y)
         frontier = nxt
     return size == n
@@ -151,9 +158,6 @@ class GroupFingerprint:
     abelian: bool
     order_histogram: Tuple[Tuple[int, int], ...]
     name: str
-
-    def histogram_dict(self) -> Dict[int, int]:
-        return dict(self.order_histogram)
 
     def to_json_dict(self) -> Dict[str, object]:
         return {

@@ -62,20 +62,6 @@ def commutes(p: Perm, q: Perm) -> bool:
     return True
 
 
-def power(p: Perm, k: int) -> Perm:
-    n = len(p)
-    if k < 0:
-        return power(inverse(p), -k)
-    out = identity(n)
-    base = p
-    while k:
-        if k & 1:
-            out = compose(out, base)
-        base = compose(base, base)
-        k >>= 1
-    return out
-
-
 def disjoint_cycles(p: Perm) -> list[Tuple[int, ...]]:
     """Cycles of p on 0-indexed points, fixed points included.
 

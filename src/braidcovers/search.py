@@ -33,18 +33,18 @@ necessary conditions:
   * the torus relation puts b2^-1 a2^-1 b2 = a2^-1 k^-1, conjugate
     elements share a cycle type, so a2^-1 and a2^-1 k^-1 must.
 
-Transitivity is tested exactly at the leaves, and also cut above them
-(_transitive).  Every later coordinate lies in the centralizer list of
-its level: b1, a2 and b2 in C1, a2 and b2 in C2, b2 in C3.  So the group
-a solution generates lies in <s, a1, C1>, and in <s, a1, b1, C2> and
-<s, a1, b1, a2, C3> below b1 and a2; if that group is not transitive,
-no solution below the prefix is, and its subtree is cut.  At the b1 and
-a2 levels the lists C2 and C3 are already built and are read until the
-points form one block.  At the a1 level no list is needed
-(_a1_transitive): an element of C(g) maps each cycle of g onto a cycle
-of the same length, and swapping two such cycles or rotating one
-centralizes g, so the point orbits of C(g) are exactly the unions of
-the cycles of g of equal length.
+Transitivity is tested exactly at the leaves, and also cut above them,
+each time by groups.is_transitive.  Every later coordinate lies in the
+centralizer list of its level: b1, a2 and b2 in C1, a2 and b2 in C2, b2
+in C3.  So the group a solution generates lies in <s, a1, C1>, and in
+<s, a1, b1, C2> and <s, a1, b1, a2, C3> below b1 and a2; if that group
+is not transitive, no solution below the prefix is, and its subtree is
+cut.  At the b1 and a2 levels the lists C2 and C3 are already built and
+are read until the orbit of a point holds every point.  At the a1 level
+no list is needed (_a1_transitive): an element of C(g) maps each cycle
+of g onto a cycle of the same length, and swapping two such cycles or
+rotating one centralizes g, so the point orbits of C(g) are exactly the
+unions of the cycles of g of equal length.
 
 Every run walks below each a1 with one walk (_iter_for_a1), factored
 by symmetry (orderly generation in the sense of McKay, "Isomorph-free
@@ -215,6 +215,11 @@ def _intersect_next(prev: Sequence[Perm], prev_conjs: Sequence[Perm],
     keep the members of the earlier centralizers (about |C| * len(prev_conjs)
     tests, |C| from the cycle type alone).  Picking the cheaper keeps
     near-identity prefixes, where |prev| is huge, from dominating.
+
+    The two routes list the same set in different orders, and the walk
+    takes C2 and C3 in list order, so the choice of route sets the order
+    in which solutions are streamed: changing the cost rule changes the
+    bytes `list` writes.
     """
     direct_size = groups.centralizer_order(new_conj)
     if direct_size * (len(prev_conjs) + 2) < len(prev):
@@ -222,30 +227,6 @@ def _intersect_next(prev: Sequence[Perm], prev_conjs: Sequence[Perm],
                                                        len(new_conj))
                 if all(perm.commutes(z, c) for c in prev_conjs)]
     return [z for z in prev if perm.commutes(z, new_conj)]
-
-
-def _transitive(n: int, gens: Sequence[Perm], group: Iterable[Perm]
-                ) -> bool:
-    """True when gens and the elements of group together generate a
-    transitive subgroup of S_n.
-
-    Points are joined to their images under each permutation, gens
-    first, and the scan stops as soon as one block remains, so a long
-    group list is read in full only when the answer is False.
-    """
-    label = list(range(n))
-    blocks = n
-    for p in itertools.chain(gens, group):
-        if [label[y] for y in p] == label:
-            continue
-        for x in range(n):
-            a, b = label[x], label[p[x]]
-            if a != b:
-                label = [a if i == b else i for i in label]
-                blocks -= 1
-                if blocks == 1:
-                    return True
-    return blocks == 1
 
 
 def _a1_transitive(n: int, s: Perm, a1: Perm) -> bool:
@@ -262,7 +243,7 @@ def _a1_transitive(n: int, s: Perm, a1: Perm) -> bool:
     for points in unions.values():
         for x, y in zip(points, points[1:] + points[:1]):
             u[x] = y
-    return _transitive(n, (s, a1), [u])
+    return groups.is_transitive((s, a1, u), n)
 
 
 def _orbit_reps(group: Sequence[Perm], items: Iterable[tuple]
@@ -352,13 +333,13 @@ def _iter_for_a1(n: int, s: Perm, a1: Perm, stab: Sequence[Perm]
     for (b1, sb1s, k), w1 in _orbit_reps(
             stab, _b1_candidates(s, a1, sa1s, c1)):
         c2 = _intersect_next(c1, (sa1s,), sb1s)
-        if not _transitive(n, (s, a1, b1), c2):          # a2, b2 in C2
+        if not groups.is_transitive((s, a1, b1, *c2), n):      # a2, b2 in C2
             continue
         stab2 = [h for h in stab if perm.commutes(h, b1)]
         for (a2, sa2s, a2_inv, target), w2 in _orbit_reps(
                 stab2, _a2_candidates(s, k, c2)):
             c3 = _intersect_next(c2, (sa1s, sb1s), sa2s)
-            if not _transitive(n, (s, a1, b1, a2), c3):  # b2 in C3
+            if not groups.is_transitive((s, a1, b1, a2, *c3), n):  # b2 in C3
                 continue
             for b2 in c3:
                 ok = True
@@ -373,18 +354,6 @@ def _iter_for_a1(n: int, s: Perm, a1: Perm, stab: Sequence[Perm]
                 raw = (a1, a2, b1, b2)
                 if groups.is_transitive((s,) + raw, n):
                     yield raw, w1 * w2
-
-
-def _split_ranges(total: int, pieces: int) -> List[Tuple[int, int]]:
-    pieces = max(1, min(pieces, total))
-    step, extra = divmod(total, pieces)
-    bounds = []
-    lo = 0
-    for i in range(pieces):
-        hi = lo + step + (1 if i < extra else 0)
-        bounds.append((lo, hi))
-        lo = hi
-    return bounds
 
 
 def _count_share(n: int, s: Perm, r: Perm, stab: Sequence[Perm]) -> int:
@@ -421,37 +390,30 @@ def _classes_for_a1(n: int, s: Perm, a1: Perm, stab: Sequence[Perm]
     return count, classes
 
 
-def _search_chunk(args: Tuple[int, Perm, List[Tuple[Perm, int]], str]
+def _search_chunk(args: Tuple[int, Perm, Perm, int, str]
                   ) -> Tuple[int, Optional[list]]:
-    """The solutions below a slice of (a1, weight) pairs.
+    """The solutions below one a1 representative, weighted by size.
 
-    Each a1 stands for its orbit under the mode's group (_acting_group),
-    weighted by the orbit size, and the walk below it is factored by the
-    same group.  mode "solutions" gives the number and the solutions,
-    from the plain loop over the trivial group.  The others factor by
-    C(s): "count" gives the number alone, with no canonicalisation and
-    the a1 = () subtree spread over the other representatives
-    (_count_share), and "classes" also the conjugacy classes in order,
-    each with its fixed-sigma size.
+    a1 stands for its orbit under the mode's group (_acting_group), of
+    that size, and the walk below it is factored by the same group.
+    mode "solutions" gives the number and the solutions, from the plain
+    loop over the trivial group, where every size is 1.  The others
+    factor by C(s): "count" gives the number alone, with no
+    canonicalisation and the a1 = () subtree spread over the other
+    representatives (_count_share), and "classes" also the conjugacy
+    classes in order, each with its fixed-sigma size.
     """
-    n, s, pairs, mode = args
-    group = _acting_group(n, s, mode)
-    count = 0
-    found: list = []
-    for a1, size in pairs:
-        stab = [h for h in group if perm.commutes(h, a1)]
-        if mode == "solutions":
-            sols = [raw for raw, _ in _iter_for_a1(n, s, a1, stab)]
-            below = len(sols)
-            found += sols
-        elif mode == "classes":
-            below, classes = _classes_for_a1(n, s, a1, stab)
-            found += [Orbit(representative=Assignment(n, s, *key),
-                            size=size * orbit) for key, orbit in classes]
-        else:
-            below = _count_share(n, s, a1, stab)
-        count += size * below
-    return count, None if mode == "count" else found
+    n, s, a1, size, mode = args
+    stab = [h for h in _acting_group(n, s, mode) if perm.commutes(h, a1)]
+    if mode == "solutions":
+        sols = [raw for raw, _ in _iter_for_a1(n, s, a1, stab)]
+        return len(sols), sols
+    if mode == "classes":
+        below, classes = _classes_for_a1(n, s, a1, stab)
+        return size * below, [Orbit(representative=Assignment(n, s, *key),
+                                    size=size * orbit)
+                              for key, orbit in classes]
+    return size * _count_share(n, s, a1, stab), None
 
 
 def _acting_group(n: int, s: Perm, mode: str) -> List[Perm]:
@@ -463,16 +425,14 @@ def _acting_group(n: int, s: Perm, mode: str) -> List[Perm]:
     return groups.centralizer_elements(s, n)
 
 
-def _a1_slices(n: int, s: Perm, workers: int, group: Sequence[Perm]
-               ) -> List[List[Tuple[Perm, int]]]:
-    """The a1 candidates that pass the a1 transitivity prune, in
-    lexicographic order, one per orbit of group (a subgroup of C(s))
-    with the orbit size, cut into the slices of a run."""
+def _a1_slices(n: int, s: Perm, group: Sequence[Perm]
+               ) -> List[Tuple[Perm, int]]:
+    """The slices of a run: the a1 candidates that pass the a1
+    transitivity prune, in lexicographic order, one per orbit of group
+    (a subgroup of C(s)) with the orbit size."""
     candidates = ((a1,) for a1 in _a1_candidates(n, s)
                   if _a1_transitive(n, s, a1))
-    pairs = [(a1, size) for (a1,), size in _orbit_reps(group, candidates)]
-    return [pairs[lo:hi]
-            for lo, hi in _split_ranges(len(pairs), max(workers * 8, 32))]
+    return [(a1, size) for (a1,), size in _orbit_reps(group, candidates)]
 
 
 def _drop_pending(futures: Collection[Future]) -> None:
@@ -497,13 +457,14 @@ def _default_signals() -> None:
 def _run_slices(n: int, s: Perm, mode: str, workers: int,
                 absorb: Callable[..., None],
                 progress: Optional[Callable[[int, int], None]]) -> None:
-    """_search_chunk in the given mode on every a1 slice, in this process
-    or in a pool of worker processes, with each output absorbed in job
-    order, so aggregation and the progress calls (slices done, slices in
-    all) are the same for every worker count.  Running out of memory
-    becomes a RuntimeError with a one-line message."""
-    jobs = [(n, s, pairs, mode) for pairs
-            in _a1_slices(n, s, workers, _acting_group(n, s, mode))]
+    """_search_chunk in the given mode on every a1 slice, one job each,
+    in this process or in a pool of at most workers processes, with each
+    output absorbed in job order, so aggregation and the progress calls
+    (slices done, slices in all) are the same for every worker count.
+    Running out of memory becomes a RuntimeError with a one-line
+    message."""
+    jobs = [(n, s, a1, size, mode) for a1, size
+            in _a1_slices(n, s, _acting_group(n, s, mode))]
     try:
         with contextlib.ExitStack() as stack:
             outputs: Iterable[tuple] = map(_search_chunk, jobs)
@@ -542,10 +503,11 @@ def enumerate_fixed_sigma(n: int, collect: bool = False, *,
     """Count (and with collect=True, return) all solutions with the given
     sigma image, default (1,2).
 
-    With workers > 1 the a1 range is split into slices searched by worker
-    processes.  Slices are absorbed in job order, so the result, the order
-    of the solutions handed to sink and the progress calls (slices done,
-    slices in all) are the same for every worker count.
+    Every a1 representative is one slice; with workers > 1 the slices
+    are searched by a pool of worker processes.  Slices are absorbed in
+    job order, so the result, the order of the solutions handed to sink
+    and the progress calls (slices done, slices in all) are the same for
+    every worker count.
     """
     _check_run(n, workers)
     s = _resolve_sigma(n, sigma)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import Dict, Tuple
+from typing import Tuple
 
 from . import perm
 from .perm import Perm
@@ -91,7 +91,6 @@ def _build_relators() -> Tuple[Relator, ...]:
 
 
 RELATORS: Tuple[Relator, ...] = _build_relators()
-RELATOR_LABELS: Tuple[str, ...] = tuple(r.label for r in RELATORS)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -114,9 +113,6 @@ class Assignment:
 
     def image(self, gen: Gen) -> Perm:
         return getattr(self, gen.value)
-
-    def images(self) -> Dict[Gen, Perm]:
-        return {g: self.image(g) for g in Gen}
 
     def sort_key(self) -> Tuple[int, ...]:
         return self.sigma + self.a1 + self.a2 + self.b1 + self.b2
@@ -151,32 +147,8 @@ def evaluate(word: Word, assignment: Assignment) -> Perm:
     return out
 
 
-@dataclasses.dataclass(frozen=True)
-class RelationReport:
-    results: Tuple[Tuple[str, bool], ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(ok for _, ok in self.results)
-
-    @property
-    def failing(self) -> Tuple[str, ...]:
-        return tuple(label for label, ok in self.results if not ok)
-
-    def __str__(self) -> str:
-        if self.passed:
-            return "all relations hold"
-        return "failing: " + ", ".join(self.failing)
-
-
-def check_relations(assignment: Assignment) -> RelationReport:
-    """Evaluate every relator; a representation passes all eleven."""
-    ident = perm.identity(assignment.n)
-    return RelationReport(tuple(
-        (r.label, evaluate(r.word, assignment) == ident) for r in RELATORS))
-
-
 def satisfies_all_relations(assignment: Assignment) -> bool:
-    """Like check_relations().passed but stops at the first failure."""
+    """True when every relator evaluates to the identity, so the
+    assignment is a representation; stops at the first failure."""
     ident = perm.identity(assignment.n)
     return all(evaluate(r.word, assignment) == ident for r in RELATORS)

@@ -25,6 +25,10 @@ n,fixed_count,transpositions,total,orbit_count,K2,chi,c2,image_names
 LIST_N6_SHA256 = (
     "a6729e30e4b8ff1cd3127659cfc7c4e3301f5861d64d0f25995b46bb8c655054")
 
+# sha256 of `list --n 8 --confirm-long` stdout, 172,800 lines
+LIST_N8_SHA256 = (
+    "6bb69d749dd20fce1d167ce878fe464af4f773b366b75e915be86864a537af19")
+
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
@@ -247,6 +251,34 @@ def test_list_parallel_matches_stream(tmp_path, capsys):
         _, pooled, _ = run(capsys, "list", "--n", n, "--workers", "2")
         assert streamed == pooled
     assert hashlib.sha256(streamed.encode()).hexdigest() == LIST_N6_SHA256
+
+
+@pytest.mark.long
+def test_list_n8_digest(tmp_path):
+    # the order list streams at degree 8 follows the order of the C2 and
+    # C3 lists (search._intersect_next), which the n=6 digest does not
+    # pin; one slice, and one progress line, per a1 representative
+    import pathlib
+    import subprocess
+
+    import braidcovers
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(pathlib.Path(braidcovers.__file__).parents[1])
+    digest = hashlib.sha256()
+    with open(tmp_path / "err", "w+b") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "braidcovers.cli", "list", "--n", "8",
+             "--confirm-long", "--workers", "2"],
+            env=env, stdout=subprocess.PIPE, stderr=err)
+        for chunk in iter(lambda: proc.stdout.read(1 << 16), b""):
+            digest.update(chunk)
+        assert proc.wait() == 0
+        err.seek(0)
+        progress = err.read().decode().splitlines()
+    assert digest.hexdigest() == LIST_N8_SHA256
+    assert progress == [f"n=8: slice {i}/286 searched"
+                        for i in range(1, 287)]
 
 
 def test_oracle_match(capsys):

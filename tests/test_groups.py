@@ -53,6 +53,62 @@ def test_is_transitive():
         [perm.parse_cycles("(1,2)(3,4)", 4)], 4)
     assert groups.is_transitive([], 1)
     assert not groups.is_transitive([], 2)
+    with pytest.raises(ValueError):
+        groups.is_transitive([perm.identity(3), perm.identity(4)], 3)
+
+
+def _closure_transitive(gens, n):
+    # the points the generated group, listed element by element, moves 0
+    # to; repeats and the identity do not change the group
+    return len({g[0] for g in groups.closure(sorted(set(gens)), n)}) == n
+
+
+def _with_identities(rng, gens, n):
+    gens = gens + [perm.identity(n)] * rng.randint(0, 5)
+    rng.shuffle(gens)
+    return gens
+
+
+def test_is_transitive_matches_closure_orbit(rng):
+    verdicts = {"short": set(), "long": set(), "last joins": set()}
+
+    def check(family, gens, n):
+        verdict = groups.is_transitive(gens, n)
+        assert verdict == _closure_transitive(gens, n), (n, gens)
+        verdicts[family].add(verdict)
+
+    # a few random generators
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        check("short", [random_perm(rng, n)
+                        for _ in range(rng.randint(0, 3))], n)
+    # long lists drawn from a small centralizer, with repeats and
+    # identities: transitive only when the cycles of g can be joined
+    for _ in range(100):
+        n = rng.randint(2, 8)
+        g = random_perm(rng, n)
+        while groups.centralizer_order(g) > 1000:
+            g = random_perm(rng, n)
+        cent = groups.centralizer_elements(g, n)
+        gens = [rng.choice(cent) for _ in range(rng.randint(10, 40))]
+        check("long", _with_identities(rng, gens, n), n)
+    # every generator but the last fixes the final point: powers of a
+    # cycle through the other points, and last a transposition onto it
+    # or another power
+    for n in [rng.randint(2, 7) for _ in range(40)] + [8]:
+        points = list(range(n - 1))
+        rng.shuffle(points)
+        c = list(range(n))
+        for x, y in zip(points, points[1:] + points[:1]):
+            c[x] = y
+        powers = [perm.identity(n)]
+        while len(powers) < n - 1:
+            powers.append(perm.compose(powers[-1], tuple(c)))
+        gens = [rng.choice(powers) for _ in range(rng.randint(1, 30))]
+        last = (perm.transposition(n, rng.randint(1, n - 1), n)
+                if rng.random() < 0.7 else rng.choice(powers))
+        check("last joins", _with_identities(rng, gens, n) + [last], n)
+    assert all(v == {True, False} for v in verdicts.values()), verdicts
 
 
 def test_centralizer_order_formula():
@@ -99,7 +155,7 @@ def test_fingerprint_names():
     s3 = groups.fingerprint([perm.parse_cycles("(1,2)", n3),
                              perm.parse_cycles("(1,2,3)", n3)], n3)
     assert (s3.order, s3.name, s3.transitive, s3.abelian) == (6, "S3", True, False)
-    assert s3.histogram_dict() == {1: 1, 2: 3, 3: 2}
+    assert dict(s3.order_histogram) == {1: 1, 2: 3, 3: 2}
 
     c2 = groups.fingerprint([perm.parse_cycles("(1,2)", 2)], 2)
     assert (c2.order, c2.name, c2.transitive, c2.abelian) == (2, "C2", True, True)
@@ -107,7 +163,7 @@ def test_fingerprint_names():
     d8 = groups.fingerprint([perm.parse_cycles("(1,2,3,4)", 4),
                              perm.parse_cycles("(1,3)", 4)], 4)
     assert (d8.order, d8.name) == (8, "D8")
-    assert d8.histogram_dict() == {1: 1, 2: 5, 4: 2}
+    assert dict(d8.order_histogram) == {1: 1, 2: 5, 4: 2}
 
     klein = groups.fingerprint([perm.parse_cycles("(1,2)(3,4)", 4),
                                 perm.parse_cycles("(1,3)(2,4)", 4)], 4)

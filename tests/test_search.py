@@ -30,7 +30,7 @@ def test_collected_solutions_are_consistent(n4_result):
     assert len(_keys(n4_result)) == 480
     for sol in n4_result.solutions[:50]:
         assert sol.sigma == perm.transposition(4, 1, 2)
-        assert words.check_relations(sol).passed
+        assert words.satisfies_all_relations(sol)
         assert groups.is_transitive(
             (sol.sigma, sol.a1, sol.a2, sol.b1, sol.b2), 4)
 
@@ -57,9 +57,11 @@ def test_parallel_matches_single(n6_result):
 
 
 def test_pool_capped_at_slice_count(monkeypatch):
-    # the pool asks for no more worker processes than there are slices;
-    # an in-process stand-in records the request, so none is started
+    # every a1 representative is one pool job, and the pool asks for no
+    # more worker processes than there are jobs; an in-process stand-in
+    # records the request and the jobs, so no process is started
     requested = []
+    submitted = []
 
     class InlinePool:
         def __init__(self, max_workers, initializer=None):
@@ -72,17 +74,18 @@ def test_pool_capped_at_slice_count(monkeypatch):
             return False
 
         def submit(self, fn, *args):
+            submitted.append(args)
             future = concurrent.futures.Future()
             future.set_result(fn(*args))
             return future
 
     monkeypatch.setattr(search, "ProcessPoolExecutor", InlinePool)
     s = perm.transposition(4, 1, 2)
-    cent = groups.centralizer_elements(s, 4)
-    jobs = len(search._a1_slices(4, s, 64, cent))
+    reps = search._a1_slices(4, s, groups.centralizer_elements(s, 4))
     res = search.enumerate_fixed_sigma(4, workers=64)
     assert res.fixed_count == 480
-    assert len(requested) == 1 and requested[0] <= jobs < 64
+    assert [(a1, size) for (_, _, a1, size, _), in submitted] == reps
+    assert requested == [len(reps)] and 1 < len(reps) < 64
 
 
 def test_sink_streams_same_solutions(n3_result):
@@ -219,7 +222,7 @@ def test_orbit_reps_over_trivial_group_keep_every_item():
 def test_a1_candidates_are_the_r2_filter():
     # the pruned a1 list is S_n filtered by R2(a1) from the relator word
     # itself, in lexicographic order
-    r2 = words.RELATORS[words.RELATOR_LABELS.index("R2_a1")].word
+    r2 = next(r.word for r in words.RELATORS if r.label == "R2_a1")
     for n in range(2, 8):
         s = perm.transposition(n, 1, 2)
         e = perm.identity(n)
@@ -233,11 +236,16 @@ def _s_conj(p, s):
     return perm.compose(perm.compose(s, p), s)
 
 
-def _reference_transitive(n, s, prefix, c1):
-    # <s, prefix, C>, with C the elements of c1 = C(s a1 s) that commute
-    # with s x s for every later x in the prefix, all of them listed
+def _level_list(s, prefix, c1):
+    # the elements of c1 = C(s a1 s) that commute with s x s for every
+    # later x in the prefix: C2 below (a1, b1), C3 below (a1, b1, a2)
     later = [_s_conj(x, s) for x in prefix[1:]]
-    group = [z for z in c1 if all(perm.commutes(z, y) for y in later)]
+    return [z for z in c1 if all(perm.commutes(z, y) for y in later)]
+
+
+def _reference_transitive(n, s, prefix, group):
+    # <s, prefix, group>, with group the centralizer list of the prefix's
+    # level listed in full: C1 below a1, then C2 and C3
     return groups.is_transitive([s, *prefix] + group, n)
 
 
@@ -259,33 +267,58 @@ def test_a1_prune_matches_reference():
     assert verdicts == {True, False}
 
 
+def _same_list(tail, expected):
+    return len(tail) == len(expected) and set(tail) == set(expected)
+
+
 def test_prune_verdicts_match_reference(monkeypatch):
-    # every transitivity verdict the plain loop takes at n=6, at the a1, b1
-    # and a2 levels, equals the reference built from explicit lists
+    # every transitivity test the plain loop makes at n=6 goes through
+    # groups.is_transitive: at the a1 level (s, a1, u), at the b1 level
+    # (s, a1, b1) and all of C2, at the a2 level (s, a1, b1, a2) and all of
+    # C3, and at the leaves (s, a1, a2, b1, b2) of relation-satisfying
+    # tuples; each prune verdict equals the reference from explicit lists
     n = 6
     s = perm.transposition(n, 1, 2)
-    real = search._transitive
+    real = groups.is_transitive
     calls = []
 
-    def spy(n, gens, group):
-        verdict = real(n, gens, group)
+    def spy(gens, degree):
+        verdict = real(gens, degree)
         calls.append((tuple(gens), verdict))
         return verdict
 
-    monkeypatch.setattr(search, "_transitive", spy)
-    res = search.enumerate_fixed_sigma(n, collect=True)
-    c1 = {}
+    with monkeypatch.context() as patched:
+        patched.setattr(groups, "is_transitive", spy)
+        res = search.enumerate_fixed_sigma(n, collect=True)
+    assert res.fixed_count == 2880
+    lists = {}
+
+    def level(prefix):
+        # C1, C2 or C3 below the prefix, each listed once
+        if prefix not in lists:
+            lists[prefix] = (_c1(n, s, prefix[0]) if len(prefix) == 1 else
+                             _level_list(s, prefix, level(prefix[:1])))
+        return lists[prefix]
+
     seen = set()
     for gens, verdict in calls:
         assert gens[0] == s
-        a1 = gens[1]
-        if a1 not in c1:
-            c1[a1] = _c1(n, s, a1)
-        assert verdict == _reference_transitive(n, s, gens[1:], c1[a1]), gens
-        seen.add((len(gens), verdict))
-    # both verdicts occur at the b1 (s, a1, b1) and a2 (s, a1, b1, a2) levels
-    assert {(3, True), (3, False), (4, True), (4, False)} <= seen
-    assert res.fixed_count == 2880
+        if len(gens) == 3:  # the a1 prune, C1 by a cycle-union stand-in
+            prefix = gens[1:2]
+        elif _same_list(gens[3:], level(gens[1:3])):
+            prefix = gens[1:3]
+        elif _same_list(gens[4:], level(gens[1:4])):
+            prefix = gens[1:4]
+        else:  # a leaf: every relation holds and only transitivity is left
+            assert len(gens) == 5, gens
+            assert words.satisfies_all_relations(
+                words.Assignment(n, *gens)), gens
+            continue
+        assert verdict == _reference_transitive(
+            n, s, prefix, level(prefix)), gens
+        seen.add((len(prefix), verdict))
+    # both verdicts occur at the a1, b1 and a2 levels
+    assert seen == {(k, v) for k in (1, 2, 3) for v in (True, False)}
 
 
 def _symmetry_images(key):
@@ -327,9 +360,7 @@ def test_classify_matches_plain_loop_n8():
 
 def _count_reps(n, s):
     # the a1 representatives of a count run, with their C(s)-class sizes
-    cent = groups.centralizer_elements(s, n)
-    return [pair for chunk in search._a1_slices(n, s, 1, cent)
-            for pair in chunk]
+    return search._a1_slices(n, s, groups.centralizer_elements(s, n))
 
 
 def _stab(n, s, a1):
