@@ -95,7 +95,8 @@ def order_of(p: Perm) -> int:
 
 
 def is_transposition(p: Perm) -> bool:
-    return sum(1 for i, x in enumerate(p) if x != i) == 2
+    return (sorted(p) == list(range(len(p)))
+            and sum(1 for i, x in enumerate(p) if x != i) == 2)
 
 
 def transposition(n: int, i: int, j: int) -> Perm:

@@ -18,11 +18,11 @@ centralizer conditions:
 
 so the six R3/R4 relations say exactly: b1 in C(s a1 s), a2 and b2 in
 C(s a1 s) n C(s b1 s), and b2 in C(s a2 s).  The nested loops below run
-a1 over the elements of S_n that pass R2, b1 over C1 = C(s a1 s), a2
-over C2 = C1 n C(s b1 s), b2 over C3 = C2 n C(s a2 s), and check R2,
-the torus relation and transitivity explicitly, which is therefore the
-full solution set.  Three skips, the a1 one among them, are sound
-necessary conditions:
+a1 over the elements of S_n that pass R2 (listed from their marked cycle
+types, see below), b1 over C1 = C(s a1 s), a2 over C2 = C1 n C(s b1 s),
+b2 over C3 = C2 n C(s a2 s), and check R2, the torus relation and
+transitivity explicitly, which is therefore the full solution set.
+Three skips, the a1 one among them, are sound necessary conditions:
 
   * R2(x) involves only x and s, so a failing x dooms its whole subtree;
   * a2 and b2 both lie in the subgroup C2 (for a2 this is membership,
@@ -61,14 +61,23 @@ coordinatewise by any h in H
     to candidates that pass it, and solutions to solutions.
 Hence the number of solutions below (prefix, x) is constant on each
 H-orbit of the candidates x.  The walk visits one candidate per orbit
-and multiplies by the orbit size (_orbit_reps), at the a1 level over the
-elements of S_n that pass R2(a1) and the a1 transitivity prune, at the
-b1 level over C1 after the R2(b1) and k in C2 prunes, and at the a2
-level over C2 after the R2(a2), k in C3 and cycle-type prunes.  Counts
-and classes take H0 = C(s).  Collecting and streaming runs take the
-trivial group, whose orbits are single candidates in their own order:
-the plain loop is the walk over the trivial group, so the produced
-solution order never depends on the counting strategy.
+and multiplies by the orbit size (_orbit_reps), at the b1 level over C1
+after the R2(b1) and k in C2 prunes, and at the a2 level over C2 after
+the R2(a2), k in C3 and cycle-type prunes.  Counts and classes take
+H0 = C(s).  Collecting and streaming runs take the trivial group, whose
+orbits are single candidates in their own order: the plain loop is the
+walk over the trivial group, so the produced solution order never
+depends on the counting strategy.
+
+The a1 level scans no S_n (_a1_slices).  With p and q the points s
+moves, C(s) = <s> x Sym(the other points), so two permutations are
+conjugate under C(s) exactly when they share a marked cycle type: the
+cycle type off p and q, plus (L, d) when p and q share an L-cycle with
+q = x^d(p), d and L - d being one type as s swaps them, or the unordered
+(l1, l2) when they lie in cycles of those lengths.  R2(a1) and the a1
+prune are C(s)-invariant, so each type is tested once (_marked_types)
+and only the orbits that pass are built: counts and classes take the
+least member and size of each, collecting and streaming runs every one.
 
 Counting skips the a1 = () subtree, the only one whose C1 is all of
 S_n, by moves of the mapping-class-group action on the presentation
@@ -110,7 +119,7 @@ a1 list, so slices and progress do not change.
 The conjugacy classes of the fixed-sigma solutions (orbits of C(s)
 acting by coordinatewise conjugation) come from the same factored walk
 (classify).  Every class has members whose a1 is the least element of
-a1's C(s)-class, which is the representative _orbit_reps picks; those
+a1's C(s)-class, which is the representative _a1_slices picks; those
 members form one H1-orbit, since two of them differ by an element of
 C(s) fixing a1.  Below that a1 the walk visits at least one member of
 every H1-orbit of solutions: conjugating by H1 brings any solution's b1
@@ -239,17 +248,23 @@ def _a1_transitive(n: int, s: Perm, a1: Perm) -> bool:
     unions: Dict[int, List[int]] = {}
     for c in perm.disjoint_cycles(perm.conjugate(a1, s)):
         unions.setdefault(len(c), []).extend(c)
-    u = list(range(n))
-    for points in unions.values():
-        for x, y in zip(points, points[1:] + points[:1]):
-            u[x] = y
-    return groups.is_transitive((s, a1, u), n)
+    return groups.is_transitive((s, a1, _cycles_perm(n, unions.values())), n)
+
+
+def _cycles_perm(n: int, cycles: Iterable[Sequence[int]]) -> Perm:
+    """The permutation of 0..n-1 with the given disjoint cycles."""
+    image = list(range(n))
+    for cycle in cycles:
+        for x, y in zip(cycle, cycle[1:] + cycle[:1]):
+            image[x] = y
+    return tuple(image)
 
 
 def _orbit_reps(group: Sequence[Perm], items: Iterable[tuple]
                 ) -> Iterable[Tuple[tuple, int]]:
     """One (item, orbit size) per orbit of group, acting by conjugation,
-    on the candidate items, each a tuple led by its permutation.
+    on the candidate items, each a tuple led by its permutation; the b1
+    and a2 levels of the walk use it.
 
     group lists every element of the acting group and the permutations
     must be a union of its orbits.  An orbit is represented by its first
@@ -270,13 +285,6 @@ def _orbit_reps(group: Sequence[Perm], items: Iterable[tuple]
         seen |= orbit
         reps.append((item, len(orbit)))
     return reps
-
-
-def _a1_candidates(n: int, s: Perm) -> Iterator[Perm]:
-    """Every a1 in S_n that passes R2(a1), in lexicographic order."""
-    for a1 in itertools.permutations(range(n)):
-        if perm.commutes(a1, perm.conjugate(a1, s)):       # R2(a1)
-            yield a1
 
 
 def _b1_candidates(s: Perm, a1: Perm, sa1s: Perm, c1: Sequence[Perm]
@@ -390,21 +398,20 @@ def _classes_for_a1(n: int, s: Perm, a1: Perm, stab: Sequence[Perm]
     return count, classes
 
 
-def _search_chunk(args: Tuple[int, Perm, Perm, int, str]
+def _search_chunk(args: Tuple[int, Perm, Perm, int, str, Sequence[Perm]]
                   ) -> Tuple[int, Optional[list]]:
     """The solutions below one a1 representative, weighted by size.
 
-    a1 stands for its orbit under the mode's group (_acting_group), of
-    that size, and the walk below it is factored by the same group.
+    a1 stands for an orbit of that size, and the walk below it is
+    factored by stab, the part of the orbit's group fixing a1 (_jobs).
     mode "solutions" gives the number and the solutions, from the plain
     loop over the trivial group, where every size is 1.  The others
-    factor by C(s): "count" gives the number alone, with no
+    factor by C(s) n C(a1): "count" gives the number alone, with no
     canonicalisation and the a1 = () subtree spread over the other
     representatives (_count_share), and "classes" also the conjugacy
     classes in order, each with its fixed-sigma size.
     """
-    n, s, a1, size, mode = args
-    stab = [h for h in _acting_group(n, s, mode) if perm.commutes(h, a1)]
+    n, s, a1, size, mode, stab = args
     if mode == "solutions":
         sols = [raw for raw, _ in _iter_for_a1(n, s, a1, stab)]
         return len(sols), sols
@@ -416,23 +423,65 @@ def _search_chunk(args: Tuple[int, Perm, Perm, int, str]
     return size * _count_share(n, s, a1, stab), None
 
 
-def _acting_group(n: int, s: Perm, mode: str) -> List[Perm]:
-    """The group a run of _search_chunk's mode factors its walk by: the
-    trivial group for "solutions", which yields every solution, else
-    C(s)."""
-    if mode == "solutions":
-        return [perm.identity(n)]
-    return groups.centralizer_elements(s, n)
+def _partitions(m: int, most: int) -> Iterator[Tuple[int, ...]]:
+    """The partitions of m into parts of at most most, parts descending."""
+    if m == 0:
+        yield ()
+    for part in range(min(m, most), 0, -1):
+        for rest in _partitions(m - part, part):
+            yield (part,) + rest
 
 
-def _a1_slices(n: int, s: Perm, group: Sequence[Perm]
+def _marked_types(n: int, s: Perm) -> Iterator[Perm]:
+    """One permutation of each marked cycle type, so one in each C(s)-orbit
+    of S_n (module docstring).  With p < q the points s moves, its cycles,
+    read in turn, run through p, j - 1 points s fixes, q and the other
+    points s fixes: q is j steps after p in one cycle, or heads the cycle
+    after p's, of length j."""
+    p, q = (x for x in range(n) if s[x] != x)
+    others = [x for x in range(n) if s[x] == x]
+    heads = [(d, (big,)) for big in range(2, n + 1)
+             for d in range(1, big // 2 + 1)]
+    heads += [(l1, (l1, l2)) for l1 in range(1, n)
+              for l2 in range(l1, n - l1 + 1)]
+    for j, head in heads:
+        points = [p, *others[:j - 1], q, *others[j - 1:]]
+        for tail in _partitions(n - sum(head), n):
+            lengths = head + tail
+            yield _cycles_perm(n, [points[end - length:end] for end, length
+                                   in zip(itertools.accumulate(lengths),
+                                          lengths)])
+
+
+def _a1_slices(n: int, s: Perm, cent: Sequence[Perm], mode: str
                ) -> List[Tuple[Perm, int]]:
-    """The slices of a run: the a1 candidates that pass the a1
-    transitivity prune, in lexicographic order, one per orbit of group
-    (a subgroup of C(s)) with the orbit size."""
-    candidates = ((a1,) for a1 in _a1_candidates(n, s)
-                  if _a1_transitive(n, s, a1))
-    return [(a1, size) for (a1,), size in _orbit_reps(group, candidates)]
+    """The slices of a run in lexicographic order: for "solutions" every
+    a1 that passes R2(a1) and the a1 transitivity prune, with size 1,
+    else the least member and size of each C(s)-orbit of them; cent lists
+    C(s).  Both tests are C(s)-invariant, so they are made once per
+    marked cycle type and only the orbits that pass are built."""
+    slices = []
+    for a1 in _marked_types(n, s):
+        if not (perm.commutes(a1, perm.conjugate(a1, s))   # R2(a1)
+                and _a1_transitive(n, s, a1)):
+            continue
+        orbit = {perm.conjugate(a1, h) for h in cent}
+        if mode == "solutions":
+            slices += ((x, 1) for x in orbit)
+        else:
+            slices.append((min(orbit), len(orbit)))
+    return sorted(slices)
+
+
+def _jobs(n: int, s: Perm, mode: str) -> List[tuple]:
+    """The _search_chunk jobs of a run, one per a1 slice, in order.  C(s)
+    is built once, here; each job carries the group its walk is factored
+    by: the trivial group for "solutions", else C(s) n C(a1)."""
+    cent = groups.centralizer_elements(s, n)
+    return [(n, s, a1, size, mode,
+             [perm.identity(n)] if mode == "solutions"
+             else [h for h in cent if perm.commutes(h, a1)])
+            for a1, size in _a1_slices(n, s, cent, mode)]
 
 
 def _drop_pending(futures: Collection[Future]) -> None:
@@ -463,8 +512,7 @@ def _run_slices(n: int, s: Perm, mode: str, workers: int,
     (slices done, slices in all) are the same for every worker count.
     Running out of memory becomes a RuntimeError with a one-line
     message."""
-    jobs = [(n, s, a1, size, mode) for a1, size
-            in _a1_slices(n, s, _acting_group(n, s, mode))]
+    jobs = _jobs(n, s, mode)
     try:
         with contextlib.ExitStack() as stack:
             outputs: Iterable[tuple] = map(_search_chunk, jobs)

@@ -87,6 +87,8 @@ def test_is_transposition():
     assert not perm.is_transposition(perm.identity(4))
     assert not perm.is_transposition(perm.parse_cycles("(1,2)(3,4)", 4))
     assert not perm.is_transposition(perm.parse_cycles("(1,2,3)", 4))
+    # moves two points but is not a permutation
+    assert not perm.is_transposition((1, 2, 2))
 
 
 def test_transposition_constructor():

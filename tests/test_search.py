@@ -1,4 +1,5 @@
 import concurrent.futures
+import functools
 import itertools
 import math
 import os
@@ -81,11 +82,14 @@ def test_pool_capped_at_slice_count(monkeypatch):
 
     monkeypatch.setattr(search, "ProcessPoolExecutor", InlinePool)
     s = perm.transposition(4, 1, 2)
-    reps = search._a1_slices(4, s, groups.centralizer_elements(s, 4))
+    reps = search._a1_slices(4, s, groups.centralizer_elements(s, 4), "count")
     res = search.enumerate_fixed_sigma(4, workers=64)
     assert res.fixed_count == 480
-    assert [(a1, size) for (_, _, a1, size, _), in submitted] == reps
+    assert [(a1, size) for (_, _, a1, size, _, _), in submitted] == reps
     assert requested == [len(reps)] and 1 < len(reps) < 64
+    # each job carries the stabilizer its walk is factored by
+    for (_, _, a1, _, _, stab), in submitted:
+        assert sorted(stab) == _stab(4, s, a1)
 
 
 def test_sink_streams_same_solutions(n3_result):
@@ -130,6 +134,8 @@ def test_sigma_validation():
         search.enumerate_fixed_sigma(3, sigma=perm.parse_cycles("(1,2,3)", 3))
     with pytest.raises(ValueError):
         search.enumerate_fixed_sigma(3, sigma=perm.transposition(4, 1, 2))
+    with pytest.raises(ValueError):  # moves two points, not a permutation
+        search.enumerate_fixed_sigma(3, sigma=(1, 2, 2))
     with pytest.raises(ValueError):
         search.enumerate_fixed_sigma(1)
     with pytest.raises(ValueError):
@@ -148,28 +154,56 @@ def test_oracle_agrees_small():
         search.brute_force_oracle(5)
 
 
-def _a1_reps(n, s):
-    items = ((x,) for x in itertools.permutations(range(n)))
-    return [(x, size) for (x,), size in search._orbit_reps(
-        groups.centralizer_elements(s, n), items)]
+def _brute_centralizer(n, s):
+    return [h for h in itertools.permutations(range(n))
+            if perm.commutes(h, s)]
+
+
+def _brute_orbits(items, cent):
+    # (least member, size) of every orbit of cent, acting by conjugation,
+    # that meets items, sorted
+    seen = set()
+    orbits = []
+    for x in items:
+        if x not in seen:
+            orbit = {perm.conjugate(x, h) for h in cent}
+            seen |= orbit
+            orbits.append((min(orbit), len(orbit)))
+    return sorted(orbits)
 
 
 def test_conj_class_reps_partition_sn():
-    # the orbit helper at the a1 level: orbit sizes sum to n!,
-    # representatives are lex-least and distinct, and the orbit count
-    # matches Burnside's lemma computed from scratch
-    for n in (2, 3, 4, 5):
-        s = perm.transposition(n, 1, 2)
-        reps = _a1_reps(n, s)
-        assert sum(size for _, size in reps) == math.factorial(n)
-        assert len({rep for rep, _ in reps}) == len(reps)
-        cent = groups.centralizer_elements(s, n)
-        for rep, _ in reps[:20]:
-            assert all(rep <= perm.conjugate(rep, h) for h in cent)
+    # one marked cycle type per orbit of C(s) on S_n: the orbits of the
+    # built elements are disjoint and cover S_n, and their number matches
+    # Burnside's lemma computed from scratch
+    for n, s in [(n, perm.transposition(n, 1, 2)) for n in range(2, 7)] + [
+            (5, perm.transposition(5, 2, 4)), (6, perm.transposition(6, 3, 6))]:
+        cent = _brute_centralizer(n, s)
+        types = list(search._marked_types(n, s))
+        orbits = _brute_orbits(types, cent)
+        assert len(orbits) == len(types)
+        assert sum(size for _, size in orbits) == math.factorial(n)
+        assert orbits == _brute_orbits(itertools.permutations(range(n)), cent)
         fixed = sum(
             1 for h in cent for x in itertools.permutations(range(n))
             if perm.conjugate(x, h) == x)
-        assert len(reps) * len(cent) == fixed
+        assert len(types) * len(cent) == fixed
+
+
+def test_marked_types_match_cauchy_frobenius():
+    # the number of marked cycle types is the number of C(s)-orbits on
+    # S_n: (1/|C(s)|) sum over h in C(s) of |C(h)|
+    counts = []
+    for n in range(2, 10):
+        s = perm.transposition(n, 1, 2)
+        cent = groups.centralizer_elements(s, n)
+        orbits, rest = divmod(
+            sum(groups.centralizer_order(h) for h in cent), len(cent))
+        assert rest == 0
+        types = list(search._marked_types(n, s))
+        assert len(types) == len(set(types)) == orbits
+        counts.append(orbits)
+    assert counts == [2, 4, 10, 18, 34, 56, 94, 146]
 
 
 def test_b1_orbits_partition_filtered_c1():
@@ -180,7 +214,7 @@ def test_b1_orbits_partition_filtered_c1():
     s = perm.transposition(n, 1, 2)
     cent = groups.centralizer_elements(s, n)
     checked = 0
-    for a1, _ in _a1_reps(n, s):
+    for a1, _ in _brute_orbits(itertools.permutations(range(n)), cent):
         sa1s = perm.conjugate(a1, s)
         if not perm.commutes(a1, sa1s):
             continue
@@ -219,17 +253,52 @@ def test_orbit_reps_over_trivial_group_keep_every_item():
     assert weighted == [(item, 1) for item in items]
 
 
-def test_a1_candidates_are_the_r2_filter():
-    # the pruned a1 list is S_n filtered by R2(a1) from the relator word
-    # itself, in lexicographic order
+@functools.lru_cache(maxsize=None)
+def _r2_scan(n, s):
+    # S_n filtered by R2(a1) from the relator word itself, in
+    # lexicographic order
     r2 = next(r.word for r in words.RELATORS if r.label == "R2_a1")
-    for n in range(2, 8):
-        s = perm.transposition(n, 1, 2)
-        e = perm.identity(n)
-        expected = [
-            a1 for a1 in itertools.permutations(range(n))
+    e = perm.identity(n)
+    return [a1 for a1 in itertools.permutations(range(n))
             if words.evaluate(r2, words.Assignment(n, s, a1, e, e, e)) == e]
-        assert list(search._a1_candidates(n, s)) == expected
+
+
+def _a1_sigmas():
+    sigmas = [perm.transposition(n, 1, 2) for n in range(2, 8)]
+    for n in range(2, 7):
+        sigmas += [perm.transposition(n, i, j)
+                   for i, j in ((1, 3), (2, 4), (3, n)) if i < j <= n]
+    return sigmas
+
+
+def test_a1_candidates_are_the_r2_filter():
+    # the a1 slices of both modes against a reference built here: S_n
+    # filtered by the R2_a1 word and by transitivity of <s, a1, C1> with
+    # C1 listed in full, then grouped into C(s)-orbits by brute force
+    for s in _a1_sigmas():
+        n = len(s)
+        passing = [a1 for a1 in _r2_scan(n, s)
+                   if _reference_transitive(n, s, [a1], _c1(n, s, a1))]
+        cent = _brute_centralizer(n, s)
+        assert search._a1_slices(n, s, cent, "solutions") \
+            == [(a1, 1) for a1 in passing]
+        assert search._a1_slices(n, s, cent, "count") \
+            == _brute_orbits(passing, cent)
+
+
+@pytest.mark.long
+def test_a1_slices_match_scan_n8_n9():
+    # degrees 8 and 9 against a scan of S_n by perm.commutes
+    for n in (8, 9):
+        s = perm.transposition(n, 1, 2)
+        passing = [a1 for a1 in itertools.permutations(range(n))
+                   if perm.commutes(a1, perm.conjugate(a1, s))
+                   and search._a1_transitive(n, s, a1)]
+        cent = groups.centralizer_elements(s, n)
+        assert search._a1_slices(n, s, cent, "solutions") \
+            == [(a1, 1) for a1 in passing]
+        assert search._a1_slices(n, s, cent, "count") \
+            == _brute_orbits(passing, cent)
 
 
 def _s_conj(p, s):
@@ -257,9 +326,9 @@ def test_a1_prune_matches_reference():
     # the a1-level verdict, from the equal-length cycle unions of s a1 s,
     # equals transitivity of <s, a1, C(s a1 s)> with C listed in full
     verdicts = set()
-    for n in range(2, 8):
-        s = perm.transposition(n, 1, 2)
-        for a1 in search._a1_candidates(n, s):
+    for s in _a1_sigmas():
+        n = len(s)
+        for a1 in _r2_scan(n, s):
             verdict = search._a1_transitive(n, s, a1)
             assert verdict == _reference_transitive(
                 n, s, [a1], _c1(n, s, a1)), (n, a1)
@@ -360,21 +429,26 @@ def test_classify_matches_plain_loop_n8():
 
 def _count_reps(n, s):
     # the a1 representatives of a count run, with their C(s)-class sizes
-    return search._a1_slices(n, s, groups.centralizer_elements(s, n))
+    # and the stabilizers C(s) n C(a1) their jobs carry
+    reps = [(a1, size, stab)
+            for _, _, a1, size, _, stab in search._jobs(n, s, "count")]
+    for a1, _, stab in reps:
+        assert sorted(stab) == _stab(n, s, a1)
+    return reps
 
 
 def _stab(n, s, a1):
-    return [h for h in groups.centralizer_elements(s, n)
-            if perm.commutes(h, a1)]
+    return sorted(h for h in _brute_centralizer(n, s)
+                  if perm.commutes(h, a1))
 
 
-def _factored_terms(n, s, r):
-    # N(r), N(r, b1=r), M(r) and L(r) read off the factored walk below r:
-    # the weights of all its leaves, of those with b1 = r, of those with
-    # a2 = b2 = (), and of those with both
+def _factored_terms(n, s, r, stab):
+    # N(r), N(r, b1=r), M(r) and L(r) read off the factored walk below r
+    # by stab: the weights of all its leaves, of those with b1 = r, of
+    # those with a2 = b2 = (), and of those with both
     e = perm.identity(n)
     terms = [0, 0, 0, 0]
-    for (_, a2, b1, b2), w in search._iter_for_a1(n, s, r, _stab(n, s, r)):
+    for (_, a2, b1, b2), w in search._iter_for_a1(n, s, r, stab):
         unit = a2 == b2 == e
         for i, hit in enumerate((True, b1 == r, unit, b1 == r and unit)):
             terms[i] += w * hit
@@ -398,11 +472,11 @@ def _unit_subtree_route(n, s):
     # each share less its N(r), weighted by the class size of r
     e = perm.identity(n)
     reps = _count_reps(n, s)
-    assert reps[0] == (e, 1)
-    route = search._count_share(n, s, e, _stab(n, s, e))
-    for r, size in reps[1:]:
-        route += size * (search._count_share(n, s, r, _stab(n, s, r))
-                         - _factored_terms(n, s, r)[0])
+    assert reps[0][:2] == (e, 1)
+    route = search._count_share(n, s, e, reps[0][2])
+    for r, size, stab in reps[1:]:
+        route += size * (search._count_share(n, s, r, stab)
+                         - _factored_terms(n, s, r, stab)[0])
     return route
 
 
@@ -433,11 +507,10 @@ def test_factored_count_matches_plain_loop():
             n, sig, e, _stab(n, sig, e))) == len(unit)  # N(()) factored
         assert search._count_share(n, sig, e, _stab(n, sig, e)) \
             == int((e, e, e, e) in unit)  # L(())
-        for r, _ in _count_reps(n, sig)[1:]:
+        for r, _, stab in _count_reps(n, sig)[1:]:
             terms = _plain_terms(n, sig, r, unit)
-            assert _factored_terms(n, sig, r) == terms
-            assert search._count_share(n, sig, r, _stab(n, sig, r)) \
-                == sum(terms)
+            assert _factored_terms(n, sig, r, stab) == terms
+            assert search._count_share(n, sig, r, stab) == sum(terms)
         units.append(len(unit))
         assert _unit_subtree_route(n, sig) == len(unit)
     assert units == [8, 26, 112, 0, 480, 0, 112, 112]
