@@ -26,7 +26,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import dataclasses
 import io
 import json
 import os
@@ -58,46 +57,44 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclasses.dataclass(frozen=True)
-class RunConfig:
-    """One validated invocation; all computation downstream is seed-free."""
-
-    command: str
-    degrees: List[int]
-    workers: int
-    fmt: str
-    out: Optional[str]
-    confirm_long: bool
-    collect: bool
-
-    @property
-    def single_degree(self) -> int:
-        if len(self.degrees) != 1:
-            raise UsageError(
-                f"{self.command} takes a single degree, not a range")
-        return self.degrees[0]
+def _degree(text: str) -> int:
+    """A --n value of the single-degree commands: an integer from 2."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected one degree, got {text!r}") from None
+    if n < 2:
+        raise argparse.ArgumentTypeError(f"degree must be at least 2, got {n}")
+    return n
 
 
-def _parse_degrees(text: str) -> List[int]:
-    """A degree argument: a single integer "4" or a range "2..9"."""
-    if ".." in text:
-        lo_text, _, hi_text = text.partition("..")
-        try:
-            lo, hi = int(lo_text), int(hi_text)
-        except ValueError:
-            raise UsageError(f"bad degree range: {text!r}") from None
-        if lo > hi:
-            raise UsageError(f"empty degree range: {text!r}")
-        degrees = list(range(lo, hi + 1))
-    else:
-        try:
-            degrees = [int(text)]
-        except ValueError:
-            raise UsageError(f"bad degree: {text!r}") from None
-    for n in degrees:
-        if n < 2:
-            raise UsageError(f"degree must be at least 2, got {n}")
-    return degrees
+def _degrees(text: str) -> List[int]:
+    """A --n value of table and invariants: a degree "4" or an inclusive
+    range "2..9"."""
+    lo_text, dots, hi_text = text.partition("..")
+    lo = _degree(lo_text)
+    hi = _degree(hi_text) if dots else lo
+    if lo > hi:
+        raise argparse.ArgumentTypeError(f"empty degree range: {text!r}")
+    return list(range(lo, hi + 1))
+
+
+# add_argument keywords of every flag beside --n
+_FLAGS: Dict[str, Dict[str, object]] = {
+    "--workers": dict(type=int, default=1,
+                      help="search processes (default 1, the reference mode)"),
+    "--format": dict(choices=("text", "csv", "json"), default="text",
+                     dest="fmt"),
+    "--out": dict(default=None, help="write output to this file"),
+    "--confirm-long": dict(action="store_true",
+                           help=f"required for degrees >= {LONG_DEGREE}"),
+    "--collect": dict(action="store_true",
+                      help=("report conjugacy classes and image groups, one "
+                            "representative per class; no solutions are "
+                            "kept")),
+    "--seed": dict(default=None, help=argparse.SUPPRESS),
+}
 
 
 def _build_parser() -> _Parser:
@@ -108,59 +105,37 @@ def _build_parser() -> _Parser:
                      "branched covers they classify."),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_text: str, *, ranged: bool) -> argparse.ArgumentParser:
+    for name, (_, help_text, ranged, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--n", required=True, metavar="N|A..B" if ranged else "N",
+        p.add_argument("--n", required=True,
+                       type=_degrees if ranged else _degree,
+                       metavar="N|A..B" if ranged else "N",
                        help="covering degree" + (" or inclusive range a..b" if ranged else ""))
-        p.add_argument("--workers", type=int, default=1,
-                       help="search processes (default 1, the reference mode)")
-        p.add_argument("--format", choices=("text", "csv", "json"),
-                       default="text", dest="fmt")
-        p.add_argument("--out", default=None, help="write output to this file")
-        p.add_argument("--confirm-long", action="store_true",
-                       help=f"required for degrees >= {LONG_DEGREE}")
-        p.add_argument("--collect", action="store_true",
-                       help=("report conjugacy classes and image groups, "
-                             "one representative per class; no solutions "
-                             "are kept"))
-        p.add_argument("--seed", default=None, help=argparse.SUPPRESS)
-        return p
-
-    add("count", "enumerate one degree and print counts", ranged=False)
-    add("table", "summary table over a degree range", ranged=True)
-    add("orbits", "conjugacy classes of the solution set", ranged=False)
-    add("list", "stream all solutions as JSON lines", ranged=False)
-    add("oracle", "check the engine against the unpruned scan", ranged=False)
-    add("invariants", "surface invariants for a degree range", ranged=True)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
-def _configure(args: argparse.Namespace) -> RunConfig:
-    if args.seed is not None:
+def _check(args: argparse.Namespace) -> None:
+    """Every check of the command line that argparse does not make, run
+    before any command.  The degree gates hold for the searching
+    commands, the ones that take --confirm-long."""
+    if getattr(args, "seed", None) is not None:
         raise UsageError("the enumeration is deterministic and takes no "
                          "seed; drop --seed")
-    if args.workers < 1:
+    if getattr(args, "workers", 1) < 1:
         raise UsageError(f"--workers must be positive, got {args.workers}")
-    degrees = _parse_degrees(args.n)
-    config = RunConfig(
-        command=args.command,
-        degrees=degrees,
-        workers=args.workers,
-        fmt=args.fmt,
-        out=args.out,
-        confirm_long=args.confirm_long,
-        collect=args.collect,
-    )
-    needs_search = config.command in ("count", "table", "orbits", "list")
-    if needs_search and max(degrees) >= LONG_DEGREE and not config.confirm_long:
+    top = max(args.n) if isinstance(args.n, list) else args.n
+    if args.command == "oracle" and top > 4:
+        raise UsageError(f"the unpruned scan is limited to degree <= 4, got {top}")
+    if not hasattr(args, "confirm_long"):
+        return
+    if top >= LONG_DEGREE and not args.confirm_long:
         raise UsageError(
-            f"degree {max(degrees)} can run for a long time; "
+            f"degree {top} can run for a long time; "
             f"pass --confirm-long to proceed")
-    if needs_search and max(degrees) > search.MAX_DEGREE:
-        raise UsageError(
-            f"degree {max(degrees)} exceeds the cap {search.MAX_DEGREE}")
-    return config
+    if top > search.MAX_DEGREE:
+        raise UsageError(f"degree {top} exceeds the cap {search.MAX_DEGREE}")
 
 
 def _progress_printer(n: int):
@@ -194,7 +169,9 @@ def _output_file(path: str) -> Iterator[TextIO]:
     before any search runs, moved onto the target when the block
     completes and removed on any failure or interrupt.  An existing
     target that is not a regular file, such as /dev/null, is written in
-    place."""
+    place; a path that names no file, such as "" or "dir/", is refused."""
+    if os.path.basename(path) in ("", ".", ".."):
+        raise OSError(f"not a file name: {path!r}")
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "w", encoding="utf-8", newline="") as fh:
             yield fh
@@ -259,13 +236,13 @@ _TABLE_HEADER = ("n", "fixed_count", "transpositions", "total",
                  "orbit_count", "K2", "chi", "c2", "image_names")
 
 
-def _search_degree(n: int, config: RunConfig) -> search.EnumerationResult:
-    if config.collect:
+def _search_degree(n: int, args: argparse.Namespace) -> search.EnumerationResult:
+    if args.collect:
         res, _ = search.classify(
-            n, workers=config.workers, progress=_progress_printer(n))
+            n, workers=args.workers, progress=_progress_printer(n))
         return res
     return search.enumerate_fixed_sigma(
-        n, workers=config.workers, progress=_progress_printer(n))
+        n, workers=args.workers, progress=_progress_printer(n))
 
 
 def _table_row(res: search.EnumerationResult) -> Dict[str, object]:
@@ -308,17 +285,17 @@ def _render_table(rows: List[Dict[str, object]], fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_count(config: RunConfig, out: TextIO) -> int:
-    n = config.single_degree
-    res = _search_degree(n, config)
+def _cmd_count(args: argparse.Namespace, out: TextIO) -> int:
+    n = args.n
+    res = _search_degree(n, args)
     inv = surface.invariants_for(n)
     verdict = surface.existence_verdict(n, res)
-    if config.fmt == "json":
+    if args.fmt == "json":
         doc = _result_json(res)
         doc["surface"] = inv.to_json_dict()
         doc["existence"] = verdict.to_json_dict()
         out.write(_dumps(doc))
-    elif config.fmt == "csv":
+    elif args.fmt == "csv":
         out.write(_render_table([_table_row(res)], "csv"))
     else:
         lines = [
@@ -337,18 +314,18 @@ def _cmd_count(config: RunConfig, out: TextIO) -> int:
     return 0
 
 
-def _cmd_table(config: RunConfig, out: TextIO) -> int:
-    rows = [_table_row(_search_degree(n, config)) for n in config.degrees]
-    out.write(_render_table(rows, config.fmt))
+def _cmd_table(args: argparse.Namespace, out: TextIO) -> int:
+    rows = [_table_row(_search_degree(n, args)) for n in args.n]
+    out.write(_render_table(rows, args.fmt))
     return 0
 
 
-def _cmd_orbits(config: RunConfig, out: TextIO) -> int:
-    n = config.single_degree
+def _cmd_orbits(args: argparse.Namespace, out: TextIO) -> int:
+    n = args.n
     res, orbits = search.classify(
-        n, workers=config.workers, progress=_progress_printer(n))
+        n, workers=args.workers, progress=_progress_printer(n))
     cache = _ImageCache()
-    if config.fmt == "json":
+    if args.fmt == "json":
         doc = {
             "n": n,
             "sigma": perm.format_cycles(res.sigma),
@@ -360,7 +337,7 @@ def _cmd_orbits(config: RunConfig, out: TextIO) -> int:
             } for o in orbits],
         }
         out.write(_dumps(doc))
-    elif config.fmt == "csv":
+    elif args.fmt == "csv":
         data = [("n", "orbit", "size", "image", "sigma", "a1", "a2", "b1", "b2")]
         for i, o in enumerate(orbits, start=1):
             rep = o.representative
@@ -380,35 +357,33 @@ def _cmd_orbits(config: RunConfig, out: TextIO) -> int:
     return 0
 
 
-def _cmd_list(config: RunConfig, out: TextIO) -> int:
-    n = config.single_degree
+def _cmd_list(args: argparse.Namespace, out: TextIO) -> int:
+    n = args.n
     cache = _ImageCache()
 
     def sink(sol: Assignment) -> None:
         out.write(_dumps_line(_solution_json(sol, cache)))
 
     search.enumerate_fixed_sigma(
-        n, workers=config.workers, sink=sink,
+        n, workers=args.workers, sink=sink,
         progress=_progress_printer(n))
     return 0
 
 
-def _cmd_oracle(config: RunConfig, out: TextIO) -> int:
-    n = config.single_degree
-    if n > 4:
-        raise UsageError(f"the unpruned scan is limited to degree <= 4, got {n}")
+def _cmd_oracle(args: argparse.Namespace, out: TextIO) -> int:
+    n = args.n
     engine = search.enumerate_fixed_sigma(n, collect=True,
-                                          workers=config.workers)
+                                          workers=args.workers)
     brute = search.brute_force_oracle(n)
     engine_keys = {sol.sort_key() for sol in engine.solutions}
     brute_keys = {sol.sort_key() for sol in brute.solutions}
     match = (engine.fixed_count == brute.fixed_count
              and engine_keys == brute_keys)
-    if config.fmt == "json":
+    if args.fmt == "json":
         doc = {"n": n, "match": match, "engine_count": engine.fixed_count,
                "brute_force_count": brute.fixed_count}
         out.write(_dumps(doc))
-    elif config.fmt == "csv":
+    elif args.fmt == "csv":
         data = [("n", "match", "engine_count", "brute_force_count"),
                 (n, match, engine.fixed_count, brute.fixed_count)]
         out.write(_csv_text(data))
@@ -422,11 +397,11 @@ def _cmd_oracle(config: RunConfig, out: TextIO) -> int:
     return 0 if match else 2
 
 
-def _cmd_invariants(config: RunConfig, out: TextIO) -> int:
-    records = [surface.invariants_for(n) for n in config.degrees]
-    if config.fmt == "json":
+def _cmd_invariants(args: argparse.Namespace, out: TextIO) -> int:
+    records = [surface.invariants_for(n) for n in args.n]
+    if args.fmt == "json":
         out.write(_dumps({"rows": [r.to_json_dict() for r in records]}))
-    elif config.fmt == "csv":
+    elif args.fmt == "csv":
         header = ("n", "chi", "K2", "c2", "pa_Z", "Gamma2", "Z2", "GammaZ",
                   "R2", "RZ", "RR0", "general_type", "z_reducible_forced")
         data = [header]
@@ -445,30 +420,34 @@ def _cmd_invariants(config: RunConfig, out: TextIO) -> int:
     return 0
 
 
+# name -> (command, help, whether --n takes a range, the flags beside --n
+# that the command reads)
 _COMMANDS = {
-    "count": _cmd_count,
-    "table": _cmd_table,
-    "orbits": _cmd_orbits,
-    "list": _cmd_list,
-    "oracle": _cmd_oracle,
-    "invariants": _cmd_invariants,
+    "count": (_cmd_count, "enumerate one degree and print counts", False,
+              tuple(_FLAGS)),
+    "table": (_cmd_table, "summary table over a degree range", True,
+              tuple(_FLAGS)),
+    "orbits": (_cmd_orbits, "conjugacy classes of the solution set", False,
+               ("--workers", "--format", "--out", "--confirm-long", "--seed")),
+    "list": (_cmd_list, "stream all solutions as JSON lines", False,
+             ("--workers", "--out", "--confirm-long", "--seed")),
+    "oracle": (_cmd_oracle, "check the engine against the unpruned scan",
+               False, ("--workers", "--format", "--out", "--seed")),
+    "invariants": (_cmd_invariants, "surface invariants for a degree range",
+                   True, ("--format", "--out")),
 }
 
 
-def run(config: RunConfig) -> int:
-    command = _COMMANDS[config.command]
-    if config.out is None:
-        return command(config, sys.stdout)
-    with _output_file(config.out) as out:
-        return command(config, out)
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
     previous = signal.signal(signal.SIGTERM, _terminate)
     try:
-        args = parser.parse_args(argv)
-        return run(_configure(args))
+        args = _build_parser().parse_args(argv)
+        _check(args)
+        command = _COMMANDS[args.command][0]
+        if args.out is None:
+            return command(args, sys.stdout)
+        with _output_file(args.out) as out:
+            return command(args, out)
     except UsageError as exc:
         print(f"braidcovers: error: {exc}", file=sys.stderr)
         return 1

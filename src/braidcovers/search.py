@@ -145,6 +145,7 @@ import contextlib
 import dataclasses
 import itertools
 import math
+import multiprocessing
 import signal
 import time
 from concurrent.futures import Future, ProcessPoolExecutor, wait
@@ -487,13 +488,26 @@ def _jobs(n: int, s: Perm, mode: str) -> List[tuple]:
 def _drop_pending(futures: Collection[Future]) -> None:
     """Cancel the pool slices not yet started once a search stops.
 
-    Ctrl-C kills the pool workers (their SIGINT action is SIG_DFL)
-    and the pool then fails every pending slice itself; cancelling one
-    first crashes the pool's manager thread (InvalidStateError on
-    Python 3.11), so the pool gets a moment to do so."""
+    Ctrl-C kills the pool workers (their SIGINT action is SIG_DFL), or
+    _end_workers does, and the pool then fails every pending slice
+    itself; cancelling one first crashes the pool's manager thread
+    (InvalidStateError on Python 3.11), so the pool gets a moment to do
+    so."""
     wait(futures, timeout=1.0)
     for future in futures:
         future.cancel()
+
+
+def _end_workers(started: Collection[multiprocessing.Process]):
+    """An exit callback that, when a search unwinds on Ctrl-C or SIGTERM,
+    terminates the child processes not in `started`, the pool's workers,
+    so the pool's shutdown does not wait for their running slices when
+    the signal reached this process alone."""
+    def end(exc_type, exc, tb) -> None:
+        if exc_type is not None and not issubclass(exc_type, Exception):
+            for child in set(multiprocessing.active_children()) - set(started):
+                child.terminate()
+    return end
 
 
 def _default_signals() -> None:
@@ -517,12 +531,14 @@ def _run_slices(n: int, s: Perm, mode: str, workers: int,
         with contextlib.ExitStack() as stack:
             outputs: Iterable[tuple] = map(_search_chunk, jobs)
             if workers > 1:
+                started = multiprocessing.active_children()
                 pool = stack.enter_context(ProcessPoolExecutor(
                     max_workers=min(workers, len(jobs)),
                     initializer=_default_signals))
                 pending = collections.deque(
                     pool.submit(_search_chunk, job) for job in jobs)
                 stack.callback(_drop_pending, pending)
+                stack.push(_end_workers(started))
                 outputs = (pending.popleft().result() for _ in jobs)
             for i, out in enumerate(outputs):
                 absorb(*out)

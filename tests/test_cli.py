@@ -349,12 +349,46 @@ def test_invariants_need_no_search_gates(capsys):
     ("count", "--n", "13", "--confirm-long"),  # above the degree cap
     ("oracle", "--n", "5"),            # oracle is capped at 4
     ("bogus", "--n", "3"),
+    # flags a command does not read are not accepted
+    ("list", "--n", "3", "--format", "csv"),
+    ("list", "--n", "3", "--collect"),
+    ("orbits", "--n", "3", "--collect"),
+    ("oracle", "--n", "3", "--confirm-long"),
+    ("oracle", "--n", "3", "--collect"),
+    ("invariants", "--n", "3", "--workers", "2"),
+    ("invariants", "--n", "3", "--confirm-long"),
+    ("invariants", "--n", "3", "--collect"),
+    ("invariants", "--n", "3", "--seed", "7"),
 ])
 def test_usage_errors_exit_1(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""
     assert "error" in err.lower()
+    assert err.count("\n") == 1
+
+
+# the flags each command's help names beside --n and --help; --seed is
+# taken only to be refused, so no help names it
+HELP_FLAGS = {
+    "count": "--workers --format --out --confirm-long --collect",
+    "table": "--workers --format --out --confirm-long --collect",
+    "orbits": "--workers --format --out --confirm-long",
+    "list": "--workers --out --confirm-long",
+    "oracle": "--workers --format --out",
+    "invariants": "--format --out",
+}
+
+
+@pytest.mark.parametrize("command", HELP_FLAGS)
+def test_command_help_names_its_flags(capsys, command):
+    import re
+
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"])
+    assert exc.value.code == 0
+    named = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    assert named == {"--help", "--n", *HELP_FLAGS[command].split()}
 
 
 def test_unwritable_out_path_exits_1(capsys, tmp_path):
@@ -366,16 +400,27 @@ def test_unwritable_out_path_exits_1(capsys, tmp_path):
     assert "cannot write output" in err
 
 
-def test_unwritable_out_path_fails_before_search(capsys, tmp_path):
+@pytest.mark.parametrize("path", ["missing/dir/x", "", "sub/"],
+                         ids=["missing-dir", "empty", "trailing-slash"])
+def test_unwritable_out_path_fails_before_search(capsys, monkeypatch,
+                                                 tmp_path, path):
+    # list --n 8 runs for about 40 s, so a search started before the
+    # output check shows; "" and "sub/" name no file, and nothing is
+    # written in the working directory or beside it
     import time
-    missing = tmp_path / "missing" / "dir" / "x"
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
     t0 = time.perf_counter()
-    code, out, err = run(capsys, "count", "--n", "9", "--confirm-long",
-                         "--out", str(missing))
+    code, out, err = run(capsys, "list", "--n", "8", "--confirm-long",
+                         "--out", path)
     assert code == 1
     assert out == ""
     assert "cannot write output" in err
+    assert err.count("\n") == 1
     assert time.perf_counter() - t0 < 1.0
+    assert list(tmp_path.iterdir()) == [cwd]
+    assert list(cwd.iterdir()) == []
 
 
 def test_interrupted_out_leaves_no_file(capsys, monkeypatch, tmp_path):
@@ -507,6 +552,30 @@ def test_ctrl_c_under_pool_exits_130(tmp_path):
         os.killpg(proc.pid, signal.SIGINT)
     finally:
         out, err = _finish(proc)
+    assert proc.returncode == 130
+    assert out == b""
+    assert b"Traceback" not in err
+    assert err.splitlines()[-1] == b"braidcovers: interrupted"
+    _assert_group_gone(proc.pid)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+def test_sigint_to_cli_alone_under_pool_exits_130(tmp_path):
+    # SIGINT to the CLI process only, as `kill -INT <pid>` sends it: the
+    # pool workers get no signal, and the CLI ends them rather than
+    # waiting for their running slices
+    import signal
+    import time
+
+    proc = _pooled_list_n8(tmp_path / "sols.jsonl")
+    try:
+        assert proc.poll() is None
+        os.kill(proc.pid, signal.SIGINT)
+        t0 = time.monotonic()
+    finally:
+        out, err = _finish(proc)
+    assert time.monotonic() - t0 < 2.0
     assert proc.returncode == 130
     assert out == b""
     assert b"Traceback" not in err
