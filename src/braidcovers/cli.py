@@ -458,6 +458,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except RuntimeError as exc:
         print(f"braidcovers: error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("braidcovers: error: out of memory", file=sys.stderr)
+        return 1
     except KeyboardInterrupt:
         print("braidcovers: interrupted", file=sys.stderr)
         return 130

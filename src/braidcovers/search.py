@@ -79,60 +79,54 @@ prune are C(s)-invariant, so each type is tested once (_marked_types)
 and only the orbits that pass are built: counts and classes take the
 least member and size of each, collecting and streaming runs every one.
 
-Counting skips the a1 = () subtree, the only one whose C1 is all of
-S_n, by moves of the mapping-class-group action on the presentation
-(Birman, "Braids, Links, and Mapping Class Groups", 1974; Bellingeri,
-J. Algebra 2004).  The Nielsen move phi(a1, a2, b1, b2) =
+Counts and classes never walk below a1 = (), the only a1 whose C1 is
+all of S_n: they read that subtree off the walks below the other a1
+representatives, by moves of the mapping-class-group action on the
+presentation (Birman, "Braids, Links, and Mapping Class Groups", 1974;
+Bellingeri, J. Algebra 2004).  The Nielsen move phi(a1, a2, b1, b2) =
 (a1 b1, a2, b1, b2) maps solutions to solutions: "y commutes with s x s"
 is symmetric in x and y and closed under products, so R2 and R3/R4 hold
 for a1 b1; [a1 b1, b1^-1] = [a1, b1^-1] leaves the torus relation alone;
-and the generated group does not change.  phi commutes with conjugation
-by C(s) and maps {a1 = ()} one-to-one onto {a1 = b1}.  The handle swap
-(a1, a2, b1, b2) -> (a2, a1, b2, b1) maps solutions to solutions too: by
-that symmetry the six R3/R4 conditions go to one another, the torus
-relation goes to a conjugate of itself, and the group stays.  Write N(r)
-for the number of solutions below a1 = r, N(r, b1=r) for those with
-b1 = r as well, M(r) for those with a1 = b1 = () and a2 = r, L(r) = 1
-when ((), r, (), r) is a solution and 0 otherwise, and |cls r| for the
-size of the C(s)-class of r.  Then, r running over the a1
-representatives:
-
-  * N(()) = N((), ()) + sum over r != () of |cls r| N(r, b1=r), by phi;
-  * below a1 = b1 = () the relations leave a2 the R2-passing elements of
-    S_n and H2 = C(s), so a2 runs over the same representatives and
-    N((), ()) = sum over r of |cls r| M(r);
-  * ((), (), (), r) and ((), r, (), r) are solutions exactly when r
-    passes R2 and <s, r> is transitive, so M(()) = sum of |cls r| L(r).
-
-So the count is L(()) plus, for each r != (), |cls r| times
-N(r) + N(r, b1=r) + M(r) + L(r) (_count_share), and no list the size
-of S_n is built.  The swap maps the solutions ((), r, (), x) one-to-one
-onto the solutions (r, (), x, ()), and the leaf ((), r, (), r) onto
-(r, (), r, ()).  So all four terms count leaves of the walk below r,
-N(r) + N(r, b1=r) + M(r) + L(r) = sum of w (1 + [b1 = r])
-(1 + [a2 = b2 = ()]) over its leaves and weights w: conjugating by H1
-or H2 fixes b1 = r and a2 = b2 = (), so a weight counts only members of
-its own terms.  A representative the a1 prune cuts has no solutions
-below it, and so no terms.  The () representative keeps its slot in the
-a1 list, so slices and progress do not change.
+and the generated group does not change.  The handle swap (a1, a2, b1,
+b2) -> (a2, a1, b2, b1) maps solutions to solutions too: by that symmetry
+the six R3/R4 conditions go to one another, the torus relation goes to a
+conjugate of itself, and the group stays.  phi^-1, the swap and the swap
+after phi^-1 commute with conjugation by C(s), and they map the solutions
+in {a1 = b1 != ()}, in {a1 != (), a2 = b2 = ()} and in their intersection
+one-to-one onto the three parts of the solutions with a1 = () other than
+((), (), (), ()): those with b1 != (), those with b1 = () and a2 != (),
+and those with a2 = b1 = () and b2 != ().  So _with_images follows each
+leaf (r, a2, b1, b2) of the walk below a representative r != () by its
+images: ((), a2, r, b2) when b1 = r, ((), r, (), b1) when a2 = b2 = (),
+and ((), (), (), r) when both hold.  Below r = () it yields only
+((), (), (), ()), a solution exactly when <s> is transitive.  Conjugating
+by H1 or H2 fixes b1 = r and a2 = b2 = (), so an image carries the weight
+of its leaf, and the weights of a job, times the size of the C(s)-class
+of r, count the solutions with a1 in that class and their images: summed
+over the jobs, every solution once, with no list the size of S_n.  A
+representative the a1 prune cuts has no leaves and no images.  The ()
+representative keeps its slot in the a1 list, so slices and progress do
+not change.
 
 The conjugacy classes of the fixed-sigma solutions (orbits of C(s)
-acting by coordinatewise conjugation) come from the same factored walk
-(classify).  Every class has members whose a1 is the least element of
-a1's C(s)-class, which is the representative _a1_slices picks; those
-members form one H1-orbit, since two of them differ by an element of
-C(s) fixing a1.  Below that a1 the walk visits at least one member of
-every H1-orbit of solutions: conjugating by H1 brings any solution's b1
-to its orbit representative, then conjugating by H2 brings its a2 to
-its representative, and every b2 is visited.  So for each leaf not yet
-seen below a1, its H1-orbit is built and marked seen; (a1,) plus the
-least (a2, b1, b2) of that orbit is the least member of the whole class
-in the (a1, a2, b1, b2) order, and the class meets the fixed-sigma
-slice in |C(s)-class of a1| * |H1-orbit| solutions.  Sorting the
-classes below each a1, with the a1 representatives in lexicographic
-order, lists the classes in the order orbit_decomposition gives.  The
-class sizes must add up to the weighted count of the same walk, which
-is checked.
+acting by coordinatewise conjugation) come from the same jobs
+(classify).  A class with a1 != () has members whose a1 is the least
+element of a1's C(s)-class, the representative r that _a1_slices picks;
+those members form one H1-orbit, since two of them differ by an element
+of C(s) fixing r.  The walk below r visits at least one member of every
+H1-orbit of solutions: conjugating by H1 brings any solution's b1 to its
+orbit representative, then conjugating by H2 brings its a2 to its
+representative, and every b2 is visited.  A class with a1 = () other
+than {((), (), (), ())} is the one-to-one image of a class in one of the
+three sets above, since the images commute with C(s), and it is met by
+the one job that meets that class.  For each key of a job not yet seen,
+its orbit is built and marked seen: over H1 when a1 = r, the class
+meeting the fixed-sigma slice in |C(s)-class of r| times that many
+solutions, and over C(s) when a1 = (), that orbit being the whole class
+in the slice.  Either way the orbit's least member is the class's.
+classify sorts the classes of all jobs once, into the order
+orbit_decomposition gives.  The class sizes must add up to the weighted
+count, which is checked.
 
 Exact agreement with the relation-table-driven brute force is enforced
 by brute_force_oracle and its tests, not assumed.
@@ -365,41 +359,31 @@ def _iter_for_a1(n: int, s: Perm, a1: Perm, stab: Sequence[Perm]
                     yield raw, w1 * w2
 
 
-def _count_share(n: int, s: Perm, r: Perm, stab: Sequence[Perm]) -> int:
-    """What one a1 representative r adds to a count, before its class-size
-    weight: L(()) for r = (), else N(r) + N(r, b1=r) + M(r) + L(r), which
-    also carries r's share of the a1 = () subtree, read off the walk below
-    r (module docstring); stab lists C(s) n C(r).  L(()) tells whether
-    ((), (), (), ()) is a solution, which only transitivity decides."""
+def _with_images(n: int, s: Perm, r: Perm, stab: Sequence[Perm]
+                 ) -> Iterator[Tuple[RawSolution, int]]:
+    """The weighted leaves of the walk below the a1 representative r by
+    stab, each followed by its images below a1 = () (module docstring)
+    with its weight: ((), a2, r, b2) when b1 = r, ((), r, (), b1) when
+    a2 = b2 = (), and ((), (), (), r) when both hold.  Below r = () only
+    ((), (), (), ()), when <s> is transitive."""
     e = perm.identity(n)
     if r == e:
-        return int(groups.is_transitive((s, e, e, e, e), n))
-    return sum(w * (1 + (b1 == r)) * (1 + (a2 == b2 == e))
-               for (_, a2, b1, b2), w in _iter_for_a1(n, s, r, stab))
+        if groups.is_transitive((s,), n):
+            yield (e, e, e, e), 1
+        return
+    for leaf, w in _iter_for_a1(n, s, r, stab):
+        _, a2, b1, b2 = leaf
+        yield leaf, w
+        if b1 == r:
+            yield (e, a2, r, b2), w
+        if a2 == b2 == e:
+            yield (e, r, e, b1), w
+            if b1 == r:
+                yield (e, e, e, r), w
 
 
-def _classes_for_a1(n: int, s: Perm, a1: Perm, stab: Sequence[Perm]
-                    ) -> Tuple[int, List[Tuple[RawSolution, int]]]:
-    """Number of solutions below a1, orbit-factored, and one (least
-    member, orbit size) per orbit of H1 = C(s) n C(a1) on them, sorted;
-    stab lists H1.  See the module docstring for why the factored walk
-    meets every orbit."""
-    count = 0
-    seen: set = set()
-    classes = []
-    for (_, a2, b1, b2), w in _iter_for_a1(n, s, a1, stab):
-        count += w
-        if (a2, b1, b2) in seen:
-            continue
-        orbit = {tuple(perm.conjugate(p, h) for p in (a2, b1, b2))
-                 for h in stab}
-        seen |= orbit
-        classes.append(((a1,) + min(orbit), len(orbit)))
-    classes.sort()
-    return count, classes
-
-
-def _search_chunk(args: Tuple[int, Perm, Perm, int, str, Sequence[Perm]]
+def _search_chunk(args: Tuple[int, Perm, Perm, int, str, Sequence[Perm],
+                              Optional[Sequence[Perm]]]
                   ) -> Tuple[int, Optional[list]]:
     """The solutions below one a1 representative, weighted by size.
 
@@ -407,21 +391,29 @@ def _search_chunk(args: Tuple[int, Perm, Perm, int, str, Sequence[Perm]]
     factored by stab, the part of the orbit's group fixing a1 (_jobs).
     mode "solutions" gives the number and the solutions, from the plain
     loop over the trivial group, where every size is 1.  The others
-    factor by C(s) n C(a1): "count" gives the number alone, with no
-    canonicalisation and the a1 = () subtree spread over the other
-    representatives (_count_share), and "classes" also the conjugacy
-    classes in order, each with its fixed-sigma size.
+    factor by C(s) n C(a1) and add the images below a1 = () that a1
+    carries (_with_images): "count" gives the number alone, and
+    "classes", whose job alone carries cent = C(s), also the conjugacy
+    classes met first here, each with its fixed-sigma size.
     """
-    n, s, a1, size, mode, stab = args
+    n, s, a1, size, mode, stab, cent = args
     if mode == "solutions":
         sols = [raw for raw, _ in _iter_for_a1(n, s, a1, stab)]
         return len(sols), sols
-    if mode == "classes":
-        below, classes = _classes_for_a1(n, s, a1, stab)
-        return size * below, [Orbit(representative=Assignment(n, s, *key),
-                                    size=size * orbit)
-                              for key, orbit in classes]
-    return size * _count_share(n, s, a1, stab), None
+    count = 0
+    seen: set = set()
+    classes = []
+    for key, w in _with_images(n, s, a1, stab):
+        count += w
+        if cent is None or key in seen:
+            continue
+        below = key[0] == a1
+        orbit = {tuple(perm.conjugate(p, h) for p in key)
+                 for h in (stab if below else cent)}
+        seen |= orbit
+        classes.append(Orbit(representative=Assignment(n, s, *min(orbit)),
+                             size=size * len(orbit) if below else len(orbit)))
+    return size * count, None if cent is None else classes
 
 
 def _partitions(m: int, most: int) -> Iterator[Tuple[int, ...]]:
@@ -477,11 +469,13 @@ def _a1_slices(n: int, s: Perm, cent: Sequence[Perm], mode: str
 def _jobs(n: int, s: Perm, mode: str) -> List[tuple]:
     """The _search_chunk jobs of a run, one per a1 slice, in order.  C(s)
     is built once, here; each job carries the group its walk is factored
-    by: the trivial group for "solutions", else C(s) n C(a1)."""
+    by: the trivial group for "solutions", else C(s) n C(a1).  Only
+    "classes" jobs carry C(s) itself, for the classes below a1 = ()."""
     cent = groups.centralizer_elements(s, n)
     return [(n, s, a1, size, mode,
              [perm.identity(n)] if mode == "solutions"
-             else [h for h in cent if perm.commutes(h, a1)])
+             else [h for h in cent if perm.commutes(h, a1)],
+             cent if mode == "classes" else None)
             for a1, size in _a1_slices(n, s, cent, mode)]
 
 
@@ -621,6 +615,7 @@ def classify(n: int, *, workers: int = 1,
         orbits.extend(classes)
 
     _run_slices(n, s, "classes", workers, absorb, progress)
+    orbits.sort(key=lambda o: o.representative.sort_key())
     res = _result(n, s, count, time.perf_counter() - t0)
     return _summarize(res, orbits), orbits
 

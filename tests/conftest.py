@@ -31,11 +31,6 @@ def n6_result():
     return search.enumerate_fixed_sigma(6, collect=True)
 
 
-@pytest.fixture(scope="session")
-def n4_brute():
-    return search.brute_force_oracle(4)
-
-
 @pytest.fixture()
 def rng():
     return random.Random(0x5eed)

@@ -645,10 +645,14 @@ def test_sigterm_removes_partial_out(tmp_path):
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="ru_maxrss is in KiB on Linux")
-def test_count_n9_peak_rss_under_40mb():
-    # a single-worker degree-9 count lists no C1 the size of S_n; the
-    # peak is read by a wrapper child, so earlier children of this
-    # process do not count
+@pytest.mark.parametrize("command,first_line", [
+    ("count", "n=9: 0 representations"),
+    ("orbits", "n=9: 0 solutions in 0 conjugacy classes"),
+], ids=["count", "orbits"])
+def test_count_n9_peak_rss_under_40mb(command, first_line):
+    # a single-worker degree-9 count or class search lists no C1 the size
+    # of S_n; the peak is read by a wrapper child, so earlier children of
+    # this process do not count
     import pathlib
     import subprocess
 
@@ -661,11 +665,38 @@ def test_count_n9_peak_rss_under_40mb():
                "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
     proc = subprocess.run(
         [sys.executable, "-c", wrapper, sys.executable, "-m",
-         "braidcovers.cli", "count", "--n", "9", "--confirm-long"],
+         "braidcovers.cli", command, "--n", "9", "--confirm-long"],
         env=env, capture_output=True, text=True, timeout=120, check=True)
     *out, peak_kib = proc.stdout.splitlines()
-    assert out[0].startswith("n=9: 0 representations")
+    assert out[0].startswith(first_line)
     assert int(peak_kib) < 40 * 1024
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="RLIMIT_AS caps the address space on Linux")
+@pytest.mark.parametrize("argv", [
+    ["table", "--n", "2..99999999999", "--confirm-long"],
+    ["invariants", "--n", "2..99999999999"],
+], ids=["table", "invariants"])
+def test_huge_degree_range_is_one_line(argv):
+    # the degree list of a huge range does not fit in a child whose
+    # address space is capped at 1 GiB; the run ends in one stderr line
+    import pathlib
+    import subprocess
+
+    import braidcovers
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(pathlib.Path(braidcovers.__file__).parents[1])
+    capped = ("import resource, sys; "
+              "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+              "from braidcovers import cli; sys.exit(cli.main(sys.argv[1:]))")
+    proc = subprocess.run([sys.executable, "-c", capped, *argv], env=env,
+                          capture_output=True, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stdout == b""
+    assert b"Traceback" not in proc.stderr
+    assert proc.stderr == b"braidcovers: error: out of memory\n"
 
 
 def test_out_of_memory_exits_1(capsys, monkeypatch):

@@ -85,10 +85,10 @@ def test_pool_capped_at_slice_count(monkeypatch):
     reps = search._a1_slices(4, s, groups.centralizer_elements(s, 4), "count")
     res = search.enumerate_fixed_sigma(4, workers=64)
     assert res.fixed_count == 480
-    assert [(a1, size) for (_, _, a1, size, _, _), in submitted] == reps
+    assert [(a1, size) for (_, _, a1, size, _, _, _), in submitted] == reps
     assert requested == [len(reps)] and 1 < len(reps) < 64
     # each job carries the stabilizer its walk is factored by
-    for (_, _, a1, _, _, stab), in submitted:
+    for (_, _, a1, _, _, stab, _), in submitted:
         assert sorted(stab) == _stab(4, s, a1)
 
 
@@ -429,11 +429,17 @@ def test_classify_matches_plain_loop_n8():
 
 def _count_reps(n, s):
     # the a1 representatives of a count run, with their C(s)-class sizes
-    # and the stabilizers C(s) n C(a1) their jobs carry
+    # and the stabilizers C(s) n C(a1) their jobs carry; only class jobs
+    # carry C(s) itself
     reps = [(a1, size, stab)
-            for _, _, a1, size, _, stab in search._jobs(n, s, "count")]
+            for _, _, a1, size, _, stab, _ in search._jobs(n, s, "count")]
     for a1, _, stab in reps:
         assert sorted(stab) == _stab(n, s, a1)
+    cent = _stab(n, s, perm.identity(n))
+    for mode in ("solutions", "count", "classes"):
+        carried = [job[-1] for job in search._jobs(n, s, mode)]
+        assert all((mode == "classes") == (c is not None) for c in carried)
+        assert all(sorted(c) == cent for c in carried if c is not None)
     return reps
 
 
@@ -468,16 +474,13 @@ def _plain_terms(n, s, r, unit):
 
 
 def _unit_subtree_route(n, s):
-    # the count below a1 = () by the Nielsen move and the handle swap:
-    # each share less its N(r), weighted by the class size of r
+    # the count below a1 = () read off the images: the weights of the
+    # generator's a1 = () keys below every representative r, times the
+    # class size of r
     e = perm.identity(n)
-    reps = _count_reps(n, s)
-    assert reps[0][:2] == (e, 1)
-    route = search._count_share(n, s, e, reps[0][2])
-    for r, size, stab in reps[1:]:
-        route += size * (search._count_share(n, s, r, stab)
-                         - _factored_terms(n, s, r, stab)[0])
-    return route
+    return sum(size * w for r, size, stab in _count_reps(n, s)
+               for key, w in search._with_images(n, s, r, stab)
+               if key[0] == e)
 
 
 def test_factored_count_matches_plain_loop():
@@ -495,7 +498,10 @@ def test_factored_count_matches_plain_loop():
         plain = search.enumerate_fixed_sigma(4, collect=True, sigma=sig)
         assert fast.fixed_count == plain.fixed_count == 480
     # the four Nielsen terms of every r != () against the plain loop, M(r)
-    # and L(r) counted below a1 = (), and the a1 = () subtree they carry
+    # and L(r) counted below a1 = (); the images of the plain solutions
+    # below every a1 != () of a collecting run are the plain solutions
+    # below a1 = () other than ((), (), (), ()), each once; and the
+    # weighted images add up to the a1 = () count
     sigmas = [perm.transposition(n, 1, 2) for n in range(2, 8)]
     sigmas += [perm.transposition(4, 1, 3), perm.transposition(4, 2, 3)]
     units = []
@@ -505,15 +511,40 @@ def test_factored_count_matches_plain_loop():
         unit = {raw for raw, _ in search._iter_for_a1(n, sig, e, [e])}
         assert sum(w for _, w in search._iter_for_a1(
             n, sig, e, _stab(n, sig, e))) == len(unit)  # N(()) factored
-        assert search._count_share(n, sig, e, _stab(n, sig, e)) \
-            == int((e, e, e, e) in unit)  # L(())
         for r, _, stab in _count_reps(n, sig)[1:]:
-            terms = _plain_terms(n, sig, r, unit)
-            assert _factored_terms(n, sig, r, stab) == terms
-            assert search._count_share(n, sig, r, stab) == sum(terms)
+            assert _factored_terms(n, sig, r, stab) \
+                == _plain_terms(n, sig, r, unit)
+        images = [key for _, _, a1, _, _, trivial, _
+                  in search._jobs(n, sig, "solutions") if a1 != e
+                  for key, _ in search._with_images(n, sig, a1, trivial)
+                  if key[0] == e]
+        assert sorted(images) == sorted(unit - {(e, e, e, e)})
+        assert list(search._with_images(n, sig, e, _stab(n, sig, e))) \
+            == [((e, e, e, e), 1)] * ((e, e, e, e) in unit)
         units.append(len(unit))
         assert _unit_subtree_route(n, sig) == len(unit)
     assert units == [8, 26, 112, 0, 480, 0, 112, 112]
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_counts_and_classes_never_walk_below_unit(n, monkeypatch):
+    # counts and classes read the a1 = () subtree, whose C1 is all of
+    # S_n, off the images: each run walks below every other
+    # representative once and never below a1 = ()
+    walked = []
+    walk = search._iter_for_a1
+
+    def spy(n, s, a1, stab):
+        walked.append(a1)
+        return walk(n, s, a1, stab)
+
+    monkeypatch.setattr(search, "_iter_for_a1", spy)
+    search.enumerate_fixed_sigma(n)
+    search.classify(n)
+    reps = [a1 for _, _, a1, *_ in search._jobs(
+        n, perm.transposition(n, 1, 2), "count")]
+    assert reps[0] == perm.identity(n)
+    assert walked == reps[1:] * 2
 
 
 @pytest.mark.long
