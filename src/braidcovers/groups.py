@@ -3,8 +3,9 @@
 Everything here works with literal element sets, which is the right
 scale for this problem: the groups that occur are subgroups of S_n for
 n at most 12, and the ones that get fingerprinted are small monodromy
-images.  Centralizers are enumerated directly from the cycle structure,
-not closed from generators or found by scanning all of S_n.
+images.  Closures are built coset by coset (Dimino's algorithm; G.
+Butler, LNCS 559, 1991).  Centralizers are enumerated directly from the
+cycle structure, not closed from generators or found by scanning S_n.
 """
 
 from __future__ import annotations
@@ -20,22 +21,32 @@ from .perm import Perm
 
 
 def closure(generators: Sequence[Perm], n: int) -> FrozenSet[Perm]:
-    """The subgroup generated inside S_n, as an explicit element set."""
+    """The subgroup generated inside S_n, as an explicit element set.
+
+    Built by cosets, as in Dimino's algorithm (G. Butler, Fundamental
+    Algorithms for Permutation Groups, LNCS 559, 1991): a generator not
+    yet in the group H built so far extends it by right cosets H*y, each
+    listed in one pass, and only the representatives y are multiplied by
+    the generators.
+    """
     for g in generators:
         if len(g) != n:
             raise ValueError(f"generator of degree {len(g)}, expected {n}")
     ident = perm.identity(n)
     seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in generators:
-                y = perm.compose(x, g)
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
+    used: List[Perm] = []
+    for g in generators:
+        if g in seen:
+            continue
+        used.append(g)
+        group = list(seen)
+        reps = [ident]
+        for y in reps:
+            for s in used:
+                z = tuple(map(s.__getitem__, y))  # y*s
+                if z not in seen:
+                    seen.update([tuple(map(z.__getitem__, h)) for h in group])
+                    reps.append(z)
     return frozenset(seen)
 
 

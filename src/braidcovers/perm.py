@@ -85,13 +85,29 @@ def disjoint_cycles(p: Perm) -> list[Tuple[int, ...]]:
     return cycles
 
 
+def _cycle_lengths(p: Perm) -> list[int]:
+    """The lengths of the cycles disjoint_cycles lists, in its order."""
+    seen = [False] * len(p)
+    lengths = []
+    for start in range(len(p)):
+        length = 0
+        x = start
+        while not seen[x]:
+            seen[x] = True
+            x = p[x]
+            length += 1
+        if length:
+            lengths.append(length)
+    return lengths
+
+
 def cycle_type(p: Perm) -> Tuple[int, ...]:
     """Cycle lengths including fixed points, sorted descending."""
-    return tuple(sorted((len(c) for c in disjoint_cycles(p)), reverse=True))
+    return tuple(sorted(_cycle_lengths(p), reverse=True))
 
 
 def order_of(p: Perm) -> int:
-    return math.lcm(*(len(c) for c in disjoint_cycles(p)))
+    return math.lcm(*_cycle_lengths(p))
 
 
 def is_transposition(p: Perm) -> bool:

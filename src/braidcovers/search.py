@@ -139,16 +139,18 @@ import contextlib
 import dataclasses
 import itertools
 import math
-import multiprocessing
 import signal
 import time
-from concurrent.futures import Future, ProcessPoolExecutor, wait
-from typing import (Callable, Collection, Dict, Iterable, Iterator, List,
-                    Optional, Sequence, Tuple)
+from typing import (TYPE_CHECKING, Callable, Collection, Dict, Iterable,
+                    Iterator, List, Optional, Sequence, Tuple)
 
 from . import groups, perm, words
 from .perm import Perm
 from .words import Assignment
+
+if TYPE_CHECKING:  # the pool's modules are imported only when one starts
+    import multiprocessing
+    from concurrent.futures import Future
 
 MAX_DEGREE = 12
 
@@ -487,6 +489,7 @@ def _drop_pending(futures: Collection[Future]) -> None:
     itself; cancelling one first crashes the pool's manager thread
     (InvalidStateError on Python 3.11), so the pool gets a moment to do
     so."""
+    from concurrent.futures import wait
     wait(futures, timeout=1.0)
     for future in futures:
         future.cancel()
@@ -498,6 +501,7 @@ def _end_workers(started: Collection[multiprocessing.Process]):
     so the pool's shutdown does not wait for their running slices when
     the signal reached this process alone."""
     def end(exc_type, exc, tb) -> None:
+        import multiprocessing
         if exc_type is not None and not issubclass(exc_type, Exception):
             for child in set(multiprocessing.active_children()) - set(started):
                 child.terminate()
@@ -525,6 +529,8 @@ def _run_slices(n: int, s: Perm, mode: str, workers: int,
         with contextlib.ExitStack() as stack:
             outputs: Iterable[tuple] = map(_search_chunk, jobs)
             if workers > 1:
+                import multiprocessing
+                from concurrent.futures import ProcessPoolExecutor
                 started = multiprocessing.active_children()
                 pool = stack.enter_context(ProcessPoolExecutor(
                     max_workers=min(workers, len(jobs)),

@@ -643,6 +643,33 @@ def test_sigterm_removes_partial_out(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_pool_modules_load_only_with_a_pool():
+    # in a fresh interpreter, single-worker commands import neither
+    # multiprocessing nor concurrent.futures; a pooled count still works
+    import pathlib
+    import subprocess
+
+    import braidcovers
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(pathlib.Path(braidcovers.__file__).parents[1])
+    script = (
+        "import sys\n"
+        "from braidcovers import cli\n"
+        "assert cli.main(['invariants', '--n', '2']) == 0\n"
+        "assert cli.main(['count', '--n', '6']) == 0\n"
+        "print('loaded:', [m for m in ('multiprocessing', 'concurrent.futures')"
+        " if m in sys.modules])\n"
+        "sys.exit(cli.main(['count', '--n', '4', '--workers', '2']))\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "loaded: []" in lines
+    after = lines[lines.index("loaded: []") + 1:]
+    assert after[0].startswith("n=4: 480 representations with sigma=(1,2)")
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="ru_maxrss is in KiB on Linux")
 @pytest.mark.parametrize("command,first_line", [

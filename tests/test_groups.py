@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 
 import pytest
 
@@ -42,6 +43,85 @@ def test_closure_is_closed(rng):
                 q = elements[rng.randrange(len(elements))]
                 assert perm.compose(p, q) in g
         assert math.factorial(n) % len(g) == 0  # Lagrange
+
+
+def _bfs_closure(gens, n):
+    # reference: close under right multiplication by every generator,
+    # breadth first from the identity
+    seen = {perm.identity(n)}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = perm.compose(x, g)
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return seen
+
+
+def _random_generators(rng, n):
+    # up to four generators: repeats, identities, permutations of a few
+    # points (small groups) and of all n points
+    gens = []
+    for _ in range(rng.randint(0, 4)):
+        kind = rng.random()
+        if gens and kind < 0.2:
+            gens.append(rng.choice(gens))
+        elif kind < 0.3:
+            gens.append(perm.identity(n))
+        elif kind < 0.75:
+            points = rng.sample(range(n), rng.randint(1, min(n, 4)))
+            images = list(range(n))
+            for x, y in zip(points, rng.sample(points, len(points))):
+                images[x] = y
+            gens.append(tuple(images))
+        else:
+            gens.append(random_perm(rng, n))
+    return gens
+
+
+def test_closure_matches_breadth_first_reference(rng):
+    cases = [([], n) for n in range(1, 8)]
+    cases += [([perm.identity(n)] * 2, n) for n in range(1, 8)]
+    for _ in range(240):
+        n = rng.randint(1, 7)
+        cases.append((_random_generators(rng, n), n))
+    orders = set()
+    for gens, n in cases:
+        got = groups.closure(gens, n)
+        assert isinstance(got, frozenset)
+        assert got == _bfs_closure(gens, n), (n, gens)
+        orders.add(len(got))
+    assert {1, 2, 6, 24, 120, 720} <= orders
+
+
+def test_closure_degree_mismatch():
+    with pytest.raises(ValueError, match="degree 4, expected 3"):
+        groups.closure([perm.identity(3), perm.identity(4)], 3)
+    with pytest.raises(ValueError):
+        groups.closure([perm.parse_cycles("(1,2)", 2)], 3)
+
+
+def _element_order(p):
+    # by repeated multiplication, not from the cycle lengths
+    q, k = p, 1
+    while q != perm.identity(len(p)):
+        q, k = perm.compose(q, p), k + 1
+    return k
+
+
+def test_fingerprint_counts_reference_closure(rng):
+    for _ in range(60):
+        n = rng.choice((5, 6))
+        gens = _random_generators(rng, n)
+        elements = _bfs_closure(gens, n)
+        fp = groups.fingerprint(gens, n)
+        assert fp.order == len(elements)
+        assert fp.order_histogram == tuple(sorted(
+            Counter(map(_element_order, elements)).items()))
 
 
 def test_is_transitive():

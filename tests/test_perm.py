@@ -68,6 +68,17 @@ def test_cycle_type_and_order():
     assert perm.cycle_type(perm.identity(3)) == (1, 1, 1)
 
 
+def test_cycle_lengths_match_disjoint_cycles(rng):
+    # order_of and cycle_type read the cycle lengths in one pass; both
+    # must agree with the cycles disjoint_cycles lists
+    cases = [perm.identity(n) for n in range(1, 10)]
+    cases += [random_perm(rng, rng.randint(1, 9)) for _ in range(500)]
+    for p in cases:
+        lengths = [len(c) for c in perm.disjoint_cycles(p)]
+        assert perm.order_of(p) == math.lcm(*lengths), p
+        assert perm.cycle_type(p) == tuple(sorted(lengths, reverse=True)), p
+
+
 def test_order_divides_group_order(rng):
     for _ in range(500):
         n = rng.randint(1, 8)

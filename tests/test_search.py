@@ -80,7 +80,7 @@ def test_pool_capped_at_slice_count(monkeypatch):
             future.set_result(fn(*args))
             return future
 
-    monkeypatch.setattr(search, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     s = perm.transposition(4, 1, 2)
     reps = search._a1_slices(4, s, groups.centralizer_elements(s, 4), "count")
     res = search.enumerate_fixed_sigma(4, workers=64)
