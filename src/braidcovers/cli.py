@@ -358,11 +358,24 @@ def _cmd_orbits(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def _cmd_list(args: argparse.Namespace, out: TextIO) -> int:
+    """Each line is _dumps_line(_solution_json(sol, cache)), assembled
+    from the five cycle strings (which need no JSON escaping) and the
+    image's JSON, serialized once per distinct image."""
     n = args.n
     cache = _ImageCache()
+    images: Dict[groups.GroupFingerprint, str] = {}
 
     def sink(sol: Assignment) -> None:
-        out.write(_dumps_line(_solution_json(sol, cache)))
+        fp = cache.get(sol)
+        image = images.get(fp)
+        if image is None:
+            image = images[fp] = _dumps_line(fp.to_json_dict())[:-1]
+        out.write(f'{{"a1":"{perm.format_cycles(sol.a1)}",'
+                  f'"a2":"{perm.format_cycles(sol.a2)}",'
+                  f'"b1":"{perm.format_cycles(sol.b1)}",'
+                  f'"b2":"{perm.format_cycles(sol.b2)}",'
+                  f'"image":{image},"n":{sol.n},'
+                  f'"sigma":"{perm.format_cycles(sol.sigma)}"}}\n')
 
     search.enumerate_fixed_sigma(
         n, workers=args.workers, sink=sink,

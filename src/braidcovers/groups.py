@@ -11,6 +11,7 @@ cycle structure, not closed from generators or found by scanning S_n.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 from collections import Counter
@@ -183,16 +184,21 @@ class GroupFingerprint:
 def fingerprint(generators: Sequence[Perm], n: int) -> GroupFingerprint:
     """Order, transitivity, abelianness, element-order histogram, and a
     name for the generated subgroup of S_n ("other" when not recognised)."""
-    elements = closure(generators, n)
-    abelian = all(
-        perm.commutes(g, h)
-        for i, g in enumerate(generators) for h in generators[i + 1:])
-    hist = Counter(perm.order_of(p) for p in elements)
-    histogram = tuple(sorted(hist.items()))
+    return _group_fingerprint(closure(generators, n), n)
+
+
+@functools.lru_cache(maxsize=64)
+def _group_fingerprint(elements: FrozenSet[Perm], n: int) -> GroupFingerprint:
+    """The fingerprint of the group with these elements, computed once
+    per distinct group: many generating sets give one group (12,840 sets
+    give 15 groups in `list --n 8`).  Every property is read off the
+    elements, so it cannot depend on which generating set came first."""
+    hist = Counter(map(perm.order_of, elements))
+    abelian = all(perm.commutes(g, h) for g in elements for h in elements)
     return GroupFingerprint(
         order=len(elements),
-        transitive=is_transitive(generators, n),
+        transitive=is_transitive(tuple(elements), n),
         abelian=abelian,
-        order_histogram=histogram,
+        order_histogram=tuple(sorted(hist.items())),
         name=_group_name(len(elements), abelian, dict(hist)),
     )

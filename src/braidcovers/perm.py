@@ -12,6 +12,7 @@ assumes this one convention.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from typing import Tuple
@@ -161,8 +162,12 @@ def parse_cycles(text: str, n: int) -> Perm:
     return tuple(out)
 
 
+@functools.lru_cache(maxsize=4096)
 def format_cycles(p: Perm) -> str:
-    """1-indexed cycle notation; fixed points are dropped, identity is "()"."""
+    """1-indexed cycle notation; fixed points are dropped, identity is "()".
+
+    Memoized: a streamed solution set repeats a few hundred permutations
+    hundreds of thousands of times."""
     parts = [
         "(" + ",".join(str(x + 1) for x in cyc) + ")"
         for cyc in disjoint_cycles(p)

@@ -253,6 +253,25 @@ def test_list_parallel_matches_stream(tmp_path, capsys):
     assert hashlib.sha256(streamed.encode()).hexdigest() == LIST_N6_SHA256
 
 
+@pytest.mark.parametrize("n", range(2, 7))
+def test_list_lines_match_solution_json(capsys, n):
+    # list assembles its lines itself; they must stay the rendering of
+    # _solution_json that orbits uses
+    from braidcovers import search
+
+    solutions = []
+    search.enumerate_fixed_sigma(n, sink=solutions.append)
+    code, out, _ = run(capsys, "list", "--n", str(n))
+    assert code == 0
+    lines = out.splitlines(keepends=True)
+    assert len(lines) == len(solutions)
+    cache = cli._ImageCache()
+    for line, sol in zip(lines, solutions):
+        doc = cli._solution_json(sol, cache)
+        assert line == cli._dumps_line(doc)
+        assert json.loads(line) == doc
+
+
 @pytest.mark.long
 def test_list_n8_digest(tmp_path):
     # the order list streams at degree 8 follows the order of the C2 and

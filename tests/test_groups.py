@@ -304,6 +304,56 @@ def test_fingerprint_histogram_sums_to_order(rng):
         assert fp.to_json_dict()["order"] == fp.order
 
 
+def test_fingerprint_memo_is_shared_by_generating_sets():
+    # one group, two generating sets: equal fingerprints, and the second
+    # is answered from the memo
+    def parse(texts, n):
+        return [perm.parse_cycles(text, n) for text in texts]
+
+    memo = groups._group_fingerprint
+    for first, second, n in [
+            (["(1,2)", "(1,2,3)"], ["(1,2)", "(2,3)"], 3),
+            (["(1,2,3,4)", "(1,3)"], ["(1,2)(3,4)", "(1,3)"], 4)]:
+        a = groups.fingerprint(parse(first, n), n)
+        hits = memo.cache_info().hits
+        b = groups.fingerprint(parse(second, n), n)
+        assert memo.cache_info().hits == hits + 1
+        assert a == b
+    assert (a.order, a.name) == (8, "D8")
+    # same order and order histogram, one transitive and one not: the memo
+    # tells the groups apart by their elements
+    klein = groups.fingerprint(parse(["(1,2)(3,4)", "(1,3)(2,4)"], 4), 4)
+    pairs = groups.fingerprint(parse(["(1,2)", "(3,4)"], 4), 4)
+    assert klein.order_histogram == pairs.order_histogram
+    assert (klein.transitive, pairs.transitive) == (True, False)
+
+
+def _reference_fingerprint(gens, n):
+    elements = groups.closure(gens, n)
+    hist = Counter(map(perm.order_of, elements))
+    abelian = all(perm.compose(g, h) == perm.compose(h, g)
+                  for g in elements for h in elements)
+    return groups.GroupFingerprint(
+        order=len(elements),
+        transitive={g[0] for g in elements} == set(range(n)),
+        abelian=abelian,
+        order_histogram=tuple(sorted(hist.items())),
+        name=groups._group_name(len(elements), abelian, hist),
+    )
+
+
+def test_fingerprint_matches_reference_on_list_n6(n6_result):
+    gen_sets = {(sol.sigma, sol.a1, sol.a2, sol.b1, sol.b2)
+                for sol in n6_result.solutions}
+    assert len({frozenset(gens) for gens in gen_sets}) == 288
+    for gens in sorted(gen_sets):
+        assert groups.fingerprint(gens, 6) == _reference_fingerprint(gens, 6)
+
+
+def test_fingerprint_memo_is_bounded():
+    assert groups._group_fingerprint.cache_info().maxsize is not None
+
+
 def test_centralizer_degree_mismatch():
     with pytest.raises(ValueError):
         groups.centralizer_elements(perm.identity(3), 4)

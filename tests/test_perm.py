@@ -130,6 +130,10 @@ def test_format_cycles():
     assert perm.format_cycles(perm.parse_cycles("(2,3)", 5)) == "(2,3)"
 
 
+def test_format_cycles_memo_is_bounded():
+    assert perm.format_cycles.cache_info().maxsize is not None
+
+
 def test_parse_format_round_trip(rng):
     for _ in range(2000):
         n = rng.randint(1, 9)
