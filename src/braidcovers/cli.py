@@ -461,15 +461,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return command(args, sys.stdout)
         with _output_file(args.out) as out:
             return command(args, out)
-    except UsageError as exc:
+    except (UsageError, RuntimeError) as exc:
         print(f"braidcovers: error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"braidcovers: error: cannot write output: {exc}",
               file=sys.stderr)
-        return 1
-    except RuntimeError as exc:
-        print(f"braidcovers: error: {exc}", file=sys.stderr)
         return 1
     except MemoryError:
         print("braidcovers: error: out of memory", file=sys.stderr)

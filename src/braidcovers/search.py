@@ -150,7 +150,6 @@ from .words import Assignment
 
 if TYPE_CHECKING:  # the pool's modules are imported only when one starts
     import multiprocessing
-    from concurrent.futures import Future
 
 MAX_DEGREE = 12
 
@@ -481,28 +480,14 @@ def _jobs(n: int, s: Perm, mode: str) -> List[tuple]:
             for a1, size in _a1_slices(n, s, cent, mode)]
 
 
-def _drop_pending(futures: Collection[Future]) -> None:
-    """Cancel the pool slices not yet started once a search stops.
-
-    Ctrl-C kills the pool workers (their SIGINT action is SIG_DFL), or
-    _end_workers does, and the pool then fails every pending slice
-    itself; cancelling one first crashes the pool's manager thread
-    (InvalidStateError on Python 3.11), so the pool gets a moment to do
-    so."""
-    from concurrent.futures import wait
-    wait(futures, timeout=1.0)
-    for future in futures:
-        future.cancel()
-
-
 def _end_workers(started: Collection[multiprocessing.Process]):
-    """An exit callback that, when a search unwinds on Ctrl-C or SIGTERM,
-    terminates the child processes not in `started`, the pool's workers,
-    so the pool's shutdown does not wait for their running slices when
-    the signal reached this process alone."""
+    """An exit callback that, when a search unwinds on any exception,
+    terminates the child processes not in `started`, the pool's workers;
+    the pool then fails the slices left, and its shutdown waits for no
+    running slice."""
     def end(exc_type, exc, tb) -> None:
         import multiprocessing
-        if exc_type is not None and not issubclass(exc_type, Exception):
+        if exc_type is not None:
             for child in set(multiprocessing.active_children()) - set(started):
                 child.terminate()
     return end
@@ -522,8 +507,8 @@ def _run_slices(n: int, s: Perm, mode: str, workers: int,
     in this process or in a pool of at most workers processes, with each
     output absorbed in job order, so aggregation and the progress calls
     (slices done, slices in all) are the same for every worker count.
-    Running out of memory becomes a RuntimeError with a one-line
-    message."""
+    Any exception ends the pool's workers at once, and running out of
+    memory becomes a RuntimeError with a one-line message."""
     jobs = _jobs(n, s, mode)
     try:
         with contextlib.ExitStack() as stack:
@@ -535,9 +520,9 @@ def _run_slices(n: int, s: Perm, mode: str, workers: int,
                 pool = stack.enter_context(ProcessPoolExecutor(
                     max_workers=min(workers, len(jobs)),
                     initializer=_default_signals))
+                # popleft lets each slice's output go once it is absorbed
                 pending = collections.deque(
                     pool.submit(_search_chunk, job) for job in jobs)
-                stack.callback(_drop_pending, pending)
                 stack.push(_end_workers(started))
                 outputs = (pending.popleft().result() for _ in jobs)
             for i, out in enumerate(outputs):

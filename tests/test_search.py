@@ -2,7 +2,9 @@ import concurrent.futures
 import functools
 import itertools
 import math
+import multiprocessing
 import os
+import time
 
 import pytest
 
@@ -110,6 +112,54 @@ def test_sink_error_stops_pooled_search():
 
     with pytest.raises(RuntimeError, match="sink refused"):
         search.enumerate_fixed_sigma(6, workers=2, sink=refuse)
+
+
+_real_chunk = search._search_chunk
+
+
+def _slow_chunk(job):
+    # a pool job for search._search_chunk that takes 20 s on every slice
+    # but a1 = (); it lives at module level so that the pool can pickle it
+    n, _, a1 = job[:3]
+    if a1 != perm.identity(n):
+        time.sleep(20)
+    return _real_chunk(job)
+
+
+class _Refused(Exception):
+    pass
+
+
+def _refuse(sol):
+    raise _Refused
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the workers must inherit the patched chunk")
+def test_failed_pooled_search_ends_workers(monkeypatch):
+    # the sink fails on the first slice while both workers run 20 s
+    # slices; the error comes back at once, and no worker is left
+    monkeypatch.setattr(search, "_search_chunk", _slow_chunk)
+    t0 = time.monotonic()
+    with pytest.raises(_Refused):
+        search.enumerate_fixed_sigma(4, workers=2, sink=_refuse)
+    assert time.monotonic() - t0 < 5.0
+    assert multiprocessing.active_children() == []
+
+
+def test_failed_pooled_search_spares_other_children():
+    # the pool ends only its own workers: a child process started before
+    # the search outlives the search's failure
+    bystander = multiprocessing.Process(target=time.sleep, args=(30,))
+    bystander.start()
+    try:
+        with pytest.raises(_Refused):
+            search.enumerate_fixed_sigma(6, workers=2, sink=_refuse)
+        assert bystander.is_alive()
+        assert multiprocessing.active_children() == [bystander]
+    finally:
+        bystander.terminate()
+        bystander.join()
 
 
 def test_progress_reports_all_slices():
