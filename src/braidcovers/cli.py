@@ -93,7 +93,6 @@ _FLAGS: Dict[str, Dict[str, object]] = {
                       help=("report conjugacy classes and image groups, one "
                             "representative per class; no solutions are "
                             "kept")),
-    "--seed": dict(default=None, help=argparse.SUPPRESS),
 }
 
 
@@ -120,9 +119,6 @@ def _check(args: argparse.Namespace) -> None:
     """Every check of the command line that argparse does not make, run
     before any command.  The degree gates hold for the searching
     commands, the ones that take --confirm-long."""
-    if getattr(args, "seed", None) is not None:
-        raise UsageError("the enumeration is deterministic and takes no "
-                         "seed; drop --seed")
     if getattr(args, "workers", 1) < 1:
         raise UsageError(f"--workers must be positive, got {args.workers}")
     top = max(args.n) if isinstance(args.n, list) else args.n
@@ -441,11 +437,11 @@ _COMMANDS = {
     "table": (_cmd_table, "summary table over a degree range", True,
               tuple(_FLAGS)),
     "orbits": (_cmd_orbits, "conjugacy classes of the solution set", False,
-               ("--workers", "--format", "--out", "--confirm-long", "--seed")),
+               ("--workers", "--format", "--out", "--confirm-long")),
     "list": (_cmd_list, "stream all solutions as JSON lines", False,
-             ("--workers", "--out", "--confirm-long", "--seed")),
+             ("--workers", "--out", "--confirm-long")),
     "oracle": (_cmd_oracle, "check the engine against the unpruned scan",
-               False, ("--workers", "--format", "--out", "--seed")),
+               False, ("--workers", "--format", "--out")),
     "invariants": (_cmd_invariants, "surface invariants for a degree range",
                    True, ("--format", "--out")),
 }

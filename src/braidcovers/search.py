@@ -22,16 +22,16 @@ a1 over the elements of S_n that pass R2 (listed from their marked cycle
 types, see below), b1 over C1 = C(s a1 s), a2 over C2 = C1 n C(s b1 s),
 b2 over C3 = C2 n C(s a2 s), and check R2, the torus relation and
 transitivity explicitly, which is therefore the full solution set.
-Three skips, the a1 one among them, are sound necessary conditions:
+Two skips, the a1 one among them, are sound necessary conditions, and
+one needs no test:
 
   * R2(x) involves only x and s, so a failing x dooms its whole subtree;
-  * a2 and b2 both lie in the subgroup C2 (for a2 this is membership,
-    for b2 it is membership in C3 <= C2), hence so does [a2, b2^-1];
-    the torus relation forces [a2, b2^-1] = k^-1 with k = [a1, b1^-1],
-    so subtrees with k outside C2 (or, once a2 is fixed, outside C3)
-    are barren;
-  * the torus relation puts b2^-1 a2^-1 b2 = a2^-1 k^-1, conjugate
-    elements share a cycle type, so a2^-1 and a2^-1 k^-1 must.
+  * the torus relation forces [a2, b2^-1] = k^-1 with k = [a1, b1^-1],
+    and k lies in C3 with a2 and b2: "y commutes with s x s" is
+    symmetric in x and y, so R2(a1), b1 in C1 and R2(b1) put a1 and b1
+    in C2, and a2 in C2 puts them in C(s a2 s);
+  * that relation puts b2^-1 a2^-1 b2 = a2^-1 k^-1, conjugate elements
+    share a cycle type, so a2^-1 and a2^-1 k^-1 must.
 
 Transitivity is tested exactly at the leaves, and also cut above them,
 each time by groups.is_transitive.  Every later coordinate lies in the
@@ -55,19 +55,18 @@ coordinatewise by any h in H
   * fixes sigma and every coordinate of the prefix;
   * commutes with s, so h (s x s) h^-1 = s (h x h^-1) s and the next
     candidate list (S_n, C1 or C2) is mapped onto itself;
-  * preserves R2, the k-membership tests, cycle types, the torus
-    relation and transitivity (it conjugates the group each
-    transitivity prune tests), so it maps candidates that pass a prune
-    to candidates that pass it, and solutions to solutions.
+  * preserves R2, cycle types, the torus relation and transitivity (it
+    conjugates the group each transitivity prune tests), so it maps
+    candidates that pass a prune to candidates that pass it, and
+    solutions to solutions.
 Hence the number of solutions below (prefix, x) is constant on each
 H-orbit of the candidates x.  The walk visits one candidate per orbit
 and multiplies by the orbit size (_orbit_reps), at the b1 level over C1
-after the R2(b1) and k in C2 prunes, and at the a2 level over C2 after
-the R2(a2), k in C3 and cycle-type prunes.  Counts and classes take
-H0 = C(s).  Collecting and streaming runs take the trivial group, whose
-orbits are single candidates in their own order: the plain loop is the
-walk over the trivial group, so the produced solution order never
-depends on the counting strategy.
+after the R2(b1) prune, and at the a2 level over C2 after the R2(a2)
+and cycle-type prunes.  Counts and classes take H0 = C(s); collecting
+and streaming runs take the trivial group, whose orbits are single
+candidates in their own order: that walk is the plain loop, so the
+solution order never depends on the counting strategy.
 
 The a1 level scans no S_n (_a1_slices).  With p and q the points s
 moves, C(s) = <s> x Sym(the other points), so two permutations are
@@ -103,30 +102,27 @@ and ((), (), (), r) when both hold.  Below r = () it yields only
 by H1 or H2 fixes b1 = r and a2 = b2 = (), so an image carries the weight
 of its leaf, and the weights of a job, times the size of the C(s)-class
 of r, count the solutions with a1 in that class and their images: summed
-over the jobs, every solution once, with no list the size of S_n.  A
-representative the a1 prune cuts has no leaves and no images.  The ()
-representative keeps its slot in the a1 list, so slices and progress do
-not change.
+over the jobs, every solution once, with no list the size of S_n.  The
+() representative keeps its slot in the a1 list, so slices and progress
+do not change.
 
 The conjugacy classes of the fixed-sigma solutions (orbits of C(s)
-acting by coordinatewise conjugation) come from the same jobs
-(classify).  A class with a1 != () has members whose a1 is the least
-element of a1's C(s)-class, the representative r that _a1_slices picks;
-those members form one H1-orbit, since two of them differ by an element
-of C(s) fixing r.  The walk below r visits at least one member of every
-H1-orbit of solutions: conjugating by H1 brings any solution's b1 to its
-orbit representative, then conjugating by H2 brings its a2 to its
-representative, and every b2 is visited.  A class with a1 = () other
-than {((), (), (), ())} is the one-to-one image of a class in one of the
-three sets above, since the images commute with C(s), and it is met by
-the one job that meets that class.  For each key of a job not yet seen,
-its orbit is built and marked seen: over H1 when a1 = r, the class
-meeting the fixed-sigma slice in |C(s)-class of r| times that many
-solutions, and over C(s) when a1 = (), that orbit being the whole class
-in the slice.  Either way the orbit's least member is the class's.
-classify sorts the classes of all jobs once, into the order
-orbit_decomposition gives.  The class sizes must add up to the weighted
-count, which is checked.
+acting by coordinatewise conjugation) come from the same jobs: a job
+only walks, and classify reads the classes off its weighted solutions.
+A class with a1 != () has members whose a1 is the least element of a1's
+C(s)-class, the representative r of _a1_slices; they form one H1-orbit,
+and the walk below r visits at least one member of every H1-orbit (H1
+brings any b1 to its orbit representative, then H2 any a2, and every b2
+is visited).  The H1-orbit of each leaf not yet seen in its job is built
+and marked seen; its least member is the class's, and the class meets
+the fixed-sigma slice in |C(s)-class of r| times that many solutions.
+A class with a1 = () other than {((), (), (), ())} is the image of a
+class in one of the three sets above, the images being one-to-one and
+commuting with C(s), so one job meets it, through one leaf class.  An
+image's class is new with its leaf's class and has its size; its least
+member comes from _least, one coordinate at a time over C(s).  The
+classes are sorted once, into the order of orbit_decomposition, and
+their sizes must add up to the weighted count.
 
 Exact agreement with the relation-table-driven brute force is enforced
 by brute_force_oracle and its tests, not assumed.
@@ -283,35 +279,28 @@ def _orbit_reps(group: Sequence[Perm], items: Iterable[tuple]
     return reps
 
 
-def _b1_candidates(s: Perm, a1: Perm, sa1s: Perm, c1: Sequence[Perm]
+def _b1_candidates(s: Perm, a1: Perm, c1: Sequence[Perm]
                    ) -> Iterator[Tuple[Perm, Perm, Perm]]:
-    """(b1, s b1 s, k) for every b1 in C1 that passes R2(b1) and whose
-    k = [a1, b1^-1] lies in C2, in C1 order."""
+    """(b1, s b1 s, k) with k = [a1, b1^-1] for every b1 in C1 that
+    passes R2(b1), in C1 order."""
     a1_inv = perm.inverse(a1)
     for b1 in c1:
         sb1s = perm.conjugate(b1, s)
         if not perm.commutes(b1, sb1s):                    # R2(b1)
             continue
         b1_inv = perm.inverse(b1)
-        # k = [a1, b1^-1]; the torus relation will force
-        # [a2, b2^-1] = k^-1, an element of C2, so k must lie in C2.
-        k = tuple(b1[a1_inv[b1_inv[x]]] for x in a1)
-        if not (perm.commutes(k, sa1s) and perm.commutes(k, sb1s)):
-            continue
-        yield b1, sb1s, k
+        yield b1, sb1s, tuple(b1[a1_inv[b1_inv[x]]] for x in a1)
 
 
 def _a2_candidates(s: Perm, k: Perm, c2: Sequence[Perm]
                    ) -> Iterator[Tuple[Perm, Perm, Perm, Perm]]:
-    """(a2, s a2 s, a2^-1, target) for every a2 in C2 that passes R2(a2),
-    keeps k in C3 and passes the cycle-type test, in C2 order."""
+    """(a2, s a2 s, a2^-1, target) for every a2 in C2 that passes R2(a2)
+    and the cycle-type test, in C2 order."""
     cycle_type = perm.cycle_type
     k_inv = perm.inverse(k)
     for a2 in c2:
         sa2s = perm.conjugate(a2, s)
         if not perm.commutes(a2, sa2s):                    # R2(a2)
-            continue
-        if not perm.commutes(k, sa2s):                     # k must lie in C3
             continue
         a2_inv = perm.inverse(a2)
         # torus relation, rearranged: b2^-1 a2^-1 b2 = a2^-1 k^-1
@@ -335,7 +324,7 @@ def _iter_for_a1(n: int, s: Perm, a1: Perm, stab: Sequence[Perm]
     sa1s = perm.conjugate(a1, s)
     c1 = groups.centralizer_elements(sa1s, n)
     for (b1, sb1s, k), w1 in _orbit_reps(
-            stab, _b1_candidates(s, a1, sa1s, c1)):
+            stab, _b1_candidates(s, a1, c1)):
         c2 = _intersect_next(c1, (sa1s,), sb1s)
         if not groups.is_transitive((s, a1, b1, *c2), n):      # a2, b2 in C2
             continue
@@ -383,38 +372,27 @@ def _with_images(n: int, s: Perm, r: Perm, stab: Sequence[Perm]
                 yield (e, e, e, r), w
 
 
-def _search_chunk(args: Tuple[int, Perm, Perm, int, str, Sequence[Perm],
-                              Optional[Sequence[Perm]]]
-                  ) -> Tuple[int, Optional[list]]:
-    """The solutions below one a1 representative, weighted by size.
+def _search_chunk(job: Tuple[int, Perm, Perm, int, Sequence[Perm], bool]
+                  ) -> List[Tuple[RawSolution, int]]:
+    """The weighted solutions below one a1 slice of _jobs, for the caller
+    to scale by its size: factored, the walk by stab with each leaf's
+    images below a1 = () (_with_images), else the plain loop over the
+    trivial group, every solution once, in order, with weight 1."""
+    n, s, a1, _, stab, factored = job
+    return list((_with_images if factored else _iter_for_a1)(n, s, a1, stab))
 
-    a1 stands for an orbit of that size, and the walk below it is
-    factored by stab, the part of the orbit's group fixing a1 (_jobs).
-    mode "solutions" gives the number and the solutions, from the plain
-    loop over the trivial group, where every size is 1.  The others
-    factor by C(s) n C(a1) and add the images below a1 = () that a1
-    carries (_with_images): "count" gives the number alone, and
-    "classes", whose job alone carries cent = C(s), also the conjugacy
-    classes met first here, each with its fixed-sigma size.
-    """
-    n, s, a1, size, mode, stab, cent = args
-    if mode == "solutions":
-        sols = [raw for raw, _ in _iter_for_a1(n, s, a1, stab)]
-        return len(sols), sols
-    count = 0
-    seen: set = set()
-    classes = []
-    for key, w in _with_images(n, s, a1, stab):
-        count += w
-        if cent is None or key in seen:
-            continue
-        below = key[0] == a1
-        orbit = {tuple(perm.conjugate(p, h) for p in key)
-                 for h in (stab if below else cent)}
-        seen |= orbit
-        classes.append(Orbit(representative=Assignment(n, s, *min(orbit)),
-                             size=size * len(orbit) if below else len(orbit)))
-    return size * count, None if cent is None else classes
+
+def _least(key: Tuple[Perm, ...], group: Sequence[Perm]) -> Tuple[Perm, ...]:
+    """The least member of the orbit of key under group acting by
+    coordinatewise conjugation: the least image of each coordinate under
+    the elements giving the least images of the coordinates before it."""
+    least = []
+    for p in key:
+        moved = [perm.conjugate(p, h) for h in group]
+        low = min(moved)
+        group = [h for h, q in zip(group, moved) if q == low]
+        least.append(low)
+    return tuple(least)
 
 
 def _partitions(m: int, most: int) -> Iterator[Tuple[int, ...]]:
@@ -447,12 +425,12 @@ def _marked_types(n: int, s: Perm) -> Iterator[Perm]:
                                           lengths)])
 
 
-def _a1_slices(n: int, s: Perm, cent: Sequence[Perm], mode: str
+def _a1_slices(n: int, s: Perm, cent: Sequence[Perm], factored: bool
                ) -> List[Tuple[Perm, int]]:
-    """The slices of a run in lexicographic order: for "solutions" every
-    a1 that passes R2(a1) and the a1 transitivity prune, with size 1,
-    else the least member and size of each C(s)-orbit of them; cent lists
-    C(s).  Both tests are C(s)-invariant, so they are made once per
+    """The slices of a run in lexicographic order, over the a1 that pass
+    R2(a1) and the a1 transitivity prune: factored, the least member and
+    size of each C(s)-orbit of them, else each of them with size 1; cent
+    lists C(s).  Both tests are C(s)-invariant, so they are made once per
     marked cycle type and only the orbits that pass are built."""
     slices = []
     for a1 in _marked_types(n, s):
@@ -460,24 +438,24 @@ def _a1_slices(n: int, s: Perm, cent: Sequence[Perm], mode: str
                 and _a1_transitive(n, s, a1)):
             continue
         orbit = {perm.conjugate(a1, h) for h in cent}
-        if mode == "solutions":
-            slices += ((x, 1) for x in orbit)
-        else:
+        if factored:
             slices.append((min(orbit), len(orbit)))
+        else:
+            slices += ((x, 1) for x in orbit)
     return sorted(slices)
 
 
-def _jobs(n: int, s: Perm, mode: str) -> List[tuple]:
-    """The _search_chunk jobs of a run, one per a1 slice, in order.  C(s)
-    is built once, here; each job carries the group its walk is factored
-    by: the trivial group for "solutions", else C(s) n C(a1).  Only
-    "classes" jobs carry C(s) itself, for the classes below a1 = ()."""
+def _jobs(n: int, s: Perm, factored: bool) -> List[tuple]:
+    """The _search_chunk jobs (n, s, a1, size, stab, factored) of a run,
+    one per a1 slice, in order.  C(s) is built once, here; the walk below
+    a1 is factored by stab, C(s) n C(a1) when factored (all of C(s) for
+    the first job, a1 = ()) and the trivial group otherwise."""
     cent = groups.centralizer_elements(s, n)
-    return [(n, s, a1, size, mode,
-             [perm.identity(n)] if mode == "solutions"
-             else [h for h in cent if perm.commutes(h, a1)],
-             cent if mode == "classes" else None)
-            for a1, size in _a1_slices(n, s, cent, mode)]
+    trivial = [perm.identity(n)]
+    return [(n, s, a1, size,
+             [h for h in cent if perm.commutes(h, a1)] if factored
+             else trivial, factored)
+            for a1, size in _a1_slices(n, s, cent, factored)]
 
 
 def _end_workers(started: Collection[multiprocessing.Process]):
@@ -500,19 +478,18 @@ def _default_signals() -> None:
         signal.signal(signum, signal.SIG_DFL)
 
 
-def _run_slices(n: int, s: Perm, mode: str, workers: int,
-                absorb: Callable[..., None],
+def _run_slices(n: int, jobs: Sequence[tuple], workers: int,
+                absorb: Callable[[tuple, list], None],
                 progress: Optional[Callable[[int, int], None]]) -> None:
-    """_search_chunk in the given mode on every a1 slice, one job each,
-    in this process or in a pool of at most workers processes, with each
-    output absorbed in job order, so aggregation and the progress calls
-    (slices done, slices in all) are the same for every worker count.
-    Any exception ends the pool's workers at once, and running out of
-    memory becomes a RuntimeError with a one-line message."""
-    jobs = _jobs(n, s, mode)
+    """_search_chunk on every job, in this process or in a pool of at
+    most workers processes, with each job and its output absorbed in job
+    order, so aggregation and the progress calls (slices done, slices in
+    all) are the same for every worker count.  Any exception ends the
+    pool's workers at once, and running out of memory becomes a
+    RuntimeError with a one-line message."""
     try:
         with contextlib.ExitStack() as stack:
-            outputs: Iterable[tuple] = map(_search_chunk, jobs)
+            outputs: Iterable[list] = map(_search_chunk, jobs)
             if workers > 1:
                 import multiprocessing
                 from concurrent.futures import ProcessPoolExecutor
@@ -525,8 +502,8 @@ def _run_slices(n: int, s: Perm, mode: str, workers: int,
                     pool.submit(_search_chunk, job) for job in jobs)
                 stack.push(_end_workers(started))
                 outputs = (pending.popleft().result() for _ in jobs)
-            for i, out in enumerate(outputs):
-                absorb(*out)
+            for i, (job, out) in enumerate(zip(jobs, outputs)):
+                absorb(job, out)
                 if progress is not None:
                     progress(i + 1, len(jobs))
     except MemoryError:
@@ -565,20 +542,20 @@ def enumerate_fixed_sigma(n: int, collect: bool = False, *,
     count = 0
     collected: List[Assignment] = []
 
-    def absorb(chunk_count: int, raws: Optional[List[RawSolution]]) -> None:
+    def absorb(job: tuple, solutions: List[Tuple[RawSolution, int]]
+               ) -> None:
         nonlocal count
-        count += chunk_count
-        if raws is None:
+        count += job[3] * sum(w for _, w in solutions)
+        if not keep:
             return
-        for a1, a2, b1, b2 in raws:
+        for (a1, a2, b1, b2), _ in solutions:
             asg = Assignment(n, s, a1, a2, b1, b2)
             if sink is not None:
                 sink(asg)
             if collect:
                 collected.append(asg)
 
-    _run_slices(n, s, "solutions" if keep else "count", workers, absorb,
-                progress)
+    _run_slices(n, _jobs(n, s, factored=not keep), workers, absorb, progress)
     return _result(n, s, count, time.perf_counter() - t0,
                    tuple(collected) if collect else None)
 
@@ -591,21 +568,38 @@ def classify(n: int, *, workers: int = 1,
     fills them, without keeping the solutions.
 
     The classes are those of orbit_decomposition, in its order and with
-    the same representatives, found by the orbit-factored count search;
-    workers and progress work as in enumerate_fixed_sigma.
+    the same representatives, read off the jobs a count runs (module
+    docstring); workers and progress work as in enumerate_fixed_sigma.
     """
     _check_run(n, workers)
     s = perm.transposition(n, 1, 2)
     t0 = time.perf_counter()
+    jobs = _jobs(n, s, factored=True)
+    cent = jobs[0][4]                           # the a1 = () job's: C(s)
     count = 0
     orbits: List[Orbit] = []
 
-    def absorb(chunk_count: int, classes: List[Orbit]) -> None:
+    def absorb(job: tuple, solutions: List[Tuple[RawSolution, int]]
+               ) -> None:
         nonlocal count
-        count += chunk_count
-        orbits.extend(classes)
+        _, _, r, size, stab, _ = job
+        seen: set = set()
+        for key, w in solutions:
+            count += size * w
+            if key[0] == r:                     # a leaf: is its class new?
+                new = key not in seen
+                if new:
+                    orbit = {tuple(perm.conjugate(p, h) for p in key)
+                             for h in stab}
+                    seen |= orbit
+                    class_size = size * len(orbit)
+                    orbits.append(Orbit(Assignment(n, s, *min(orbit)),
+                                        class_size))
+            elif new:                           # then so is its image's
+                orbits.append(Orbit(Assignment(n, s, *_least(key, cent)),
+                                    class_size))
 
-    _run_slices(n, s, "classes", workers, absorb, progress)
+    _run_slices(n, jobs, workers, absorb, progress)
     orbits.sort(key=lambda o: o.representative.sort_key())
     res = _result(n, s, count, time.perf_counter() - t0)
     return _summarize(res, orbits), orbits

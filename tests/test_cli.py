@@ -387,8 +387,7 @@ def test_usage_errors_exit_1(capsys, argv):
     assert err.count("\n") == 1
 
 
-# the flags each command's help names beside --n and --help; --seed is
-# taken only to be refused, so no help names it
+# the flags each command's help names beside --n and --help
 HELP_FLAGS = {
     "count": "--workers --format --out --confirm-long --collect",
     "table": "--workers --format --out --confirm-long --collect",

@@ -4,6 +4,7 @@ import itertools
 import math
 import multiprocessing
 import os
+import random
 import time
 
 import pytest
@@ -84,13 +85,13 @@ def test_pool_capped_at_slice_count(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     s = perm.transposition(4, 1, 2)
-    reps = search._a1_slices(4, s, groups.centralizer_elements(s, 4), "count")
+    reps = search._a1_slices(4, s, groups.centralizer_elements(s, 4), True)
     res = search.enumerate_fixed_sigma(4, workers=64)
     assert res.fixed_count == 480
-    assert [(a1, size) for (_, _, a1, size, _, _, _), in submitted] == reps
+    assert [(a1, size) for (_, _, a1, size, _, _), in submitted] == reps
     assert requested == [len(reps)] and 1 < len(reps) < 64
     # each job carries the stabilizer its walk is factored by
-    for (_, _, a1, _, _, stab, _), in submitted:
+    for (_, _, a1, _, stab, _), in submitted:
         assert sorted(stab) == _stab(4, s, a1)
 
 
@@ -270,7 +271,7 @@ def test_b1_orbits_partition_filtered_c1():
             continue
         stab = [h for h in cent if perm.commutes(h, a1)]
         items = list(search._b1_candidates(
-            s, a1, sa1s, groups.centralizer_elements(sa1s, n)))
+            s, a1, groups.centralizer_elements(sa1s, n)))
         cands = [b1 for b1, _, _ in items]
         reps = list(search._orbit_reps(stab, items))
         covered = set()
@@ -297,7 +298,7 @@ def test_orbit_reps_over_trivial_group_keep_every_item():
     a1 = perm.parse_cycles("(1,3)(2,4)", n)
     sa1s = perm.conjugate(a1, s)
     items = list(search._b1_candidates(
-        s, a1, sa1s, groups.centralizer_elements(sa1s, n)))
+        s, a1, groups.centralizer_elements(sa1s, n)))
     assert len(items) > 1
     weighted = list(search._orbit_reps([perm.identity(n)], iter(items)))
     assert weighted == [(item, 1) for item in items]
@@ -330,9 +331,9 @@ def test_a1_candidates_are_the_r2_filter():
         passing = [a1 for a1 in _r2_scan(n, s)
                    if _reference_transitive(n, s, [a1], _c1(n, s, a1))]
         cent = _brute_centralizer(n, s)
-        assert search._a1_slices(n, s, cent, "solutions") \
+        assert search._a1_slices(n, s, cent, False) \
             == [(a1, 1) for a1 in passing]
-        assert search._a1_slices(n, s, cent, "count") \
+        assert search._a1_slices(n, s, cent, True) \
             == _brute_orbits(passing, cent)
 
 
@@ -345,9 +346,9 @@ def test_a1_slices_match_scan_n8_n9():
                    if perm.commutes(a1, perm.conjugate(a1, s))
                    and search._a1_transitive(n, s, a1)]
         cent = groups.centralizer_elements(s, n)
-        assert search._a1_slices(n, s, cent, "solutions") \
+        assert search._a1_slices(n, s, cent, False) \
             == [(a1, 1) for a1 in passing]
-        assert search._a1_slices(n, s, cent, "count") \
+        assert search._a1_slices(n, s, cent, True) \
             == _brute_orbits(passing, cent)
 
 
@@ -479,17 +480,15 @@ def test_classify_matches_plain_loop_n8():
 
 def _count_reps(n, s):
     # the a1 representatives of a count run, with their C(s)-class sizes
-    # and the stabilizers C(s) n C(a1) their jobs carry; only class jobs
-    # carry C(s) itself
+    # and the stabilizers C(s) n C(a1) their jobs carry; no job carries
+    # C(s) beside its stabilizer
     reps = [(a1, size, stab)
-            for _, _, a1, size, _, stab, _ in search._jobs(n, s, "count")]
+            for _, _, a1, size, stab, _ in search._jobs(n, s, True)]
     for a1, _, stab in reps:
         assert sorted(stab) == _stab(n, s, a1)
-    cent = _stab(n, s, perm.identity(n))
-    for mode in ("solutions", "count", "classes"):
-        carried = [job[-1] for job in search._jobs(n, s, mode)]
-        assert all((mode == "classes") == (c is not None) for c in carried)
-        assert all(sorted(c) == cent for c in carried if c is not None)
+    for factored in (False, True):
+        jobs = search._jobs(n, s, factored)
+        assert all(len(job) == 6 and job[-1] is factored for job in jobs)
     return reps
 
 
@@ -564,8 +563,8 @@ def test_factored_count_matches_plain_loop():
         for r, _, stab in _count_reps(n, sig)[1:]:
             assert _factored_terms(n, sig, r, stab) \
                 == _plain_terms(n, sig, r, unit)
-        images = [key for _, _, a1, _, _, trivial, _
-                  in search._jobs(n, sig, "solutions") if a1 != e
+        images = [key for _, _, a1, _, trivial, _
+                  in search._jobs(n, sig, False) if a1 != e
                   for key, _ in search._with_images(n, sig, a1, trivial)
                   if key[0] == e]
         assert sorted(images) == sorted(unit - {(e, e, e, e)})
@@ -574,6 +573,68 @@ def test_factored_count_matches_plain_loop():
         units.append(len(unit))
         assert _unit_subtree_route(n, sig) == len(unit)
     assert units == [8, 26, 112, 0, 480, 0, 112, 112]
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_counts_and_classes_submit_one_job_kind(n, monkeypatch):
+    # a count and a class search hand the pool the same factored jobs;
+    # only the parent's aggregation of their outputs differs
+    submitted = {}
+    chunk = search._search_chunk
+
+    def spy(job):
+        jobs.append(job)
+        return chunk(job)
+
+    monkeypatch.setattr(search, "_search_chunk", spy)
+    for run in (search.enumerate_fixed_sigma, search.classify):
+        jobs = submitted[run] = []
+        run(n)
+    assert submitted[search.enumerate_fixed_sigma] \
+        == submitted[search.classify] \
+        == search._jobs(n, perm.transposition(n, 1, 2), True)
+
+
+def test_least_is_min_of_orbit():
+    # _least against the least member of the whole conjugation orbit, on
+    # random 4-tuples (some with identity coordinates, as the images
+    # below a1 = () have) under C(s) and under C(s) n C(a1)
+    rng = random.Random(17)
+    for n in range(2, 7):
+        s = perm.transposition(n, 1, 2)
+        e = perm.identity(n)
+        cent = groups.centralizer_elements(s, n)
+        a1s = _r2_scan(n, s)
+        stabs = [[h for h in cent if perm.commutes(h, a1)]
+                 for a1 in rng.sample(a1s, min(4, len(a1s)))]
+        for group in [cent, *stabs]:
+            for _ in range(25):
+                key = tuple(e if rng.random() < 0.3
+                            else tuple(rng.sample(range(n), n))
+                            for _ in range(4))
+                orbit = {tuple(perm.conjugate(p, h) for p in key)
+                         for h in group}
+                assert search._least(key, group) == min(orbit), (key, n)
+
+
+def test_k_lies_in_c3_at_every_node():
+    # k = [a1, b1^-1] commutes with s a1 s and s b1 s at every (a1, b1)
+    # node and with s a2 s at every (a1, b1, a2) node below it that passes
+    # R2(a2), for every a1 that passes R2(a1): the walk needs no k test
+    nodes = 0
+    for n in range(2, 7):
+        s = perm.transposition(n, 1, 2)
+        for a1 in _r2_scan(n, s):
+            sa1s = _s_conj(a1, s)
+            c1 = groups.centralizer_elements(sa1s, n)
+            for b1, sb1s, k in search._b1_candidates(s, a1, c1):
+                assert perm.commutes(k, sa1s) and perm.commutes(k, sb1s)
+                for a2 in search._intersect_next(c1, (sa1s,), sb1s):
+                    sa2s = _s_conj(a2, s)
+                    if perm.commutes(a2, sa2s):
+                        assert perm.commutes(k, sa2s), (a1, b1, a2)
+                        nodes += 1
+    assert nodes
 
 
 @pytest.mark.parametrize("n", range(2, 8))
@@ -592,7 +653,7 @@ def test_counts_and_classes_never_walk_below_unit(n, monkeypatch):
     search.enumerate_fixed_sigma(n)
     search.classify(n)
     reps = [a1 for _, _, a1, *_ in search._jobs(
-        n, perm.transposition(n, 1, 2), "count")]
+        n, perm.transposition(n, 1, 2), True)]
     assert reps[0] == perm.identity(n)
     assert walked == reps[1:] * 2
 
