@@ -124,6 +124,15 @@ member comes from _least, one coordinate at a time over C(s).  The
 classes are sorted once, into the order of orbit_decomposition, and
 their sizes must add up to the weighted count.
 
+Collecting and streaming runs first read the fertile prefixes, the
+(a1, b1, a2) with a solution below, off the same jobs (_fertile): the
+prefixes of a job's leaves and images, conjugated by H1 and then by all
+of C(s), are those of every solution with a1 in the class of r and of
+their images.  The plain loop then drops each b1 and a2 outside them
+before any test; no solution is lost, and the order is kept, since C2 is
+still built from all of C1 and C3 from all of C2, so _intersect_next
+takes the same route (from a filtered C2 it need not).
+
 Exact agreement with the relation-table-driven brute force is enforced
 by brute_force_oracle and its tests, not assumed.
 """
@@ -150,6 +159,7 @@ if TYPE_CHECKING:  # the pool's modules are imported only when one starts
 MAX_DEGREE = 12
 
 RawSolution = Tuple[Perm, Perm, Perm, Perm]  # (a1, a2, b1, b2)
+Fertile = Dict[Perm, Collection[Perm]]  # b1 -> the a2 below (a1, b1) to walk
 
 
 @dataclasses.dataclass(frozen=True)
@@ -310,7 +320,8 @@ def _a2_candidates(s: Perm, k: Perm, c2: Sequence[Perm]
         yield a2, sa2s, a2_inv, target
 
 
-def _iter_for_a1(n: int, s: Perm, a1: Perm, stab: Sequence[Perm]
+def _iter_for_a1(n: int, s: Perm, a1: Perm, stab: Sequence[Perm],
+                 fertile: Optional[Fertile] = None
                  ) -> Iterator[Tuple[RawSolution, int]]:
     """Solutions below one fixed a1 that passes R2(a1), each with a
     weight.
@@ -319,18 +330,21 @@ def _iter_for_a1(n: int, s: Perm, a1: Perm, stab: Sequence[Perm]
     candidate per stab-orbit and the a2 level one per orbit of its
     subgroup fixing b1, and the weights sum to the count below a1.
     Over the trivial group this is the plain loop: every solution once,
-    in order, with weight 1.
+    in order, with weight 1; given fertile (module docstring), only the
+    b1 in it and the a2 in fertile[b1] are walked.
     """
     sa1s = perm.conjugate(a1, s)
     c1 = groups.centralizer_elements(sa1s, n)
+    b1s = c1 if fertile is None else [b1 for b1 in c1 if b1 in fertile]
     for (b1, sb1s, k), w1 in _orbit_reps(
-            stab, _b1_candidates(s, a1, c1)):
+            stab, _b1_candidates(s, a1, b1s)):
         c2 = _intersect_next(c1, (sa1s,), sb1s)
         if not groups.is_transitive((s, a1, b1, *c2), n):      # a2, b2 in C2
             continue
         stab2 = [h for h in stab if perm.commutes(h, b1)]
+        a2s = c2 if fertile is None else [a2 for a2 in c2 if a2 in fertile[b1]]
         for (a2, sa2s, a2_inv, target), w2 in _orbit_reps(
-                stab2, _a2_candidates(s, k, c2)):
+                stab2, _a2_candidates(s, k, a2s)):
             c3 = _intersect_next(c2, (sa1s, sb1s), sa2s)
             if not groups.is_transitive((s, a1, b1, a2, *c3), n):  # b2 in C3
                 continue
@@ -372,26 +386,55 @@ def _with_images(n: int, s: Perm, r: Perm, stab: Sequence[Perm]
                 yield (e, e, e, r), w
 
 
-def _search_chunk(job: Tuple[int, Perm, Perm, int, Sequence[Perm], bool]
-                  ) -> List[Tuple[RawSolution, int]]:
+def _search_chunk(job: tuple) -> List[Tuple[RawSolution, int]]:
     """The weighted solutions below one a1 slice of _jobs, for the caller
     to scale by its size: factored, the walk by stab with each leaf's
     images below a1 = () (_with_images), else the plain loop over the
-    trivial group, every solution once, in order, with weight 1."""
-    n, s, a1, _, stab, factored = job
-    return list((_with_images if factored else _iter_for_a1)(n, s, a1, stab))
+    trivial group through fertile, every solution once, in order, with
+    weight 1."""
+    n, s, a1, _, stab, fertile = job
+    return list(_with_images(n, s, a1, stab) if fertile is None
+                else _iter_for_a1(n, s, a1, stab, fertile))
+
+
+def _fertile(jobs: Sequence[tuple]) -> Dict[Perm, Fertile]:
+    """a1 -> b1 -> the a2 with a solution below (a1, b1, a2), read off
+    the factored jobs, run here: the prefixes below each r, closed under
+    its H1, then moved by one element of each H1-coset of C(s)."""
+    cent = jobs[0][4]                           # the a1 = () job's: C(s)
+    canon: Dict[Perm, Perm] = {}                # one object per permutation
+    fertile: Dict[Perm, Fertile] = {}
+
+    def conj(p: Perm, h: Perm) -> Perm:
+        q = perm.conjugate(p, h)
+        return canon.setdefault(q, q)
+
+    for n, s, r, _, stab, _ in jobs:
+        closed: Dict[Tuple[Perm, Perm], set] = {}   # H1 fixes a1, r or ()
+        for a1, b1, a2 in {(a1, b1, a2) for (a1, a2, b1, _), _
+                           in _with_images(n, s, r, stab)}:
+            for h in stab:
+                closed.setdefault((a1, conj(b1, h)), set()).add(conj(a2, h))
+        cosets = {perm.conjugate(r, g): g for g in cent} if closed else {}
+        for r_g, g in cosets.items():
+            for (a1, b1), a2s in closed.items():
+                fertile.setdefault(r_g if a1 == r else a1, {}).setdefault(
+                    conj(b1, g), set()).update(conj(a2, g) for a2 in a2s)
+    return fertile
 
 
 def _least(key: Tuple[Perm, ...], group: Sequence[Perm]) -> Tuple[Perm, ...]:
     """The least member of the orbit of key under group acting by
     coordinatewise conjugation: the least image of each coordinate under
     the elements giving the least images of the coordinates before it."""
+    e = perm.identity(len(key[0]))
     least = []
     for p in key:
-        moved = [perm.conjugate(p, h) for h in group]
-        low = min(moved)
-        group = [h for h, q in zip(group, moved) if q == low]
-        least.append(low)
+        if p != e:                  # () is its own image and narrows nothing
+            moved = [perm.conjugate(p, h) for h in group]
+            p = min(moved)
+            group = [h for h, q in zip(group, moved) if q == p]
+        least.append(p)
     return tuple(least)
 
 
@@ -445,16 +488,18 @@ def _a1_slices(n: int, s: Perm, cent: Sequence[Perm], factored: bool
     return sorted(slices)
 
 
-def _jobs(n: int, s: Perm, factored: bool) -> List[tuple]:
-    """The _search_chunk jobs (n, s, a1, size, stab, factored) of a run,
+def _jobs(n: int, s: Perm, fertile: Optional[Dict[Perm, Fertile]] = None
+          ) -> List[tuple]:
+    """The _search_chunk jobs (n, s, a1, size, stab, fertile) of a run,
     one per a1 slice, in order.  C(s) is built once, here; the walk below
-    a1 is factored by stab, C(s) n C(a1) when factored (all of C(s) for
-    the first job, a1 = ()) and the trivial group otherwise."""
+    a1 is factored by stab = C(s) n C(a1) (all of C(s) for a1 = ()) when
+    fertile is None, else by the trivial group through fertile's a1 entry."""
     cent = groups.centralizer_elements(s, n)
     trivial = [perm.identity(n)]
+    factored = fertile is None
     return [(n, s, a1, size,
              [h for h in cent if perm.commutes(h, a1)] if factored
-             else trivial, factored)
+             else trivial, None if factored else fertile.get(a1, {}))
             for a1, size in _a1_slices(n, s, cent, factored)]
 
 
@@ -555,7 +600,10 @@ def enumerate_fixed_sigma(n: int, collect: bool = False, *,
             if collect:
                 collected.append(asg)
 
-    _run_slices(n, _jobs(n, s, factored=not keep), workers, absorb, progress)
+    jobs = _jobs(n, s)
+    if keep:
+        jobs = _jobs(n, s, _fertile(jobs))
+    _run_slices(n, jobs, workers, absorb, progress)
     return _result(n, s, count, time.perf_counter() - t0,
                    tuple(collected) if collect else None)
 
@@ -574,7 +622,7 @@ def classify(n: int, *, workers: int = 1,
     _check_run(n, workers)
     s = perm.transposition(n, 1, 2)
     t0 = time.perf_counter()
-    jobs = _jobs(n, s, factored=True)
+    jobs = _jobs(n, s)
     cent = jobs[0][4]                           # the a1 = () job's: C(s)
     count = 0
     orbits: List[Orbit] = []

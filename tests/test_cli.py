@@ -422,9 +422,9 @@ def test_unwritable_out_path_exits_1(capsys, tmp_path):
                          ids=["missing-dir", "empty", "trailing-slash"])
 def test_unwritable_out_path_fails_before_search(capsys, monkeypatch,
                                                  tmp_path, path):
-    # list --n 8 runs for about 40 s, so a search started before the
-    # output check shows; "" and "sub/" name no file, and nothing is
-    # written in the working directory or beside it
+    # list --n 8 runs for about 10 s on one worker, so a search started
+    # before the output check shows; "" and "sub/" name no file, and
+    # nothing is written in the working directory or beside it
     import time
     cwd = tmp_path / "cwd"
     cwd.mkdir()
@@ -510,9 +510,9 @@ def _group_size(pgid):
 def _pooled_list_n8(out_path):
     """list --n 8 --out out_path on two workers in a subprocess leading
     its own process group, returned once both pool workers have run for a
-    second; the run takes about 20 s more.  The parent builds the a1 list
-    before the pool starts, so a fixed delay could come before any worker
-    exists."""
+    second; the run takes about 5 s more on a 2-vCPU host.  The parent
+    builds the a1 list and runs the factored jobs before the pool starts,
+    so a fixed delay could come before any worker exists."""
     import pathlib
     import signal
     import subprocess

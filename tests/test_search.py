@@ -392,11 +392,12 @@ def _same_list(tail, expected):
 
 
 def test_prune_verdicts_match_reference(monkeypatch):
-    # every transitivity test the plain loop makes at n=6 goes through
-    # groups.is_transitive: at the a1 level (s, a1, u), at the b1 level
-    # (s, a1, b1) and all of C2, at the a2 level (s, a1, b1, a2) and all of
-    # C3, and at the leaves (s, a1, a2, b1, b2) of relation-satisfying
-    # tuples; each prune verdict equals the reference from explicit lists
+    # every transitivity test the unfiltered plain loop makes at n=6 goes
+    # through groups.is_transitive: at the a1 level (s, a1, u), at the b1
+    # level (s, a1, b1) and all of C2, at the a2 level (s, a1, b1, a2) and
+    # all of C3, and at the leaves (s, a1, a2, b1, b2) of
+    # relation-satisfying tuples; each prune verdict equals the reference
+    # from explicit lists
     n = 6
     s = perm.transposition(n, 1, 2)
     real = groups.is_transitive
@@ -409,8 +410,7 @@ def test_prune_verdicts_match_reference(monkeypatch):
 
     with monkeypatch.context() as patched:
         patched.setattr(groups, "is_transitive", spy)
-        res = search.enumerate_fixed_sigma(n, collect=True)
-    assert res.fixed_count == 2880
+        assert len(_plain_walk(n, s)) == 2880
     lists = {}
 
     def level(prefix):
@@ -469,13 +469,14 @@ def test_solutions_closed_under_symmetries(n4_result, n6_result):
 
 @pytest.mark.long
 def test_classify_matches_plain_loop_n8():
-    # the class walk against the plain loop at degree 8, and the plain
-    # loop's solutions closed under the symmetries
-    collected = search.enumerate_fixed_sigma(8, collect=True, workers=2)
-    assert collected.fixed_count == 172800
+    # the class walk against the unfiltered plain loop at degree 8, and
+    # the plain loop's solutions closed under the symmetries
+    s = perm.transposition(8, 1, 2)
+    solutions = [words.Assignment(8, s, *raw) for raw in _plain_walk(8, s)]
+    assert len(solutions) == 172800
     _, orbits = search.classify(8, workers=2)
-    assert orbits == search.orbit_decomposition(list(collected.solutions), 8)
-    _assert_symmetry_closed(collected.solutions)
+    assert orbits == search.orbit_decomposition(solutions, 8)
+    _assert_symmetry_closed(solutions)
 
 
 def _count_reps(n, s):
@@ -483,13 +484,21 @@ def _count_reps(n, s):
     # and the stabilizers C(s) n C(a1) their jobs carry; no job carries
     # C(s) beside its stabilizer
     reps = [(a1, size, stab)
-            for _, _, a1, size, stab, _ in search._jobs(n, s, True)]
+            for _, _, a1, size, stab, _ in search._jobs(n, s)]
     for a1, _, stab in reps:
         assert sorted(stab) == _stab(n, s, a1)
-    for factored in (False, True):
-        jobs = search._jobs(n, s, factored)
-        assert all(len(job) == 6 and job[-1] is factored for job in jobs)
+    assert all(len(job) == 6 and job[-1] is None for job in search._jobs(n, s))
+    assert all(len(job) == 6 and job[-1] == {}
+               for job in search._jobs(n, s, {}))
     return reps
+
+
+def _plain_walk(n, s):
+    # the plain loop below every a1 of a collecting run, with no fertile
+    # filter: every solution once, in order
+    e = perm.identity(n)
+    return [raw for _, _, a1, *_ in search._jobs(n, s, {})
+            for raw, _ in search._iter_for_a1(n, s, a1, [e])]
 
 
 def _stab(n, s, a1):
@@ -533,19 +542,19 @@ def _unit_subtree_route(n, s):
 
 
 def test_factored_count_matches_plain_loop():
-    # counting runs factor the a1, b1 and a2 levels by symmetry; collecting
-    # runs walk over the trivial group; both must produce the same counts,
-    # in total and term by term below every a1 representative
+    # counting runs factor the a1, b1 and a2 levels by symmetry; the
+    # unfiltered plain loop walks over the trivial group; both must produce
+    # the same counts, in total and term by term below every a1
+    # representative
     for n in range(2, 7):
         fast = search.enumerate_fixed_sigma(n)
-        plain = search.enumerate_fixed_sigma(n, collect=True)
-        assert fast.fixed_count == plain.fixed_count
-        assert fast.total_count == plain.total_count
+        plain = len(_plain_walk(n, perm.transposition(n, 1, 2)))
+        assert fast.fixed_count == plain
+        assert fast.total_count == plain * n * (n - 1) // 2
     for i, j in ((1, 3), (2, 3)):
         sig = perm.transposition(4, i, j)
         fast = search.enumerate_fixed_sigma(4, sigma=sig)
-        plain = search.enumerate_fixed_sigma(4, collect=True, sigma=sig)
-        assert fast.fixed_count == plain.fixed_count == 480
+        assert fast.fixed_count == len(_plain_walk(4, sig)) == 480
     # the four Nielsen terms of every r != () against the plain loop, M(r)
     # and L(r) counted below a1 = (); the images of the plain solutions
     # below every a1 != () of a collecting run are the plain solutions
@@ -564,7 +573,7 @@ def test_factored_count_matches_plain_loop():
             assert _factored_terms(n, sig, r, stab) \
                 == _plain_terms(n, sig, r, unit)
         images = [key for _, _, a1, _, trivial, _
-                  in search._jobs(n, sig, False) if a1 != e
+                  in search._jobs(n, sig, {}) if a1 != e
                   for key, _ in search._with_images(n, sig, a1, trivial)
                   if key[0] == e]
         assert sorted(images) == sorted(unit - {(e, e, e, e)})
@@ -573,6 +582,65 @@ def test_factored_count_matches_plain_loop():
         units.append(len(unit))
         assert _unit_subtree_route(n, sig) == len(unit)
     assert units == [8, 26, 112, 0, 480, 0, 112, 112]
+
+
+_SIGMAS = [perm.transposition(n, 1, 2) for n in range(2, 8)] + [
+    perm.transposition(4, 1, 3), perm.transposition(4, 2, 3)]
+
+
+@pytest.mark.parametrize("sig", _SIGMAS, ids=lambda sig: f"n{len(sig)}-"
+                         + perm.format_cycles(sig))
+def test_filtered_walk_is_the_plain_walk(sig):
+    # collecting and streaming runs walk the plain loop through the
+    # fertile prefixes only: the same solutions, in the same order
+    n = len(sig)
+    plain = _plain_walk(n, sig)
+    res = search.enumerate_fixed_sigma(n, collect=True, sigma=sig)
+    streamed = []
+    search.enumerate_fixed_sigma(n, sigma=sig, sink=streamed.append)
+    for solutions in (res.solutions, streamed):
+        assert [(x.a1, x.a2, x.b1, x.b2) for x in solutions] == plain
+    assert res.fixed_count == len(plain)
+
+
+@pytest.mark.parametrize("sig", [sig for sig in _SIGMAS if len(sig) <= 6],
+                         ids=lambda sig: f"n{len(sig)}-"
+                         + perm.format_cycles(sig))
+def test_fertile_map_is_the_plain_walk_prefixes(sig):
+    # the map read off the factored jobs holds exactly the (a1, b1, a2)
+    # prefixes of the unfiltered plain loop's solutions
+    n = len(sig)
+    fertile = search._fertile(search._jobs(n, sig))
+    got = [(a1, b1, a2) for a1, row in fertile.items()
+           for b1, a2s in row.items() for a2 in a2s]
+    assert len(got) == len(set(got))
+    assert set(got) == {(a1, b1, a2) for a1, a2, b1, _ in _plain_walk(n, sig)}
+
+
+def test_list_walk_without_solutions_builds_nothing(monkeypatch):
+    # degree 9 has no solution: after the factored jobs, a streaming run
+    # still reports every slice but builds no C2 or C3 and hands the sink
+    # nothing
+    intersected = []
+    intersect, fertile = search._intersect_next, search._fertile
+
+    def spy(*args):
+        intersected.append(args)
+        return intersect(*args)
+
+    def fertile_spy(jobs):
+        out = fertile(jobs)
+        intersected.clear()                 # the factored jobs' own
+        return out
+
+    monkeypatch.setattr(search, "_intersect_next", spy)
+    monkeypatch.setattr(search, "_fertile", fertile_spy)
+    ticks = []
+    res = search.enumerate_fixed_sigma(9, sink=_refuse,
+                                       progress=lambda i, m: ticks.append(m))
+    assert res.fixed_count == 0
+    assert intersected == []
+    assert ticks == [561] * 561
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -592,13 +660,14 @@ def test_counts_and_classes_submit_one_job_kind(n, monkeypatch):
         run(n)
     assert submitted[search.enumerate_fixed_sigma] \
         == submitted[search.classify] \
-        == search._jobs(n, perm.transposition(n, 1, 2), True)
+        == search._jobs(n, perm.transposition(n, 1, 2))
 
 
 def test_least_is_min_of_orbit():
     # _least against the least member of the whole conjugation orbit, on
     # random 4-tuples (some with identity coordinates, as the images
-    # below a1 = () have) under C(s) and under C(s) n C(a1)
+    # below a1 = () have, and each also led by ()) under C(s) and under
+    # C(s) n C(a1)
     rng = random.Random(17)
     for n in range(2, 7):
         s = perm.transposition(n, 1, 2)
@@ -612,9 +681,10 @@ def test_least_is_min_of_orbit():
                 key = tuple(e if rng.random() < 0.3
                             else tuple(rng.sample(range(n), n))
                             for _ in range(4))
-                orbit = {tuple(perm.conjugate(p, h) for p in key)
-                         for h in group}
-                assert search._least(key, group) == min(orbit), (key, n)
+                for k in (key, (e,) + key[1:]):
+                    orbit = {tuple(perm.conjugate(p, h) for p in k)
+                             for h in group}
+                    assert search._least(k, group) == min(orbit), (k, n)
 
 
 def test_k_lies_in_c3_at_every_node():
@@ -653,7 +723,7 @@ def test_counts_and_classes_never_walk_below_unit(n, monkeypatch):
     search.enumerate_fixed_sigma(n)
     search.classify(n)
     reps = [a1 for _, _, a1, *_ in search._jobs(
-        n, perm.transposition(n, 1, 2), True)]
+        n, perm.transposition(n, 1, 2))]
     assert reps[0] == perm.identity(n)
     assert walked == reps[1:] * 2
 
@@ -683,12 +753,15 @@ _RESULT_FIELDS = ("n", "sigma", "fixed_count", "transpositions",
 @pytest.mark.parametrize("n,classes",
                          [(2, 16), (3, 40), (4, 240), (5, 0), (6, 60), (7, 0)])
 def test_classify_matches_collected_decomposition(n, classes):
-    # the classes from the factored walk equal those of the collected
-    # plain-loop solutions, representatives, sizes and order included,
-    # and the summary fields equal analyze's; degrees 5 and 7 have none
-    collected = search.enumerate_fixed_sigma(n, collect=True, workers=2)
-    expected = search.orbit_decomposition(list(collected.solutions), n)
-    analyzed = search.analyze(collected)
+    # the classes from the factored walk equal those of the solutions of
+    # the unfiltered plain loop, representatives, sizes and order
+    # included, and the summary fields equal analyze's; degrees 5 and 7
+    # have none
+    s = perm.transposition(n, 1, 2)
+    solutions = tuple(words.Assignment(n, s, *raw) for raw in _plain_walk(n, s))
+    expected = search.orbit_decomposition(list(solutions), n)
+    analyzed = search.analyze(
+        search._result(n, s, len(solutions), 0.0, solutions))
     for workers in (1, 2):
         res, orbits = search.classify(n, workers=workers)
         assert len(orbits) == res.orbit_count == classes
