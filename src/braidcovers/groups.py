@@ -10,12 +10,11 @@ cycle structure, not closed from generators or found by scanning S_n.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 import math
 from collections import Counter
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Sequence, Tuple
 
 from . import perm
 from .perm import Perm
@@ -161,8 +160,7 @@ def _group_name(order: int, abelian: bool, hist: Dict[int, int]) -> str:
     return _NAME_TABLE.get(key, "other")
 
 
-@dataclasses.dataclass(frozen=True)
-class GroupFingerprint:
+class GroupFingerprint(NamedTuple):
     """Isomorphism-sensitive summary of a permutation group."""
 
     order: int

@@ -141,13 +141,12 @@ from __future__ import annotations
 
 import collections
 import contextlib
-import dataclasses
 import itertools
 import math
 import signal
 import time
 from typing import (TYPE_CHECKING, Callable, Collection, Dict, Iterable,
-                    Iterator, List, Optional, Sequence, Tuple)
+                    Iterator, List, NamedTuple, Optional, Sequence, Tuple)
 
 from . import groups, perm, words
 from .perm import Perm
@@ -162,8 +161,7 @@ RawSolution = Tuple[Perm, Perm, Perm, Perm]  # (a1, a2, b1, b2)
 Fertile = Dict[Perm, Collection[Perm]]  # b1 -> the a2 below (a1, b1) to walk
 
 
-@dataclasses.dataclass(frozen=True)
-class EnumerationResult:
+class EnumerationResult(NamedTuple):
     """Counts for one degree, plus orbit and image data once analyzed.
 
     orbit_count, orbit_size_histogram and image_fingerprint_histogram
@@ -192,8 +190,7 @@ class EnumerationResult:
                 f"transpositions")
 
 
-@dataclasses.dataclass(frozen=True)
-class Orbit:
+class Orbit(NamedTuple):
     representative: Assignment
     size: int  # solutions in the fixed-sigma slice of the class
 
@@ -333,6 +330,8 @@ def _iter_for_a1(n: int, s: Perm, a1: Perm, stab: Sequence[Perm],
     in order, with weight 1; given fertile (module docstring), only the
     b1 in it and the a2 in fertile[b1] are walked.
     """
+    if fertile is not None and not fertile:     # no solution below a1
+        return
     sa1s = perm.conjugate(a1, s)
     c1 = groups.centralizer_elements(sa1s, n)
     b1s = c1 if fertile is None else [b1 for b1 in c1 if b1 in fertile]
@@ -526,22 +525,22 @@ def _default_signals() -> None:
 def _run_slices(n: int, jobs: Sequence[tuple], workers: int,
                 absorb: Callable[[tuple, list], None],
                 progress: Optional[Callable[[int, int], None]]) -> None:
-    """_search_chunk on every job, in this process or in a pool of at
-    most workers processes, with each job and its output absorbed in job
-    order, so aggregation and the progress calls (slices done, slices in
-    all) are the same for every worker count.  Any exception ends the
-    pool's workers at once, and running out of memory becomes a
-    RuntimeError with a one-line message."""
+    """_search_chunk on every job, in this process or, when workers and
+    jobs both exceed one, in a pool of at most that many processes, with
+    each job and its output absorbed in job order, so aggregation and the
+    progress calls (slices done, slices in all) are the same for every
+    worker count.  Any exception ends the pool's workers at once, and
+    running out of memory becomes a RuntimeError with a one-line message."""
+    pool_size = min(workers, len(jobs))
     try:
         with contextlib.ExitStack() as stack:
             outputs: Iterable[list] = map(_search_chunk, jobs)
-            if workers > 1:
+            if pool_size > 1:
                 import multiprocessing
                 from concurrent.futures import ProcessPoolExecutor
                 started = multiprocessing.active_children()
                 pool = stack.enter_context(ProcessPoolExecutor(
-                    max_workers=min(workers, len(jobs)),
-                    initializer=_default_signals))
+                    max_workers=pool_size, initializer=_default_signals))
                 # popleft lets each slice's output go once it is absorbed
                 pending = collections.deque(
                     pool.submit(_search_chunk, job) for job in jobs)
@@ -574,11 +573,11 @@ def enumerate_fixed_sigma(n: int, collect: bool = False, *,
     """Count (and with collect=True, return) all solutions with the given
     sigma image, default (1,2).
 
-    Every a1 representative is one slice; with workers > 1 the slices
-    are searched by a pool of worker processes.  Slices are absorbed in
-    job order, so the result, the order of the solutions handed to sink
-    and the progress calls (slices done, slices in all) are the same for
-    every worker count.
+    Every a1 representative is one slice; with workers > 1 and more than
+    one slice, the slices are searched by a pool of worker processes.
+    Slices are absorbed in job order, so the result, the order of the
+    solutions handed to sink and the progress calls (slices done, slices
+    in all) are the same for every worker count.
     """
     _check_run(n, workers)
     s = _resolve_sigma(n, sigma)
@@ -803,8 +802,7 @@ def _summarize(result: EnumerationResult, orbits: Sequence[Orbit]
     for size in sizes:
         if n_fact % size:
             raise AssertionError(f"orbit size {size} does not divide {result.n}!")
-    return dataclasses.replace(
-        result,
+    return result._replace(
         orbit_count=len(orbits),
         orbit_size_histogram=dict(sorted(sizes.items())),
         image_fingerprint_histogram=_image_names(

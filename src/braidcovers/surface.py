@@ -16,15 +16,13 @@ irreducible (p_a would be negative), so it is forced to break up.
 
 from __future__ import annotations
 
-import dataclasses
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Dict, NamedTuple, Optional
 
 if TYPE_CHECKING:
     from .search import EnumerationResult
 
 
-@dataclasses.dataclass(frozen=True)
-class SurfaceInvariants:
+class SurfaceInvariants(NamedTuple):
     n: int
     chi: int
     K2: int
@@ -40,7 +38,7 @@ class SurfaceInvariants:
     z_reducible_forced: bool
 
     def to_json_dict(self) -> Dict[str, object]:
-        return dataclasses.asdict(self)
+        return self._asdict()
 
 
 def invariants_for(n: int) -> SurfaceInvariants:
@@ -63,8 +61,7 @@ def invariants_for(n: int) -> SurfaceInvariants:
     )
 
 
-@dataclasses.dataclass(frozen=True)
-class ExistenceReport:
+class ExistenceReport(NamedTuple):
     """Whether degree-n monodromies exist, from an enumeration's counts."""
 
     n: int
@@ -82,7 +79,7 @@ class ExistenceReport:
                 f"representations{classes}; covers exist")
 
     def to_json_dict(self) -> Dict[str, object]:
-        return dataclasses.asdict(self)
+        return self._asdict()
 
 
 def existence_verdict(n: int, result: "EnumerationResult") -> ExistenceReport:

@@ -21,9 +21,8 @@ round.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from . import perm
 from .perm import Perm
@@ -45,8 +44,7 @@ def inverted(word: Word) -> Word:
     return tuple((g, -e) for g, e in reversed(word))
 
 
-@dataclasses.dataclass(frozen=True)
-class Relator:
+class Relator(NamedTuple):
     label: str
     word: Word
 
@@ -93,10 +91,7 @@ def _build_relators() -> Tuple[Relator, ...]:
 RELATORS: Tuple[Relator, ...] = _build_relators()
 
 
-@dataclasses.dataclass(frozen=True)
-class Assignment:
-    """Images of the five generators in one symmetric group S_n."""
-
+class _Images(NamedTuple):
     n: int
     sigma: Perm
     a1: Perm
@@ -104,12 +99,24 @@ class Assignment:
     b1: Perm
     b2: Perm
 
-    def __post_init__(self) -> None:
+
+class Assignment(_Images):
+    """Images of the five generators in one symmetric group S_n."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, sigma: Perm, a1: Perm, a2: Perm, b1: Perm,
+                b2: Perm) -> "Assignment":
+        self = super().__new__(cls, n, sigma, a1, a2, b1, b2)
         for name in ("sigma", "a1", "a2", "b1", "b2"):
             p = getattr(self, name)
             if len(p) != self.n:
                 raise ValueError(
                     f"{name} has degree {len(p)}, expected {self.n}")
+        return self
+
+    # _replace builds through _make, which would skip the check in __new__
+    _make = classmethod(lambda cls, values: cls(*values))
 
     def image(self, gen: Gen) -> Perm:
         return getattr(self, gen.value)

@@ -313,10 +313,8 @@ def test_oracle_mismatch_exits_2(capsys, monkeypatch):
 
     def doctored(n):
         res = real(n)
-        import dataclasses
-        return dataclasses.replace(
-            res, fixed_count=res.fixed_count - 1,
-            solutions=res.solutions[:-1])
+        return res._replace(fixed_count=res.fixed_count - 1,
+                            solutions=res.solutions[:-1])
 
     monkeypatch.setattr(search, "brute_force_oracle", doctored)
     code, out, _ = run(capsys, "oracle", "--n", "2")

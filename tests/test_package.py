@@ -1,8 +1,13 @@
 import importlib
 import os
+import pickle
+import subprocess
+import sys
+
+import pytest
 
 import braidcovers
-from braidcovers import search
+from braidcovers import groups, perm, search, surface, words
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "perfbench")
@@ -29,3 +34,64 @@ def test_benchmark_tracer_installs(monkeypatch):
     finally:
         tracer.restore()
     assert search.image_name_histogram is original
+
+
+def test_cli_loads_no_dataclasses_or_inspect():
+    # the records are named tuples, so a command starts without the
+    # dataclasses module and the inspect/ast/dis modules it pulls in
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "from braidcovers import cli\n"
+        "assert cli.main(['invariants', '--n', '2']) == 0\n"
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(braidcovers.__file__))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+_S = perm.transposition(2, 1, 2)
+_E = perm.identity(2)
+# each record with the names of its fields
+_RECORDS = [
+    (words.Relator("R", ()), "label word"),
+    (words.Assignment(2, _S, _E, _E, _E, _E), "n sigma a1 a2 b1 b2"),
+    (groups.fingerprint([_S], 2),
+     "order transitive abelian order_histogram name"),
+    (search.enumerate_fixed_sigma(2),
+     "n sigma fixed_count transpositions total_count elapsed_seconds "
+     "solutions orbit_count orbit_size_histogram image_fingerprint_histogram"),
+    (search.Orbit(words.Assignment(2, _S, _E, _E, _E, _E), 1),
+     "representative size"),
+    (surface.invariants_for(2),
+     "n chi K2 c2 pa_Z Gamma2 Z2 GammaZ R2 RZ RR0 general_type "
+     "z_reducible_forced"),
+    (surface.existence_verdict(2, search.enumerate_fixed_sigma(2)),
+     "n exists total_representations isomorphism_classes"),
+]
+
+
+@pytest.mark.parametrize("record,fields", _RECORDS,
+                         ids=[type(r).__name__ for r, _ in _RECORDS])
+def test_records_are_immutable(record, fields):
+    for name in fields.split():
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+
+
+def test_assignment_replace_validates_degrees():
+    asg = words.Assignment(2, _S, _E, _E, _E, _E)
+    assert asg._replace(a1=_S) == words.Assignment(2, _S, _S, _E, _E, _E)
+    with pytest.raises(ValueError, match="a1 has degree 3, expected 2"):
+        asg._replace(a1=perm.identity(3))
+
+
+def test_records_pickle_to_equal_values():
+    asg = words.Assignment(2, _S, _E, _S, _E, _S)
+    res = search.enumerate_fixed_sigma(2, collect=True)
+    for record in (asg, res):
+        again = pickle.loads(pickle.dumps(record))
+        assert again == record and type(again) is type(record)

@@ -60,10 +60,10 @@ def test_parallel_matches_single(n6_result):
         assert par.solutions == n6_result.solutions
 
 
-def test_pool_capped_at_slice_count(monkeypatch):
-    # every a1 representative is one pool job, and the pool asks for no
-    # more worker processes than there are jobs; an in-process stand-in
-    # records the request and the jobs, so no process is started
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """An in-process stand-in for the process pool, which records each
+    pool's requested size and submitted jobs, so no process is started."""
     requested = []
     submitted = []
 
@@ -84,6 +84,13 @@ def test_pool_capped_at_slice_count(monkeypatch):
             return future
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    return requested, submitted
+
+
+def test_pool_capped_at_slice_count(inline_pool):
+    # every a1 representative is one pool job, and the pool asks for no
+    # more worker processes than there are jobs
+    requested, submitted = inline_pool
     s = perm.transposition(4, 1, 2)
     reps = search._a1_slices(4, s, groups.centralizer_elements(s, 4), True)
     res = search.enumerate_fixed_sigma(4, workers=64)
@@ -93,6 +100,18 @@ def test_pool_capped_at_slice_count(monkeypatch):
     # each job carries the stabilizer its walk is factored by
     for (_, _, a1, _, stab, _), in submitted:
         assert sorted(stab) == _stab(4, s, a1)
+
+
+def test_single_job_runs_in_process(inline_pool):
+    # counts and classes at n = 5 and 7 are one job, and a pool of one
+    # worker would only pay for its start-up
+    requested, submitted = inline_pool
+    for n in (5, 7):
+        assert len(search._jobs(n, perm.transposition(n, 1, 2))) == 1
+    assert search.enumerate_fixed_sigma(5, workers=2).fixed_count == 0
+    res, orbits = search.classify(7, workers=2)
+    assert res.fixed_count == 0 and orbits == []
+    assert requested == [] and submitted == []
 
 
 def test_sink_streams_same_solutions(n3_result):
@@ -641,6 +660,22 @@ def test_list_walk_without_solutions_builds_nothing(monkeypatch):
     assert res.fixed_count == 0
     assert intersected == []
     assert ticks == [561] * 561
+
+
+def test_list_walk_skips_a1_without_fertile_prefix(monkeypatch):
+    # degree 7 has no solution, so its one plain job, a1 = (), has an
+    # empty fertile entry and must not list C1 = S_7
+    centralized = []
+    centralizer_elements = groups.centralizer_elements
+
+    def spy(g, n):
+        centralized.append(g)
+        return centralizer_elements(g, n)
+
+    monkeypatch.setattr(groups, "centralizer_elements", spy)
+    res = search.enumerate_fixed_sigma(7, sink=_refuse)
+    assert res.fixed_count == 0
+    assert centralized and perm.identity(7) not in centralized
 
 
 @pytest.mark.parametrize("n", range(2, 9))
