@@ -68,6 +68,7 @@ def disjoint_cycles(p: Perm) -> list[Tuple[int, ...]]:
 
     Each cycle starts at its smallest point and the list is ordered by
     that starting point, so the output is canonical for a given p.
+    Raises ValueError when p is not a permutation.
     """
     n = len(p)
     seen = [False] * n
@@ -75,19 +76,21 @@ def disjoint_cycles(p: Perm) -> list[Tuple[int, ...]]:
     for start in range(n):
         if seen[start]:
             continue
-        cyc = [start]
-        seen[start] = True
-        x = p[start]
-        while x != start:
+        cyc = []
+        x = start
+        while not seen[x]:
             cyc.append(x)
             seen[x] = True
             x = p[x]
+        if x != start:          # two points map to x
+            raise ValueError(f"not a permutation: {p}")
         cycles.append(tuple(cyc))
     return cycles
 
 
 def _cycle_lengths(p: Perm) -> list[int]:
-    """The lengths of the cycles disjoint_cycles lists, in its order."""
+    """The lengths of the cycles disjoint_cycles lists, in its order;
+    raises ValueError when p is not a permutation."""
     seen = [False] * len(p)
     lengths = []
     for start in range(len(p)):
@@ -98,6 +101,8 @@ def _cycle_lengths(p: Perm) -> list[int]:
             x = p[x]
             length += 1
         if length:
+            if x != start:      # two points map to x
+                raise ValueError(f"not a permutation: {p}")
             lengths.append(length)
     return lengths
 

@@ -68,15 +68,15 @@ and streaming runs take the trivial group, whose orbits are single
 candidates in their own order: that walk is the plain loop, so the
 solution order never depends on the counting strategy.
 
-The a1 level scans no S_n (_a1_slices).  With p and q the points s
+The a1 level scans no S_n (_jobs).  With p and q the points s
 moves, C(s) = <s> x Sym(the other points), so two permutations are
 conjugate under C(s) exactly when they share a marked cycle type: the
 cycle type off p and q, plus (L, d) when p and q share an L-cycle with
 q = x^d(p), d and L - d being one type as s swaps them, or the unordered
 (l1, l2) when they lie in cycles of those lengths.  R2(a1) and the a1
 prune are C(s)-invariant, so each type is tested once (_marked_types)
-and only the orbits that pass are built: counts and classes take the
-least member and size of each, collecting and streaming runs every one.
+and only the orbits that pass are built, each giving its least member
+and size.
 
 Counts and classes never walk below a1 = (), the only a1 whose C1 is
 all of S_n: they read that subtree off the walks below the other a1
@@ -103,14 +103,14 @@ by H1 or H2 fixes b1 = r and a2 = b2 = (), so an image carries the weight
 of its leaf, and the weights of a job, times the size of the C(s)-class
 of r, count the solutions with a1 in that class and their images: summed
 over the jobs, every solution once, with no list the size of S_n.  The
-() representative keeps its slot in the a1 list, so slices and progress
-do not change.
+() job, empty at n >= 3, stays: it runs first and at once, so a count
+reports its first slice before any walk ends.
 
 The conjugacy classes of the fixed-sigma solutions (orbits of C(s)
 acting by coordinatewise conjugation) come from the same jobs: a job
 only walks, and classify reads the classes off its weighted solutions.
 A class with a1 != () has members whose a1 is the least element of a1's
-C(s)-class, the representative r of _a1_slices; they form one H1-orbit,
+C(s)-class, the representative r of its job; they form one H1-orbit,
 and the walk below r visits at least one member of every H1-orbit (H1
 brings any b1 to its orbit representative, then H2 any a2, and every b2
 is visited).  The H1-orbit of each leaf not yet seen in its job is built
@@ -128,10 +128,11 @@ Collecting and streaming runs first read the fertile prefixes, the
 (a1, b1, a2) with a solution below, off the same jobs (_fertile): the
 prefixes of a job's leaves and images, conjugated by H1 and then by all
 of C(s), are those of every solution with a1 in the class of r and of
-their images.  The plain loop then drops each b1 and a2 outside them
-before any test; no solution is lost, and the order is kept, since C2 is
-still built from all of C1 and C3 from all of C2, so _intersect_next
-takes the same route (from a filtered C2 it need not).
+their images.  So each a1 of the map, in order, is one plain job with a
+solution, and the plain loop drops each b1 and a2 outside the map before
+any test; no solution is lost, and the order is kept, since C2 is still
+built from all of C1 and C3 from all of C2, so _intersect_next takes the
+same route (from a filtered C2 it need not).
 
 Exact agreement with the relation-table-driven brute force is enforced
 by brute_force_oracle and its tests, not assumed.
@@ -330,8 +331,6 @@ def _iter_for_a1(n: int, s: Perm, a1: Perm, stab: Sequence[Perm],
     in order, with weight 1; given fertile (module docstring), only the
     b1 in it and the a2 in fertile[b1] are walked.
     """
-    if fertile is not None and not fertile:     # no solution below a1
-        return
     sa1s = perm.conjugate(a1, s)
     c1 = groups.centralizer_elements(sa1s, n)
     b1s = c1 if fertile is None else [b1 for b1 in c1 if b1 in fertile]
@@ -386,21 +385,21 @@ def _with_images(n: int, s: Perm, r: Perm, stab: Sequence[Perm]
 
 
 def _search_chunk(job: tuple) -> List[Tuple[RawSolution, int]]:
-    """The weighted solutions below one a1 slice of _jobs, for the caller
-    to scale by its size: factored, the walk by stab with each leaf's
+    """The weighted solutions below one a1 slice, for the caller to scale
+    by its size: for a job of _jobs, the walk by stab with each leaf's
     images below a1 = () (_with_images), else the plain loop over the
-    trivial group through fertile, every solution once, in order, with
-    weight 1."""
+    trivial group through the job's fertile row, every solution once, in
+    order, with weight 1."""
     n, s, a1, _, stab, fertile = job
     return list(_with_images(n, s, a1, stab) if fertile is None
                 else _iter_for_a1(n, s, a1, stab, fertile))
 
 
-def _fertile(jobs: Sequence[tuple]) -> Dict[Perm, Fertile]:
+def _fertile(jobs: Sequence[tuple], cent: Sequence[Perm]
+             ) -> Dict[Perm, Fertile]:
     """a1 -> b1 -> the a2 with a solution below (a1, b1, a2), read off
     the factored jobs, run here: the prefixes below each r, closed under
-    its H1, then moved by one element of each H1-coset of C(s)."""
-    cent = jobs[0][4]                           # the a1 = () job's: C(s)
+    its H1, then moved by one element of each H1-coset of C(s) (cent)."""
     canon: Dict[Perm, Perm] = {}                # one object per permutation
     fertile: Dict[Perm, Fertile] = {}
 
@@ -467,39 +466,22 @@ def _marked_types(n: int, s: Perm) -> Iterator[Perm]:
                                           lengths)])
 
 
-def _a1_slices(n: int, s: Perm, cent: Sequence[Perm], factored: bool
-               ) -> List[Tuple[Perm, int]]:
-    """The slices of a run in lexicographic order, over the a1 that pass
-    R2(a1) and the a1 transitivity prune: factored, the least member and
-    size of each C(s)-orbit of them, else each of them with size 1; cent
+def _jobs(n: int, s: Perm, cent: Sequence[Perm]) -> List[tuple]:
+    """The factored _search_chunk jobs (n, s, r, size, stab, None), in
+    order of r: one per C(s)-orbit of size size, least member r and
+    stab = C(s) n C(r), of the a1 that pass R2(a1) and the a1 prune; cent
     lists C(s).  Both tests are C(s)-invariant, so they are made once per
     marked cycle type and only the orbits that pass are built."""
-    slices = []
+    jobs = []
     for a1 in _marked_types(n, s):
         if not (perm.commutes(a1, perm.conjugate(a1, s))   # R2(a1)
                 and _a1_transitive(n, s, a1)):
             continue
         orbit = {perm.conjugate(a1, h) for h in cent}
-        if factored:
-            slices.append((min(orbit), len(orbit)))
-        else:
-            slices += ((x, 1) for x in orbit)
-    return sorted(slices)
-
-
-def _jobs(n: int, s: Perm, fertile: Optional[Dict[Perm, Fertile]] = None
-          ) -> List[tuple]:
-    """The _search_chunk jobs (n, s, a1, size, stab, fertile) of a run,
-    one per a1 slice, in order.  C(s) is built once, here; the walk below
-    a1 is factored by stab = C(s) n C(a1) (all of C(s) for a1 = ()) when
-    fertile is None, else by the trivial group through fertile's a1 entry."""
-    cent = groups.centralizer_elements(s, n)
-    trivial = [perm.identity(n)]
-    factored = fertile is None
-    return [(n, s, a1, size,
-             [h for h in cent if perm.commutes(h, a1)] if factored
-             else trivial, None if factored else fertile.get(a1, {}))
-            for a1, size in _a1_slices(n, s, cent, factored)]
+        r = min(orbit)
+        jobs.append((n, s, r, len(orbit),
+                     [h for h in cent if perm.commutes(h, r)], None))
+    return sorted(jobs, key=lambda job: job[2])
 
 
 def _end_workers(started: Collection[multiprocessing.Process]):
@@ -561,7 +543,7 @@ def _resolve_sigma(n: int, sigma: Optional[Perm]) -> Perm:
         raise ValueError(f"sigma has degree {len(sigma)}, expected {n}")
     if not perm.is_transposition(sigma):
         raise ValueError("sigma must be a transposition")
-    return sigma
+    return tuple(sigma)
 
 
 def enumerate_fixed_sigma(n: int, collect: bool = False, *,
@@ -573,8 +555,8 @@ def enumerate_fixed_sigma(n: int, collect: bool = False, *,
     """Count (and with collect=True, return) all solutions with the given
     sigma image, default (1,2).
 
-    Every a1 representative is one slice; with workers > 1 and more than
-    one slice, the slices are searched by a pool of worker processes.
+    Every a1 representative, or with sink or collect every a1 with a
+    solution, is one slice; with workers > 1 and more than one slice, the slices are searched by a pool of worker processes.
     Slices are absorbed in job order, so the result, the order of the
     solutions handed to sink and the progress calls (slices done, slices
     in all) are the same for every worker count.
@@ -599,9 +581,12 @@ def enumerate_fixed_sigma(n: int, collect: bool = False, *,
             if collect:
                 collected.append(asg)
 
-    jobs = _jobs(n, s)
-    if keep:
-        jobs = _jobs(n, s, _fertile(jobs))
+    cent = groups.centralizer_elements(s, n)
+    jobs = _jobs(n, s, cent)
+    if keep:                    # one plain job per a1 with a solution below
+        trivial = [perm.identity(n)]
+        jobs = [(n, s, a1, 1, trivial, row)
+                for a1, row in sorted(_fertile(jobs, cent).items())]
     _run_slices(n, jobs, workers, absorb, progress)
     return _result(n, s, count, time.perf_counter() - t0,
                    tuple(collected) if collect else None)
@@ -621,8 +606,8 @@ def classify(n: int, *, workers: int = 1,
     _check_run(n, workers)
     s = perm.transposition(n, 1, 2)
     t0 = time.perf_counter()
-    jobs = _jobs(n, s)
-    cent = jobs[0][4]                           # the a1 = () job's: C(s)
+    cent = groups.centralizer_elements(s, n)
+    jobs = _jobs(n, s, cent)
     count = 0
     orbits: List[Orbit] = []
 

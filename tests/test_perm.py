@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from braidcovers import perm
+from braidcovers import groups, perm
 from conftest import random_perm
 
 
@@ -77,6 +77,17 @@ def test_cycle_lengths_match_disjoint_cycles(rng):
         lengths = [len(c) for c in perm.disjoint_cycles(p)]
         assert perm.order_of(p) == math.lcm(*lengths), p
         assert perm.cycle_type(p) == tuple(sorted(lengths, reverse=True)), p
+
+
+@pytest.mark.parametrize("p", [(0, 0, 1), (1, 1, 2), (2, 0, 0), (0, 2, 2, 3)])
+def test_cycle_functions_reject_non_permutations(p):
+    # a cycle walk that reaches a seen point other than its start raises
+    # instead of looping or reading off wrong lengths
+    calls = [perm.disjoint_cycles, perm.format_cycles, perm.cycle_type,
+             perm.order_of, lambda q: groups.centralizer_elements(q, len(q))]
+    for call in calls:
+        with pytest.raises(ValueError, match="not a permutation"):
+            call(p)
 
 
 def test_order_divides_group_order(rng):

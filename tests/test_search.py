@@ -92,7 +92,7 @@ def test_pool_capped_at_slice_count(inline_pool):
     # more worker processes than there are jobs
     requested, submitted = inline_pool
     s = perm.transposition(4, 1, 2)
-    reps = search._a1_slices(4, s, groups.centralizer_elements(s, 4), True)
+    reps = [(a1, size) for _, _, a1, size, _, _ in _factored_jobs(4, s)]
     res = search.enumerate_fixed_sigma(4, workers=64)
     assert res.fixed_count == 480
     assert [(a1, size) for (_, _, a1, size, _, _), in submitted] == reps
@@ -107,11 +107,44 @@ def test_single_job_runs_in_process(inline_pool):
     # worker would only pay for its start-up
     requested, submitted = inline_pool
     for n in (5, 7):
-        assert len(search._jobs(n, perm.transposition(n, 1, 2))) == 1
+        assert len(_factored_jobs(n, perm.transposition(n, 1, 2))) == 1
     assert search.enumerate_fixed_sigma(5, workers=2).fixed_count == 0
     res, orbits = search.classify(7, workers=2)
     assert res.fixed_count == 0 and orbits == []
     assert requested == [] and submitted == []
+
+
+def test_list_without_solutions_starts_no_pool(inline_pool):
+    # degree 9 has no solution, so a streaming run has no plain job: it
+    # requests no pool, submits nothing and reports no slice
+    requested, submitted = inline_pool
+    ticks = []
+    res = search.enumerate_fixed_sigma(9, sink=_refuse, workers=2,
+                                       progress=lambda i, m: ticks.append(i))
+    assert res.fixed_count == 0
+    assert requested == [] and submitted == [] and ticks == []
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_plain_jobs_are_the_solution_a1(n, monkeypatch):
+    # a run that keeps solutions has one plain job per a1 of its
+    # solutions, in order, and every job yields at least one solution
+    outputs = []
+    chunk = search._search_chunk
+
+    def spy(job):
+        out = chunk(job)
+        if job[-1] is not None:
+            outputs.append((job[2], len(out)))
+        return out
+
+    monkeypatch.setattr(search, "_search_chunk", spy)
+    res = search.enumerate_fixed_sigma(n, collect=True)
+    a1s = [a1 for a1, _ in outputs]
+    assert a1s == sorted({sol.a1 for sol in res.solutions})
+    assert all(size for _, size in outputs)
+    if n == 6:
+        assert len(a1s) == 29
 
 
 def test_sink_streams_same_solutions(n3_result):
@@ -212,6 +245,12 @@ def test_sigma_validation():
         search.enumerate_fixed_sigma(13)
     with pytest.raises(ValueError):
         search.enumerate_fixed_sigma(4, workers=0)
+    # a list sigma is taken as its tuple, so the result formats and its
+    # collected solutions analyze
+    res = search.enumerate_fixed_sigma(3, collect=True, sigma=[1, 0, 2])
+    assert res.fixed_count == 80 and res.sigma == (1, 0, 2)
+    assert str(res).startswith("n=3: 80 representations with sigma=(1,2)")
+    assert search.analyze(res).orbit_count == 40
 
 
 def test_oracle_agrees_small():
@@ -342,18 +381,18 @@ def _a1_sigmas():
 
 
 def test_a1_candidates_are_the_r2_filter():
-    # the a1 slices of both modes against a reference built here: S_n
-    # filtered by the R2_a1 word and by transitivity of <s, a1, C1> with
-    # C1 listed in full, then grouped into C(s)-orbits by brute force
+    # the plain a1 list of these tests and the a1 of the factored jobs
+    # against a reference built here: S_n filtered by the R2_a1 word and
+    # by transitivity of <s, a1, C1> with C1 listed in full, then grouped
+    # into C(s)-orbits by brute force
     for s in _a1_sigmas():
         n = len(s)
         passing = [a1 for a1 in _r2_scan(n, s)
                    if _reference_transitive(n, s, [a1], _c1(n, s, a1))]
         cent = _brute_centralizer(n, s)
-        assert search._a1_slices(n, s, cent, False) \
-            == [(a1, 1) for a1 in passing]
-        assert search._a1_slices(n, s, cent, True) \
-            == _brute_orbits(passing, cent)
+        assert passing == _plain_a1s(n, s)
+        assert [(a1, size) for _, _, a1, size, _, _
+                in search._jobs(n, s, cent)] == _brute_orbits(passing, cent)
 
 
 @pytest.mark.long
@@ -361,14 +400,10 @@ def test_a1_slices_match_scan_n8_n9():
     # degrees 8 and 9 against a scan of S_n by perm.commutes
     for n in (8, 9):
         s = perm.transposition(n, 1, 2)
-        passing = [a1 for a1 in itertools.permutations(range(n))
-                   if perm.commutes(a1, perm.conjugate(a1, s))
-                   and search._a1_transitive(n, s, a1)]
         cent = groups.centralizer_elements(s, n)
-        assert search._a1_slices(n, s, cent, False) \
-            == [(a1, 1) for a1 in passing]
-        assert search._a1_slices(n, s, cent, True) \
-            == _brute_orbits(passing, cent)
+        assert [(a1, size) for _, _, a1, size, _, _
+                in search._jobs(n, s, cent)] \
+            == _brute_orbits(_plain_a1s(n, s), cent)
 
 
 def _s_conj(p, s):
@@ -502,21 +537,31 @@ def _count_reps(n, s):
     # the a1 representatives of a count run, with their C(s)-class sizes
     # and the stabilizers C(s) n C(a1) their jobs carry; no job carries
     # C(s) beside its stabilizer
-    reps = [(a1, size, stab)
-            for _, _, a1, size, stab, _ in search._jobs(n, s)]
+    jobs = _factored_jobs(n, s)
+    reps = [(a1, size, stab) for _, _, a1, size, stab, _ in jobs]
     for a1, _, stab in reps:
         assert sorted(stab) == _stab(n, s, a1)
-    assert all(len(job) == 6 and job[-1] is None for job in search._jobs(n, s))
-    assert all(len(job) == 6 and job[-1] == {}
-               for job in search._jobs(n, s, {}))
+    assert all(len(job) == 6 and job[-1] is None for job in jobs)
     return reps
 
 
+def _factored_jobs(n, s):
+    return search._jobs(n, s, groups.centralizer_elements(s, n))
+
+
+def _plain_a1s(n, s):
+    # every a1 that passes R2(a1) and the a1 prune, by a scan of S_n, in
+    # lexicographic order
+    return [a1 for a1 in itertools.permutations(range(n))
+            if perm.commutes(a1, perm.conjugate(a1, s))
+            and search._a1_transitive(n, s, a1)]
+
+
 def _plain_walk(n, s):
-    # the plain loop below every a1 of a collecting run, with no fertile
+    # the plain loop below every a1 of _plain_a1s, with no fertile
     # filter: every solution once, in order
     e = perm.identity(n)
-    return [raw for _, _, a1, *_ in search._jobs(n, s, {})
+    return [raw for a1 in _plain_a1s(n, s)
             for raw, _ in search._iter_for_a1(n, s, a1, [e])]
 
 
@@ -591,9 +636,8 @@ def test_factored_count_matches_plain_loop():
         for r, _, stab in _count_reps(n, sig)[1:]:
             assert _factored_terms(n, sig, r, stab) \
                 == _plain_terms(n, sig, r, unit)
-        images = [key for _, _, a1, _, trivial, _
-                  in search._jobs(n, sig, {}) if a1 != e
-                  for key, _ in search._with_images(n, sig, a1, trivial)
+        images = [key for a1 in _plain_a1s(n, sig) if a1 != e
+                  for key, _ in search._with_images(n, sig, a1, [e])
                   if key[0] == e]
         assert sorted(images) == sorted(unit - {(e, e, e, e)})
         assert list(search._with_images(n, sig, e, _stab(n, sig, e))) \
@@ -629,7 +673,8 @@ def test_fertile_map_is_the_plain_walk_prefixes(sig):
     # the map read off the factored jobs holds exactly the (a1, b1, a2)
     # prefixes of the unfiltered plain loop's solutions
     n = len(sig)
-    fertile = search._fertile(search._jobs(n, sig))
+    cent = groups.centralizer_elements(sig, n)
+    fertile = search._fertile(search._jobs(n, sig, cent), cent)
     got = [(a1, b1, a2) for a1, row in fertile.items()
            for b1, a2s in row.items() for a2 in a2s]
     assert len(got) == len(set(got))
@@ -638,8 +683,8 @@ def test_fertile_map_is_the_plain_walk_prefixes(sig):
 
 def test_list_walk_without_solutions_builds_nothing(monkeypatch):
     # degree 9 has no solution: after the factored jobs, a streaming run
-    # still reports every slice but builds no C2 or C3 and hands the sink
-    # nothing
+    # has no plain job, so it reports no slice, builds no C2 or C3 and
+    # hands the sink nothing
     intersected = []
     intersect, fertile = search._intersect_next, search._fertile
 
@@ -647,8 +692,8 @@ def test_list_walk_without_solutions_builds_nothing(monkeypatch):
         intersected.append(args)
         return intersect(*args)
 
-    def fertile_spy(jobs):
-        out = fertile(jobs)
+    def fertile_spy(jobs, cent):
+        out = fertile(jobs, cent)
         intersected.clear()                 # the factored jobs' own
         return out
 
@@ -659,12 +704,12 @@ def test_list_walk_without_solutions_builds_nothing(monkeypatch):
                                        progress=lambda i, m: ticks.append(m))
     assert res.fixed_count == 0
     assert intersected == []
-    assert ticks == [561] * 561
+    assert ticks == []
 
 
 def test_list_walk_skips_a1_without_fertile_prefix(monkeypatch):
-    # degree 7 has no solution, so its one plain job, a1 = (), has an
-    # empty fertile entry and must not list C1 = S_7
+    # degree 7 has no solution, so no plain job lists C1 = S_7 below
+    # a1 = ()
     centralized = []
     centralizer_elements = groups.centralizer_elements
 
@@ -695,7 +740,7 @@ def test_counts_and_classes_submit_one_job_kind(n, monkeypatch):
         run(n)
     assert submitted[search.enumerate_fixed_sigma] \
         == submitted[search.classify] \
-        == search._jobs(n, perm.transposition(n, 1, 2))
+        == _factored_jobs(n, perm.transposition(n, 1, 2))
 
 
 def test_least_is_min_of_orbit():
@@ -757,7 +802,7 @@ def test_counts_and_classes_never_walk_below_unit(n, monkeypatch):
     monkeypatch.setattr(search, "_iter_for_a1", spy)
     search.enumerate_fixed_sigma(n)
     search.classify(n)
-    reps = [a1 for _, _, a1, *_ in search._jobs(
+    reps = [a1 for _, _, a1, *_ in _factored_jobs(
         n, perm.transposition(n, 1, 2))]
     assert reps[0] == perm.identity(n)
     assert walked == reps[1:] * 2
