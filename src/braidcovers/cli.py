@@ -9,16 +9,16 @@ Subcommands:
     oracle      compare the engine against the unpruned relation scan (n <= 4)
     invariants  surface invariants only, no enumeration
 
+Every searching command runs the orbit-factored count search.
 `orbits`, and `count`/`table` with --collect, report the conjugacy
-classes and their image groups from the orbit-factored count search,
-fingerprinting one representative per class, without keeping the
-solutions; only `list` and `oracle` hold or stream every solution.
+classes and their image groups without keeping the solutions; `list`
+streams every solution, expanded from the same search, fingerprinting
+the one job output each solution comes from.
 
 Every run is deterministic: same command, same bytes out, for any
---workers, and list streams under the pool too.  Exit codes: 0 success,
-1 usage error or failure, 2 oracle mismatch, 130 interrupted (Ctrl-C),
-143 terminated (SIGTERM).  An interrupted or terminated run leaves no
---out file behind.
+--workers.  Exit codes: 0 success, 1 usage error or failure, 2 oracle
+mismatch, 130 interrupted (Ctrl-C), 143 terminated (SIGTERM).  An
+interrupted or terminated run leaves no --out file behind.
 """
 
 from __future__ import annotations
@@ -186,31 +186,17 @@ def _output_file(path: str) -> Iterator[TextIO]:
 
 
 class _ImageCache:
-    """Fingerprints keyed by generator set; solutions share images heavily."""
-
-    def __init__(self) -> None:
-        self._cache: Dict[frozenset, groups.GroupFingerprint] = {}
+    """Image fingerprints, through the generator-set memo of groups."""
 
     def get(self, sol: Assignment) -> groups.GroupFingerprint:
-        gens = (sol.sigma, sol.a1, sol.a2, sol.b1, sol.b2)
-        key = frozenset(gens)
-        fp = self._cache.get(key)
-        if fp is None:
-            fp = groups.fingerprint(gens, sol.n)
-            self._cache[key] = fp
-        return fp
+        return groups.set_fingerprint(
+            frozenset((sol.sigma, sol.a1, sol.a2, sol.b1, sol.b2)), sol.n)
 
 
 def _solution_json(sol: Assignment, cache: _ImageCache) -> Dict[str, object]:
-    return {
-        "n": sol.n,
-        "sigma": perm.format_cycles(sol.sigma),
-        "a1": perm.format_cycles(sol.a1),
-        "a2": perm.format_cycles(sol.a2),
-        "b1": perm.format_cycles(sol.b1),
-        "b2": perm.format_cycles(sol.b2),
-        "image": cache.get(sol).to_json_dict(),
-    }
+    doc = {name: perm.format_cycles(p)
+           for name, p in zip(sol._fields[1:], sol[1:])}
+    return {"n": sol.n, **doc, "image": cache.get(sol).to_json_dict()}
 
 
 def _result_json(res: search.EnumerationResult) -> Dict[str, object]:
@@ -338,9 +324,7 @@ def _cmd_orbits(args: argparse.Namespace, out: TextIO) -> int:
         for i, o in enumerate(orbits, start=1):
             rep = o.representative
             data.append((n, i, o.size, cache.get(rep).name,
-                         perm.format_cycles(rep.sigma),
-                         perm.format_cycles(rep.a1), perm.format_cycles(rep.a2),
-                         perm.format_cycles(rep.b1), perm.format_cycles(rep.b2)))
+                         *map(perm.format_cycles, rep[1:])))
         out.write(_csv_text(data))
     else:
         lines = [f"n={n}: {res.fixed_count} solutions in {len(orbits)} "
@@ -356,13 +340,13 @@ def _cmd_orbits(args: argparse.Namespace, out: TextIO) -> int:
 def _cmd_list(args: argparse.Namespace, out: TextIO) -> int:
     """Each line is _dumps_line(_solution_json(sol, cache)), assembled
     from the five cycle strings (which need no JSON escaping) and the
-    image's JSON, serialized once per distinct image."""
+    JSON of the image of the solution's job output, made once per image."""
     n = args.n
     cache = _ImageCache()
     images: Dict[groups.GroupFingerprint, str] = {}
 
-    def sink(sol: Assignment) -> None:
-        fp = cache.get(sol)
+    def sink(sol: Assignment, origin: Assignment) -> None:
+        fp = cache.get(origin)
         image = images.get(fp)
         if image is None:
             image = images[fp] = _dumps_line(fp.to_json_dict())[:-1]

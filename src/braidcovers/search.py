@@ -63,10 +63,7 @@ Hence the number of solutions below (prefix, x) is constant on each
 H-orbit of the candidates x.  The walk visits one candidate per orbit
 and multiplies by the orbit size (_orbit_reps), at the b1 level over C1
 after the R2(b1) prune, and at the a2 level over C2 after the R2(a2)
-and cycle-type prunes.  Counts and classes take H0 = C(s); collecting
-and streaming runs take the trivial group, whose orbits are single
-candidates in their own order: that walk is the plain loop, so the
-solution order never depends on the counting strategy.
+and cycle-type prunes.  Over the trivial group it is the plain loop.
 
 The a1 level scans no S_n (_jobs).  With p and q the points s
 moves, C(s) = <s> x Sym(the other points), so two permutations are
@@ -114,8 +111,8 @@ C(s)-class, the representative r of its job; they form one H1-orbit,
 and the walk below r visits at least one member of every H1-orbit (H1
 brings any b1 to its orbit representative, then H2 any a2, and every b2
 is visited).  The H1-orbit of each leaf not yet seen in its job is built
-and marked seen; its least member is the class's, and the class meets
-the fixed-sigma slice in |C(s)-class of r| times that many solutions.
+and marked seen; its least member is the class's, and its class has
+|C(s)-class of r| times that many fixed-sigma solutions.
 A class with a1 = () other than {((), (), (), ())} is the image of a
 class in one of the three sets above, the images being one-to-one and
 commuting with C(s), so one job meets it, through one leaf class.  An
@@ -124,15 +121,15 @@ member comes from _least, one coordinate at a time over C(s).  The
 classes are sorted once, into the order of orbit_decomposition, and
 their sizes must add up to the weighted count.
 
-Collecting and streaming runs first read the fertile prefixes, the
-(a1, b1, a2) with a solution below, off the same jobs (_fertile): the
-prefixes of a job's leaves and images, conjugated by H1 and then by all
-of C(s), are those of every solution with a1 in the class of r and of
-their images.  So each a1 of the map, in order, is one plain job with a
-solution, and the plain loop drops each b1 and a2 outside the map before
-any test; no solution is lost, and the order is kept, since C2 is still
-built from all of C1 and C3 from all of C2, so _intersect_next takes the
-same route (from a filtered C2 it need not).
+Collecting and streaming runs expand the same jobs (_expand): the
+solutions with a1 = r are the H1-orbits of the job's leaves, and one g
+per H1-coset of C(s) conjugates them onto those with a1 = g^-1 r g,
+each a1 of the class once; the images of every job, so moved, are those
+with a1 = ().  A solution keeps the job output it comes from, conjugate
+to it, so `list` fingerprints one set per output.  The plain loop's
+order is a1 sorted, then b1 in C1, a2 in C2 and b2 in C3 order; _block
+builds C2 as the walk does, but only below prefixes that carry a
+solution, and reads b2 off the list that C3 filters (_route).
 
 Exact agreement with the relation-table-driven brute force is enforced
 by brute_force_oracle and its tests, not assumed.
@@ -159,7 +156,6 @@ if TYPE_CHECKING:  # the pool's modules are imported only when one starts
 MAX_DEGREE = 12
 
 RawSolution = Tuple[Perm, Perm, Perm, Perm]  # (a1, a2, b1, b2)
-Fertile = Dict[Perm, Collection[Perm]]  # b1 -> the a2 below (a1, b1) to walk
 
 
 class EnumerationResult(NamedTuple):
@@ -217,25 +213,24 @@ def _result(n: int, s: Perm, count: int, elapsed: float,
 def _intersect_next(prev: Sequence[Perm], prev_conjs: Sequence[Perm],
                     new_conj: Perm) -> List[Perm]:
     """prev n C(new_conj), where prev is an intersection of centralizers
-    of the permutations in prev_conjs.
+    of the permutations in prev_conjs, in the order of _route's list."""
+    source = _route(prev, prev_conjs, new_conj)
+    if source is prev:
+        return [z for z in prev if perm.commutes(z, new_conj)]
+    return [z for z in source if all(perm.commutes(z, c) for c in prev_conjs)]
 
-    Two equivalent routes with very different costs: filter prev by a
-    commuting test (|prev| tests), or enumerate C(new_conj) directly and
-    keep the members of the earlier centralizers (about |C| * len(prev_conjs)
-    tests, |C| from the cycle type alone).  Picking the cheaper keeps
-    near-identity prefixes, where |prev| is huge, from dominating.
 
-    The two routes list the same set in different orders, and the walk
-    takes C2 and C3 in list order, so the choice of route sets the order
-    in which solutions are streamed: changing the cost rule changes the
-    bytes `list` writes.
-    """
-    direct_size = groups.centralizer_order(new_conj)
-    if direct_size * (len(prev_conjs) + 2) < len(prev):
-        return [z for z in groups.centralizer_elements(new_conj,
-                                                       len(new_conj))
-                if all(perm.commutes(z, c) for c in prev_conjs)]
-    return [z for z in prev if perm.commutes(z, new_conj)]
+def _route(prev: Sequence[Perm], prev_conjs: Sequence[Perm],
+           new_conj: Perm) -> Sequence[Perm]:
+    """The list _intersect_next filters: prev, by |prev| commuting tests,
+    or C(new_conj), listed from its cycle type and filtered by about
+    |C| * len(prev_conjs) tests, whichever is cheaper, so near-identity
+    prefixes, where |prev| is huge, do not dominate.  The two routes list
+    the intersection in different orders, which set the order `list`
+    writes: changing the cost rule changes its bytes."""
+    if groups.centralizer_order(new_conj) * (len(prev_conjs) + 2) < len(prev):
+        return groups.centralizer_elements(new_conj, len(new_conj))
+    return prev
 
 
 def _a1_transitive(n: int, s: Perm, a1: Perm) -> bool:
@@ -318,8 +313,7 @@ def _a2_candidates(s: Perm, k: Perm, c2: Sequence[Perm]
         yield a2, sa2s, a2_inv, target
 
 
-def _iter_for_a1(n: int, s: Perm, a1: Perm, stab: Sequence[Perm],
-                 fertile: Optional[Fertile] = None
+def _iter_for_a1(n: int, s: Perm, a1: Perm, stab: Sequence[Perm]
                  ) -> Iterator[Tuple[RawSolution, int]]:
     """Solutions below one fixed a1 that passes R2(a1), each with a
     weight.
@@ -328,21 +322,17 @@ def _iter_for_a1(n: int, s: Perm, a1: Perm, stab: Sequence[Perm],
     candidate per stab-orbit and the a2 level one per orbit of its
     subgroup fixing b1, and the weights sum to the count below a1.
     Over the trivial group this is the plain loop: every solution once,
-    in order, with weight 1; given fertile (module docstring), only the
-    b1 in it and the a2 in fertile[b1] are walked.
+    in order, with weight 1.
     """
     sa1s = perm.conjugate(a1, s)
     c1 = groups.centralizer_elements(sa1s, n)
-    b1s = c1 if fertile is None else [b1 for b1 in c1 if b1 in fertile]
-    for (b1, sb1s, k), w1 in _orbit_reps(
-            stab, _b1_candidates(s, a1, b1s)):
+    for (b1, sb1s, k), w1 in _orbit_reps(stab, _b1_candidates(s, a1, c1)):
         c2 = _intersect_next(c1, (sa1s,), sb1s)
         if not groups.is_transitive((s, a1, b1, *c2), n):      # a2, b2 in C2
             continue
         stab2 = [h for h in stab if perm.commutes(h, b1)]
-        a2s = c2 if fertile is None else [a2 for a2 in c2 if a2 in fertile[b1]]
         for (a2, sa2s, a2_inv, target), w2 in _orbit_reps(
-                stab2, _a2_candidates(s, k, a2s)):
+                stab2, _a2_candidates(s, k, c2)):
             c3 = _intersect_next(c2, (sa1s, sb1s), sa2s)
             if not groups.is_transitive((s, a1, b1, a2, *c3), n):  # b2 in C3
                 continue
@@ -385,40 +375,55 @@ def _with_images(n: int, s: Perm, r: Perm, stab: Sequence[Perm]
 
 
 def _search_chunk(job: tuple) -> List[Tuple[RawSolution, int]]:
-    """The weighted solutions below one a1 slice, for the caller to scale
-    by its size: for a job of _jobs, the walk by stab with each leaf's
-    images below a1 = () (_with_images), else the plain loop over the
-    trivial group through the job's fertile row, every solution once, in
-    order, with weight 1."""
-    n, s, a1, _, stab, fertile = job
-    return list(_with_images(n, s, a1, stab) if fertile is None
-                else _iter_for_a1(n, s, a1, stab, fertile))
+    """The weighted leaves and images (_with_images) of one job of _jobs,
+    for the caller to scale by its size."""
+    n, s, a1, _, stab = job
+    return list(_with_images(n, s, a1, stab))
 
 
-def _fertile(jobs: Sequence[tuple], cent: Sequence[Perm]
-             ) -> Dict[Perm, Fertile]:
-    """a1 -> b1 -> the a2 with a solution below (a1, b1, a2), read off
-    the factored jobs, run here: the prefixes below each r, closed under
-    its H1, then moved by one element of each H1-coset of C(s) (cent)."""
-    canon: Dict[Perm, Perm] = {}                # one object per permutation
-    fertile: Dict[Perm, Fertile] = {}
-
-    def conj(p: Perm, h: Perm) -> Perm:
-        q = perm.conjugate(p, h)
-        return canon.setdefault(q, q)
-
-    for n, s, r, _, stab, _ in jobs:
-        closed: Dict[Tuple[Perm, Perm], set] = {}   # H1 fixes a1, r or ()
-        for a1, b1, a2 in {(a1, b1, a2) for (a1, a2, b1, _), _
-                           in _with_images(n, s, r, stab)}:
+def _expand(job: tuple, outputs: Iterable[Tuple[RawSolution, int]],
+            cent: Sequence[Perm], blocks: Dict[Perm, List[tuple]]) -> None:
+    """Add to blocks, a1 -> (closed, g) entries, a job's solutions: closed
+    maps the H1-orbits of its leaves, or images, to their job outputs, and
+    g, one per H1-coset of C(s) (cent), moves r to r^g and () to ()."""
+    n, s, r, _, stab = job
+    leaves: Dict[RawSolution, Assignment] = {}
+    images: Dict[RawSolution, Assignment] = {}
+    for key, _ in outputs:
+        closed = leaves if key[0] == r else images
+        if key not in closed:                   # a new H1-orbit
+            origin = Assignment(n, s, *key)
             for h in stab:
-                closed.setdefault((a1, conj(b1, h)), set()).add(conj(a2, h))
-        cosets = {perm.conjugate(r, g): g for g in cent} if closed else {}
-        for r_g, g in cosets.items():
-            for (a1, b1), a2s in closed.items():
-                fertile.setdefault(r_g if a1 == r else a1, {}).setdefault(
-                    conj(b1, g), set()).update(conj(a2, g) for a2 in a2s)
-    return fertile
+                closed[tuple(perm.conjugate(p, h) for p in key)] = origin
+    for r_g, g in {perm.conjugate(r, g): g for g in cent}.items():
+        for a1, closed in ((r_g, leaves), (perm.identity(n), images)):
+            if closed:
+                blocks.setdefault(a1, []).append((closed, g))
+
+
+def _block(n: int, s: Perm, a1: Perm, entries: Iterable[tuple]
+           ) -> Iterator[Tuple[RawSolution, Assignment]]:
+    """The solutions with this a1 in its entries (_expand), each with its
+    job output, in the plain walk's order (module docstring)."""
+    tree: Dict[Perm, Dict[Perm, Dict[Perm, Assignment]]] = {}
+    for closed, g in entries:
+        moved: Dict[Perm, Perm] = {}
+        for key, origin in closed.items():
+            _, a2, b1, b2 = [moved.get(p) or moved.setdefault(
+                p, perm.conjugate(p, g)) for p in key]
+            tree.setdefault(b1, {}).setdefault(a2, {})[b2] = origin
+    sa1s = perm.conjugate(a1, s)
+    c1 = groups.centralizer_elements(sa1s, n)
+    for b1 in filter(tree.__contains__, c1):
+        below_b1 = tree[b1]
+        sb1s = perm.conjugate(b1, s)
+        c2 = _intersect_next(c1, (sa1s,), sb1s)
+        for a2 in filter(below_b1.__contains__, c2):
+            below_a2 = below_b1[a2]
+            # C3 keeps the order of the list it filters
+            for b2 in filter(below_a2.__contains__, _route(
+                    c2, (sa1s, sb1s), perm.conjugate(a2, s))):
+                yield (a1, a2, b1, b2), below_a2[b2]
 
 
 def _least(key: Tuple[Perm, ...], group: Sequence[Perm]) -> Tuple[Perm, ...]:
@@ -467,7 +472,7 @@ def _marked_types(n: int, s: Perm) -> Iterator[Perm]:
 
 
 def _jobs(n: int, s: Perm, cent: Sequence[Perm]) -> List[tuple]:
-    """The factored _search_chunk jobs (n, s, r, size, stab, None), in
+    """The _search_chunk jobs (n, s, r, size, stab), in
     order of r: one per C(s)-orbit of size size, least member r and
     stab = C(s) n C(r), of the a1 that pass R2(a1) and the a1 prune; cent
     lists C(s).  Both tests are C(s)-invariant, so they are made once per
@@ -480,7 +485,7 @@ def _jobs(n: int, s: Perm, cent: Sequence[Perm]) -> List[tuple]:
         orbit = {perm.conjugate(a1, h) for h in cent}
         r = min(orbit)
         jobs.append((n, s, r, len(orbit),
-                     [h for h in cent if perm.commutes(h, r)], None))
+                     [h for h in cent if perm.commutes(h, r)]))
     return sorted(jobs, key=lambda job: job[2])
 
 
@@ -549,45 +554,48 @@ def _resolve_sigma(n: int, sigma: Optional[Perm]) -> Perm:
 def enumerate_fixed_sigma(n: int, collect: bool = False, *,
                           workers: int = 1,
                           sigma: Optional[Perm] = None,
-                          sink: Optional[Callable[[Assignment], None]] = None,
+                          sink: Optional[Callable[[Assignment, Assignment],
+                                                  None]] = None,
                           progress: Optional[Callable[[int, int], None]] = None,
                           ) -> EnumerationResult:
     """Count (and with collect=True, return) all solutions with the given
     sigma image, default (1,2).
 
-    Every a1 representative, or with sink or collect every a1 with a
-    solution, is one slice; with workers > 1 and more than one slice, the slices are searched by a pool of worker processes.
-    Slices are absorbed in job order, so the result, the order of the
-    solutions handed to sink and the progress calls (slices done, slices
-    in all) are the same for every worker count.
+    Every a1 representative is one slice; with workers > 1 and more than
+    one slice, a pool of worker processes searches them.  The result,
+    the solutions and the progress calls (slices done, slices in all)
+    are the same for every worker count.  Once every slice is in, sink
+    gets each solution in the order of the plain loop, with the job
+    output it comes from, conjugate to it under C(s).
     """
     _check_run(n, workers)
     s = _resolve_sigma(n, sigma)
     keep = collect or sink is not None
     t0 = time.perf_counter()
     count = 0
-    collected: List[Assignment] = []
+    cent = groups.centralizer_elements(s, n)
+    blocks: Dict[Perm, List[tuple]] = {}
 
     def absorb(job: tuple, solutions: List[Tuple[RawSolution, int]]
                ) -> None:
         nonlocal count
         count += job[3] * sum(w for _, w in solutions)
-        if not keep:
-            return
-        for (a1, a2, b1, b2), _ in solutions:
-            asg = Assignment(n, s, a1, a2, b1, b2)
+        if keep:
+            _expand(job, solutions, cent, blocks)
+
+    _run_slices(n, _jobs(n, s, cent), workers, absorb, progress)
+    collected: List[Assignment] = []
+    kept = 0
+    for a1 in sorted(blocks):
+        for raw, origin in _block(n, s, a1, blocks.pop(a1)):
+            asg = Assignment(n, s, *raw)
+            kept += 1
             if sink is not None:
-                sink(asg)
+                sink(asg, origin)
             if collect:
                 collected.append(asg)
-
-    cent = groups.centralizer_elements(s, n)
-    jobs = _jobs(n, s, cent)
-    if keep:                    # one plain job per a1 with a solution below
-        trivial = [perm.identity(n)]
-        jobs = [(n, s, a1, 1, trivial, row)
-                for a1, row in sorted(_fertile(jobs, cent).items())]
-    _run_slices(n, jobs, workers, absorb, progress)
+    if keep and kept != count:
+        raise AssertionError(f"kept {kept} solutions, expected {count}")
     return _result(n, s, count, time.perf_counter() - t0,
                    tuple(collected) if collect else None)
 
@@ -614,7 +622,7 @@ def classify(n: int, *, workers: int = 1,
     def absorb(job: tuple, solutions: List[Tuple[RawSolution, int]]
                ) -> None:
         nonlocal count
-        _, _, r, size, stab, _ = job
+        _, _, r, size, stab = job
         seen: set = set()
         for key, w in solutions:
             count += size * w
@@ -804,16 +812,10 @@ def image_name_histogram(solutions: Sequence[Assignment], n: int
 def _image_names(weighted: Iterable[Tuple[Assignment, int]], n: int
                  ) -> dict[str, int]:
     """Image-group name -> total weight of the solutions with that
-    image, with a cache keyed by the generator set (solutions heavily
-    share images)."""
-    cache: dict[frozenset, str] = {}
+    image."""
     out: dict[str, int] = {}
     for sol, weight in weighted:
-        gens = (sol.sigma, sol.a1, sol.a2, sol.b1, sol.b2)
-        key = frozenset(gens)
-        name = cache.get(key)
-        if name is None:
-            name = groups.fingerprint(gens, n).name
-            cache[key] = name
+        name = groups.set_fingerprint(
+            frozenset((sol.sigma, sol.a1, sol.a2, sol.b1, sol.b2)), n).name
         out[name] = out.get(name, 0) + weight
     return dict(sorted(out.items()))

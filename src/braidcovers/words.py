@@ -100,19 +100,34 @@ class _Images(NamedTuple):
     b2: Perm
 
 
+_PERMUTATIONS: set = set()  # images Assignment found to be permutations
+
+
 class Assignment(_Images):
-    """Images of the five generators in one symmetric group S_n."""
+    """Images of the five generators in one symmetric group S_n: each a
+    tuple permuting 0..n-1, or ValueError is raised.  Up to 4096 images
+    found to be permutations are remembered, so that most checks are
+    five set lookups."""
 
     __slots__ = ()
 
     def __new__(cls, n: int, sigma: Perm, a1: Perm, a2: Perm, b1: Perm,
                 b2: Perm) -> "Assignment":
-        self = super().__new__(cls, n, sigma, a1, a2, b1, b2)
-        for name in ("sigma", "a1", "a2", "b1", "b2"):
-            p = getattr(self, name)
-            if len(p) != self.n:
-                raise ValueError(
-                    f"{name} has degree {len(p)}, expected {self.n}")
+        self = tuple.__new__(cls, (n, sigma, a1, a2, b1, b2))
+        known = _PERMUTATIONS
+        if not (len(sigma) == len(a1) == len(a2) == len(b1) == len(b2) == n
+                and sigma in known and a1 in known and a2 in known
+                and b1 in known and b2 in known):
+            points = list(range(n))
+            for name, p in zip(self._fields[1:], self[1:]):
+                if len(p) != n:
+                    raise ValueError(
+                        f"{name} has degree {len(p)}, expected {n}")
+                if sorted(p) != points:
+                    raise ValueError(f"{name} is not a permutation: {p}")
+            if len(known) > 4096:
+                known.clear()
+            known.update(self[1:])
         return self
 
     # _replace builds through _make, which would skip the check in __new__
@@ -125,21 +140,11 @@ class Assignment(_Images):
         return self.sigma + self.a1 + self.a2 + self.b1 + self.b2
 
     def conjugated(self, by: Perm) -> "Assignment":
-        return Assignment(
-            self.n,
-            perm.conjugate(self.sigma, by),
-            perm.conjugate(self.a1, by),
-            perm.conjugate(self.a2, by),
-            perm.conjugate(self.b1, by),
-            perm.conjugate(self.b2, by),
-        )
+        return Assignment(self.n, *(perm.conjugate(p, by) for p in self[1:]))
 
     def __str__(self) -> str:
-        return (f"sigma={perm.format_cycles(self.sigma)} "
-                f"a1={perm.format_cycles(self.a1)} "
-                f"a2={perm.format_cycles(self.a2)} "
-                f"b1={perm.format_cycles(self.b1)} "
-                f"b2={perm.format_cycles(self.b2)}")
+        return " ".join(f"{name}={perm.format_cycles(p)}"
+                        for name, p in zip(self._fields[1:], self[1:]))
 
 
 def evaluate(word: Word, assignment: Assignment) -> Perm:

@@ -209,6 +209,39 @@ def test_orbits_workers_do_not_change_output(capsys):
     assert json.loads(solo)["orbit_count"] == 60
 
 
+def _fingerprint_calls(monkeypatch, capsys, *argv):
+    """The groups.fingerprint calls of one command, its memo empty."""
+    from braidcovers import groups
+
+    calls = []
+    fingerprint = groups.fingerprint
+
+    def spy(generators, n):
+        calls.append(generators)
+        return fingerprint(generators, n)
+
+    groups.set_fingerprint.cache_clear()
+    monkeypatch.setattr(groups, "fingerprint", spy)
+    assert run(capsys, *argv)[0] == 0
+    return calls
+
+
+def test_orbits_fingerprints_each_class_once(monkeypatch, capsys):
+    # classify's summary and the rendering of the classes share the
+    # generator-set memo: one call per class of degree 6
+    calls = _fingerprint_calls(monkeypatch, capsys, "orbits", "--n", "6",
+                               "--format", "json")
+    assert len(calls) == 24
+    assert len({frozenset(gens) for gens in calls}) == 24
+
+
+def test_list_fingerprints_one_set_per_job_output(monkeypatch, capsys):
+    # list fingerprints the job output each line comes from, not each of
+    # the 288 generator sets of its 2,880 lines
+    calls = _fingerprint_calls(monkeypatch, capsys, "list", "--n", "6")
+    assert 0 < len(calls) <= 60
+
+
 def test_table_collect_through_degree_seven(capsys):
     # classes come from the factored search, so degree 7 is quick
     code, out, _ = run(capsys, "table", "--n", "2..7", "--collect",
@@ -260,7 +293,8 @@ def test_list_lines_match_solution_json(capsys, n):
     from braidcovers import search
 
     solutions = []
-    search.enumerate_fixed_sigma(n, sink=solutions.append)
+    search.enumerate_fixed_sigma(
+        n, sink=lambda sol, origin: solutions.append(sol))
     code, out, _ = run(capsys, "list", "--n", str(n))
     assert code == 0
     lines = out.splitlines(keepends=True)
@@ -273,10 +307,11 @@ def test_list_lines_match_solution_json(capsys, n):
 
 
 @pytest.mark.long
-def test_list_n8_digest(tmp_path):
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_list_n8_digest(tmp_path, workers):
     # the order list streams at degree 8 follows the order of the C2 and
     # C3 lists (search._intersect_next), which the n=6 digest does not
-    # pin; one slice, and one progress line, per a1 representative
+    # pin; one slice, and one progress line, per factored job
     import pathlib
     import subprocess
 
@@ -288,7 +323,7 @@ def test_list_n8_digest(tmp_path):
     with open(tmp_path / "err", "w+b") as err:
         proc = subprocess.Popen(
             [sys.executable, "-m", "braidcovers.cli", "list", "--n", "8",
-             "--confirm-long", "--workers", "2"],
+             "--confirm-long", "--workers", workers],
             env=env, stdout=subprocess.PIPE, stderr=err)
         for chunk in iter(lambda: proc.stdout.read(1 << 16), b""):
             digest.update(chunk)
@@ -296,8 +331,7 @@ def test_list_n8_digest(tmp_path):
         err.seek(0)
         progress = err.read().decode().splitlines()
     assert digest.hexdigest() == LIST_N8_SHA256
-    assert progress == [f"n=8: slice {i}/286 searched"
-                        for i in range(1, 287)]
+    assert progress == [f"n=8: slice {i}/4 searched" for i in range(1, 5)]
 
 
 def test_oracle_match(capsys):
@@ -447,8 +481,8 @@ def test_interrupted_out_leaves_no_file(capsys, monkeypatch, tmp_path):
     def interrupted(n, collect=False, *, sink=None, **kwargs):
         written = []
 
-        def stop_after_ten(sol):
-            sink(sol)
+        def stop_after_ten(sol, origin):
+            sink(sol, origin)
             written.append(sol)
             if len(written) == 10:
                 raise KeyboardInterrupt
@@ -505,12 +539,35 @@ def _group_size(pgid):
     return len(_group_members(pgid))
 
 
-def _pooled_list_n8(out_path):
-    """list --n 8 --out out_path on two workers in a subprocess leading
-    its own process group, returned once both pool workers have run for a
-    second; the run takes about 5 s more on a 2-vCPU host.  The parent
-    builds the a1 list and runs the factored jobs before the pool starts,
-    so a fixed delay could come before any worker exists."""
+# `braidcovers` with every search job but a1 = () held for 60 s, so that
+# a pool's workers are still busy when a test signals the run; the
+# workers are forked, so they run the held job too
+_HELD_CLI = """\
+import sys
+import time
+
+from braidcovers import cli, perm, search
+
+search_chunk = search._search_chunk
+
+
+def held_chunk(job):
+    if job[2] != perm.identity(job[0]):
+        time.sleep(60)
+    return search_chunk(job)
+
+
+search._search_chunk = held_chunk
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def _pooled_list(out_path):
+    """list --n 6 --out out_path on two workers, each job held by
+    _HELD_CLI, in a subprocess leading its own process group, returned
+    once both pool workers have run for a second.  The parent builds the
+    factored jobs before the pool starts, so a fixed delay could come
+    before any worker exists."""
     import pathlib
     import signal
     import subprocess
@@ -522,8 +579,8 @@ def _pooled_list_n8(out_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(pathlib.Path(braidcovers.__file__).parents[1])
     proc = subprocess.Popen(
-        [sys.executable, "-m", "braidcovers.cli", "list", "--n", "8",
-         "--confirm-long", "--workers", "2", "--out", str(out_path)],
+        [sys.executable, "-c", _HELD_CLI, "list", "--n", "6",
+         "--workers", "2", "--out", str(out_path)],
         env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         start_new_session=True,
         preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
@@ -562,7 +619,7 @@ def test_ctrl_c_under_pool_exits_130(tmp_path):
     # temporary file beside it is left
     import signal
 
-    proc = _pooled_list_n8(tmp_path / "sols.jsonl")
+    proc = _pooled_list(tmp_path / "sols.jsonl")
     try:
         assert proc.poll() is None
         os.killpg(proc.pid, signal.SIGINT)
@@ -584,7 +641,7 @@ def test_sigint_to_cli_alone_under_pool_exits_130(tmp_path):
     import signal
     import time
 
-    proc = _pooled_list_n8(tmp_path / "sols.jsonl")
+    proc = _pooled_list(tmp_path / "sols.jsonl")
     try:
         assert proc.poll() is None
         os.kill(proc.pid, signal.SIGINT)
@@ -606,7 +663,7 @@ def test_killed_worker_exits_1(tmp_path):
     # and the other worker goes with it
     import signal
 
-    proc = _pooled_list_n8(tmp_path / "sols.jsonl")
+    proc = _pooled_list(tmp_path / "sols.jsonl")
     try:
         assert proc.poll() is None
         workers = [pid for pid, parent in _group_members(proc.pid)

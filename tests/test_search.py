@@ -92,13 +92,13 @@ def test_pool_capped_at_slice_count(inline_pool):
     # more worker processes than there are jobs
     requested, submitted = inline_pool
     s = perm.transposition(4, 1, 2)
-    reps = [(a1, size) for _, _, a1, size, _, _ in _factored_jobs(4, s)]
+    reps = [(a1, size) for _, _, a1, size, _ in _factored_jobs(4, s)]
     res = search.enumerate_fixed_sigma(4, workers=64)
     assert res.fixed_count == 480
-    assert [(a1, size) for (_, _, a1, size, _, _), in submitted] == reps
+    assert [(a1, size) for (_, _, a1, size, _), in submitted] == reps
     assert requested == [len(reps)] and 1 < len(reps) < 64
     # each job carries the stabilizer its walk is factored by
-    for (_, _, a1, _, stab, _), in submitted:
+    for (_, _, a1, _, stab), in submitted:
         assert sorted(stab) == _stab(4, s, a1)
 
 
@@ -114,35 +114,37 @@ def test_single_job_runs_in_process(inline_pool):
     assert requested == [] and submitted == []
 
 
-def test_list_without_solutions_starts_no_pool(inline_pool):
-    # degree 9 has no solution, so a streaming run has no plain job: it
-    # requests no pool, submits nothing and reports no slice
+def test_list_without_solutions_submits_only_the_count_jobs(inline_pool):
+    # degree 9 has no solution: a streaming run submits the factored jobs
+    # of a count, reports their slices and hands the sink nothing
     requested, submitted = inline_pool
     ticks = []
     res = search.enumerate_fixed_sigma(9, sink=_refuse, workers=2,
                                        progress=lambda i, m: ticks.append(i))
     assert res.fixed_count == 0
-    assert requested == [] and submitted == [] and ticks == []
+    jobs = _factored_jobs(9, perm.transposition(9, 1, 2))
+    assert requested == [2] and [job for job, in submitted] == jobs
+    assert ticks == [1, 2]
 
 
 @pytest.mark.parametrize("n", range(2, 8))
 def test_plain_jobs_are_the_solution_a1(n, monkeypatch):
-    # a run that keeps solutions has one plain job per a1 of its
-    # solutions, in order, and every job yields at least one solution
-    outputs = []
-    chunk = search._search_chunk
+    # the plain order is written one a1 block at a time: a run that keeps
+    # solutions writes one block per a1 of its solutions, in order, and
+    # no block is empty
+    blocks = []
+    block = search._block
 
-    def spy(job):
-        out = chunk(job)
-        if job[-1] is not None:
-            outputs.append((job[2], len(out)))
+    def spy(n, s, a1, entries):
+        out = list(block(n, s, a1, entries))
+        blocks.append((a1, len(out)))
         return out
 
-    monkeypatch.setattr(search, "_search_chunk", spy)
+    monkeypatch.setattr(search, "_block", spy)
     res = search.enumerate_fixed_sigma(n, collect=True)
-    a1s = [a1 for a1, _ in outputs]
+    a1s = [a1 for a1, _ in blocks]
     assert a1s == sorted({sol.a1 for sol in res.solutions})
-    assert all(size for _, size in outputs)
+    assert all(size for _, size in blocks)
     if n == 6:
         assert len(a1s) == 29
 
@@ -151,16 +153,16 @@ def test_sink_streams_same_solutions(n3_result):
     # under the pool the sink runs in this process, in job order
     for workers in (1, 2):
         streamed = []
-        res = search.enumerate_fixed_sigma(3, workers=workers,
-                                           sink=streamed.append)
+        res = search.enumerate_fixed_sigma(
+            3, workers=workers, sink=lambda sol, origin: streamed.append(sol))
         assert res.fixed_count == 80
         assert res.solutions is None
         assert tuple(streamed) == n3_result.solutions
 
 
 def test_sink_error_stops_pooled_search():
-    # the sink's exception reaches the caller; the pool drops what is left
-    def refuse(sol):
+    # the sink's exception reaches the caller
+    def refuse(sol, origin):
         raise RuntimeError("sink refused")
 
     with pytest.raises(RuntimeError, match="sink refused"):
@@ -183,19 +185,20 @@ class _Refused(Exception):
     pass
 
 
-def _refuse(sol):
+def _refuse(*args):
     raise _Refused
 
 
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                     reason="the workers must inherit the patched chunk")
 def test_failed_pooled_search_ends_workers(monkeypatch):
-    # the sink fails on the first slice while both workers run 20 s
-    # slices; the error comes back at once, and no worker is left
+    # the progress call fails on the first slice while both workers run
+    # 20 s slices; the error comes back at once, and no worker is left
     monkeypatch.setattr(search, "_search_chunk", _slow_chunk)
     t0 = time.monotonic()
     with pytest.raises(_Refused):
-        search.enumerate_fixed_sigma(4, workers=2, sink=_refuse)
+        search.enumerate_fixed_sigma(4, workers=2, sink=_refuse,
+                                     progress=_refuse)
     assert time.monotonic() - t0 < 5.0
     assert multiprocessing.active_children() == []
 
@@ -207,7 +210,7 @@ def test_failed_pooled_search_spares_other_children():
     bystander.start()
     try:
         with pytest.raises(_Refused):
-            search.enumerate_fixed_sigma(6, workers=2, sink=_refuse)
+            search.enumerate_fixed_sigma(6, workers=2, progress=_refuse)
         assert bystander.is_alive()
         assert multiprocessing.active_children() == [bystander]
     finally:
@@ -391,7 +394,7 @@ def test_a1_candidates_are_the_r2_filter():
                    if _reference_transitive(n, s, [a1], _c1(n, s, a1))]
         cent = _brute_centralizer(n, s)
         assert passing == _plain_a1s(n, s)
-        assert [(a1, size) for _, _, a1, size, _, _
+        assert [(a1, size) for _, _, a1, size, _
                 in search._jobs(n, s, cent)] == _brute_orbits(passing, cent)
 
 
@@ -401,7 +404,7 @@ def test_a1_slices_match_scan_n8_n9():
     for n in (8, 9):
         s = perm.transposition(n, 1, 2)
         cent = groups.centralizer_elements(s, n)
-        assert [(a1, size) for _, _, a1, size, _, _
+        assert [(a1, size) for _, _, a1, size, _
                 in search._jobs(n, s, cent)] \
             == _brute_orbits(_plain_a1s(n, s), cent)
 
@@ -538,10 +541,9 @@ def _count_reps(n, s):
     # and the stabilizers C(s) n C(a1) their jobs carry; no job carries
     # C(s) beside its stabilizer
     jobs = _factored_jobs(n, s)
-    reps = [(a1, size, stab) for _, _, a1, size, stab, _ in jobs]
+    reps = [(a1, size, stab) for _, _, a1, size, stab in jobs]
     for a1, _, stab in reps:
         assert sorted(stab) == _stab(n, s, a1)
-    assert all(len(job) == 6 and job[-1] is None for job in jobs)
     return reps
 
 
@@ -654,57 +656,86 @@ _SIGMAS = [perm.transposition(n, 1, 2) for n in range(2, 8)] + [
 @pytest.mark.parametrize("sig", _SIGMAS, ids=lambda sig: f"n{len(sig)}-"
                          + perm.format_cycles(sig))
 def test_filtered_walk_is_the_plain_walk(sig):
-    # collecting and streaming runs walk the plain loop through the
-    # fertile prefixes only: the same solutions, in the same order
+    # collecting and streaming runs expand the factored jobs' outputs and
+    # write them in the plain loop's order, for any worker count: the
+    # same solutions, in the same order, each with a job output that has
+    # the same sigma and is conjugate to it under C(sigma)
     n = len(sig)
     plain = _plain_walk(n, sig)
-    res = search.enumerate_fixed_sigma(n, collect=True, sigma=sig)
-    streamed = []
-    search.enumerate_fixed_sigma(n, sigma=sig, sink=streamed.append)
-    for solutions in (res.solutions, streamed):
-        assert [(x.a1, x.a2, x.b1, x.b2) for x in solutions] == plain
-    assert res.fixed_count == len(plain)
+    cent = groups.centralizer_elements(sig, n)
+    for workers in (1, 2):
+        res = search.enumerate_fixed_sigma(n, collect=True, sigma=sig,
+                                           workers=workers)
+        streamed = []
+        search.enumerate_fixed_sigma(
+            n, sigma=sig, workers=workers,
+            sink=lambda sol, origin: streamed.append((sol, origin)))
+        assert [sol for sol, _ in streamed] == list(res.solutions)
+        assert [(x.a1, x.a2, x.b1, x.b2) for x in res.solutions] == plain
+        assert res.fixed_count == len(plain)
+    for sol, origin in streamed:
+        assert origin.sigma == sig
+        assert any(origin.conjugated(h) == sol for h in cent)
 
 
 @pytest.mark.parametrize("sig", [sig for sig in _SIGMAS if len(sig) <= 6],
                          ids=lambda sig: f"n{len(sig)}-"
                          + perm.format_cycles(sig))
-def test_fertile_map_is_the_plain_walk_prefixes(sig):
-    # the map read off the factored jobs holds exactly the (a1, b1, a2)
-    # prefixes of the unfiltered plain loop's solutions
+def test_fertile_map_is_the_plain_walk_prefixes(sig, monkeypatch):
+    # the a1 blocks build C2 below exactly the (a1, b1) prefixes, and
+    # choose the C3 route below exactly the (a1, b1, a2) prefixes, of the
+    # unfiltered plain loop's solutions, each once
     n = len(sig)
-    cent = groups.centralizer_elements(sig, n)
-    fertile = search._fertile(search._jobs(n, sig, cent), cent)
-    got = [(a1, b1, a2) for a1, row in fertile.items()
-           for b1, a2s in row.items() for a2 in a2s]
-    assert len(got) == len(set(got))
-    assert set(got) == {(a1, b1, a2) for a1, a2, b1, _ in _plain_walk(n, sig)}
+    c2s, c3s = [], []
+    block, intersect, route = search._block, search._intersect_next, \
+        search._route
+    writing = []
+
+    def block_spy(*args):
+        writing.append(True)
+        yield from block(*args)
+        writing.pop()
+
+    def intersect_spy(prev, prev_conjs, new_conj):
+        if writing:
+            c2s.append((*prev_conjs, new_conj))
+        return intersect(prev, prev_conjs, new_conj)
+
+    def route_spy(prev, prev_conjs, new_conj):
+        if writing and len(prev_conjs) == 2:
+            c3s.append((*prev_conjs, new_conj))
+        return route(prev, prev_conjs, new_conj)
+
+    monkeypatch.setattr(search, "_block", block_spy)
+    monkeypatch.setattr(search, "_intersect_next", intersect_spy)
+    monkeypatch.setattr(search, "_route", route_spy)
+    search.enumerate_fixed_sigma(n, sigma=sig, sink=lambda *args: None)
+    plain = _plain_walk(n, sig)
+    for built, length in ((c2s, 2), (c3s, 3)):
+        prefixes = [tuple(_s_conj(x, sig) for x in conjs) for conjs in built]
+        assert sorted(prefixes) == sorted(
+            {(a1, b1, a2)[:length] for a1, a2, b1, _ in plain})
 
 
 def test_list_walk_without_solutions_builds_nothing(monkeypatch):
-    # degree 9 has no solution: after the factored jobs, a streaming run
-    # has no plain job, so it reports no slice, builds no C2 or C3 and
-    # hands the sink nothing
+    # degree 9 has no solution: beyond the factored jobs of a count, a
+    # streaming run builds no C2 or C3 and hands the sink nothing
     intersected = []
-    intersect, fertile = search._intersect_next, search._fertile
+    intersect = search._intersect_next
 
     def spy(*args):
         intersected.append(args)
         return intersect(*args)
 
-    def fertile_spy(jobs, cent):
-        out = fertile(jobs, cent)
-        intersected.clear()                 # the factored jobs' own
-        return out
-
     monkeypatch.setattr(search, "_intersect_next", spy)
-    monkeypatch.setattr(search, "_fertile", fertile_spy)
     ticks = []
+    search.enumerate_fixed_sigma(9, progress=lambda i, m: ticks.append(m))
+    counted = len(intersected)
     res = search.enumerate_fixed_sigma(9, sink=_refuse,
                                        progress=lambda i, m: ticks.append(m))
     assert res.fixed_count == 0
-    assert intersected == []
-    assert ticks == []
+    assert len(intersected) == 2 * counted
+    assert ticks == [2] * 4
 
 
 def test_list_walk_skips_a1_without_fertile_prefix(monkeypatch):
@@ -725,9 +756,10 @@ def test_list_walk_skips_a1_without_fertile_prefix(monkeypatch):
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_counts_and_classes_submit_one_job_kind(n, monkeypatch):
-    # a count and a class search hand the pool the same factored jobs;
-    # only the parent's aggregation of their outputs differs
-    submitted = {}
+    # a count, a class search and a streaming run hand the pool the same
+    # factored jobs; only the parent's aggregation of their outputs
+    # differs
+    submitted = []
     chunk = search._search_chunk
 
     def spy(job):
@@ -735,12 +767,13 @@ def test_counts_and_classes_submit_one_job_kind(n, monkeypatch):
         return chunk(job)
 
     monkeypatch.setattr(search, "_search_chunk", spy)
-    for run in (search.enumerate_fixed_sigma, search.classify):
-        jobs = submitted[run] = []
+    for run in (search.enumerate_fixed_sigma, search.classify,
+                functools.partial(search.enumerate_fixed_sigma,
+                                  sink=lambda *args: None)):
+        jobs = []
         run(n)
-    assert submitted[search.enumerate_fixed_sigma] \
-        == submitted[search.classify] \
-        == _factored_jobs(n, perm.transposition(n, 1, 2))
+        submitted.append(jobs)
+    assert submitted == [_factored_jobs(n, perm.transposition(n, 1, 2))] * 3
 
 
 def test_least_is_min_of_orbit():

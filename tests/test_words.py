@@ -104,6 +104,26 @@ def test_assignment_validates_degrees():
                    perm.identity(3), perm.identity(3))
 
 
+def test_assignment_rejects_non_permutations():
+    # a tuple of the right degree that is not a permutation is refused,
+    # however it reaches the constructor, and before any relation or
+    # inverse is evaluated on it
+    e = perm.identity(3)
+    s = perm.transposition(3, 1, 2)
+    Assignment(3, s, s, e, e, e)            # its images are remembered now
+    for bad in [(0, 0, 1), (1, 2, 3), (0, 1, -1), (2, 2, 2)]:
+        with pytest.raises(ValueError, match=r"a1 is not a permutation"):
+            Assignment(3, s, bad, e, e, e)
+        with pytest.raises(ValueError, match=r"b2 is not a permutation"):
+            Assignment(3, s, e, e, e, bad)
+        with pytest.raises(ValueError, match=r"a2 is not a permutation"):
+            Assignment(3, s, e, e, e, e)._replace(a2=bad)
+    with pytest.raises(ValueError, match=r"sigma has degree 2, expected 3"):
+        Assignment(3, (1, 0), e, e, e, e)
+    with pytest.raises(TypeError):          # images are tuples
+        Assignment(3, s, [0, 1, 2], e, e, e)
+
+
 def test_assignment_accessors():
     sig = perm.parse_cycles("(1,2)", 3)
     a1 = perm.parse_cycles("(1,2,3)", 3)
