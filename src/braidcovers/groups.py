@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from collections import Counter
 from typing import Dict, FrozenSet, List, NamedTuple, Sequence, Tuple
 
@@ -79,11 +78,13 @@ def is_transitive(generators: Sequence[Perm], n: int) -> bool:
 
 
 def centralizer_order(g: Perm) -> int:
-    """|C(g)| in S_n from the cycle type: prod over lengths L of L^k * k!."""
-    counts = Counter(perm.cycle_type(g))
-    out = 1
-    for length, k in counts.items():
-        out *= length ** k * math.factorial(k)
+    """|C(g)| in S_n from the cycle type: prod over lengths L of L^k * k!,
+    the k cycles of length L, which cycle_type lists side by side."""
+    out, k, previous = 1, 0, 0
+    for length in perm.cycle_type(g):
+        k = k + 1 if length == previous else 1
+        out *= length * k
+        previous = length
     return out
 
 

@@ -391,10 +391,10 @@ def _expand(job: tuple, outputs: Iterable[Tuple[RawSolution, int]],
     images: Dict[RawSolution, Assignment] = {}
     for key, _ in outputs:
         closed = leaves if key[0] == r else images
-        if key not in closed:                   # a new H1-orbit
+        if key not in closed:           # a new H1-orbit; H1 fixes a1
             origin = Assignment(n, s, *key)
             for h in stab:
-                closed[tuple(perm.conjugate(p, h) for p in key)] = origin
+                closed[(key[0], *map(perm.conjugate, key[1:], [h] * 3))] = origin
     for r_g, g in {perm.conjugate(r, g): g for g in cent}.items():
         for a1, closed in ((r_g, leaves), (perm.identity(n), images)):
             if closed:
@@ -629,7 +629,7 @@ def classify(n: int, *, workers: int = 1,
             if key[0] == r:                     # a leaf: is its class new?
                 new = key not in seen
                 if new:
-                    orbit = {tuple(perm.conjugate(p, h) for p in key)
+                    orbit = {(r, *map(perm.conjugate, key[1:], [h] * 3))
                              for h in stab}
                     seen |= orbit
                     class_size = size * len(orbit)
