@@ -150,7 +150,8 @@ def test_plain_jobs_are_the_solution_a1(n, monkeypatch):
 
 
 def test_sink_streams_same_solutions(n3_result):
-    # under the pool the sink runs in this process, in job order
+    # for any worker count the sink runs in this process, in the order
+    # of the plain loop
     for workers in (1, 2):
         streamed = []
         res = search.enumerate_fixed_sigma(
@@ -560,8 +561,8 @@ def _plain_a1s(n, s):
 
 
 def _plain_walk(n, s):
-    # the plain loop below every a1 of _plain_a1s, with no fertile
-    # filter: every solution once, in order
+    # the plain loop below every a1 of _plain_a1s: every solution once,
+    # in order
     e = perm.identity(n)
     return [raw for a1 in _plain_a1s(n, s)
             for raw, _ in search._iter_for_a1(n, s, a1, [e])]
@@ -739,8 +740,8 @@ def test_list_walk_without_solutions_builds_nothing(monkeypatch):
 
 
 def test_list_walk_skips_a1_without_fertile_prefix(monkeypatch):
-    # degree 7 has no solution, so no plain job lists C1 = S_7 below
-    # a1 = ()
+    # degree 7 has no solution, so a streaming run writes no a1 = ()
+    # block and never lists C1 = S_7
     centralized = []
     centralizer_elements = groups.centralizer_elements
 
