@@ -13,7 +13,7 @@ Every searching command runs the orbit-factored count search.
 `orbits`, and `count`/`table` with --collect, report the conjugacy
 classes and their image groups without keeping the solutions; `list`
 streams every solution, expanded from the same search, fingerprinting
-the one job output each solution comes from.
+the one leaf or image of the search each solution comes from.
 
 Every run is deterministic: same command, same bytes out, for any
 --workers.  Exit codes: 0 success, 1 usage error or failure, 2 oracle
@@ -340,7 +340,8 @@ def _cmd_orbits(args: argparse.Namespace, out: TextIO) -> int:
 def _cmd_list(args: argparse.Namespace, out: TextIO) -> int:
     """Each line is _dumps_line(_solution_json(sol, cache)), assembled
     from the five cycle strings (which need no JSON escaping) and the
-    JSON of the image of the solution's job output, made once per image."""
+    JSON of the image group of the leaf or Nielsen image the solution is
+    expanded from, made once per group."""
     n = args.n
     cache = _ImageCache()
     images: Dict[groups.GroupFingerprint, str] = {}
@@ -395,11 +396,7 @@ def _cmd_invariants(args: argparse.Namespace, out: TextIO) -> int:
     if args.fmt == "json":
         out.write(_dumps({"rows": [r.to_json_dict() for r in records]}))
     elif args.fmt == "csv":
-        header = ("n", "chi", "K2", "c2", "pa_Z", "Gamma2", "Z2", "GammaZ",
-                  "R2", "RZ", "RR0", "general_type", "z_reducible_forced")
-        data = [header]
-        data += [tuple(getattr(r, h) for h in header) for r in records]
-        out.write(_csv_text(data))
+        out.write(_csv_text([surface.SurfaceInvariants._fields, *records]))
     else:
         lines = []
         for r in records:

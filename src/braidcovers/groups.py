@@ -28,10 +28,12 @@ def closure(generators: Sequence[Perm], n: int) -> FrozenSet[Perm]:
     listed in one pass, and only the representatives y are multiplied by
     the generators.
     """
+    ident = perm.identity(n)
     for g in generators:
         if len(g) != n:
             raise ValueError(f"generator of degree {len(g)}, expected {n}")
-    ident = perm.identity(n)
+        if sorted(g) != list(ident):
+            raise ValueError(f"generator is not a permutation: {g}")
     seen = {ident}
     used: List[Perm] = []
     for g in generators:
@@ -189,7 +191,8 @@ def fingerprint(generators: Sequence[Perm], n: int) -> GroupFingerprint:
 @functools.lru_cache(maxsize=1024)
 def set_fingerprint(generators: FrozenSet[Perm], n: int) -> GroupFingerprint:
     """fingerprint of a set of generators, memoized: classes are named
-    twice, and every line `list` writes asks for its job output's set."""
+    twice, and every line `list` writes asks for the set of the leaf or
+    image it is expanded from."""
     return fingerprint(tuple(generators), n)
 
 

@@ -91,27 +91,28 @@ after phi^-1 commute with conjugation by C(s), and they map the solutions
 in {a1 = b1 != ()}, in {a1 != (), a2 = b2 = ()} and in their intersection
 one-to-one onto the three parts of the solutions with a1 = () other than
 ((), (), (), ()): those with b1 != (), those with b1 = () and a2 != (),
-and those with a2 = b1 = () and b2 != ().  So _with_images follows each
-leaf (r, a2, b1, b2) of the walk below a representative r != () by its
+and those with a2 = b1 = () and b2 != ().  So _with_images gives each
+leaf (r, a2, b1, b2) of the walk below a representative r != () with its
 images: ((), a2, r, b2) when b1 = r, ((), r, (), b1) when a2 = b2 = (),
-and ((), (), (), r) when both hold.  Below r = () it yields only
+and ((), (), (), r) when both hold.  Below r = () it gives only
 ((), (), (), ()), a solution exactly when <s> is transitive.  Conjugating
 by H1 or H2 fixes b1 = r and a2 = b2 = (), so an image carries the weight
 of its leaf, and the weights of a job, times the size of the C(s)-class
 of r, count the solutions with a1 in that class and their images: summed
-over the jobs, every solution once, with no list the size of S_n.  The
-() job, empty at n >= 3, stays: it runs first and at once, so a count
-reports its first slice before any walk ends.
+over the jobs (_run_slices), every solution once, with no list the size
+of S_n.  The () job, empty at n >= 3, runs first and at once, so a count
+reports its first slice before any walk ends; the pool is sized by the
+jobs that walk.
 
 The conjugacy classes of the fixed-sigma solutions (orbits of C(s)
 acting by coordinatewise conjugation) come from the same jobs: a job
-only walks, and classify reads the classes off its weighted solutions.
+only walks, and classify reads the classes off its weighted leaves.
 A class with a1 != () has members whose a1 is the least element of a1's
 C(s)-class, the representative r of its job; they form one H1-orbit,
 and the walk below r visits at least one member of every H1-orbit (H1
 brings any b1 to its orbit representative, then H2 any a2, and every b2
-is visited).  The H1-orbit of each leaf not yet seen in its job is built
-and marked seen; its least member is the class's, and its class has
+is visited).  The H1-orbit of each leaf not yet met in its job is built
+(_new_orbits); its least member is the class's, and its class has
 |C(s)-class of r| times that many fixed-sigma solutions.
 A class with a1 = () other than {((), (), (), ())} is the image of a
 class in one of the three sets above, the images being one-to-one and
@@ -125,11 +126,11 @@ Collecting and streaming runs expand the same jobs (_expand): the
 solutions with a1 = r are the H1-orbits of the job's leaves, and one g
 per H1-coset of C(s) conjugates them onto those with a1 = g^-1 r g,
 each a1 of the class once; the images of every job, so moved, are those
-with a1 = ().  A solution keeps the job output it comes from, conjugate
-to it, so `list` fingerprints one set per output.  The plain loop's
-order is a1 sorted, then b1 in C1, a2 in C2 and b2 in C3 order; _block
-builds C2 as the walk does, but only below prefixes that carry a
-solution, and reads b2 off the list that C3 filters (_route).
+with a1 = ().  A solution keeps the leaf or image it comes from,
+conjugate to it, so `list` fingerprints one set per leaf or image.  The
+plain loop's order is a1 sorted, then b1 in C1, a2 in C2 and b2 in C3
+order; _block builds C2 as the walk does, but only below prefixes that
+carry a solution, and reads b2 off the list that C3 filters (_route).
 
 Exact agreement with the relation-table-driven brute force is enforced
 by brute_force_oracle and its tests, not assumed.
@@ -156,6 +157,7 @@ if TYPE_CHECKING:  # the pool's modules are imported only when one starts
 MAX_DEGREE = 12
 
 RawSolution = Tuple[Perm, Perm, Perm, Perm]  # (a1, a2, b1, b2)
+_Output = Tuple[RawSolution, int, Tuple[RawSolution, ...]]  # leaf, w, images
 
 
 class EnumerationResult(NamedTuple):
@@ -352,49 +354,60 @@ def _iter_for_a1(n: int, s: Perm, a1: Perm, stab: Sequence[Perm]
 
 
 def _with_images(n: int, s: Perm, r: Perm, stab: Sequence[Perm]
-                 ) -> Iterator[Tuple[RawSolution, int]]:
+                 ) -> Iterator[_Output]:
     """The weighted leaves of the walk below the a1 representative r by
-    stab, each followed by its images below a1 = () (module docstring)
-    with its weight: ((), a2, r, b2) when b1 = r, ((), r, (), b1) when
+    stab, each with its images below a1 = () (module docstring), which
+    carry its weight: ((), a2, r, b2) when b1 = r, ((), r, (), b1) when
     a2 = b2 = (), and ((), (), (), r) when both hold.  Below r = () only
-    ((), (), (), ()), when <s> is transitive."""
+    ((), (), (), ()), with no image, when <s> is transitive."""
     e = perm.identity(n)
     if r == e:
         if groups.is_transitive((s,), n):
-            yield (e, e, e, e), 1
+            yield (e, e, e, e), 1, ()
         return
     for leaf, w in _iter_for_a1(n, s, r, stab):
         _, a2, b1, b2 = leaf
-        yield leaf, w
-        if b1 == r:
-            yield (e, a2, r, b2), w
-        if a2 == b2 == e:
-            yield (e, r, e, b1), w
-            if b1 == r:
-                yield (e, e, e, r), w
+        unit = a2 == b2 == e
+        yield leaf, w, tuple(image for image, hit in (
+            ((e, a2, r, b2), b1 == r), ((e, r, e, b1), unit),
+            ((e, e, e, r), b1 == r and unit)) if hit)
 
 
-def _search_chunk(job: tuple) -> List[Tuple[RawSolution, int]]:
-    """The weighted leaves and images (_with_images) of one job of _jobs,
-    for the caller to scale by its size."""
+def _search_chunk(job: tuple) -> List[_Output]:
+    """The outputs (_with_images) of one job of _jobs."""
     n, s, a1, _, stab = job
     return list(_with_images(n, s, a1, stab))
 
 
-def _expand(job: tuple, outputs: Iterable[Tuple[RawSolution, int]],
-            cent: Sequence[Perm], blocks: Dict[Perm, List[tuple]]) -> None:
+def _h1_orbit(key: RawSolution, stab: Sequence[Perm]) -> set:
+    """The H1-orbit of a job's leaf or image; H1, stab, fixes a1."""
+    return {(key[0], *map(perm.conjugate, key[1:], [h] * 3)) for h in stab}
+
+
+def _new_orbits(job: tuple, outputs: Iterable[_Output]) -> Iterator[tuple]:
+    """(leaf, H1-orbit, images) for each output of a job whose leaf's
+    H1-orbit, and so its images', the job has not met before."""
+    seen: set = set()
+    for leaf, _, images in outputs:
+        if leaf not in seen:
+            orbit = _h1_orbit(leaf, job[4])
+            seen |= orbit
+            yield leaf, orbit, images
+
+
+def _expand(job: tuple, outputs: Iterable[_Output], cent: Sequence[Perm],
+            blocks: Dict[Perm, List[tuple]]) -> None:
     """Add to blocks, a1 -> (closed, g) entries, a job's solutions: closed
-    maps the H1-orbits of its leaves, or images, to their job outputs, and
+    maps the H1-orbit of each leaf, or image, to that leaf or image, and
     g, one per H1-coset of C(s) (cent), moves r to r^g and () to ()."""
     n, s, r, _, stab = job
     leaves: Dict[RawSolution, Assignment] = {}
     images: Dict[RawSolution, Assignment] = {}
-    for key, _ in outputs:
-        closed = leaves if key[0] == r else images
-        if key not in closed:           # a new H1-orbit; H1 fixes a1
-            origin = Assignment(n, s, *key)
-            for h in stab:
-                closed[(key[0], *map(perm.conjugate, key[1:], [h] * 3))] = origin
+    for leaf, orbit, leaf_images in _new_orbits(job, outputs):
+        leaves.update(dict.fromkeys(orbit, Assignment(n, s, *leaf)))
+        for image in leaf_images:
+            images.update(dict.fromkeys(_h1_orbit(image, stab),
+                                        Assignment(n, s, *image)))
     for r_g, g in {perm.conjugate(r, g): g for g in cent}.items():
         for a1, closed in ((r_g, leaves), (perm.identity(n), images)):
             if closed:
@@ -404,7 +417,7 @@ def _expand(job: tuple, outputs: Iterable[Tuple[RawSolution, int]],
 def _block(n: int, s: Perm, a1: Perm, entries: Iterable[tuple]
            ) -> Iterator[Tuple[RawSolution, Assignment]]:
     """The solutions with this a1 in its entries (_expand), each with its
-    job output, in the plain walk's order (module docstring)."""
+    leaf or image, in the plain walk's order (module docstring)."""
     tree: Dict[Perm, Dict[Perm, Dict[Perm, Assignment]]] = {}
     for closed, g in entries:
         moved: Dict[Perm, Perm] = {}
@@ -510,15 +523,17 @@ def _default_signals() -> None:
 
 
 def _run_slices(n: int, jobs: Sequence[tuple], workers: int,
-                absorb: Callable[[tuple, list], None],
-                progress: Optional[Callable[[int, int], None]]) -> None:
-    """_search_chunk on every job, in this process or, when workers and
-    jobs both exceed one, in a pool of at most that many processes, with
-    each job and its output absorbed in job order, so aggregation and the
-    progress calls (slices done, slices in all) are the same for every
-    worker count.  Any exception ends the pool's workers at once, and
-    running out of memory becomes a RuntimeError with a one-line message."""
-    pool_size = min(workers, len(jobs))
+                absorb: Callable[[tuple, List[_Output]], None],
+                progress: Optional[Callable[[int, int], None]]) -> int:
+    """The weighted count of _search_chunk on every job, in this process
+    or in a pool of min(workers, jobs that walk: all but a1 = ())
+    processes when that exceeds one.  Each job and its output are
+    absorbed in job order, so aggregation and progress (slices done,
+    slices in all) are the same for every worker count.  Any exception
+    ends the pool's workers, and running out of memory becomes a
+    RuntimeError with a one-line message."""
+    pool_size = min(workers, len(jobs) - 1)
+    count = 0
     try:
         with contextlib.ExitStack() as stack:
             outputs: Iterable[list] = map(_search_chunk, jobs)
@@ -534,11 +549,14 @@ def _run_slices(n: int, jobs: Sequence[tuple], workers: int,
                 stack.push(_end_workers(started))
                 outputs = (pending.popleft().result() for _ in jobs)
             for i, (job, out) in enumerate(zip(jobs, outputs)):
+                count += job[3] * sum(w * (1 + len(images))
+                                      for _, w, images in out)
                 absorb(job, out)
                 if progress is not None:
                     progress(i + 1, len(jobs))
     except MemoryError:
         raise RuntimeError(f"out of memory in the degree-{n} search") from None
+    return count
 
 
 def _resolve_sigma(n: int, sigma: Optional[Perm]) -> Perm:
@@ -562,28 +580,24 @@ def enumerate_fixed_sigma(n: int, collect: bool = False, *,
     sigma image, default (1,2).
 
     Every a1 representative is one slice; with workers > 1 and more than
-    one slice, a pool of worker processes searches them.  The result,
-    the solutions and the progress calls (slices done, slices in all)
-    are the same for every worker count.  Once every slice is in, sink
-    gets each solution in the order of the plain loop, with the job
-    output it comes from, conjugate to it under C(s).
+    one slice that walks (all but a1 = ()), a pool of worker processes
+    searches them.  The result, the solutions and the progress calls
+    (slices done, slices in all) are the same for every worker count.
+    Once every slice is in, sink gets each solution in the plain loop's
+    order, with the leaf or image it comes from, a C(s)-conjugate.
     """
     _check_run(n, workers)
     s = _resolve_sigma(n, sigma)
     keep = collect or sink is not None
     t0 = time.perf_counter()
-    count = 0
     cent = groups.centralizer_elements(s, n)
     blocks: Dict[Perm, List[tuple]] = {}
 
-    def absorb(job: tuple, solutions: List[Tuple[RawSolution, int]]
-               ) -> None:
-        nonlocal count
-        count += job[3] * sum(w for _, w in solutions)
+    def absorb(job: tuple, outputs: List[_Output]) -> None:
         if keep:
-            _expand(job, solutions, cent, blocks)
+            _expand(job, outputs, cent, blocks)
 
-    _run_slices(n, _jobs(n, s, cent), workers, absorb, progress)
+    count = _run_slices(n, _jobs(n, s, cent), workers, absorb, progress)
     collected: List[Assignment] = []
     kept = 0
     for a1 in sorted(blocks):
@@ -615,31 +629,16 @@ def classify(n: int, *, workers: int = 1,
     s = perm.transposition(n, 1, 2)
     t0 = time.perf_counter()
     cent = groups.centralizer_elements(s, n)
-    jobs = _jobs(n, s, cent)
-    count = 0
     orbits: List[Orbit] = []
 
-    def absorb(job: tuple, solutions: List[Tuple[RawSolution, int]]
-               ) -> None:
-        nonlocal count
-        _, _, r, size, stab = job
-        seen: set = set()
-        for key, w in solutions:
-            count += size * w
-            if key[0] == r:                     # a leaf: is its class new?
-                new = key not in seen
-                if new:
-                    orbit = {(r, *map(perm.conjugate, key[1:], [h] * 3))
-                             for h in stab}
-                    seen |= orbit
-                    class_size = size * len(orbit)
-                    orbits.append(Orbit(Assignment(n, s, *min(orbit)),
-                                        class_size))
-            elif new:                           # then so is its image's
-                orbits.append(Orbit(Assignment(n, s, *_least(key, cent)),
-                                    class_size))
+    def absorb(job: tuple, outputs: List[_Output]) -> None:
+        for _, orbit, images in _new_orbits(job, outputs):
+            size = job[3] * len(orbit)
+            orbits.append(Orbit(Assignment(n, s, *min(orbit)), size))
+            orbits.extend(Orbit(Assignment(n, s, *_least(image, cent)), size)
+                          for image in images)
 
-    _run_slices(n, jobs, workers, absorb, progress)
+    count = _run_slices(n, _jobs(n, s, cent), workers, absorb, progress)
     orbits.sort(key=lambda o: o.representative.sort_key())
     res = _result(n, s, count, time.perf_counter() - t0)
     return _summarize(res, orbits), orbits
@@ -671,35 +670,6 @@ def brute_force_oracle(n: int) -> EnumerationResult:
     return _result(n, s, len(sols), time.perf_counter() - t0, tuple(sols))
 
 
-def _conjugation_orbits(keys: Collection[Tuple[Perm, ...]],
-                        group: Sequence[Perm]
-                        ) -> List[Tuple[Tuple[Perm, ...], int]]:
-    """(least member, size) for every orbit of group, acting by
-    coordinatewise conjugation, on the set keys of permutation tuples,
-    in increasing order of the least member.
-
-    The walk visits the keys in sorted order, so the first key of each
-    orbit it meets is that orbit's least member.  Raises AssertionError
-    when an orbit leaves keys.
-    """
-    orbits: List[Tuple[Tuple[Perm, ...], int]] = []
-    visited: set = set()
-    for key in sorted(keys):
-        if key in visited:
-            continue
-        orbit = set()
-        for h in group:
-            moved = tuple(perm.conjugate(p, h) for p in key)
-            if moved not in keys:
-                raise AssertionError(
-                    "conjugation left the set; the input is not closed "
-                    "under the acting group")
-            orbit.add(moved)
-        visited |= orbit
-        orbits.append((key, len(orbit)))
-    return orbits
-
-
 def orbit_decomposition(solutions: Sequence[Assignment], n: int,
                         ) -> List[Orbit]:
     """Split a fixed-sigma solution set into orbits of the centralizer
@@ -709,7 +679,9 @@ def orbit_decomposition(solutions: Sequence[Assignment], n: int,
     solution set, so these orbits are exactly the restrictions of the
     full simultaneous-conjugacy classes to the fixed-sigma slice.  The
     representative of each orbit is its lexicographically least member,
-    and orbits come sorted by representative.
+    and orbits come sorted by representative: the solutions are visited
+    in sorted order, so the first of each orbit met is its least.
+    Raises AssertionError when an orbit leaves the set.
     """
     if not solutions:
         return []
@@ -723,49 +695,23 @@ def orbit_decomposition(solutions: Sequence[Assignment], n: int,
         key_set.add((sol.a1, sol.a2, sol.b1, sol.b2))
     if len(key_set) != len(solutions):
         raise ValueError("duplicate solutions")
-    return [Orbit(representative=Assignment(n, s, *key), size=size)
-            for key, size in _conjugation_orbits(
-                key_set, groups.centralizer_elements(s, n))]
-
-
-def full_orbit_check(n: int) -> bool:
-    """Cross-check the fixed-sigma orbit decomposition against the orbits
-    of the whole solution set (every sigma transposition) under all of
-    S_n.  The whole set must hold no duplicates and be closed under
-    conjugation; each slice orbit must lie in its own full class, of
-    size n(n-1)/2 times the slice size, and every class must meet the
-    slice.  Exhaustive, so n <= 4 only.
-    """
-    if not 2 <= n <= 4:
-        raise ValueError(f"the full orbit check is restricted to 2 <= n <= 4, got {n}")
-    base = perm.transposition(n, 1, 2)
-    everything: List[Assignment] = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            res = enumerate_fixed_sigma(
-                n, collect=True, sigma=perm.transposition(n, i, j))
-            everything.extend(res.solutions)
-    keys = {(sol.sigma, sol.a1, sol.a2, sol.b1, sol.b2) for sol in everything}
-    if len(keys) != len(everything):  # duplicates
-        return False
-    try:
-        classes = {Assignment(n, *key).sort_key(): size
-                   for key, size in _conjugation_orbits(
-                       keys, list(itertools.permutations(range(n))))}
-    except AssertionError:  # not closed under conjugation
-        return False
-    t = n * (n - 1) // 2
-    expected_size = {2: 1, 3: 6, 4: 12}[n]
-    met = set()
-    fixed = [sol for sol in everything if sol.sigma == base]
-    for orbit in orbit_decomposition(fixed, n):
-        least = min(orbit.representative.conjugated(h).sort_key()
-                    for h in itertools.permutations(range(n)))
-        size = classes[least]
-        if size != orbit.size * t or size != expected_size or least in met:
-            return False
-        met.add(least)
-    return len(met) == len(classes)
+    cent = groups.centralizer_elements(s, n)
+    orbits: List[Orbit] = []
+    visited: set = set()
+    for key in sorted(key_set):
+        if key in visited:
+            continue
+        orbit = set()
+        for h in cent:
+            moved = tuple(perm.conjugate(p, h) for p in key)
+            if moved not in key_set:
+                raise AssertionError(
+                    "conjugation left the set; the input is not closed "
+                    "under the acting group")
+            orbit.add(moved)
+        visited |= orbit
+        orbits.append(Orbit(Assignment(n, s, *key), len(orbit)))
+    return orbits
 
 
 def analyze(result: EnumerationResult) -> EnumerationResult:

@@ -9,7 +9,7 @@ import random
 import time
 
 from braidcovers import groups, perm, search, surface, words
-from conftest import random_perm
+from conftest import full_orbit_check, random_perm
 
 
 def _report(name: str, ok: bool, detail: str = "") -> None:
@@ -62,7 +62,7 @@ def test_criterion_3_orbit_decomposition():
         res = search.enumerate_fixed_sigma(n, collect=True)
         orbits = search.orbit_decomposition(list(res.solutions), n)
         counts[n] = len(orbits)
-    cross = all(search.full_orbit_check(n) for n in expected)
+    cross = all(full_orbit_check(n) for n in expected)
     elapsed = time.perf_counter() - t0
     _report(
         "3 (orbit decomposition)",

@@ -105,6 +105,17 @@ def test_closure_degree_mismatch():
         groups.closure([perm.parse_cycles("(1,2)", 2)], 3)
 
 
+def test_closure_rejects_non_permutation():
+    # the error names the generator passed, not an element built from it
+    with pytest.raises(ValueError,
+                       match=r"not a permutation: \(0, 0, 1\)"):
+        groups.closure([(0, 0, 1)], 3)
+    with pytest.raises(ValueError, match=r"\(1, 2, 0, 1\)"):
+        groups.closure([perm.identity(4), (1, 2, 0, 1)], 4)
+    with pytest.raises(ValueError, match=r"\(0, 0, 1\)"):
+        groups.fingerprint([(0, 0, 1)], 3)
+
+
 def _element_order(p):
     # by repeated multiplication, not from the cycle lengths
     q, k = p, 1

@@ -10,6 +10,7 @@ import time
 import pytest
 
 from braidcovers import groups, perm, search, words
+from conftest import full_orbit_check
 
 EXPECTED_FIXED = {2: 16, 3: 80, 4: 480, 5: 0, 6: 2880}
 EXPECTED_ORBITS = {2: 16, 3: 40, 4: 240}
@@ -89,14 +90,16 @@ def inline_pool(monkeypatch):
 
 def test_pool_capped_at_slice_count(inline_pool):
     # every a1 representative is one pool job, and the pool asks for no
-    # more worker processes than there are jobs
+    # more worker processes than there are jobs that walk: all but the
+    # first, a1 = ()
     requested, submitted = inline_pool
     s = perm.transposition(4, 1, 2)
     reps = [(a1, size) for _, _, a1, size, _ in _factored_jobs(4, s)]
     res = search.enumerate_fixed_sigma(4, workers=64)
     assert res.fixed_count == 480
     assert [(a1, size) for (_, _, a1, size, _), in submitted] == reps
-    assert requested == [len(reps)] and 1 < len(reps) < 64
+    assert reps[0][0] == perm.identity(4)
+    assert requested == [len(reps) - 1] == [3]
     # each job carries the stabilizer its walk is factored by
     for (_, _, a1, _, stab), in submitted:
         assert sorted(stab) == _stab(4, s, a1)
@@ -114,17 +117,37 @@ def test_single_job_runs_in_process(inline_pool):
     assert requested == [] and submitted == []
 
 
-def test_list_without_solutions_submits_only_the_count_jobs(inline_pool):
-    # degree 9 has no solution: a streaming run submits the factored jobs
-    # of a count, reports their slices and hands the sink nothing
+def test_list_without_solutions_submits_only_the_count_jobs(
+        inline_pool, monkeypatch):
+    # degree 9 has no solution: a streaming run runs the two factored
+    # jobs of a count in process, as only one of them walks, reports
+    # their slices and hands the sink nothing
     requested, submitted = inline_pool
+    ran = []
+    chunk = search._search_chunk
+    monkeypatch.setattr(search, "_search_chunk",
+                        lambda job: ran.append(job) or chunk(job))
     ticks = []
     res = search.enumerate_fixed_sigma(9, sink=_refuse, workers=2,
                                        progress=lambda i, m: ticks.append(i))
     assert res.fixed_count == 0
-    jobs = _factored_jobs(9, perm.transposition(9, 1, 2))
-    assert requested == [2] and [job for job, in submitted] == jobs
+    assert ran == _factored_jobs(9, perm.transposition(9, 1, 2))
+    assert requested == [] and submitted == []
     assert ticks == [1, 2]
+
+
+def test_one_walking_job_starts_no_pool(inline_pool):
+    # at degrees 3 and 9 there are two jobs, and a1 = () walks nothing,
+    # so counts, classes and streaming runs on two workers stay in process
+    requested, submitted = inline_pool
+    for n in (3, 9):
+        assert len(_factored_jobs(n, perm.transposition(n, 1, 2))) == 2
+    res, orbits = search.classify(9, workers=2)
+    assert res.fixed_count == 0 and orbits == []
+    assert search.enumerate_fixed_sigma(
+        9, workers=2, sink=_refuse).fixed_count == 0
+    assert search.enumerate_fixed_sigma(3, workers=2).fixed_count == 80
+    assert requested == [] and submitted == []
 
 
 @pytest.mark.parametrize("n", range(2, 8))
@@ -599,13 +622,13 @@ def _plain_terms(n, s, r, unit):
 
 
 def _unit_subtree_route(n, s):
-    # the count below a1 = () read off the images: the weights of the
-    # generator's a1 = () keys below every representative r, times the
-    # class size of r
+    # the count below a1 = () read off the images: the weight of each
+    # leaf below every representative r, once per image and once for the
+    # leaf ((), (), (), ()) of r = (), times the class size of r
     e = perm.identity(n)
-    return sum(size * w for r, size, stab in _count_reps(n, s)
-               for key, w in search._with_images(n, s, r, stab)
-               if key[0] == e)
+    return sum(size * w * (len(images) + (r == e))
+               for r, size, stab in _count_reps(n, s)
+               for _, w, images in search._with_images(n, s, r, stab))
 
 
 def test_factored_count_matches_plain_loop():
@@ -639,12 +662,12 @@ def test_factored_count_matches_plain_loop():
         for r, _, stab in _count_reps(n, sig)[1:]:
             assert _factored_terms(n, sig, r, stab) \
                 == _plain_terms(n, sig, r, unit)
-        images = [key for a1 in _plain_a1s(n, sig) if a1 != e
-                  for key, _ in search._with_images(n, sig, a1, [e])
-                  if key[0] == e]
+        images = [image for a1 in _plain_a1s(n, sig) if a1 != e
+                  for _, _, leaf_images in search._with_images(n, sig, a1, [e])
+                  for image in leaf_images]
         assert sorted(images) == sorted(unit - {(e, e, e, e)})
         assert list(search._with_images(n, sig, e, _stab(n, sig, e))) \
-            == [((e, e, e, e), 1)] * ((e, e, e, e) in unit)
+            == [((e, e, e, e), 1, ())] * ((e, e, e, e) in unit)
         units.append(len(unit))
         assert _unit_subtree_route(n, sig) == len(unit)
     assert units == [8, 26, 112, 0, 480, 0, 112, 112]
@@ -956,7 +979,7 @@ def test_orbit_decomposition_rejects_broken_input(n3_result):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_full_orbit_check(n):
-    assert search.full_orbit_check(n)
+    assert full_orbit_check(n)
 
 
 @pytest.mark.parametrize("n,expected", [(2, 16), (3, 40), (4, 240), (6, 60)])
