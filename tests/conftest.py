@@ -69,8 +69,8 @@ def full_orbit_check(n):
     t = n * (n - 1) // 2
     expected_size = {2: 1, 3: 6, 4: 12}[n]
     met = set()
-    fixed = [sol for sol in everything
-             if sol.sigma == perm.transposition(n, 1, 2)]
+    base = perm.transposition(n, 1, 2)
+    fixed = [sol for sol in everything if sol.sigma == base]
     for orbit in search.orbit_decomposition(fixed, n):
         least = min(orbit.representative.conjugated(h).sort_key()
                     for h in sym)
