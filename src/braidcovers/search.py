@@ -384,13 +384,14 @@ def _h1_orbit(key: RawSolution, stab: Sequence[Perm]) -> set:
     return {(key[0], *map(perm.conjugate, key[1:], [h] * 3)) for h in stab}
 
 
-def _new_orbits(job: tuple, outputs: Iterable[_Output]) -> Iterator[tuple]:
-    """(leaf, H1-orbit, images) for each output of a job whose leaf's
-    H1-orbit, and so its images', the job has not met before."""
+def _new_orbits(stab: Sequence[Perm], outputs: Iterable[_Output]
+                ) -> Iterator[tuple]:
+    """(leaf, H1-orbit, images) for each output of a job, H1 = stab,
+    whose leaf's H1-orbit, and so its images', the job has not met."""
     seen: set = set()
     for leaf, _, images in outputs:
         if leaf not in seen:
-            orbit = _h1_orbit(leaf, job[4])
+            orbit = _h1_orbit(leaf, stab)
             seen |= orbit
             yield leaf, orbit, images
 
@@ -403,7 +404,7 @@ def _expand(job: tuple, outputs: Iterable[_Output], cent: Sequence[Perm],
     n, s, r, _, stab = job
     leaves: Dict[RawSolution, Assignment] = {}
     images: Dict[RawSolution, Assignment] = {}
-    for leaf, orbit, leaf_images in _new_orbits(job, outputs):
+    for leaf, orbit, leaf_images in _new_orbits(stab, outputs):
         leaves.update(dict.fromkeys(orbit, Assignment(n, s, *leaf)))
         for image in leaf_images:
             images.update(dict.fromkeys(_h1_orbit(image, stab),
@@ -632,8 +633,9 @@ def classify(n: int, *, workers: int = 1,
     orbits: List[Orbit] = []
 
     def absorb(job: tuple, outputs: List[_Output]) -> None:
-        for _, orbit, images in _new_orbits(job, outputs):
-            size = job[3] * len(orbit)
+        _, _, _, r_size, stab = job
+        for _, orbit, images in _new_orbits(stab, outputs):
+            size = r_size * len(orbit)
             orbits.append(Orbit(Assignment(n, s, *min(orbit)), size))
             orbits.extend(Orbit(Assignment(n, s, *_least(image, cent)), size)
                           for image in images)
