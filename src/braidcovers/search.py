@@ -100,9 +100,9 @@ by H1 or H2 fixes b1 = r and a2 = b2 = (), so an image carries the weight
 of its leaf, and the weights of a job, times the size of the C(s)-class
 of r, count the solutions with a1 in that class and their images: summed
 over the jobs (_run_slices), every solution once, with no list the size
-of S_n.  The () job, empty at n >= 3, runs first and at once, so a count
-reports its first slice before any walk ends; the pool is sized by the
-jobs that walk.
+of S_n.  The () job, empty at n >= 3, runs first and in process, so a
+count reports its first slice before any worker is forked; the workers
+are counted by the jobs that walk.
 
 The conjugacy classes of the fixed-sigma solutions (orbits of C(s)
 acting by coordinatewise conjugation) come from the same jobs: a job
@@ -138,21 +138,19 @@ by brute_force_oracle and its tests, not assumed.
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import itertools
+import marshal
 import math
+import os
 import signal
 import time
-from typing import (TYPE_CHECKING, Callable, Collection, Dict, Iterable,
-                    Iterator, List, NamedTuple, Optional, Sequence, Tuple)
+from typing import (BinaryIO, Callable, Dict, Iterable, Iterator, List,
+                    NamedTuple, Optional, Sequence, Tuple)
 
 from . import groups, perm, words
 from .perm import Perm
 from .words import Assignment
-
-if TYPE_CHECKING:  # the pool's modules are imported only when one starts
-    import multiprocessing
 
 MAX_DEGREE = 12
 
@@ -503,52 +501,92 @@ def _jobs(n: int, s: Perm, cent: Sequence[Perm]) -> List[tuple]:
     return sorted(jobs, key=lambda job: job[2])
 
 
-def _end_workers(started: Collection[multiprocessing.Process]):
-    """An exit callback that, when a search unwinds on any exception,
-    terminates the child processes not in `started`, the pool's workers;
-    the pool then fails the slices left, and its shutdown waits for no
-    running slice."""
-    def end(exc_type, exc, tb) -> None:
-        import multiprocessing
-        if exc_type is not None:
-            for child in set(multiprocessing.active_children()) - set(started):
-                child.terminate()
-    return end
-
-
 def _default_signals() -> None:
-    """Pool worker initializer: Ctrl-C and SIGTERM end a worker at once,
-    whatever handlers the parent process had installed."""
+    """Ctrl-C and SIGTERM end a worker at once, whatever the parent set."""
     for signum in (signal.SIGINT, signal.SIGTERM):
         signal.signal(signum, signal.SIG_DFL)
+
+
+def _work(jobs: Sequence[tuple], tasks: int, results: int,
+          inherited: Iterable[int], oom: str) -> None:
+    """A forked worker: it closes the pipe ends it inherited, then for
+    each job index i read from tasks writes (i, output of _search_chunk
+    or a one-line error) to results, marshalled and led by its length.
+    It leaves only through os._exit, so nothing of the parent's (stdio
+    buffers, an --out file, atexit hooks) runs twice."""
+    try:
+        _default_signals()
+        for fd in inherited:
+            os.close(fd)
+        while index := os.read(tasks, 4):
+            i = int.from_bytes(index, "little")
+            try:
+                data = marshal.dumps((i, _search_chunk(jobs[i])))
+            except Exception as exc:  # MemoryError included
+                data = marshal.dumps((i, oom if isinstance(exc, MemoryError)
+                                      else f"search worker failed: {exc!r}"))
+            os.write(results, len(data).to_bytes(8, "little") + data)
+    finally:
+        os._exit(0)
+
+
+def _forked(jobs: Sequence[tuple], size: int, oom: str
+            ) -> Iterator[List[_Output]]:
+    """The outputs of jobs[1:], in order, from size forked workers that
+    inherit the jobs and are handed the next job index as they answer;
+    any end of the generator, closing included, kills and reaps them."""
+    import select
+    pool: Dict[BinaryIO, Tuple[int, int]] = {}  # result pipe: pid, task fd
+    done: Dict[int, List[_Output]] = {}
+    ends: List[int] = []                      # the parent's pipe ends
+    todo = iter(range(1, len(jobs)))
+    try:
+        for j in itertools.islice(todo, size):
+            (task_r, task_w), (result_r, result_w) = os.pipe(), os.pipe()
+            ends += (task_w, result_r)
+            pid = os.fork()
+            if pid == 0:
+                _work(jobs, task_r, result_w, ends, oom)
+            os.close(task_r)
+            os.close(result_w)
+            pool[open(result_r, "rb")] = pid, task_w
+            os.write(task_w, j.to_bytes(4, "little"))
+        for i in range(1, len(jobs)):
+            while i not in done:
+                for pipe in select.select(list(pool), [], [])[0]:
+                    j, out = marshal.loads(  # EOFError if the worker died
+                        pipe.read(int.from_bytes(pipe.read(8), "little")))
+                    if isinstance(out, str):  # the worker's one-line error
+                        raise RuntimeError(out)
+                    done[j] = out
+                    for j in itertools.islice(todo, 1):
+                        os.write(pool[pipe][1], j.to_bytes(4, "little"))
+            yield done.pop(i)
+    finally:
+        for pipe, (pid, task_w) in pool.items():
+            os.close(task_w)
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _run_slices(n: int, jobs: Sequence[tuple], workers: int,
                 absorb: Callable[[tuple, List[_Output]], None],
                 progress: Optional[Callable[[int, int], None]]) -> int:
-    """The weighted count of _search_chunk on every job, in this process
-    or in a pool of min(workers, jobs that walk: all but a1 = ())
-    processes when that exceeds one.  Each job and its output are
-    absorbed in job order, so aggregation and progress (slices done,
-    slices in all) are the same for every worker count.  Any exception
-    ends the pool's workers, and running out of memory becomes a
-    RuntimeError with a one-line message."""
-    pool_size = min(workers, len(jobs) - 1)
+    """The weighted count of _search_chunk on every job, a1 = () first and
+    in this process, before any fork, the rest in min(workers, jobs that
+    walk) forked workers (_forked) if that exceeds one and os.fork exists.
+    Outputs are absorbed in job order, so aggregation and progress (slices
+    done, slices in all) are the same for every worker count; running out
+    of memory, or a worker that dies, becomes a one-line RuntimeError."""
+    oom = f"out of memory in the degree-{n} search"
+    pool_size = min(workers, len(jobs) - 1) if hasattr(os, "fork") else 1
     count = 0
     try:
-        with contextlib.ExitStack() as stack:
-            outputs: Iterable[list] = map(_search_chunk, jobs)
-            if pool_size > 1:
-                import multiprocessing
-                from concurrent.futures import ProcessPoolExecutor
-                started = multiprocessing.active_children()
-                pool = stack.enter_context(ProcessPoolExecutor(
-                    max_workers=pool_size, initializer=_default_signals))
-                # popleft lets each slice's output go once it is absorbed
-                pending = collections.deque(
-                    pool.submit(_search_chunk, job) for job in jobs)
-                stack.push(_end_workers(started))
-                outputs = (pending.popleft().result() for _ in jobs)
+        with contextlib.closing(
+                _forked(jobs, pool_size, oom) if pool_size > 1
+                else (_search_chunk(job) for job in jobs[1:])) as rest:
+            outputs = itertools.chain([_search_chunk(jobs[0])], rest)
             for i, (job, out) in enumerate(zip(jobs, outputs)):
                 count += job[3] * sum(w * (1 + len(images))
                                       for _, w, images in out)
@@ -556,7 +594,9 @@ def _run_slices(n: int, jobs: Sequence[tuple], workers: int,
                 if progress is not None:
                     progress(i + 1, len(jobs))
     except MemoryError:
-        raise RuntimeError(f"out of memory in the degree-{n} search") from None
+        raise RuntimeError(oom) from None
+    except EOFError:
+        raise RuntimeError("a search worker ended early") from None
     return count
 
 

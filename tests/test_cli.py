@@ -717,8 +717,9 @@ def test_sigterm_removes_partial_out(tmp_path):
 
 
 def test_pool_modules_load_only_with_a_pool():
-    # in a fresh interpreter, single-worker commands import neither
-    # multiprocessing nor concurrent.futures; a pooled count still works
+    # in a fresh interpreter, no command imports multiprocessing or
+    # concurrent.futures: not the single-worker ones, and not a count
+    # whose two workers are forked
     import pathlib
     import subprocess
 
@@ -731,16 +732,20 @@ def test_pool_modules_load_only_with_a_pool():
         "from braidcovers import cli\n"
         "assert cli.main(['invariants', '--n', '2']) == 0\n"
         "assert cli.main(['count', '--n', '6']) == 0\n"
-        "print('loaded:', [m for m in ('multiprocessing', 'concurrent.futures')"
-        " if m in sys.modules])\n"
-        "sys.exit(cli.main(['count', '--n', '4', '--workers', '2']))\n")
+        "def loaded():\n"
+        "    print('loaded:', [m for m in ('multiprocessing',"
+        " 'concurrent.futures') if m in sys.modules])\n"
+        "loaded()\n"
+        "assert cli.main(['count', '--n', '4', '--workers', '2']) == 0\n"
+        "loaded()\n")
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert "loaded: []" in lines
+    assert lines.count("loaded: []") == 2
     after = lines[lines.index("loaded: []") + 1:]
     assert after[0].startswith("n=4: 480 representations with sigma=(1,2)")
+    assert after[-1] == "loaded: []"
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
@@ -810,6 +815,27 @@ def test_out_of_memory_exits_1(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert err == "braidcovers: error: out of memory in the degree-4 search\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no worker is forked")
+def test_out_of_memory_in_worker_exits_1(capsys, monkeypatch):
+    # a forked worker that runs out of memory ends the run with the
+    # in-process search's one error line, and no traceback
+    from braidcovers import search
+
+    parent = os.getpid()
+    chunk = search._search_chunk
+
+    def exhausted(job):
+        if os.getpid() != parent:
+            raise MemoryError
+        return chunk(job)
+
+    monkeypatch.setattr(search, "_search_chunk", exhausted)
+    code, out, err = run(capsys, "count", "--n", "6", "--workers", "2")
+    assert code == 1
+    assert out == ""
+    assert err == "braidcovers: error: out of memory in the degree-6 search\n"
 
 
 def test_gate_blocks_before_any_search(capsys):

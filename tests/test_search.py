@@ -1,4 +1,3 @@
-import concurrent.futures
 import functools
 import itertools
 import math
@@ -63,45 +62,36 @@ def test_parallel_matches_single(n6_result):
 
 @pytest.fixture
 def inline_pool(monkeypatch):
-    """An in-process stand-in for the process pool, which records each
-    pool's requested size and submitted jobs, so no process is started."""
+    """An in-process stand-in for the forked workers (search._forked),
+    which records each pool's requested size and the jobs handed to it,
+    so no process is started."""
     requested = []
     submitted = []
 
-    class InlinePool:
-        def __init__(self, max_workers, initializer=None):
-            requested.append(max_workers)
+    def inline_forked(jobs, size, oom):
+        requested.append(size)
+        for job in jobs[1:]:
+            submitted.append(job)
+            yield search._search_chunk(job)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            submitted.append(args)
-            future = concurrent.futures.Future()
-            future.set_result(fn(*args))
-            return future
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(search, "_forked", inline_forked)
     return requested, submitted
 
 
 def test_pool_capped_at_slice_count(inline_pool):
-    # every a1 representative is one pool job, and the pool asks for no
-    # more worker processes than there are jobs that walk: all but the
-    # first, a1 = ()
+    # every a1 representative is one job; the first, a1 = (), runs in
+    # process, and the pool asks for no more worker processes than there
+    # are jobs that walk: all the others
     requested, submitted = inline_pool
     s = perm.transposition(4, 1, 2)
     reps = [(a1, size) for _, _, a1, size, _ in _factored_jobs(4, s)]
     res = search.enumerate_fixed_sigma(4, workers=64)
     assert res.fixed_count == 480
-    assert [(a1, size) for (_, _, a1, size, _), in submitted] == reps
     assert reps[0][0] == perm.identity(4)
+    assert [(a1, size) for _, _, a1, size, _ in submitted] == reps[1:]
     assert requested == [len(reps) - 1] == [3]
     # each job carries the stabilizer its walk is factored by
-    for (_, _, a1, _, stab), in submitted:
+    for _, _, a1, _, stab in submitted:
         assert sorted(stab) == _stab(4, s, a1)
 
 
@@ -193,18 +183,6 @@ def test_sink_error_stops_pooled_search():
         search.enumerate_fixed_sigma(6, workers=2, sink=refuse)
 
 
-_real_chunk = search._search_chunk
-
-
-def _slow_chunk(job):
-    # a pool job for search._search_chunk that takes 20 s on every slice
-    # but a1 = (); it lives at module level so that the pool can pickle it
-    n, _, a1 = job[:3]
-    if a1 != perm.identity(n):
-        time.sleep(20)
-    return _real_chunk(job)
-
-
 class _Refused(Exception):
     pass
 
@@ -213,33 +191,96 @@ def _refuse(*args):
     raise _Refused
 
 
-@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                    reason="the workers must inherit the patched chunk")
+def _refuse_pooled(done, slices):
+    # a progress call that fails on the first slice a worker searched
+    if done > 1:
+        raise _Refused
+
+
+def _assert_no_child_left():
+    # waitpid sees every child, forked or not, running or unreaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
+                                reason="the search forks no worker here")
+
+
+@needs_fork
 def test_failed_pooled_search_ends_workers(monkeypatch):
-    # the progress call fails on the first slice while both workers run
-    # 20 s slices; the error comes back at once, and no worker is left
-    monkeypatch.setattr(search, "_search_chunk", _slow_chunk)
+    # the progress call fails on the first pooled slice, job 2, while the
+    # other worker runs a 20 s slice: the error comes back at once, and
+    # no worker is left
+    n = 4
+    jobs = _factored_jobs(n, perm.transposition(n, 1, 2))
+    chunk = search._search_chunk
+
+    def slow_chunk(job):    # the workers are forked, so they run it too
+        if job[2] not in (jobs[0][2], jobs[1][2]):
+            time.sleep(20)
+        return chunk(job)
+
+    monkeypatch.setattr(search, "_search_chunk", slow_chunk)
     t0 = time.monotonic()
     with pytest.raises(_Refused):
-        search.enumerate_fixed_sigma(4, workers=2, sink=_refuse,
-                                     progress=_refuse)
+        search.enumerate_fixed_sigma(n, workers=2, sink=_refuse,
+                                     progress=_refuse_pooled)
     assert time.monotonic() - t0 < 5.0
-    assert multiprocessing.active_children() == []
+    _assert_no_child_left()
 
 
+@needs_fork
 def test_failed_pooled_search_spares_other_children():
-    # the pool ends only its own workers: a child process started before
-    # the search outlives the search's failure
+    # the search ends and reaps only its own workers: a child process
+    # started before the search outlives the search's failure on a
+    # pooled slice
     bystander = multiprocessing.Process(target=time.sleep, args=(30,))
     bystander.start()
     try:
         with pytest.raises(_Refused):
-            search.enumerate_fixed_sigma(6, workers=2, progress=_refuse)
+            search.enumerate_fixed_sigma(6, workers=2,
+                                         progress=_refuse_pooled)
         assert bystander.is_alive()
-        assert multiprocessing.active_children() == [bystander]
     finally:
         bystander.terminate()
         bystander.join()
+    _assert_no_child_left()
+
+
+@needs_fork
+def test_first_progress_comes_before_any_fork(monkeypatch):
+    # the a1 = () job, which walks nothing, is in and reported before
+    # the search forks its two workers
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    ticks = []
+    res = search.enumerate_fixed_sigma(
+        6, workers=2, progress=lambda i, m: ticks.append((i, len(forks))))
+    assert res.fixed_count == 2880
+    assert ticks[0] == (1, 0)
+    assert ticks[1:] == [(i, 2) for i in range(2, len(ticks) + 1)]
+    _assert_no_child_left()
+
+
+@needs_fork
+def test_out_of_memory_in_worker(monkeypatch):
+    # a MemoryError in a forked worker reaches the caller as the one-line
+    # RuntimeError of a search that runs out of memory in process
+    parent = os.getpid()
+    chunk = search._search_chunk
+
+    def exhausted(job):
+        if os.getpid() != parent:
+            raise MemoryError
+        return chunk(job)
+
+    monkeypatch.setattr(search, "_search_chunk", exhausted)
+    with pytest.raises(RuntimeError) as exc:
+        search.classify(6, workers=2)
+    assert str(exc.value) == "out of memory in the degree-6 search"
+    _assert_no_child_left()
 
 
 def test_progress_reports_all_slices():
