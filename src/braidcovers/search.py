@@ -101,8 +101,8 @@ of its leaf, and the weights of a job, times the size of the C(s)-class
 of r, count the solutions with a1 in that class and their images: summed
 over the jobs (_run_slices), every solution once, with no list the size
 of S_n.  The () job, empty at n >= 3, runs first and in process, so a
-count reports its first slice before any worker is forked; the workers
-are counted by the jobs that walk.
+count reports its first slice before any worker is forked, and no more
+workers are forked than there are jobs that walk.
 
 The conjugacy classes of the fixed-sigma solutions (orbits of C(s)
 acting by coordinatewise conjugation) come from the same jobs: a job
@@ -538,7 +538,7 @@ def _forked(jobs: Sequence[tuple], size: int, oom: str
     import select
     pool: Dict[BinaryIO, Tuple[int, int]] = {}  # result pipe: pid, task fd
     done: Dict[int, List[_Output]] = {}
-    ends: List[int] = []                      # the parent's pipe ends
+    ends: List[int] = []  # the parent's pipe ends, closed in each worker
     todo = iter(range(1, len(jobs)))
     try:
         for j in itertools.islice(todo, size):
@@ -621,8 +621,8 @@ def enumerate_fixed_sigma(n: int, collect: bool = False, *,
     sigma image, default (1,2).
 
     Every a1 representative is one slice; with workers > 1 and more than
-    one slice that walks (all but a1 = ()), a pool of worker processes
-    searches them.  The result, the solutions and the progress calls
+    one slice that walks (all but a1 = ()), forked worker processes
+    search those.  The result, the solutions and the progress calls
     (slices done, slices in all) are the same for every worker count.
     Once every slice is in, sink gets each solution in the plain loop's
     order, with the leaf or image it comes from, a C(s)-conjugate.

@@ -209,9 +209,9 @@ needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
 
 @needs_fork
 def test_failed_pooled_search_ends_workers(monkeypatch):
-    # the progress call fails on the first pooled slice, job 2, while the
-    # other worker runs a 20 s slice: the error comes back at once, and
-    # no worker is left
+    # the progress call fails on slice 2, the first a worker searched,
+    # while the other worker runs a 20 s slice: the error comes back at
+    # once, and no worker is left
     n = 4
     jobs = _factored_jobs(n, perm.transposition(n, 1, 2))
     chunk = search._search_chunk
