@@ -509,15 +509,15 @@ def _default_signals() -> None:
 
 def _work(jobs: Sequence[tuple], tasks: int, results: int,
           inherited: Iterable[int], oom: str) -> None:
-    """A forked worker: it closes the pipe ends it inherited, then for
-    each job index i read from tasks writes (i, output of _search_chunk
-    or a one-line error) to results, marshalled and led by its length.
-    It leaves only through os._exit, so nothing of the parent's (stdio
-    buffers, an --out file, atexit hooks) runs twice."""
+    """A forked worker: it closes the pipe ends it inherited, then answers
+    each index i from tasks on results with (i, output of _search_chunk
+    or a one-line error), marshalled and led by its length, and leaves by
+    os._exit only: no stdio buffer, --out file or atexit hook runs twice."""
     try:
         _default_signals()
         for fd in inherited:
             os.close(fd)
+        out = open(results, "wb")  # completes a write a signal cuts short
         while index := os.read(tasks, 4):
             i = int.from_bytes(index, "little")
             try:
@@ -525,7 +525,8 @@ def _work(jobs: Sequence[tuple], tasks: int, results: int,
             except Exception as exc:  # MemoryError included
                 data = marshal.dumps((i, oom if isinstance(exc, MemoryError)
                                       else f"search worker failed: {exc!r}"))
-            os.write(results, len(data).to_bytes(8, "little") + data)
+            out.write(len(data).to_bytes(8, "little") + data)
+            out.flush()
     finally:
         os._exit(0)
 
@@ -573,12 +574,11 @@ def _forked(jobs: Sequence[tuple], size: int, oom: str
 def _run_slices(n: int, jobs: Sequence[tuple], workers: int,
                 absorb: Callable[[tuple, List[_Output]], None],
                 progress: Optional[Callable[[int, int], None]]) -> int:
-    """The weighted count of _search_chunk on every job, a1 = () first and
-    in this process, before any fork, the rest in min(workers, jobs that
-    walk) forked workers (_forked) if that exceeds one and os.fork exists.
-    Outputs are absorbed in job order, so aggregation and progress (slices
-    done, slices in all) are the same for every worker count; running out
-    of memory, or a worker that dies, becomes a one-line RuntimeError."""
+    """The weighted count of _search_chunk on every job: a1 = () in this
+    process first, the rest in min(workers, jobs that walk) forked workers
+    (_forked) if that exceeds one and os.fork exists.  Outputs are absorbed
+    in job order, so aggregation and progress are the same for every worker
+    count; out of memory, or a worker that dies, is a one-line RuntimeError."""
     oom = f"out of memory in the degree-{n} search"
     pool_size = min(workers, len(jobs) - 1) if hasattr(os, "fork") else 1
     count = 0

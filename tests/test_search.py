@@ -4,6 +4,7 @@ import math
 import multiprocessing
 import os
 import random
+import signal
 import time
 
 import pytest
@@ -280,6 +281,54 @@ def test_out_of_memory_in_worker(monkeypatch):
     with pytest.raises(RuntimeError) as exc:
         search.classify(6, workers=2)
     assert str(exc.value) == "out of memory in the degree-6 search"
+    _assert_no_child_left()
+
+
+@needs_fork
+def test_stopped_worker_still_sends_whole_output(monkeypatch):
+    # workers stopped and continued, as Ctrl-Z and `fg` do, while they
+    # write outputs larger than a pipe holds: each write is cut short,
+    # and the rest must still follow, or the search waits forever
+    import select
+
+    parent = os.getpid()
+    chunk = search._search_chunk
+    pids = []
+    fork = os.fork
+    real_select = select.select
+
+    def spy_fork():
+        pid = fork()
+        pids.extend([pid] if pid else [])
+        return pid
+
+    def big_chunk(job):     # outputs of up to 0.4 MB, a pipe holding 64 KB
+        return chunk(job) * (2000 if os.getpid() != parent else 1)
+
+    def stopping_select(*args):
+        time.sleep(0.1)     # the workers fill their pipes and block
+        for pid in pids:
+            os.kill(pid, signal.SIGSTOP)
+        time.sleep(0.05)
+        for pid in pids:
+            os.kill(pid, signal.SIGCONT)
+        return real_select(*args)
+
+    def timed_out(signum, frame):
+        raise TimeoutError("the search waited for a cut-short output")
+
+    monkeypatch.setattr(os, "fork", spy_fork)
+    monkeypatch.setattr(search, "_search_chunk", big_chunk)
+    monkeypatch.setattr(select, "select", stopping_select)
+    previous = signal.signal(signal.SIGALRM, timed_out)
+    signal.alarm(20)
+    try:
+        res = search.enumerate_fixed_sigma(6, workers=2)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert len(pids) == 2
+    assert res.fixed_count == 2000 * 2880   # the a1 = () job is empty
     _assert_no_child_left()
 
 
