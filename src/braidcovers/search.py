@@ -91,7 +91,7 @@ after phi^-1 commute with conjugation by C(s), and they map the solutions
 in {a1 = b1 != ()}, in {a1 != (), a2 = b2 = ()} and in their intersection
 one-to-one onto the three parts of the solutions with a1 = () other than
 ((), (), (), ()): those with b1 != (), those with b1 = () and a2 != (),
-and those with a2 = b1 = () and b2 != ().  So _with_images gives each
+and those with a2 = b1 = () and b2 != ().  So _search_chunk gives each
 leaf (r, a2, b1, b2) of the walk below a representative r != () with its
 images: ((), a2, r, b2) when b1 = r, ((), r, (), b1) when a2 = b2 = (),
 and ((), (), (), r) when both hold.  Below r = () it gives only
@@ -102,7 +102,9 @@ of r, count the solutions with a1 in that class and their images: summed
 over the jobs (_run_slices), every solution once, with no list the size
 of S_n.  The () job, empty at n >= 3, runs first and in process, so a
 count reports its first slice before any worker is forked, and no more
-workers are forked than there are jobs that walk.
+workers are forked than there are jobs that walk.  The rest are absorbed
+as they finish; no two jobs give one solution, so that order reaches no
+output.
 
 The conjugacy classes of the fixed-sigma solutions (orbits of C(s)
 acting by coordinatewise conjugation) come from the same jobs: a job
@@ -351,30 +353,19 @@ def _iter_for_a1(n: int, s: Perm, a1: Perm, stab: Sequence[Perm]
                     yield raw, w1 * w2
 
 
-def _with_images(n: int, s: Perm, r: Perm, stab: Sequence[Perm]
-                 ) -> Iterator[_Output]:
-    """The weighted leaves of the walk below the a1 representative r by
-    stab, each with its images below a1 = () (module docstring), which
-    carry its weight: ((), a2, r, b2) when b1 = r, ((), r, (), b1) when
-    a2 = b2 = (), and ((), (), (), r) when both hold.  Below r = () only
-    ((), (), (), ()), with no image, when <s> is transitive."""
+def _search_chunk(job: tuple) -> List[_Output]:
+    """The outputs of one job (n, s, r, size, stab) of _jobs: the weighted
+    leaves of the walk below r by stab, each with its images below a1 = ()
+    (module docstring), or below r = () only ((), (), (), ()), with no
+    image, when <s> is transitive."""
+    n, s, r, _, stab = job
     e = perm.identity(n)
     if r == e:
-        if groups.is_transitive((s,), n):
-            yield (e, e, e, e), 1, ()
-        return
-    for leaf, w in _iter_for_a1(n, s, r, stab):
-        _, a2, b1, b2 = leaf
-        unit = a2 == b2 == e
-        yield leaf, w, tuple(image for image, hit in (
-            ((e, a2, r, b2), b1 == r), ((e, r, e, b1), unit),
-            ((e, e, e, r), b1 == r and unit)) if hit)
-
-
-def _search_chunk(job: tuple) -> List[_Output]:
-    """The outputs (_with_images) of one job of _jobs."""
-    n, s, a1, _, stab = job
-    return list(_with_images(n, s, a1, stab))
+        return [((e, e, e, e), 1, ())] if groups.is_transitive((s,), n) else []
+    return [((r, a2, b1, b2), w, tuple(image for image, hit in (
+                ((e, a2, r, b2), b1 == r), ((e, r, e, b1), a2 == b2 == e),
+                ((e, e, e, r), b1 == r and a2 == b2 == e)) if hit))
+            for (_, a2, b1, b2), w in _iter_for_a1(n, s, r, stab)]
 
 
 def _h1_orbit(key: RawSolution, stab: Sequence[Perm]) -> set:
@@ -501,68 +492,69 @@ def _jobs(n: int, s: Perm, cent: Sequence[Perm]) -> List[tuple]:
     return sorted(jobs, key=lambda job: job[2])
 
 
-def _default_signals() -> None:
-    """Ctrl-C and SIGTERM end a worker at once, whatever the parent set."""
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        signal.signal(signum, signal.SIG_DFL)
-
-
 def _work(jobs: Sequence[tuple], tasks: int, results: int,
           inherited: Iterable[int], oom: str) -> None:
     """A forked worker: it closes the pipe ends it inherited, then answers
-    each index i from tasks on results with (i, output of _search_chunk
-    or a one-line error), marshalled and led by its length, and leaves by
-    os._exit only: no stdio buffer, --out file or atexit hook runs twice."""
+    each index i from tasks on results with one marshalled (i, output of
+    _search_chunk or a one-line error), and leaves by os._exit only: no
+    stdio buffer, --out file or atexit hook runs twice."""
     try:
-        _default_signals()
+        for signum in (signal.SIGINT, signal.SIGTERM):  # end it at once
+            signal.signal(signum, signal.SIG_DFL)
         for fd in inherited:
             os.close(fd)
         out = open(results, "wb")  # completes a write a signal cuts short
         while index := os.read(tasks, 4):
             i = int.from_bytes(index, "little")
             try:
-                data = marshal.dumps((i, _search_chunk(jobs[i])))
+                marshal.dump((i, _search_chunk(jobs[i])), out)
             except Exception as exc:  # MemoryError included
-                data = marshal.dumps((i, oom if isinstance(exc, MemoryError)
-                                      else f"search worker failed: {exc!r}"))
-            out.write(len(data).to_bytes(8, "little") + data)
+                marshal.dump((i, oom if isinstance(exc, MemoryError)
+                              else f"search worker failed: {exc!r}"), out)
             out.flush()
     finally:
         os._exit(0)
 
 
 def _forked(jobs: Sequence[tuple], size: int, oom: str
-            ) -> Iterator[List[_Output]]:
-    """The outputs of jobs[1:], in order, from size forked workers that
-    inherit the jobs and are handed the next job index as they answer;
-    any end of the generator, closing included, kills and reaps them."""
+            ) -> Iterator[Tuple[int, List[_Output]]]:
+    """(i, output) for each of jobs[1:] as it arrives, from size forked
+    workers that inherit the jobs and are handed the next index as they
+    answer; any end of the generator, closing included, kills and reaps
+    them.  A pipe holds one answer at most, so marshal.load leaves none in
+    the pipe's buffered reader, out of sight of select."""
     import select
     pool: Dict[BinaryIO, Tuple[int, int]] = {}  # result pipe: pid, task fd
-    done: Dict[int, List[_Output]] = {}
     ends: List[int] = []  # the parent's pipe ends, closed in each worker
     todo = iter(range(1, len(jobs)))
     try:
         for j in itertools.islice(todo, size):
-            (task_r, task_w), (result_r, result_w) = os.pipe(), os.pipe()
-            ends += (task_w, result_r)
-            pid = os.fork()
+            fds: List[int] = []  # task_r, task_w, result_r, result_w
+            try:
+                fds += os.pipe()
+                fds += os.pipe()
+                ends += fds[1:3]
+                pid = os.fork()
+            except OSError as exc:
+                for fd in fds:
+                    os.close(fd)
+                raise RuntimeError(
+                    f"cannot start a search worker: {exc}") from None
+            task_r, task_w, result_r, result_w = fds
             if pid == 0:
                 _work(jobs, task_r, result_w, ends, oom)
             os.close(task_r)
             os.close(result_w)
             pool[open(result_r, "rb")] = pid, task_w
             os.write(task_w, j.to_bytes(4, "little"))
-        for i in range(1, len(jobs)):
-            while i not in done:
-                for pipe in select.select(list(pool), [], [])[0]:
-                    j, out = marshal.loads(  # EOFError if the worker died
-                        pipe.read(int.from_bytes(pipe.read(8), "little")))
-                    if isinstance(out, str):  # the worker's one-line error
-                        raise RuntimeError(out)
-                    done[j] = out
-                    for j in itertools.islice(todo, 1):
-                        os.write(pool[pipe][1], j.to_bytes(4, "little"))
-            yield done.pop(i)
+        for _ in range(1, len(jobs)):
+            pipe = select.select(list(pool), [], [])[0][0]
+            i, out = marshal.load(pipe)  # EOFError if the worker died
+            if isinstance(out, str):  # the worker's one-line error
+                raise RuntimeError(out)
+            for j in itertools.islice(todo, 1):
+                os.write(pool[pipe][1], j.to_bytes(4, "little"))
+            yield i, out
     finally:
         for pipe, (pid, task_w) in pool.items():
             os.close(task_w)
@@ -577,22 +569,23 @@ def _run_slices(n: int, jobs: Sequence[tuple], workers: int,
     """The weighted count of _search_chunk on every job: a1 = () in this
     process first, the rest in min(workers, jobs that walk) forked workers
     (_forked) if that exceeds one and os.fork exists.  Outputs are absorbed
-    in job order, so aggregation and progress are the same for every worker
-    count; out of memory, or a worker that dies, is a one-line RuntimeError."""
+    as they finish, which changes no count, class or solution (module
+    docstring), and the k-th progress call reports k slices done; out of
+    memory, or a worker that dies, is a one-line RuntimeError."""
     oom = f"out of memory in the degree-{n} search"
     pool_size = min(workers, len(jobs) - 1) if hasattr(os, "fork") else 1
     count = 0
     try:
-        with contextlib.closing(
-                _forked(jobs, pool_size, oom) if pool_size > 1
-                else (_search_chunk(job) for job in jobs[1:])) as rest:
-            outputs = itertools.chain([_search_chunk(jobs[0])], rest)
-            for i, (job, out) in enumerate(zip(jobs, outputs)):
-                count += job[3] * sum(w * (1 + len(images))
-                                      for _, w, images in out)
-                absorb(job, out)
+        rest = (_forked(jobs, pool_size, oom) if pool_size > 1 else
+                ((i, _search_chunk(jobs[i])) for i in range(1, len(jobs))))
+        with contextlib.closing(rest):
+            outputs = itertools.chain([(0, _search_chunk(jobs[0]))], rest)
+            for done, (i, out) in enumerate(outputs, 1):
+                count += jobs[i][3] * sum(w * (1 + len(images))
+                                          for _, w, images in out)
+                absorb(jobs[i], out)
                 if progress is not None:
-                    progress(i + 1, len(jobs))
+                    progress(done, len(jobs))
     except MemoryError:
         raise RuntimeError(oom) from None
     except EOFError:

@@ -115,11 +115,15 @@ class Assignment(_Images):
                 b2: Perm) -> "Assignment":
         self = tuple.__new__(cls, (n, sigma, a1, a2, b1, b2))
         known = _PERMUTATIONS
-        if not (len(sigma) == len(a1) == len(a2) == len(b1) == len(b2) == n
+        if not (type(sigma) is type(a1) is type(a2) is type(b1) is type(b2)
+                is tuple  # a list would fail the lookups below
+                and len(sigma) == len(a1) == len(a2) == len(b1) == len(b2) == n
                 and sigma in known and a1 in known and a2 in known
                 and b1 in known and b2 in known):
             points = list(range(n))
             for name, p in zip(self._fields[1:], self[1:]):
+                if not isinstance(p, tuple):
+                    raise ValueError(f"{name} is not a tuple: {p!r}")
                 if len(p) != n:
                     raise ValueError(
                         f"{name} has degree {len(p)}, expected {n}")

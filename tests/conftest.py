@@ -43,6 +43,13 @@ def random_perm(rng, n):
     return tuple(images)
 
 
+def reversed_pool(jobs, size, oom):
+    """An in-process stand-in for the forked workers (search._forked)
+    whose jobs finish last to first."""
+    for i in reversed(range(1, len(jobs))):
+        yield i, search._search_chunk(jobs[i])
+
+
 def full_orbit_check(n):
     """Cross-check the fixed-sigma orbit decomposition against the orbits
     of the whole solution set (every sigma transposition) under all of

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from braidcovers import cli
+from conftest import reversed_pool
 
 TABLE_CSV = """\
 n,fixed_count,transpositions,total,orbit_count,K2,chi,c2,image_names
@@ -209,6 +210,26 @@ def test_orbits_workers_do_not_change_output(capsys):
     assert json.loads(solo)["orbit_count"] == 60
 
 
+@pytest.mark.parametrize("n", ["4", "6"])
+def test_arrival_order_changes_no_byte(capsys, monkeypatch, n):
+    # the pool's outputs are absorbed as they finish: count, orbits and
+    # list write the same stdout and stderr on 1, 2 and 3 workers, and
+    # when the pooled jobs finish in reverse order
+    from braidcovers import search
+
+    def outputs(workers):
+        return [run(capsys, *command, "--n", n, "--workers", workers)
+                for command in (["count"], ["orbits", "--format", "json"],
+                                ["list"])]
+
+    expected = outputs("1")
+    assert [code for code, _, _ in expected] == [0, 0, 0]
+    for workers in ("2", "3"):
+        assert outputs(workers) == expected
+    monkeypatch.setattr(search, "_forked", reversed_pool)
+    assert outputs("2") == expected
+
+
 def _fingerprint_calls(monkeypatch, capsys, *argv):
     """The groups.fingerprint calls of one command, its memo empty."""
     from braidcovers import groups
@@ -277,8 +298,8 @@ def test_list_to_file(tmp_path, capsys):
 
 
 def test_list_parallel_matches_stream(tmp_path, capsys):
-    # n=6 has many non-empty slices, streamed through the pool in job
-    # order; the digest of its output pins the solution order
+    # n=6 has many non-empty slices, absorbed from the pool as they
+    # finish; the digest of its output pins the solution order
     for n in ("3", "6"):
         _, streamed, _ = run(capsys, "list", "--n", n)
         _, pooled, _ = run(capsys, "list", "--n", n, "--workers", "2")
@@ -836,6 +857,34 @@ def test_out_of_memory_in_worker_exits_1(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert err == "braidcovers: error: out of memory in the degree-6 search\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no worker is forked")
+def test_failed_worker_start_exits_1(capsys, monkeypatch, tmp_path):
+    # a worker that cannot be forked ends the run with one error line,
+    # which names the start and not the output, and leaves no --out file
+    # and no worker behind
+    import errno
+
+    fork = os.fork
+    forks = []
+
+    def failing_fork():
+        forks.append(1)
+        if len(forks) == 2:
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return fork()
+
+    monkeypatch.setattr(os, "fork", failing_fork)
+    code, out, err = run(capsys, "list", "--n", "6", "--workers", "2",
+                         "--out", str(tmp_path / "sols.jsonl"))
+    assert code == 1
+    assert out == ""
+    assert err == ("braidcovers: error: cannot start a search worker: "
+                   f"[Errno {errno.EAGAIN}] {os.strerror(errno.EAGAIN)}\n")
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_gate_blocks_before_any_search(capsys):

@@ -1,3 +1,4 @@
+import errno
 import functools
 import itertools
 import math
@@ -10,7 +11,7 @@ import time
 import pytest
 
 from braidcovers import groups, perm, search, words
-from conftest import full_orbit_check
+from conftest import full_orbit_check, reversed_pool
 
 EXPECTED_FIXED = {2: 16, 3: 80, 4: 480, 5: 0, 6: 2880}
 EXPECTED_ORBITS = {2: 16, 3: 40, 4: 240}
@@ -71,9 +72,9 @@ def inline_pool(monkeypatch):
 
     def inline_forked(jobs, size, oom):
         requested.append(size)
-        for job in jobs[1:]:
+        for i, job in enumerate(jobs[1:], 1):
             submitted.append(job)
-            yield search._search_chunk(job)
+            yield i, search._search_chunk(job)
 
     monkeypatch.setattr(search, "_forked", inline_forked)
     return requested, submitted
@@ -329,6 +330,88 @@ def test_stopped_worker_still_sends_whole_output(monkeypatch):
         signal.signal(signal.SIGALRM, previous)
     assert len(pids) == 2
     assert res.fixed_count == 2000 * 2880   # the a1 = () job is empty
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_arrival_order_changes_no_result(n, monkeypatch):
+    # outputs are absorbed as they arrive: the sink's (sol, origin)
+    # stream, the progress calls and the classes are the same for 1, 2
+    # and 3 workers, and for a pool whose jobs finish in reverse order
+    def run(workers):
+        streamed, ticks = [], []
+        res = search.enumerate_fixed_sigma(
+            n, workers=workers, sink=lambda *sol: streamed.append(sol),
+            progress=lambda i, m: ticks.append((i, m)))
+        classified, orbits = search.classify(n, workers=workers)
+        return (res._replace(elapsed_seconds=0), streamed, ticks,
+                classified._replace(elapsed_seconds=0), orbits)
+
+    runs = [run(workers) for workers in (1, 2, 3)]
+    monkeypatch.setattr(search, "_forked", reversed_pool)
+    runs.append(run(2))
+    assert runs[0][0].fixed_count == EXPECTED_FIXED[n]
+    assert all(other == runs[0] for other in runs[1:])
+
+
+@needs_fork
+def test_slow_job_holds_back_no_other_slice(monkeypatch):
+    # the worker on job 1 sleeps: the other jobs are absorbed, and their
+    # slices reported, before its output comes in
+    n = 6
+    jobs = _factored_jobs(n, perm.transposition(n, 1, 2))
+    reps = [job[2] for job in jobs]
+    parent = os.getpid()
+    chunk = search._search_chunk
+    expand = search._expand
+    events = []
+
+    def slow_chunk(job):    # the workers are forked, so they run it too
+        if job[2] == reps[1] and os.getpid() != parent:
+            time.sleep(1.5)
+        return chunk(job)
+
+    def spy(job, *args):
+        events.append(job[2])
+        return expand(job, *args)
+
+    monkeypatch.setattr(search, "_search_chunk", slow_chunk)
+    monkeypatch.setattr(search, "_expand", spy)
+    res = search.enumerate_fixed_sigma(
+        n, workers=2, sink=lambda *sol: None,
+        progress=lambda i, m: events.append(i))
+    assert res.fixed_count == 2880
+    assert len(reps) == 4
+    assert events == [reps[0], 1, reps[2], 2, reps[3], 3, reps[1], 4]
+    _assert_no_child_left()
+
+
+@needs_fork
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
+@pytest.mark.parametrize("name,call,code", [("fork", 2, errno.EAGAIN),
+                                            ("pipe", 4, errno.EMFILE)])
+def test_failed_worker_start_leaves_nothing_open(monkeypatch, name, call,
+                                                 code):
+    # the second worker cannot be started, at its fork or at its second
+    # pipe: the pipe ends opened for it are closed, the first worker is
+    # killed and reaped, and the failure is a one-line RuntimeError
+    real = getattr(os, name)
+    calls = []
+
+    def failing():
+        calls.append(name)
+        if len(calls) == call:
+            raise OSError(code, os.strerror(code))
+        return real()
+
+    fds = len(os.listdir("/proc/self/fd"))
+    monkeypatch.setattr(os, name, failing)
+    with pytest.raises(RuntimeError) as exc:
+        search.enumerate_fixed_sigma(6, workers=2)
+    assert str(exc.value) == ("cannot start a search worker: "
+                              f"[Errno {code}] {os.strerror(code)}")
+    assert len(calls) == call
+    assert len(os.listdir("/proc/self/fd")) == fds
     _assert_no_child_left()
 
 
@@ -718,7 +801,7 @@ def _unit_subtree_route(n, s):
     e = perm.identity(n)
     return sum(size * w * (len(images) + (r == e))
                for r, size, stab in _count_reps(n, s)
-               for _, w, images in search._with_images(n, s, r, stab))
+               for _, w, images in search._search_chunk((n, s, r, 1, stab)))
 
 
 def test_factored_count_matches_plain_loop():
@@ -753,10 +836,11 @@ def test_factored_count_matches_plain_loop():
             assert _factored_terms(n, sig, r, stab) \
                 == _plain_terms(n, sig, r, unit)
         images = [image for a1 in _plain_a1s(n, sig) if a1 != e
-                  for _, _, leaf_images in search._with_images(n, sig, a1, [e])
+                  for _, _, leaf_images in search._search_chunk(
+                      (n, sig, a1, 1, [e]))
                   for image in leaf_images]
         assert sorted(images) == sorted(unit - {(e, e, e, e)})
-        assert list(search._with_images(n, sig, e, _stab(n, sig, e))) \
+        assert search._search_chunk((n, sig, e, 1, _stab(n, sig, e))) \
             == [((e, e, e, e), 1, ())] * ((e, e, e, e) in unit)
         units.append(len(unit))
         assert _unit_subtree_route(n, sig) == len(unit)

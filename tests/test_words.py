@@ -120,8 +120,24 @@ def test_assignment_rejects_non_permutations():
             Assignment(3, s, e, e, e, e)._replace(a2=bad)
     with pytest.raises(ValueError, match=r"sigma has degree 2, expected 3"):
         Assignment(3, (1, 0), e, e, e, e)
-    with pytest.raises(TypeError):          # images are tuples
+    with pytest.raises(ValueError, match=r"a1 is not a tuple"):
         Assignment(3, s, [0, 1, 2], e, e, e)
+
+
+def test_assignment_rejects_list_images():
+    # images are tuples: a list is refused with ValueError, not a
+    # TypeError from the lookup of remembered images, whether or not its
+    # values are remembered and at every position
+    e = perm.identity(2)
+    t = perm.transposition(2, 1, 2)
+    Assignment(2, t, e, e, e, e)            # (0, 1) and (1, 0) remembered
+    with pytest.raises(ValueError, match=r"sigma is not a tuple: \[1, 0\]"):
+        Assignment(2, [1, 0], e, e, e, e)
+    for i, name in enumerate(("a1", "a2", "b1", "b2")):
+        images = [e] * 4
+        images[i] = [0, 1]
+        with pytest.raises(ValueError, match=rf"{name} is not a tuple"):
+            Assignment(2, t, *images)
 
 
 def test_assignment_accessors():
