@@ -175,7 +175,10 @@ def _output_file(path: str) -> Iterator[TextIO]:
     target = os.path.realpath(path)  # a symlink keeps pointing at the output
     directory, name = os.path.split(target)
     tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
-    fh = open(tmp, "x", encoding="utf-8", newline="")
+    try:
+        fh = open(tmp, "x", encoding="utf-8", newline="")
+    except OSError as exc:  # name the file asked for, not the temporary one
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with fh:
             yield fh

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from collections import Counter
 from typing import Dict, FrozenSet, List, NamedTuple, Sequence, Tuple
 
@@ -94,9 +95,10 @@ def centralizer_elements(g: Perm, n: int) -> List[Perm]:
     """C(g) in S_n, every element once, in a deterministic order.
 
     A centralizing element permutes the cycles of g within each length
-    class and rotates each cycle, so one element is enumerated per
-    (cycle permutation, rotation offsets) choice per class, at O(n) cost
-    per element.
+    class and rotates each cycle.  Each class lists its choices as image
+    tuples of its points: every order of its cycles with every rotation
+    of each.  An element is a product of those lists, the first class
+    varying slowest, put in place by one itemgetter.
     """
     if len(g) != n:
         raise ValueError(f"degree mismatch: {len(g)} vs {n}")
@@ -105,28 +107,20 @@ def centralizer_elements(g: Perm, n: int) -> List[Perm]:
     by_length: Dict[int, list] = {}
     for c in perm.disjoint_cycles(g):
         by_length.setdefault(len(c), []).append(c)
-    images: List[List[int]] = [[-1] * n]
+    sources: List[int] = []
+    images: List[Perm] = [()]
     for length in sorted(by_length):
         cs = by_length[length]
-        k = len(cs)
-        options: List[List[Tuple[int, int]]] = []
-        for pi in itertools.permutations(range(k)):
-            for offsets in itertools.product(range(length), repeat=k):
-                pairs = []
-                for j in range(k):
-                    src, dst, off = cs[j], cs[pi[j]], offsets[j]
-                    for t in range(length):
-                        pairs.append((src[t], dst[(t + off) % length]))
-                options.append(pairs)
-        extended = []
-        for base in images:
-            for pairs in options:
-                im = base.copy()
-                for src, dst in pairs:
-                    im[src] = dst
-                extended.append(im)
-        images = extended
-    return [tuple(im) for im in images]
+        if length == 1:
+            options = list(itertools.permutations([c[0] for c in cs]))
+        else:
+            turns = {c: [c[t:] + c[:t] for t in range(length)] for c in cs}
+            options = [sum(choice, ()) for order in itertools.permutations(cs)
+                       for choice in itertools.product(*map(turns.get, order))]
+        sources += itertools.chain.from_iterable(cs)
+        images = [im + option for im in images for option in options]
+    place = operator.itemgetter(*sorted(range(n), key=sources.__getitem__))
+    return list(map(place, images))
 
 
 # Fixed label vocabulary for image groups.  Within it, (order, abelian?)

@@ -72,8 +72,9 @@ cycle type off p and q, plus (L, d) when p and q share an L-cycle with
 q = x^d(p), d and L - d being one type as s swaps them, or the unordered
 (l1, l2) when they lie in cycles of those lengths.  R2(a1) and the a1
 prune are C(s)-invariant, so each type is tested once (_marked_types)
-and only the orbits that pass are built, each giving its least member
-and size.
+and only the orbits that pass are built, from three generators of C(s),
+each giving its least member r, its size and C(s) n C(r), whose orders
+must multiply to |C(s)|.
 
 Counts and classes never walk below a1 = (), the only a1 whose C1 is
 all of S_n: they read that subtree off the walks below the other a1
@@ -217,9 +218,9 @@ def _intersect_next(prev: Sequence[Perm], prev_conjs: Sequence[Perm],
     """prev n C(new_conj), where prev is an intersection of centralizers
     of the permutations in prev_conjs, in the order of _route's list."""
     source = _route(prev, prev_conjs, new_conj)
-    if source is prev:
-        return [z for z in prev if perm.commutes(z, new_conj)]
-    return [z for z in source if all(perm.commutes(z, c) for c in prev_conjs)]
+    for c in (new_conj,) if source is prev else prev_conjs:
+        source = [z for z in source if perm.commutes(z, c)]
+    return source
 
 
 def _route(prev: Sequence[Perm], prev_conjs: Sequence[Perm],
@@ -475,20 +476,30 @@ def _marked_types(n: int, s: Perm) -> Iterator[Perm]:
 
 
 def _jobs(n: int, s: Perm, cent: Sequence[Perm]) -> List[tuple]:
-    """The _search_chunk jobs (n, s, r, size, stab), in
-    order of r: one per C(s)-orbit of size size, least member r and
-    stab = C(s) n C(r), of the a1 that pass R2(a1) and the a1 prune; cent
-    lists C(s).  Both tests are C(s)-invariant, so they are made once per
-    marked cycle type and only the orbits that pass are built."""
+    """The _search_chunk jobs (n, s, r, size, stab), in order of r: one
+    per C(s)-orbit of size size, least member r and stab = C(s) n C(r),
+    of the a1 that pass R2(a1) and the a1 prune; cent lists C(s).  Both
+    tests are C(s)-invariant, so they are made once per marked cycle type
+    and only the orbits that pass are built, from generators of C(s)
+    (Butler, LNCS 559, 1991): s, a transposition and a cycle of the
+    points s fixes.  AssertionError unless size * |stab| = |C(s)|."""
+    others = [x for x in range(n) if s[x] == x]
+    gens = (s, _cycles_perm(n, [others[:2]]), _cycles_perm(n, [others]))
     jobs = []
     for a1 in _marked_types(n, s):
         if not (perm.commutes(a1, perm.conjugate(a1, s))   # R2(a1)
                 and _a1_transitive(n, s, a1)):
             continue
-        orbit = {perm.conjugate(a1, h) for h in cent}
+        orbit, frontier = {a1}, [a1]
+        for x in frontier:  # breadth first
+            new = {perm.conjugate(x, g) for g in gens} - orbit
+            orbit |= new
+            frontier += new
         r = min(orbit)
-        jobs.append((n, s, r, len(orbit),
-                     [h for h in cent if perm.commutes(h, r)]))
+        stab = _intersect_next(cent, (s,), r) if len(orbit) > 1 else cent
+        if len(orbit) * len(stab) != len(cent):
+            raise AssertionError(f"orbit and stabilizer of {r} miss C(s)")
+        jobs.append((n, s, r, len(orbit), stab))
     return sorted(jobs, key=lambda job: job[2])
 
 
@@ -496,8 +507,8 @@ def _work(jobs: Sequence[tuple], tasks: int, results: int,
           inherited: Iterable[int], oom: str) -> None:
     """A forked worker: it closes the pipe ends it inherited, then answers
     each index i from tasks on results with one marshalled (i, output of
-    _search_chunk or a one-line error), and leaves by os._exit only: no
-    stdio buffer, --out file or atexit hook runs twice."""
+    _search_chunk or a one-line error), its size first, and leaves by
+    os._exit only: no stdio buffer, --out file or atexit hook runs twice."""
     try:
         for signum in (signal.SIGINT, signal.SIGTERM):  # end it at once
             signal.signal(signum, signal.SIG_DFL)
@@ -507,10 +518,11 @@ def _work(jobs: Sequence[tuple], tasks: int, results: int,
         while index := os.read(tasks, 4):
             i = int.from_bytes(index, "little")
             try:
-                marshal.dump((i, _search_chunk(jobs[i])), out)
+                answer = marshal.dumps((i, _search_chunk(jobs[i])))
             except Exception as exc:  # MemoryError included
-                marshal.dump((i, oom if isinstance(exc, MemoryError)
-                              else f"search worker failed: {exc!r}"), out)
+                answer = marshal.dumps((i, oom if isinstance(exc, MemoryError)
+                                        else f"search worker failed: {exc!r}"))
+            out.write(len(answer).to_bytes(8, "little") + answer)
             out.flush()
     finally:
         os._exit(0)
@@ -521,8 +533,9 @@ def _forked(jobs: Sequence[tuple], size: int, oom: str
     """(i, output) for each of jobs[1:] as it arrives, from size forked
     workers that inherit the jobs and are handed the next index as they
     answer; any end of the generator, closing included, kills and reaps
-    them.  A pipe holds one answer at most, so marshal.load leaves none in
-    the pipe's buffered reader, out of sight of select."""
+    them.  An answer is read whole, by its size, so none is left in a
+    pipe's buffered reader, out of sight of select; a cut one is an
+    EOFError, as a cut little-endian size is no larger than the whole."""
     import select
     pool: Dict[BinaryIO, Tuple[int, int]] = {}  # result pipe: pid, task fd
     ends: List[int] = []  # the parent's pipe ends, closed in each worker
@@ -549,7 +562,8 @@ def _forked(jobs: Sequence[tuple], size: int, oom: str
             os.write(task_w, j.to_bytes(4, "little"))
         for _ in range(1, len(jobs)):
             pipe = select.select(list(pool), [], [])[0][0]
-            i, out = marshal.load(pipe)  # EOFError if the worker died
+            length = int.from_bytes(pipe.read(8), "little")
+            i, out = marshal.loads(pipe.read(length))
             if isinstance(out, str):  # the worker's one-line error
                 raise RuntimeError(out)
             for j in itertools.islice(todo, 1):

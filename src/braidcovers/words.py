@@ -105,9 +105,9 @@ _PERMUTATIONS: set = set()  # images Assignment found to be permutations
 
 class Assignment(_Images):
     """Images of the five generators in one symmetric group S_n: each a
-    tuple permuting 0..n-1, or ValueError is raised.  Up to 4096 images
-    found to be permutations are remembered, so that most checks are
-    five set lookups."""
+    tuple of the ints 0..n-1 in some order, or ValueError is raised.  Up
+    to 4096 images found to be permutations are remembered, so that most
+    checks are five set lookups and one sum."""
 
     __slots__ = ()
 
@@ -115,11 +115,14 @@ class Assignment(_Images):
                 b2: Perm) -> "Assignment":
         self = tuple.__new__(cls, (n, sigma, a1, a2, b1, b2))
         known = _PERMUTATIONS
-        if not (type(sigma) is type(a1) is type(a2) is type(b1) is type(b2)
-                is tuple  # a list would fail the lookups below
-                and len(sigma) == len(a1) == len(a2) == len(b1) == len(b2) == n
-                and sigma in known and a1 in known and a2 in known
-                and b1 in known and b2 in known):
+        try:  # a float point equal to an int makes the sum a float
+            seen = (len(sigma) == len(a1) == len(a2) == len(b1) == len(b2) == n
+                    and sigma in known and a1 in known and a2 in known
+                    and b1 in known and b2 in known
+                    and type(sum(sigma + a1 + a2 + b1 + b2)) is int)
+        except TypeError:  # a list image or a list point, named below
+            seen = False
+        if not seen:
             points = list(range(n))
             for name, p in zip(self._fields[1:], self[1:]):
                 if not isinstance(p, tuple):
@@ -127,7 +130,8 @@ class Assignment(_Images):
                 if len(p) != n:
                     raise ValueError(
                         f"{name} has degree {len(p)}, expected {n}")
-                if sorted(p) != points:
+                if (not all(isinstance(x, int) for x in p)
+                        or sorted(p) != points):
                     raise ValueError(f"{name} is not a permutation: {p}")
             if len(known) > 4096:
                 known.clear()

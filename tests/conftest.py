@@ -50,6 +50,39 @@ def reversed_pool(jobs, size, oom):
         yield i, search._search_chunk(jobs[i])
 
 
+def reference_centralizer(g, n):
+    """C(g) in S_n built pair by pair, as groups.centralizer_elements once
+    did: per cycle-length class, in increasing length, every map of the
+    cycles onto themselves (itertools.permutations of their indices) with
+    every rotation offset of each (itertools.product), applied to a copy
+    of each partial image one (source, target) pair at a time.  Its order
+    is the order `list` output depends on."""
+    if g == tuple(range(n)):
+        return list(itertools.permutations(range(n)))
+    by_length = {}
+    for c in perm.disjoint_cycles(g):
+        by_length.setdefault(len(c), []).append(c)
+    images = [[-1] * n]
+    for length in sorted(by_length):
+        cs = by_length[length]
+        k = len(cs)
+        options = []
+        for pi in itertools.permutations(range(k)):
+            for offsets in itertools.product(range(length), repeat=k):
+                options.append([
+                    (cs[j][t], cs[pi[j]][(t + offsets[j]) % length])
+                    for j in range(k) for t in range(length)])
+        extended = []
+        for base in images:
+            for pairs in options:
+                im = base.copy()
+                for src, dst in pairs:
+                    im[src] = dst
+                extended.append(im)
+        images = extended
+    return [tuple(im) for im in images]
+
+
 def full_orbit_check(n):
     """Cross-check the fixed-sigma orbit decomposition against the orbits
     of the whole solution set (every sigma transposition) under all of

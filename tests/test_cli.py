@@ -471,6 +471,17 @@ def test_unwritable_out_path_exits_1(capsys, tmp_path):
     assert "cannot write output" in err
 
 
+def test_unwritable_out_error_names_the_target(capsys, tmp_path):
+    # the error names the path given, not the temporary file beside it
+    target = tmp_path / "missing" / "x"
+    code, out, err = run(capsys, "list", "--n", "6", "--out", str(target))
+    assert code == 1
+    assert out == ""
+    assert err == ("braidcovers: error: cannot write output: [Errno 2] "
+                   f"No such file or directory: '{target}'\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("path", ["missing/dir/x", "", "sub/"],
                          ids=["missing-dir", "empty", "trailing-slash"])
 def test_unwritable_out_path_fails_before_search(capsys, monkeypatch,

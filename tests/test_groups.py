@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from braidcovers import groups, perm
-from conftest import random_perm
+from conftest import random_perm, reference_centralizer
 
 
 def _cycle_type_reps(n):
@@ -207,6 +207,17 @@ def test_centralizer_order_formula():
     assert groups.centralizer_order(perm.parse_cycles("(1,2)", 4)) == 4
     # type (3,3): 3^2 * 2! = 18
     assert groups.centralizer_order(perm.parse_cycles("(1,2,3)(4,5,6)", 6)) == 18
+
+
+def test_centralizer_elements_match_reference_order(rng):
+    # the same list, order included, as the pair-by-pair construction:
+    # `list` writes solutions in orders built from these lists
+    gs = [(n, g) for n in range(1, 8) for g in _cycle_type_reps(n)]
+    gs += [(n, random_perm(rng, n)) for n in (8, 9) for _ in range(12)]
+    gs += [(n, perm.transposition(n, 1, 2)) for n in (8, 9)]
+    for n, g in gs:
+        assert groups.centralizer_elements(g, n) \
+            == reference_centralizer(g, n), (n, perm.format_cycles(g))
 
 
 def test_centralizer_elements_match_brute_force(rng):

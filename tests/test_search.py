@@ -333,6 +333,31 @@ def test_stopped_worker_still_sends_whole_output(monkeypatch):
     _assert_no_child_left()
 
 
+@needs_fork
+@pytest.mark.parametrize("cut", [0, 3, 8, -1],
+                         ids=["nothing", "in-size", "size-only", "in-answer"])
+def test_worker_cut_mid_answer_ended_early(monkeypatch, cut):
+    # workers that end part-way through an answer, inside its size or
+    # after it, end the search with one error, and no worker is left
+    import marshal
+
+    def cut_work(jobs, tasks, results, inherited, oom):
+        try:
+            for fd in inherited:
+                os.close(fd)
+            i = int.from_bytes(os.read(tasks, 4), "little")
+            answer = marshal.dumps((i, search._search_chunk(jobs[i])))
+            os.write(results,
+                     (len(answer).to_bytes(8, "little") + answer)[:cut])
+        finally:
+            os._exit(0)
+
+    monkeypatch.setattr(search, "_work", cut_work)
+    with pytest.raises(RuntimeError, match="^a search worker ended early$"):
+        search.enumerate_fixed_sigma(6, workers=2)
+    _assert_no_child_left()
+
+
 @pytest.mark.parametrize("n", [4, 6])
 def test_arrival_order_changes_no_result(n, monkeypatch):
     # outputs are absorbed as they arrive: the sink's (sol, origin)
@@ -595,15 +620,40 @@ def test_a1_candidates_are_the_r2_filter():
                 in search._jobs(n, s, cent)] == _brute_orbits(passing, cent)
 
 
+def _check_job_orbits(n, s, cent):
+    # every job (n, s, r, size, stab) against scans of all of C(s): stab
+    # is C(s) n C(r), size * |stab| = |C(s)|, and r is the least member
+    # of its orbit under conjugation by C(s), of size size
+    jobs = search._jobs(n, s, cent)
+    for _, _, r, size, stab in jobs:
+        assert set(stab) == {h for h in cent if perm.commutes(h, r)}
+        assert size * len(stab) == len(cent)
+        orbit = {perm.conjugate(r, h) for h in cent}
+        assert r == min(orbit)
+        assert size == len(orbit)
+    return len(jobs)
+
+
+def test_job_orbits_and_stabilizers_match_scans():
+    # the orbits built from generators of C(s), and their stabilizers,
+    # against scans of C(s), for sigma = (1,2) at n = 2..8 and for the
+    # other transpositions of _a1_sigmas
+    for s in _a1_sigmas() + [perm.transposition(8, 1, 2)]:
+        n = len(s)
+        assert _check_job_orbits(n, s, groups.centralizer_elements(s, n))
+
+
 @pytest.mark.long
 def test_a1_slices_match_scan_n8_n9():
-    # degrees 8 and 9 against a scan of S_n by perm.commutes
+    # degrees 8 and 9 against a scan of S_n by perm.commutes, and each
+    # job's orbit and stabilizer against scans of C(s)
     for n in (8, 9):
         s = perm.transposition(n, 1, 2)
         cent = groups.centralizer_elements(s, n)
         assert [(a1, size) for _, _, a1, size, _
                 in search._jobs(n, s, cent)] \
             == _brute_orbits(_plain_a1s(n, s), cent)
+        _check_job_orbits(n, s, cent)
 
 
 def _s_conj(p, s):

@@ -140,6 +140,23 @@ def test_assignment_rejects_list_images():
             Assignment(2, t, *images)
 
 
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_assignment_rejects_non_int_points(monkeypatch, warm):
+    # a tuple of lists, and a tuple of floats equal to a permutation, are
+    # refused with ValueError whether or not the permutations they look
+    # like are remembered
+    monkeypatch.setattr(words, "_PERMUTATIONS", set())
+    e = perm.identity(2)
+    s = perm.transposition(2, 1, 2)
+    if warm:
+        Assignment(2, s, s, e, e, e)        # (0, 1) and (1, 0) remembered
+    for bad in [([1], [0]), (1.0, 0.0)]:
+        with pytest.raises(ValueError, match=r"a1 is not a permutation"):
+            Assignment(2, s, bad, e, e, e)
+        with pytest.raises(ValueError, match=r"b2 is not a permutation"):
+            Assignment(2, s, e, e, e, bad)
+
+
 def test_assignment_accessors():
     sig = perm.parse_cycles("(1,2)", 3)
     a1 = perm.parse_cycles("(1,2,3)", 3)
