@@ -25,9 +25,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import io
-import json
 import os
 import signal
 import sys
@@ -145,14 +143,17 @@ def _progress_printer(n: int):
 
 
 def _dumps(doc) -> str:
+    import json  # here, as csv below: a command that writes none skips it
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def _dumps_line(doc) -> str:
+    import json
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def _csv_text(rows: Sequence[Sequence[object]]) -> str:
+    import csv
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerows(rows)

@@ -19,32 +19,36 @@ centralizer conditions:
 so the six R3/R4 relations say exactly: b1 in C(s a1 s), a2 and b2 in
 C(s a1 s) n C(s b1 s), and b2 in C(s a2 s).  The nested loops below run
 a1 over the elements of S_n that pass R2 (listed from their marked cycle
-types, see below), b1 over C1 = C(s a1 s), a2 over C2 = C1 n C(s b1 s),
-b2 over C3 = C2 n C(s a2 s), and check R2, the torus relation and
+types, see below), and draw b1, a2 and b2 from R1, the elements of
+C1 = C(s a1 s) that pass R2: b1 over R1, a2 over C2 = R1 n C(s b1 s),
+b2 over C3 = C2 n C(s a2 s).  They check the torus relation and
 transitivity explicitly, which is therefore the full solution set.
 Two skips, the a1 one among them, are sound necessary conditions, and
 one needs no test:
 
-  * R2(x) involves only x and s, so a failing x dooms its whole subtree;
+  * R2(x) involves only x and s, so a failing x dooms its whole subtree,
+    and R2 is tested once per element of C1;
   * the torus relation forces [a2, b2^-1] = k^-1 with k = [a1, b1^-1],
-    and k lies in C3 with a2 and b2: "y commutes with s x s" is
-    symmetric in x and y, so R2(a1), b1 in C1 and R2(b1) put a1 and b1
-    in C2, and a2 in C2 puts them in C(s a2 s);
+    and k centralizes s a1 s, s b1 s and s a2 s, as a2 and b2 do: "y
+    commutes with s x s" is symmetric in x and y, so R2(a1), b1 in C1
+    and R2(b1) put a1 and b1 in C(s a1 s) n C(s b1 s), and a2 in C2 puts
+    them in C(s a2 s);
   * that relation puts b2^-1 a2^-1 b2 = a2^-1 k^-1, conjugate elements
     share a cycle type, so a2^-1 and a2^-1 k^-1 must.
 
 Transitivity is tested exactly at the leaves, and also cut above them,
 each time by groups.is_transitive.  Every later coordinate lies in the
-centralizer list of its level: b1, a2 and b2 in C1, a2 and b2 in C2, b2
-in C3.  So the group a solution generates lies in <s, a1, C1>, and in
-<s, a1, b1, C2> and <s, a1, b1, a2, C3> below b1 and a2; if that group
-is not transitive, no solution below the prefix is, and its subtree is
-cut.  At the b1 and a2 levels the lists C2 and C3 are already built and
-are read until the orbit of a point holds every point.  At the a1 level
-no list is needed (_a1_transitive): an element of C(g) maps each cycle
-of g onto a cycle of the same length, and swapping two such cycles or
-rotating one centralizes g, so the point orbits of C(g) are exactly the
-unions of the cycles of g of equal length.
+centralizer list of its level: b1, a2 and b2 in C1 (and in R1), a2 and
+b2 in C2, b2 in C3.  So the group a solution generates lies in
+<s, a1, C1>, and in <s, a1, b1, C2> and <s, a1, b1, a2, C3> below b1
+and a2; if that group is not transitive, no solution below the prefix
+is, and its subtree is cut.  At the b1 and a2 levels the walk builds C2
+and C3 from R1 anyway, and reads them until the orbit of a point holds
+every point.  At the a1 level no list is needed (_a1_transitive): an
+element of C(g) maps each cycle of g onto a cycle of the same length,
+and swapping two such cycles or rotating one centralizes g, so the point
+orbits of C(g) are exactly the unions of the cycles of g of equal
+length.
 
 Every run walks below each a1 with one walk (_iter_for_a1), factored
 by symmetry (orderly generation in the sense of McKay, "Isomorph-free
@@ -54,16 +58,19 @@ H1 = C(s) n C(a1) before b1 and H2 = H1 n C(b1) before a2.  Conjugating
 coordinatewise by any h in H
   * fixes sigma and every coordinate of the prefix;
   * commutes with s, so h (s x s) h^-1 = s (h x h^-1) s and the next
-    candidate list (S_n, C1 or C2) is mapped onto itself;
+    candidate list (S_n, R1 or C2) is mapped onto itself;
   * preserves R2, cycle types, the torus relation and transitivity (it
     conjugates the group each transitivity prune tests), so it maps
     candidates that pass a prune to candidates that pass it, and
     solutions to solutions.
 Hence the number of solutions below (prefix, x) is constant on each
 H-orbit of the candidates x.  The walk visits one candidate per orbit
-and multiplies by the orbit size (_orbit_reps), at the b1 level over C1
-after the R2(b1) prune, and at the a2 level over C2 after the R2(a2)
-and cycle-type prunes.  Over the trivial group it is the plain loop.
+and multiplies by the orbit size (_orbit_reps), at the b1 level over R1
+and at the a2 level over C2; the cycle-type test is H2-invariant, so it
+is made on the representative alone.  Each orbit is built breadth first
+from generators of H, as the a1 orbits are below.  Over the trivial
+group the walk gives every solution once, in an order that reaches no
+output (see the end).
 
 The a1 level scans no S_n (_jobs).  With p and q the points s
 moves, C(s) = <s> x Sym(the other points), so two permutations are
@@ -130,10 +137,12 @@ solutions with a1 = r are the H1-orbits of the job's leaves, and one g
 per H1-coset of C(s) conjugates them onto those with a1 = g^-1 r g,
 each a1 of the class once; the images of every job, so moved, are those
 with a1 = ().  A solution keeps the leaf or image it comes from,
-conjugate to it, so `list` fingerprints one set per leaf or image.  The
-plain loop's order is a1 sorted, then b1 in C1, a2 in C2 and b2 in C3
-order; _block builds C2 as the walk does, but only below prefixes that
-carry a solution, and reads b2 off the list that C3 filters (_route).
+conjugate to it, so `list` fingerprints one set per leaf or image.
+`list` writes a1 sorted, then b1 in C1 order, a2 in the order in which
+_intersect_next lists C1 n C(s b1 s), and b2 in the order of the list
+_route picks for C3; _block builds these lists, but only below prefixes
+that carry a solution.  The walk's own order reaches no output: counts,
+classes and expansions read only the H1-orbits of its leaves.
 
 Exact agreement with the relation-table-driven brute force is enforced
 by brute_force_oracle and its tests, not assumed.
@@ -258,62 +267,48 @@ def _cycles_perm(n: int, cycles: Iterable[Sequence[int]]) -> Perm:
     return tuple(image)
 
 
-def _orbit_reps(group: Sequence[Perm], items: Iterable[tuple]
-                ) -> Iterable[Tuple[tuple, int]]:
-    """One (item, orbit size) per orbit of group, acting by conjugation,
-    on the candidate items, each a tuple led by its permutation; the b1
+def _orbit(x: Perm, gens: Sequence[Perm]) -> set:
+    """The orbit of x under conjugation by the group gens generate, built
+    breadth first (Butler, LNCS 559, 1991)."""
+    orbit, frontier = {x}, [x]
+    for y in frontier:
+        new = {perm.conjugate(y, g) for g in gens} - orbit
+        orbit |= new
+        frontier += new
+    return orbit
+
+
+def _orbit_reps(group: Sequence[Perm], items: Iterable[Perm]
+                ) -> Iterable[Tuple[Perm, int]]:
+    """One (x, orbit size) per orbit of group, acting by conjugation, on
+    the permutations items, which must be a union of its orbits; the b1
     and a2 levels of the walk use it.
 
-    group lists every element of the acting group and the permutations
-    must be a union of its orbits.  An orbit is represented by its first
-    item, and orbits come in the order of their representatives;
-    lexicographically ordered items therefore give lexicographically
-    least representatives.  Over the trivial group every item comes with
-    weight 1, in its own order, and no set is built.
+    An orbit is represented by its first item, and orbits come in the
+    order of their representatives.  They are built from generators of
+    group, each element not in the closure of those chosen before it;
+    AssertionError unless these close to exactly the elements group
+    lists.  Over the trivial group every item comes with weight 1, in its
+    own order, and no set is built.
     """
-    if len(group) == 1:
+    gens: List[Perm] = []
+    closed = frozenset([perm.identity(len(group[0]))])
+    for h in group:
+        if h not in closed:
+            gens.append(h)
+            closed = groups.closure(gens, len(h))
+    if len(closed) != len(group) or closed != frozenset(group):
+        raise AssertionError("the acting list is not a group")
+    if not gens:
         return zip(items, itertools.repeat(1))
     seen: set = set()
-    reps: List[Tuple[tuple, int]] = []
-    for item in items:
-        x = item[0]
-        if x in seen:
-            continue
-        orbit = {perm.conjugate(x, h) for h in group}
-        seen |= orbit
-        reps.append((item, len(orbit)))
+    reps: List[Tuple[Perm, int]] = []
+    for x in items:
+        if x not in seen:
+            orbit = _orbit(x, gens)
+            seen |= orbit
+            reps.append((x, len(orbit)))
     return reps
-
-
-def _b1_candidates(s: Perm, a1: Perm, c1: Sequence[Perm]
-                   ) -> Iterator[Tuple[Perm, Perm, Perm]]:
-    """(b1, s b1 s, k) with k = [a1, b1^-1] for every b1 in C1 that
-    passes R2(b1), in C1 order."""
-    a1_inv = perm.inverse(a1)
-    for b1 in c1:
-        sb1s = perm.conjugate(b1, s)
-        if not perm.commutes(b1, sb1s):                    # R2(b1)
-            continue
-        b1_inv = perm.inverse(b1)
-        yield b1, sb1s, tuple(b1[a1_inv[b1_inv[x]]] for x in a1)
-
-
-def _a2_candidates(s: Perm, k: Perm, c2: Sequence[Perm]
-                   ) -> Iterator[Tuple[Perm, Perm, Perm, Perm]]:
-    """(a2, s a2 s, a2^-1, target) for every a2 in C2 that passes R2(a2)
-    and the cycle-type test, in C2 order."""
-    cycle_type = perm.cycle_type
-    k_inv = perm.inverse(k)
-    for a2 in c2:
-        sa2s = perm.conjugate(a2, s)
-        if not perm.commutes(a2, sa2s):                    # R2(a2)
-            continue
-        a2_inv = perm.inverse(a2)
-        # torus relation, rearranged: b2^-1 a2^-1 b2 = a2^-1 k^-1
-        target = tuple(k_inv[x] for x in a2_inv)
-        if cycle_type(a2_inv) != cycle_type(target):
-            continue
-        yield a2, sa2s, a2_inv, target
 
 
 def _iter_for_a1(n: int, s: Perm, a1: Perm, stab: Sequence[Perm]
@@ -324,19 +319,30 @@ def _iter_for_a1(n: int, s: Perm, a1: Perm, stab: Sequence[Perm]
     stab lists a subgroup of C(s) n C(a1): the b1 level walks one
     candidate per stab-orbit and the a2 level one per orbit of its
     subgroup fixing b1, and the weights sum to the count below a1.
-    Over the trivial group this is the plain loop: every solution once,
-    in order, with weight 1.
+    b1, a2 and b2 are drawn from R1, the elements of C1 that pass R2, and
+    over the trivial group every solution comes once, with weight 1.
     """
     sa1s = perm.conjugate(a1, s)
-    c1 = groups.centralizer_elements(sa1s, n)
-    for (b1, sb1s, k), w1 in _orbit_reps(stab, _b1_candidates(s, a1, c1)):
-        c2 = _intersect_next(c1, (sa1s,), sb1s)
+    r1 = [x for x in groups.centralizer_elements(sa1s, n)
+          if perm.commutes(x, perm.conjugate(x, s))]            # R2
+    a1_inv = perm.inverse(a1)
+    cycle_type = perm.cycle_type
+    for b1, w1 in _orbit_reps(stab, r1):
+        sb1s = perm.conjugate(b1, s)
+        c2 = [x for x in r1 if perm.commutes(x, sb1s)]
         if not groups.is_transitive((s, a1, b1, *c2), n):      # a2, b2 in C2
             continue
+        b1_inv = perm.inverse(b1)
+        k_inv = perm.inverse(tuple(b1[a1_inv[b1_inv[x]]] for x in a1))
         stab2 = [h for h in stab if perm.commutes(h, b1)]
-        for (a2, sa2s, a2_inv, target), w2 in _orbit_reps(
-                stab2, _a2_candidates(s, k, c2)):
-            c3 = _intersect_next(c2, (sa1s, sb1s), sa2s)
+        for a2, w2 in _orbit_reps(stab2, c2):
+            a2_inv = perm.inverse(a2)
+            # torus relation, rearranged: b2^-1 a2^-1 b2 = a2^-1 k^-1
+            target = tuple(k_inv[x] for x in a2_inv)
+            if cycle_type(a2_inv) != cycle_type(target):
+                continue
+            sa2s = perm.conjugate(a2, s)
+            c3 = [x for x in c2 if perm.commutes(x, sa2s)]
             if not groups.is_transitive((s, a1, b1, a2, *c3), n):  # b2 in C3
                 continue
             for b2 in c3:
@@ -346,8 +352,6 @@ def _iter_for_a1(n: int, s: Perm, a1: Perm, stab: Sequence[Perm]
                         ok = False
                         break
                 if not ok:
-                    continue
-                if not perm.commutes(b2, perm.conjugate(b2, s)):  # R2(b2)
                     continue
                 raw = (a1, a2, b1, b2)
                 if groups.is_transitive((s,) + raw, n):
@@ -408,7 +412,7 @@ def _expand(job: tuple, outputs: Iterable[_Output], cent: Sequence[Perm],
 def _block(n: int, s: Perm, a1: Perm, entries: Iterable[tuple]
            ) -> Iterator[Tuple[RawSolution, Assignment]]:
     """The solutions with this a1 in its entries (_expand), each with its
-    leaf or image, in the plain walk's order (module docstring)."""
+    leaf or image, in the order `list` writes (module docstring)."""
     tree: Dict[Perm, Dict[Perm, Dict[Perm, Assignment]]] = {}
     for closed, g in entries:
         moved: Dict[Perm, Perm] = {}
@@ -490,11 +494,7 @@ def _jobs(n: int, s: Perm, cent: Sequence[Perm]) -> List[tuple]:
         if not (perm.commutes(a1, perm.conjugate(a1, s))   # R2(a1)
                 and _a1_transitive(n, s, a1)):
             continue
-        orbit, frontier = {a1}, [a1]
-        for x in frontier:  # breadth first
-            new = {perm.conjugate(x, g) for g in gens} - orbit
-            orbit |= new
-            frontier += new
+        orbit = _orbit(a1, gens)
         r = min(orbit)
         stab = _intersect_next(cent, (s,), r) if len(orbit) > 1 else cent
         if len(orbit) * len(stab) != len(cent):
@@ -631,8 +631,8 @@ def enumerate_fixed_sigma(n: int, collect: bool = False, *,
     one slice that walks (all but a1 = ()), forked worker processes
     search those.  The result, the solutions and the progress calls
     (slices done, slices in all) are the same for every worker count.
-    Once every slice is in, sink gets each solution in the plain loop's
-    order, with the leaf or image it comes from, a C(s)-conjugate.
+    Once every slice is in, sink gets each solution in the order `list`
+    writes, with the leaf or image it comes from, a C(s)-conjugate.
     """
     _check_run(n, workers)
     s = _resolve_sigma(n, sigma)

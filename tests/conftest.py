@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from braidcovers import perm, search
+from braidcovers import groups, perm, search
 
 
 def pytest_collection_modifyitems(config, items):
@@ -48,6 +48,52 @@ def reversed_pool(jobs, size, oom):
     whose jobs finish last to first."""
     for i in reversed(range(1, len(jobs))):
         yield i, search._search_chunk(jobs[i])
+
+
+def plain_loop(n, s):
+    """Every solution with sigma image s, in the order `list` writes: a1
+    in lexicographic order, b1 in the order of C1 = C(s a1 s), a2 in the
+    order in which search._intersect_next lists C2 = C1 n C(s b1 s), and
+    b2 in the order of the list search._route picks for C3 = C2 n
+    C(s a2 s).  This is the factored walk over the trivial group as it
+    was before it drew its lists from the elements of C1 that pass R2:
+    each level is cut by R2, the a1 prune and transitivity of <s, prefix,
+    list of the level>, a2 by the cycle-type test of the torus relation,
+    and each leaf must pass the torus relation, R2 and transitivity."""
+    out = []
+    for a1 in itertools.permutations(range(n)):
+        sa1s = perm.conjugate(a1, s)
+        if not (perm.commutes(a1, sa1s) and search._a1_transitive(n, s, a1)):
+            continue
+        c1 = groups.centralizer_elements(sa1s, n)
+        for b1 in c1:
+            sb1s = perm.conjugate(b1, s)
+            if not perm.commutes(b1, sb1s):
+                continue
+            c2 = search._intersect_next(c1, (sa1s,), sb1s)
+            if not groups.is_transitive((s, a1, b1, *c2), n):
+                continue
+            # the torus relation says b2^-1 a2^-1 b2 = a2^-1 k^-1, with
+            # k = [a1, b1^-1]
+            k_inv = perm.compose(perm.compose(perm.compose(
+                perm.inverse(b1), a1), b1), perm.inverse(a1))
+            for a2 in c2:
+                sa2s = perm.conjugate(a2, s)
+                if not perm.commutes(a2, sa2s):
+                    continue
+                a2_inv = perm.inverse(a2)
+                target = perm.compose(a2_inv, k_inv)
+                if perm.cycle_type(a2_inv) != perm.cycle_type(target):
+                    continue
+                c3 = search._intersect_next(c2, (sa1s, sb1s), sa2s)
+                if not groups.is_transitive((s, a1, b1, a2, *c3), n):
+                    continue
+                for b2 in c3:
+                    if (perm.conjugate(a2_inv, b2) == target
+                            and perm.commutes(b2, perm.conjugate(b2, s))
+                            and groups.is_transitive((s, a1, a2, b1, b2), n)):
+                        out.append((a1, a2, b1, b2))
+    return out
 
 
 def reference_centralizer(g, n):

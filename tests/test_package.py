@@ -53,6 +53,24 @@ def test_cli_loads_no_dataclasses_or_inspect():
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
+def test_text_commands_load_no_json_or_csv():
+    # json and csv are imported only by the code that writes them, so the
+    # text forms of invariants and count start without either
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "from braidcovers import cli\n"
+        "assert cli.main(['invariants', '--n', '2']) == 0\n"
+        "assert cli.main(['count', '--n', '5']) == 0\n"
+        "print(sorted({'json', 'csv'} & (set(sys.modules) - before)))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(braidcovers.__file__))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 _S = perm.transposition(2, 1, 2)
 _E = perm.identity(2)
 # each record with the names of its fields

@@ -11,7 +11,7 @@ import time
 import pytest
 
 from braidcovers import groups, perm, search, words
-from conftest import full_orbit_check, reversed_pool
+from conftest import full_orbit_check, plain_loop, reversed_pool
 
 EXPECTED_FIXED = {2: 16, 3: 80, 4: 480, 5: 0, 6: 2880}
 EXPECTED_ORBITS = {2: 16, 3: 40, 4: 240}
@@ -541,9 +541,10 @@ def test_marked_types_match_cauchy_frobenius():
 
 
 def test_b1_orbits_partition_filtered_c1():
-    # the orbit helper at the b1 level: the orbits of C(s) n C(a1) on the
-    # pruned C1 are disjoint, each lies inside the candidates, and they
-    # cover the candidates, each led by its first candidate
+    # the orbit helper at the b1 level: the orbits of C(s) n C(a1) on R1,
+    # the elements of C1 that pass R2, are disjoint, each lies inside the
+    # candidates, and they cover the candidates, each led by its first
+    # candidate
     n = 5
     s = perm.transposition(n, 1, 2)
     cent = groups.centralizer_elements(s, n)
@@ -553,14 +554,10 @@ def test_b1_orbits_partition_filtered_c1():
         if not perm.commutes(a1, sa1s):
             continue
         stab = [h for h in cent if perm.commutes(h, a1)]
-        items = list(search._b1_candidates(
-            s, a1, groups.centralizer_elements(sa1s, n)))
-        cands = [b1 for b1, _, _ in items]
-        reps = list(search._orbit_reps(stab, items))
+        cands = _r1(n, s, a1)
+        reps = list(search._orbit_reps(stab, cands))
         covered = set()
-        for item, size in reps:
-            rep = item[0]
-            assert item == items[cands.index(rep)]  # the whole item
+        for rep, size in reps:
             orbit = {perm.conjugate(rep, h) for h in stab}
             assert len(orbit) == size
             assert orbit <= set(cands)
@@ -578,13 +575,62 @@ def test_orbit_reps_over_trivial_group_keep_every_item():
     # item, in its own order, with weight 1
     n = 4
     s = perm.transposition(n, 1, 2)
-    a1 = perm.parse_cycles("(1,3)(2,4)", n)
-    sa1s = perm.conjugate(a1, s)
-    items = list(search._b1_candidates(
-        s, a1, groups.centralizer_elements(sa1s, n)))
+    items = _r1(n, s, perm.parse_cycles("(1,3)(2,4)", n))
     assert len(items) > 1
     weighted = list(search._orbit_reps([perm.identity(n)], iter(items)))
     assert weighted == [(item, 1) for item in items]
+
+
+def _orbit_reps_by_elements(group, items):
+    # one (first item, orbit size) per orbit, the orbit built by
+    # conjugating by every element of group
+    seen, reps = set(), []
+    for x in items:
+        if x not in seen:
+            orbit = {perm.conjugate(x, h) for h in group}
+            seen |= orbit
+            reps.append((x, len(orbit)))
+    return reps
+
+
+def test_orbit_reps_by_generators_match_every_element(monkeypatch):
+    # every H1 and H2 the walks of the count runs at n <= 7 act by, on the
+    # lists they act on: the orbits built from generators give the same
+    # representatives and weights as conjugating by every element
+    calls = []
+    orbit_reps = search._orbit_reps
+
+    def spy(group, items):
+        items = list(items)
+        reps = list(orbit_reps(group, items))
+        calls.append((group, items, reps))
+        return reps
+
+    monkeypatch.setattr(search, "_orbit_reps", spy)
+    for n in range(2, 8):
+        search.enumerate_fixed_sigma(n)
+    for group, items, reps in calls:
+        assert reps == _orbit_reps_by_elements(group, items)
+    sizes = {len(group) for group, _, _ in calls}
+    assert len(calls) > 30 and 1 in sizes and max(sizes) > 2
+
+
+def test_orbit_reps_refuse_a_list_that_is_not_a_group():
+    # C(s) with one element missing, with one element twice, or a
+    # 3-cycle without its inverse does not close to the list given
+    for n in (4, 5, 6):
+        s = perm.transposition(n, 1, 2)
+        cent = groups.centralizer_elements(s, n)
+        items = [perm.identity(n)]
+        for i in (0, 1, len(cent) // 2, len(cent) - 1):
+            with pytest.raises(AssertionError):
+                search._orbit_reps(cent[:i] + cent[i + 1:], items)
+        with pytest.raises(AssertionError):
+            search._orbit_reps(cent + cent[-1:], items)
+        with pytest.raises(AssertionError):
+            search._orbit_reps(
+                [perm.identity(n), perm.parse_cycles("(1,2,3)", n)], items)
+        assert search._orbit_reps(cent, items) == [(items[0], 1)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -661,10 +707,12 @@ def _s_conj(p, s):
 
 
 def _level_list(s, prefix, c1):
-    # the elements of c1 = C(s a1 s) that commute with s x s for every
-    # later x in the prefix: C2 below (a1, b1), C3 below (a1, b1, a2)
+    # the elements of c1 = C(s a1 s) that pass R2 and commute with s x s
+    # for every later x in the prefix: C2 below (a1, b1), C3 below
+    # (a1, b1, a2)
     later = [_s_conj(x, s) for x in prefix[1:]]
-    return [z for z in c1 if all(perm.commutes(z, y) for y in later)]
+    return [z for z in c1 if perm.commutes(z, _s_conj(z, s))
+            and all(perm.commutes(z, y) for y in later)]
 
 
 def _reference_transitive(n, s, prefix, group):
@@ -675,6 +723,11 @@ def _reference_transitive(n, s, prefix, group):
 
 def _c1(n, s, a1):
     return groups.centralizer_elements(_s_conj(a1, s), n)
+
+
+def _r1(n, s, a1):
+    # R1: the elements of C1 that pass R2, in C1 order
+    return [x for x in _c1(n, s, a1) if perm.commutes(x, _s_conj(x, s))]
 
 
 def test_a1_prune_matches_reference():
@@ -696,12 +749,12 @@ def _same_list(tail, expected):
 
 
 def test_prune_verdicts_match_reference(monkeypatch):
-    # every transitivity test the unfiltered plain loop makes at n=6 goes
-    # through groups.is_transitive: at the a1 level (s, a1, u), at the b1
-    # level (s, a1, b1) and all of C2, at the a2 level (s, a1, b1, a2) and
-    # all of C3, and at the leaves (s, a1, a2, b1, b2) of
-    # relation-satisfying tuples; each prune verdict equals the reference
-    # from explicit lists
+    # every transitivity test the walk over the trivial group makes at n=6
+    # goes through groups.is_transitive: at the a1 level (s, a1, u), at
+    # the b1 level (s, a1, b1) and all of C2, at the a2 level
+    # (s, a1, b1, a2) and all of C3, and at the leaves (s, a1, a2, b1, b2)
+    # of relation-satisfying tuples, C2 and C3 holding only elements that
+    # pass R2; each prune verdict equals the reference from explicit lists
     n = 6
     s = perm.transposition(n, 1, 2)
     real = groups.is_transitive
@@ -714,7 +767,9 @@ def test_prune_verdicts_match_reference(monkeypatch):
 
     with monkeypatch.context() as patched:
         patched.setattr(groups, "is_transitive", spy)
-        assert len(_plain_walk(n, s)) == 2880
+        e = perm.identity(n)
+        assert sum(1 for a1 in _plain_a1s(n, s)
+                   for _ in search._iter_for_a1(n, s, a1, [e])) == 2880
     lists = {}
 
     def level(prefix):
@@ -807,11 +862,17 @@ def _plain_a1s(n, s):
 
 
 def _plain_walk(n, s):
-    # the plain loop below every a1 of _plain_a1s: every solution once,
-    # in order
+    # the walk over the trivial group below every a1 of _plain_a1s: every
+    # solution once, in an order of its own
+    return [raw for a1 in _plain_a1s(n, s) for raw in _trivial_walk(n, s, a1)]
+
+
+@functools.lru_cache(maxsize=None)
+def _trivial_walk(n, s, a1):
+    # the solutions below a1 by the walk over the trivial group, kept:
+    # two long tests walk below a1 = () at degree 8, about 10 s each
     e = perm.identity(n)
-    return [raw for a1 in _plain_a1s(n, s)
-            for raw, _ in search._iter_for_a1(n, s, a1, [e])]
+    return tuple(raw for raw, _ in search._iter_for_a1(n, s, a1, [e]))
 
 
 def _stab(n, s, a1):
@@ -905,11 +966,11 @@ _SIGMAS = [perm.transposition(n, 1, 2) for n in range(2, 8)] + [
                          + perm.format_cycles(sig))
 def test_filtered_walk_is_the_plain_walk(sig):
     # collecting and streaming runs expand the factored jobs' outputs and
-    # write them in the plain loop's order, for any worker count: the
-    # same solutions, in the same order, each with a job output that has
-    # the same sigma and is conjugate to it under C(sigma)
+    # write them in the reference plain loop's order, for any worker
+    # count: the same solutions, in the same order, each with a job output
+    # that has the same sigma and is conjugate to it under C(sigma)
     n = len(sig)
-    plain = _plain_walk(n, sig)
+    plain = plain_loop(n, sig)
     cent = groups.centralizer_elements(sig, n)
     for workers in (1, 2):
         res = search.enumerate_fixed_sigma(n, collect=True, sigma=sig,
@@ -1050,20 +1111,23 @@ def test_least_is_min_of_orbit():
 
 def test_k_lies_in_c3_at_every_node():
     # k = [a1, b1^-1] commutes with s a1 s and s b1 s at every (a1, b1)
-    # node and with s a2 s at every (a1, b1, a2) node below it that passes
-    # R2(a2), for every a1 that passes R2(a1): the walk needs no k test
+    # node, b1 in R1, and with s a2 s at every (a1, b1, a2) node below it,
+    # a2 in C2 = R1 n C(s b1 s), for every a1 that passes R2(a1): the walk
+    # needs no k test
     nodes = 0
     for n in range(2, 7):
         s = perm.transposition(n, 1, 2)
         for a1 in _r2_scan(n, s):
             sa1s = _s_conj(a1, s)
-            c1 = groups.centralizer_elements(sa1s, n)
-            for b1, sb1s, k in search._b1_candidates(s, a1, c1):
+            r1 = _r1(n, s, a1)
+            for b1 in r1:
+                sb1s = _s_conj(b1, s)
+                k = perm.compose(perm.compose(perm.compose(
+                    a1, perm.inverse(b1)), perm.inverse(a1)), b1)
                 assert perm.commutes(k, sa1s) and perm.commutes(k, sb1s)
-                for a2 in search._intersect_next(c1, (sa1s,), sb1s):
-                    sa2s = _s_conj(a2, s)
-                    if perm.commutes(a2, sa2s):
-                        assert perm.commutes(k, sa2s), (a1, b1, a2)
+                for a2 in r1:
+                    if perm.commutes(a2, sb1s):
+                        assert perm.commutes(k, _s_conj(a2, s)), (a1, b1, a2)
                         nodes += 1
     assert nodes
 
@@ -1095,13 +1159,11 @@ def test_factored_n8_heavy_subtrees():
     n = 8
     s = perm.transposition(n, 1, 2)
     cent = groups.centralizer_elements(s, n)
-    trivial = [perm.identity(n)]
     for a1, expected in ((perm.identity(n), 17280),
                          (perm.transposition(n, 1, 2), 0)):
         assert sum(w for _, w in search._iter_for_a1(n, s, a1, cent)) \
             == expected
-        assert sum(1 for _ in search._iter_for_a1(n, s, a1, trivial)) \
-            == expected
+        assert len(_trivial_walk(n, s, a1)) == expected
     # and the a1 = () count by the Nielsen move and the handle swap
     assert _unit_subtree_route(n, s) == 17280
 
