@@ -7,32 +7,36 @@ decomposes them into conjugacy classes, fingerprints the image groups,
 and reports the invariants of the associated branched double covers.
 """
 
-from .groups import (GroupFingerprint, centralizer_elements,
-                     centralizer_order, closure, fingerprint, is_transitive)
-from .perm import (compose, conjugate, cycle_type, format_cycles, identity,
-                   inverse, is_transposition, order_of, parse_cycles,
-                   transposition)
-from .search import (EnumerationResult, Orbit, analyze, brute_force_oracle,
-                     classify, enumerate_fixed_sigma, orbit_decomposition)
-from .surface import (ExistenceReport, SurfaceInvariants, existence_verdict,
-                      invariants_for)
-from .words import (RELATORS, Assignment, Gen, Relator, evaluate,
-                    satisfies_all_relations)
+# the submodule that defines each export, in the order of __all__;
+# __getattr__ imports it on first use, so a command loads only what it runs
+_SOURCE = {
+    "Assignment": "words", "EnumerationResult": "search",
+    "ExistenceReport": "surface", "Gen": "words", "GroupFingerprint": "groups",
+    "Orbit": "search", "RELATORS": "words", "Relator": "words",
+    "SurfaceInvariants": "surface", "analyze": "search",
+    "brute_force_oracle": "search", "centralizer_elements": "groups",
+    "centralizer_order": "groups", "classify": "search", "closure": "groups",
+    "compose": "perm", "conjugate": "perm", "cycle_type": "perm",
+    "enumerate_fixed_sigma": "search", "evaluate": "words",
+    "existence_verdict": "surface", "fingerprint": "groups",
+    "format_cycles": "perm", "identity": "perm", "invariants_for": "surface",
+    "inverse": "perm", "is_transitive": "groups", "is_transposition": "perm",
+    "orbit_decomposition": "search", "order_of": "perm",
+    "parse_cycles": "perm", "satisfies_all_relations": "words",
+    "transposition": "perm",
+}
+
+
+def __getattr__(name: str):
+    """An export or a submodule, imported on first access (PEP 562)."""
+    module = _SOURCE.get(name, name)
+    if module not in _SOURCE.values():
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    value = import_module(f"{__name__}.{module}")
+    return value if module == name else getattr(value, name)
+
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Assignment", "EnumerationResult", "ExistenceReport",
-    "Gen", "GroupFingerprint", "Orbit", "RELATORS", "Relator",
-    "SurfaceInvariants",
-    "analyze", "brute_force_oracle", "centralizer_elements",
-    "centralizer_order",
-    "classify", "closure", "compose", "conjugate",
-    "cycle_type",
-    "enumerate_fixed_sigma", "evaluate",
-    "existence_verdict", "fingerprint", "format_cycles", "identity",
-    "invariants_for", "inverse",
-    "is_transitive", "is_transposition", "orbit_decomposition", "order_of",
-    "parse_cycles", "satisfies_all_relations",
-    "transposition", "__version__",
-]
+__all__ = [*_SOURCE, "__version__"]

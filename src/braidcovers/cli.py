@@ -1,13 +1,8 @@
-"""Command-line interface.
+"""Command-line interface: braidcovers COMMAND --n N [FLAG ...].
 
-Subcommands:
-
-    count       enumerate one degree and print the counts
-    table       counts, surface numbers and optional orbit data over a range
-    orbits      conjugacy classes of the fixed-sigma solution set
-    list        stream every solution as one JSON object per line
-    oracle      compare the engine against the unpruned relation scan (n <= 4)
-    invariants  surface invariants only, no enumeration
+`--help` lists the commands, `COMMAND --help` the flags it reads.  A
+flag is matched by its full name, with its value as `--flag value` or
+`--flag=value`.  A command imports only the modules it runs.
 
 Every searching command runs the orbit-factored count search.
 `orbits`, and `count`/`table` with --collect, report the conjugacy
@@ -23,16 +18,19 @@ interrupted or terminated run leaves no --out file behind.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import io
 import os
 import signal
 import sys
-from typing import Dict, Iterator, List, Optional, Sequence, TextIO
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, TextIO
 
-from . import groups, perm, search, surface
-from .words import Assignment
+from . import surface
+
+if TYPE_CHECKING:
+    from . import groups, search
+    from .words import Assignment
 
 LONG_DEGREE = 8  # searches from here up want an explicit go-ahead
 
@@ -50,20 +48,14 @@ def _terminate(signum, frame):
     raise _Terminated
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str):  # argparse would exit(2); we want 1
-        raise UsageError(message)
-
-
 def _degree(text: str) -> int:
     """A --n value of the single-degree commands: an integer from 2."""
     try:
         n = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected one degree, got {text!r}") from None
+        raise UsageError(f"--n: expected one degree, got {text!r}") from None
     if n < 2:
-        raise argparse.ArgumentTypeError(f"degree must be at least 2, got {n}")
+        raise UsageError(f"--n: degree must be at least 2, got {n}")
     return n
 
 
@@ -74,47 +66,79 @@ def _degrees(text: str) -> List[int]:
     lo = _degree(lo_text)
     hi = _degree(hi_text) if dots else lo
     if lo > hi:
-        raise argparse.ArgumentTypeError(f"empty degree range: {text!r}")
+        raise UsageError(f"--n: empty degree range: {text!r}")
     return list(range(lo, hi + 1))
 
 
-# add_argument keywords of every flag beside --n
+# each flag beside --n: the field it sets, its default and help; a switch
+# has default False, any other flag takes a value, of its type and choices
 _FLAGS: Dict[str, Dict[str, object]] = {
-    "--workers": dict(type=int, default=1,
+    "--workers": dict(dest="workers", default=1, type=int,
                       help="search processes (default 1, the reference mode)"),
-    "--format": dict(choices=("text", "csv", "json"), default="text",
-                     dest="fmt"),
-    "--out": dict(default=None, help="write output to this file"),
-    "--confirm-long": dict(action="store_true",
+    "--format": dict(dest="fmt", default="text", choices=("text", "csv", "json"),
+                     help="text, csv or json (default text)"),
+    "--out": dict(dest="out", default=None, help="write output to this file"),
+    "--confirm-long": dict(dest="confirm_long", default=False,
                            help=f"required for degrees >= {LONG_DEGREE}"),
-    "--collect": dict(action="store_true",
-                      help=("report conjugacy classes and image groups, one "
-                            "representative per class; no solutions are "
-                            "kept")),
+    "--collect": dict(dest="collect", default=False,
+                      help="report conjugacy classes and image groups, "
+                           "keeping no solutions"),
 }
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(
-        prog="braidcovers",
-        description=("Transitive transposition-class representations of the "
-                     "genus-2 two-string surface braid group, and the "
-                     "branched covers they classify."),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text, ranged, flags) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--n", required=True,
-                       type=_degrees if ranged else _degree,
-                       metavar="N|A..B" if ranged else "N",
-                       help="covering degree" + (" or inclusive range a..b" if ranged else ""))
-        for flag in flags:
-            p.add_argument(flag, **_FLAGS[flag])
-    return parser
+def _usage(command: str) -> str:
+    """The --help text: one command's flags, or else the commands."""
+    if command in _COMMANDS:
+        ranged, flags = _COMMANDS[command][2:]
+        rows = [("--n", "covering degree" + (" or range a..b" if ranged else ""))]
+        rows += [(flag, _FLAGS[flag]["help"]) for flag in flags]
+    else:
+        command, rows = "COMMAND", [(name, c[1]) for name, c in _COMMANDS.items()]
+    rows.append(("-h, --help", "show this help; after a command, its flags"))
+    return f"usage: braidcovers {command} --n N [FLAG ...]\n\n" + "".join(
+        f"  {name:<16}{text}\n" for name, text in rows)
 
 
-def _check(args: argparse.Namespace) -> None:
-    """Every check of the command line that argparse does not make, run
+def _parse(argv: Sequence[str]) -> SimpleNamespace:
+    """The fields a command reads: command, n and one per flag it takes.
+    -h or --help prints usage and exits 0; other bad lines raise UsageError."""
+    command, *rest = argv or [""]
+    if "-h" in argv or "--help" in argv:
+        print(_usage(command), end="")
+        raise SystemExit(0)
+    if command not in _COMMANDS:
+        raise UsageError(f"expected a command, got {command!r}; see --help")
+    ranged, flags = _COMMANDS[command][2:]
+    specs = {"--n": dict(dest="n", default=None, type=_degrees if ranged else _degree),
+             **{flag: _FLAGS[flag] for flag in flags}}
+    fields = {spec["dest"]: spec["default"] for spec in specs.values()}
+    words = iter(rest)
+    for word in words:
+        flag, eq, value = word.partition("=")
+        spec = specs.get(flag)
+        if spec is None:
+            raise UsageError(f"{command} does not take {word!r}")
+        if spec["default"] is False:  # a switch
+            if eq:
+                raise UsageError(f"{flag} takes no value")
+            value = True
+        else:
+            if not eq and (value := next(words, "--")).startswith("--"):
+                raise UsageError(f"{flag} needs a value")  # no word, or a flag
+            try:
+                value = spec.get("type", str)(value)
+            except ValueError:
+                raise UsageError(f"{flag}: invalid value {value!r}") from None
+            if value not in spec.get("choices", (value,)):
+                raise UsageError(f"{flag}: {value!r} is not one of {spec['choices']}")
+        fields[spec["dest"]] = value
+    if fields["n"] is None:
+        raise UsageError(f"{command} needs --n")
+    return SimpleNamespace(command=command, **fields)
+
+
+def _check(args: SimpleNamespace) -> None:
+    """Every check of the command line that _parse does not make, run
     before any command.  The degree gates hold for the searching
     commands, the ones that take --confirm-long."""
     if getattr(args, "workers", 1) < 1:
@@ -124,12 +148,13 @@ def _check(args: argparse.Namespace) -> None:
         raise UsageError(f"the unpruned scan is limited to degree <= 4, got {top}")
     if not hasattr(args, "confirm_long"):
         return
+    from . import search
+    if top > search.MAX_DEGREE:
+        raise UsageError(f"degree {top} exceeds the cap {search.MAX_DEGREE}")
     if top >= LONG_DEGREE and not args.confirm_long:
         raise UsageError(
             f"degree {top} can run for a long time; "
             f"pass --confirm-long to proceed")
-    if top > search.MAX_DEGREE:
-        raise UsageError(f"degree {top} exceeds the cap {search.MAX_DEGREE}")
 
 
 def _progress_printer(n: int):
@@ -192,18 +217,24 @@ def _output_file(path: str) -> Iterator[TextIO]:
 class _ImageCache:
     """Image fingerprints, through the generator-set memo of groups."""
 
+    def __init__(self) -> None:
+        from . import groups  # here, not per call: list calls get per line
+        self.groups = groups
+
     def get(self, sol: Assignment) -> groups.GroupFingerprint:
-        return groups.set_fingerprint(
+        return self.groups.set_fingerprint(
             frozenset((sol.sigma, sol.a1, sol.a2, sol.b1, sol.b2)), sol.n)
 
 
 def _solution_json(sol: Assignment, cache: _ImageCache) -> Dict[str, object]:
+    from . import perm
     doc = {name: perm.format_cycles(p)
            for name, p in zip(sol._fields[1:], sol[1:])}
     return {"n": sol.n, **doc, "image": cache.get(sol).to_json_dict()}
 
 
 def _result_json(res: search.EnumerationResult) -> Dict[str, object]:
+    from . import perm
     return {
         "n": res.n,
         "sigma": perm.format_cycles(res.sigma),
@@ -222,7 +253,8 @@ _TABLE_HEADER = ("n", "fixed_count", "transpositions", "total",
                  "orbit_count", "K2", "chi", "c2", "image_names")
 
 
-def _search_degree(n: int, args: argparse.Namespace) -> search.EnumerationResult:
+def _search_degree(n: int, args: SimpleNamespace) -> search.EnumerationResult:
+    from . import search
     if args.collect:
         res, _ = search.classify(
             n, workers=args.workers, progress=_progress_printer(n))
@@ -271,7 +303,7 @@ def _render_table(rows: List[Dict[str, object]], fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_count(args: argparse.Namespace, out: TextIO) -> int:
+def _cmd_count(args: SimpleNamespace, out: TextIO) -> int:
     n = args.n
     res = _search_degree(n, args)
     inv = surface.invariants_for(n)
@@ -300,13 +332,14 @@ def _cmd_count(args: argparse.Namespace, out: TextIO) -> int:
     return 0
 
 
-def _cmd_table(args: argparse.Namespace, out: TextIO) -> int:
+def _cmd_table(args: SimpleNamespace, out: TextIO) -> int:
     rows = [_table_row(_search_degree(n, args)) for n in args.n]
     out.write(_render_table(rows, args.fmt))
     return 0
 
 
-def _cmd_orbits(args: argparse.Namespace, out: TextIO) -> int:
+def _cmd_orbits(args: SimpleNamespace, out: TextIO) -> int:
+    from . import perm, search
     n = args.n
     res, orbits = search.classify(
         n, workers=args.workers, progress=_progress_printer(n))
@@ -341,11 +374,12 @@ def _cmd_orbits(args: argparse.Namespace, out: TextIO) -> int:
     return 0
 
 
-def _cmd_list(args: argparse.Namespace, out: TextIO) -> int:
+def _cmd_list(args: SimpleNamespace, out: TextIO) -> int:
     """Each line is _dumps_line(_solution_json(sol, cache)), assembled
     from the five cycle strings (which need no JSON escaping) and the
     JSON of the image group of the leaf or Nielsen image the solution is
     expanded from, made once per group."""
+    from . import perm, search
     n = args.n
     cache = _ImageCache()
     images: Dict[groups.GroupFingerprint, str] = {}
@@ -368,7 +402,8 @@ def _cmd_list(args: argparse.Namespace, out: TextIO) -> int:
     return 0
 
 
-def _cmd_oracle(args: argparse.Namespace, out: TextIO) -> int:
+def _cmd_oracle(args: SimpleNamespace, out: TextIO) -> int:
+    from . import search
     n = args.n
     engine = search.enumerate_fixed_sigma(n, collect=True,
                                           workers=args.workers)
@@ -395,7 +430,7 @@ def _cmd_oracle(args: argparse.Namespace, out: TextIO) -> int:
     return 0 if match else 2
 
 
-def _cmd_invariants(args: argparse.Namespace, out: TextIO) -> int:
+def _cmd_invariants(args: SimpleNamespace, out: TextIO) -> int:
     records = [surface.invariants_for(n) for n in args.n]
     if args.fmt == "json":
         out.write(_dumps({"rows": [r.to_json_dict() for r in records]}))
@@ -435,7 +470,7 @@ _COMMANDS = {
 def main(argv: Optional[Sequence[str]] = None) -> int:
     previous = signal.signal(signal.SIGTERM, _terminate)
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
         _check(args)
         command = _COMMANDS[args.command][0]
         if args.out is None:

@@ -152,6 +152,9 @@ def test_byte_identical_reruns(capsys):
     first = run(capsys, "list", "--n", "3")
     second = run(capsys, "list", "--n", "3")
     assert first == second
+    # a flag's value after "=" reads as the next word does
+    assert run(capsys, "count", "--n=4", "--format=csv") == run(
+        capsys, "count", "--n", "4", "--format", "csv")
 
 
 def test_workers_do_not_change_output(capsys):
@@ -408,6 +411,13 @@ def test_invariants_need_no_search_gates(capsys):
     assert "n=13" in out and "n=14" in out and "general_type=False" in out
 
 
+# what the error line of some command lines must say
+USAGE_MESSAGES = {
+    ("count", "--n", "13"): "exceeds the cap 12",
+    ("count", "--n", "4", "--conf"): "--conf",
+}
+
+
 @pytest.mark.parametrize("argv", [
     ("count", "--n", "nope"),
     ("count", "--n", "1"),
@@ -431,6 +441,15 @@ def test_invariants_need_no_search_gates(capsys):
     ("invariants", "--n", "3", "--confirm-long"),
     ("invariants", "--n", "3", "--collect"),
     ("invariants", "--n", "3", "--seed", "7"),
+    ("count", "--n", "13"),            # above the cap, without the go-ahead
+    (),                                # no command
+    ("count",),                        # no --n
+    ("count", "--n"),                  # a flag without its value
+    ("count", "--n", "4", "--workers"),
+    ("count", "--n", "4", "--workers", "two"),
+    ("count", "--n", "4", "stray"),
+    ("count", "--n", "4", "--conf"),   # flags match by full name only
+    ("count", "--n=4", "--format=yaml"),
 ])
 def test_usage_errors_exit_1(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -438,6 +457,7 @@ def test_usage_errors_exit_1(capsys, argv):
     assert out == ""
     assert "error" in err.lower()
     assert err.count("\n") == 1
+    assert USAGE_MESSAGES.get(argv, "") in err
 
 
 # the flags each command's help names beside --n and --help
@@ -455,11 +475,12 @@ HELP_FLAGS = {
 def test_command_help_names_its_flags(capsys, command):
     import re
 
-    with pytest.raises(SystemExit) as exc:
-        cli.main([command, "--help"])
-    assert exc.value.code == 0
-    named = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
-    assert named == {"--help", "--n", *HELP_FLAGS[command].split()}
+    for flag in ("--help", "-h"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, flag])
+        assert exc.value.code == 0
+        named = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+        assert named == {"--help", "--n", *HELP_FLAGS[command].split()}
 
 
 def test_unwritable_out_path_exits_1(capsys, tmp_path):
@@ -908,7 +929,10 @@ def test_gate_blocks_before_any_search(capsys):
     assert time.perf_counter() - t0 < 1.0
 
 
-def test_help_exits_zero():
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["--help"])
-    assert exc.value.code == 0
+def test_help_exits_zero(capsys):
+    for flag in ("--help", "-h"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([flag])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert all(command in out for command in HELP_FLAGS)

@@ -19,6 +19,15 @@ def test_all_names_resolve():
                if not hasattr(braidcovers, name)]
     assert missing == []
     assert len(set(braidcovers.__all__)) == len(braidcovers.__all__)
+    # exports and submodules are imported on first access, so they
+    # resolve in a fresh interpreter that has imported nothing else
+    script = ("import braidcovers\n"
+              "print(braidcovers.search.MAX_DEGREE, braidcovers.Assignment.__module__)\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(braidcovers.__file__))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.stdout == "12 braidcovers.words\n", proc.stderr
 
 
 def test_benchmark_tracer_installs(monkeypatch):
@@ -38,19 +47,28 @@ def test_benchmark_tracer_installs(monkeypatch):
 
 def test_cli_loads_no_dataclasses_or_inspect():
     # the records are named tuples, so a command starts without the
-    # dataclasses module and the inspect/ast/dis modules it pulls in
+    # dataclasses module and the inspect/ast/dis modules it pulls in; the
+    # command line is read without argparse and the gettext and locale
+    # modules it pulls in; and invariants, which searches nothing, loads
+    # no search engine
     script = (
         "import sys\n"
         "before = set(sys.modules)\n"
+        "def loaded(*names):\n"
+        "    print(sorted(set(names) & (set(sys.modules) - before)))\n"
         "from braidcovers import cli\n"
         "assert cli.main(['invariants', '--n', '2']) == 0\n"
-        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n")
+        "loaded('dataclasses', 'inspect', 'argparse', 'gettext', 'locale',\n"
+        "       'braidcovers.search', 'braidcovers.groups', 'braidcovers.words')\n"
+        "assert cli.main(['count', '--n', '5']) == 0\n"
+        "loaded('dataclasses', 'inspect', 'argparse', 'gettext', 'locale')\n")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(braidcovers.__file__))
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    lists = [line for line in proc.stdout.splitlines() if line.startswith("[")]
+    assert lists == ["[]", "[]"]
 
 
 def test_text_commands_load_no_json_or_csv():
