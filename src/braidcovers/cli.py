@@ -59,7 +59,7 @@ def _degree(text: str) -> int:
     return n
 
 
-def _degrees(text: str) -> List[int]:
+def _degrees(text: str) -> range:
     """A --n value of table and invariants: a degree "4" or an inclusive
     range "2..9"."""
     lo_text, dots, hi_text = text.partition("..")
@@ -67,7 +67,7 @@ def _degrees(text: str) -> List[int]:
     hi = _degree(hi_text) if dots else lo
     if lo > hi:
         raise UsageError(f"--n: empty degree range: {text!r}")
-    return list(range(lo, hi + 1))
+    return range(lo, hi + 1)
 
 
 # each flag beside --n: the field it sets, its default and help; a switch
@@ -143,7 +143,7 @@ def _check(args: SimpleNamespace) -> None:
     commands, the ones that take --confirm-long."""
     if getattr(args, "workers", 1) < 1:
         raise UsageError(f"--workers must be positive, got {args.workers}")
-    top = max(args.n) if isinstance(args.n, list) else args.n
+    top = args.n[-1] if isinstance(args.n, range) else args.n
     if args.command == "oracle" and top > 4:
         raise UsageError(f"the unpruned scan is limited to degree <= 4, got {top}")
     if not hasattr(args, "confirm_long"):
@@ -431,7 +431,8 @@ def _cmd_oracle(args: SimpleNamespace, out: TextIO) -> int:
 
 
 def _cmd_invariants(args: SimpleNamespace, out: TextIO) -> int:
-    records = [surface.invariants_for(n) for n in args.n]
+    # a range too large to list fails here at once, out of memory
+    records = [surface.invariants_for(n) for n in list(args.n)]
     if args.fmt == "json":
         out.write(_dumps({"rows": [r.to_json_dict() for r in records]}))
     elif args.fmt == "csv":

@@ -109,10 +109,10 @@ of its leaf, and the weights of a job, times the size of the C(s)-class
 of r, count the solutions with a1 in that class and their images: summed
 over the jobs (_run_slices), every solution once, with no list the size
 of S_n.  The () job, empty at n >= 3, runs first and in process, so a
-count reports its first slice before any worker is forked, and no more
-workers are forked than there are jobs that walk.  The rest are absorbed
-as they finish; no two jobs give one solution, so that order reaches no
-output.
+count reports its first slice before any worker is forked.  The others
+run in forked workers, one per job and at most `workers` at a time, and
+are absorbed as they finish; no two jobs give one solution, so that
+order reaches no output.
 
 The conjugacy classes of the fixed-sigma solutions (orbits of C(s)
 acting by coordinatewise conjugation) come from the same jobs: a job
@@ -503,75 +503,62 @@ def _jobs(n: int, s: Perm, cent: Sequence[Perm]) -> List[tuple]:
     return sorted(jobs, key=lambda job: job[2])
 
 
-def _work(jobs: Sequence[tuple], tasks: int, results: int,
-          inherited: Iterable[int], oom: str) -> None:
-    """A forked worker: it closes the pipe ends it inherited, then answers
-    each index i from tasks on results with one marshalled (i, output of
-    _search_chunk or a one-line error), its size first, and leaves by
-    os._exit only: no stdio buffer, --out file or atexit hook runs twice."""
+def _work(job: tuple, results: int, oom: str) -> None:
+    """A forked worker: it writes the marshalled output of _search_chunk
+    on job, or a one-line error, to results and leaves by os._exit only:
+    no stdio buffer, --out file or atexit hook runs twice."""
     try:
         for signum in (signal.SIGINT, signal.SIGTERM):  # end it at once
             signal.signal(signum, signal.SIG_DFL)
-        for fd in inherited:
-            os.close(fd)
-        out = open(results, "wb")  # completes a write a signal cuts short
-        while index := os.read(tasks, 4):
-            i = int.from_bytes(index, "little")
-            try:
-                answer = marshal.dumps((i, _search_chunk(jobs[i])))
-            except Exception as exc:  # MemoryError included
-                answer = marshal.dumps((i, oom if isinstance(exc, MemoryError)
-                                        else f"search worker failed: {exc!r}"))
-            out.write(len(answer).to_bytes(8, "little") + answer)
-            out.flush()
+        try:
+            answer = marshal.dumps(_search_chunk(job))
+        except Exception as exc:  # MemoryError included
+            answer = marshal.dumps(oom if isinstance(exc, MemoryError)
+                                   else f"search worker failed: {exc!r}")
+        with open(results, "wb") as out:  # completes a cut-short write
+            out.write(answer)
     finally:
         os._exit(0)
 
 
 def _forked(jobs: Sequence[tuple], size: int, oom: str
             ) -> Iterator[Tuple[int, List[_Output]]]:
-    """(i, output) for each of jobs[1:] as it arrives, from size forked
-    workers that inherit the jobs and are handed the next index as they
-    answer; any end of the generator, closing included, kills and reaps
-    them.  An answer is read whole, by its size, so none is left in a
-    pipe's buffered reader, out of sight of select; a cut one is an
-    EOFError, as a cut little-endian size is no larger than the whole."""
+    """(i, output) for each of jobs[1:] as it arrives, from one forked
+    worker per job, at most size at once: the next is forked once an
+    answer is read to EOF, so a cut one is an EOFError, and its worker
+    reaped.  Each pipe's write end is closed in the parent before it forks
+    again, and its read end in the worker; any end of the generator,
+    closing included, kills and reaps the workers left."""
     import select
-    pool: Dict[BinaryIO, Tuple[int, int]] = {}  # result pipe: pid, task fd
-    ends: List[int] = []  # the parent's pipe ends, closed in each worker
+    pool: Dict[BinaryIO, Tuple[int, int]] = {}  # result pipe: pid, job index
     todo = iter(range(1, len(jobs)))
     try:
-        for j in itertools.islice(todo, size):
-            fds: List[int] = []  # task_r, task_w, result_r, result_w
-            try:
-                fds += os.pipe()
-                fds += os.pipe()
-                ends += fds[1:3]
-                pid = os.fork()
-            except OSError as exc:
-                for fd in fds:
-                    os.close(fd)
-                raise RuntimeError(
-                    f"cannot start a search worker: {exc}") from None
-            task_r, task_w, result_r, result_w = fds
-            if pid == 0:
-                _work(jobs, task_r, result_w, ends, oom)
-            os.close(task_r)
-            os.close(result_w)
-            pool[open(result_r, "rb")] = pid, task_w
-            os.write(task_w, j.to_bytes(4, "little"))
         for _ in range(1, len(jobs)):
+            for i in itertools.islice(todo, size - len(pool)):
+                fds: List[int] = []  # result_r, result_w
+                try:
+                    fds += os.pipe()
+                    pid = os.fork()
+                except OSError as exc:
+                    for fd in fds:
+                        os.close(fd)
+                    raise RuntimeError(
+                        f"cannot start a search worker: {exc}") from None
+                if pid == 0:
+                    os.close(fds[0])
+                    _work(jobs[i], fds[1], oom)
+                os.close(fds[1])
+                pool[open(fds[0], "rb")] = pid, i
             pipe = select.select(list(pool), [], [])[0][0]
-            length = int.from_bytes(pipe.read(8), "little")
-            i, out = marshal.loads(pipe.read(length))
+            with pipe:
+                out = marshal.loads(pipe.read())
+            pid, i = pool.pop(pipe)
+            os.waitpid(pid, 0)
             if isinstance(out, str):  # the worker's one-line error
                 raise RuntimeError(out)
-            for j in itertools.islice(todo, 1):
-                os.write(pool[pipe][1], j.to_bytes(4, "little"))
             yield i, out
     finally:
-        for pipe, (pid, task_w) in pool.items():
-            os.close(task_w)
+        for pipe, (pid, _) in pool.items():
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
@@ -581,11 +568,11 @@ def _run_slices(n: int, jobs: Sequence[tuple], workers: int,
                 absorb: Callable[[tuple, List[_Output]], None],
                 progress: Optional[Callable[[int, int], None]]) -> int:
     """The weighted count of _search_chunk on every job: a1 = () in this
-    process first, the rest in min(workers, jobs that walk) forked workers
-    (_forked) if that exceeds one and os.fork exists.  Outputs are absorbed
-    as they finish, which changes no count, class or solution (module
-    docstring), and the k-th progress call reports k slices done; out of
-    memory, or a worker that dies, is a one-line RuntimeError."""
+    process first, the rest one per forked worker, at most min(workers,
+    jobs that walk) at once (_forked) if that exceeds one and os.fork
+    exists.  Outputs are absorbed as they finish, changing no count, class
+    or solution (module docstring), and the k-th progress call reports k
+    slices done; out of memory, or a dead worker, is a one-line error."""
     oom = f"out of memory in the degree-{n} search"
     pool_size = min(workers, len(jobs) - 1) if hasattr(os, "fork") else 1
     count = 0

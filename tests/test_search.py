@@ -253,7 +253,8 @@ def test_failed_pooled_search_spares_other_children():
 @needs_fork
 def test_first_progress_comes_before_any_fork(monkeypatch):
     # the a1 = () job, which walks nothing, is in and reported before
-    # the search forks its two workers
+    # the search forks its first two workers; the third walking job's
+    # worker is forked once the first answer is in and reported
     forks = []
     fork = os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
@@ -261,8 +262,44 @@ def test_first_progress_comes_before_any_fork(monkeypatch):
     res = search.enumerate_fixed_sigma(
         6, workers=2, progress=lambda i, m: ticks.append((i, len(forks))))
     assert res.fixed_count == 2880
-    assert ticks[0] == (1, 0)
-    assert ticks[1:] == [(i, 2) for i in range(2, len(ticks) + 1)]
+    assert ticks == [(1, 0), (2, 2), (3, 3), (4, 3)]
+    _assert_no_child_left()
+
+
+@needs_fork
+def test_one_worker_per_walking_job(monkeypatch):
+    # each of the three walking jobs at n = 6 gets a worker of its own,
+    # never more than two are unreaped at once, and none is left; so for
+    # seven jobs handed to the pool directly
+    fork, waitpid = os.fork, os.waitpid
+    forked, live, most = [], set(), []
+
+    def spy_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+            live.add(pid)
+            most.append(len(live))
+        return pid
+
+    def spy_waitpid(pid, options):
+        live.discard(pid)
+        return waitpid(pid, options)
+
+    monkeypatch.setattr(os, "fork", spy_fork)
+    monkeypatch.setattr(os, "waitpid", spy_waitpid)
+    res = search.enumerate_fixed_sigma(6, workers=2)
+    assert res.fixed_count == 2880
+    assert len(forked) == len(set(forked)) == 3
+    assert max(most) == 2
+    assert live == set()
+    _assert_no_child_left()
+    jobs = _factored_jobs(6, perm.transposition(6, 1, 2)) * 2
+    done = dict(search._forked(jobs, 2, "out of memory"))
+    assert done == {i: search._search_chunk(jobs[i]) for i in range(1, 8)}
+    assert len(forked) == 3 + 7
+    assert max(most) == 2
+    assert live == set()
     _assert_no_child_left()
 
 
@@ -294,8 +331,8 @@ def test_stopped_worker_still_sends_whole_output(monkeypatch):
 
     parent = os.getpid()
     chunk = search._search_chunk
-    pids = []
-    fork = os.fork
+    pids, reaped = [], set()
+    fork, waitpid = os.fork, os.waitpid
     real_select = select.select
 
     def spy_fork():
@@ -303,15 +340,20 @@ def test_stopped_worker_still_sends_whole_output(monkeypatch):
         pids.extend([pid] if pid else [])
         return pid
 
+    def spy_waitpid(pid, options):
+        reaped.add(pid)     # from here on, the pid may name no process
+        return waitpid(pid, options)
+
     def big_chunk(job):     # outputs of up to 0.4 MB, a pipe holding 64 KB
         return chunk(job) * (2000 if os.getpid() != parent else 1)
 
     def stopping_select(*args):
         time.sleep(0.1)     # the workers fill their pipes and block
-        for pid in pids:
+        running = [pid for pid in pids if pid not in reaped]
+        for pid in running:
             os.kill(pid, signal.SIGSTOP)
         time.sleep(0.05)
-        for pid in pids:
+        for pid in running:
             os.kill(pid, signal.SIGCONT)
         return real_select(*args)
 
@@ -319,6 +361,7 @@ def test_stopped_worker_still_sends_whole_output(monkeypatch):
         raise TimeoutError("the search waited for a cut-short output")
 
     monkeypatch.setattr(os, "fork", spy_fork)
+    monkeypatch.setattr(os, "waitpid", spy_waitpid)
     monkeypatch.setattr(search, "_search_chunk", big_chunk)
     monkeypatch.setattr(select, "select", stopping_select)
     previous = signal.signal(signal.SIGALRM, timed_out)
@@ -328,33 +371,34 @@ def test_stopped_worker_still_sends_whole_output(monkeypatch):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
-    assert len(pids) == 2
+    assert len(pids) == 3
     assert res.fixed_count == 2000 * 2880   # the a1 = () job is empty
     _assert_no_child_left()
 
 
 @needs_fork
-@pytest.mark.parametrize("cut", [0, 3, 8, -1],
-                         ids=["nothing", "in-size", "size-only", "in-answer"])
+@pytest.mark.parametrize("cut", [0, -1, None],
+                         ids=["nothing", "in-answer", "whole"])
 def test_worker_cut_mid_answer_ended_early(monkeypatch, cut):
-    # workers that end part-way through an answer, inside its size or
-    # after it, end the search with one error, and no worker is left
+    # workers that end before their answer or part-way through it end
+    # the search with one error, and no worker is left; the same workers
+    # writing their whole answers give the full count
     import marshal
 
-    def cut_work(jobs, tasks, results, inherited, oom):
+    def cut_work(job, results, oom):
         try:
-            for fd in inherited:
-                os.close(fd)
-            i = int.from_bytes(os.read(tasks, 4), "little")
-            answer = marshal.dumps((i, search._search_chunk(jobs[i])))
-            os.write(results,
-                     (len(answer).to_bytes(8, "little") + answer)[:cut])
+            answer = marshal.dumps(search._search_chunk(job))
+            os.write(results, answer[:cut])
         finally:
             os._exit(0)
 
     monkeypatch.setattr(search, "_work", cut_work)
-    with pytest.raises(RuntimeError, match="^a search worker ended early$"):
-        search.enumerate_fixed_sigma(6, workers=2)
+    if cut is None:
+        assert search.enumerate_fixed_sigma(6, workers=2).fixed_count == 2880
+    else:
+        with pytest.raises(RuntimeError,
+                           match="^a search worker ended early$"):
+            search.enumerate_fixed_sigma(6, workers=2)
     _assert_no_child_left()
 
 
@@ -414,12 +458,14 @@ def test_slow_job_holds_back_no_other_slice(monkeypatch):
 @needs_fork
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
 @pytest.mark.parametrize("name,call,code", [("fork", 2, errno.EAGAIN),
-                                            ("pipe", 4, errno.EMFILE)])
+                                            ("pipe", 2, errno.EMFILE),
+                                            ("fork", 3, errno.EAGAIN)])
 def test_failed_worker_start_leaves_nothing_open(monkeypatch, name, call,
                                                  code):
-    # the second worker cannot be started, at its fork or at its second
-    # pipe: the pipe ends opened for it are closed, the first worker is
-    # killed and reaped, and the failure is a one-line RuntimeError
+    # the second worker cannot be started, at its fork or at its pipe, or
+    # the third, forked after the first answer is in: the pipe ends opened
+    # for it are closed, the running worker is killed and reaped, and the
+    # failure is a one-line RuntimeError
     real = getattr(os, name)
     calls = []
 
