@@ -23,7 +23,8 @@ from .perm import Perm
 def closure(generators: Sequence[Perm], n: int) -> FrozenSet[Perm]:
     """The subgroup generated inside S_n, as an explicit element set.
 
-    Built by cosets, as in Dimino's algorithm (G. Butler, Fundamental
+    Every generator must pass perm.check, a tuple of the ints 0..n-1 in
+    some order, or ValueError names it.  Built by cosets, as in Dimino's algorithm (G. Butler, Fundamental
     Algorithms for Permutation Groups, LNCS 559, 1991): a generator not
     yet in the group H built so far extends it by right cosets H*y, each
     listed in one pass, and only the representatives y are multiplied by
@@ -31,10 +32,7 @@ def closure(generators: Sequence[Perm], n: int) -> FrozenSet[Perm]:
     """
     ident = perm.identity(n)
     for g in generators:
-        if len(g) != n:
-            raise ValueError(f"generator of degree {len(g)}, expected {n}")
-        if sorted(g) != list(ident):
-            raise ValueError(f"generator is not a permutation: {g}")
+        perm.check(g, n, "generator")
     seen = {ident}
     used: List[Perm] = []
     for g in generators:

@@ -4,6 +4,8 @@ A permutation of degree n is stored as a tuple ``p`` of length n with
 entries in ``0..n-1``, where ``p[i]`` is the image of the point ``i``.
 All public input and output (cycle strings) is 1-indexed; the
 0-indexed tuples are the working representation everywhere else.
+``check`` is the one rule for what a permutation is: a tuple, of the
+expected degree, whose points are the ints 0..n-1 in some order.
 
 Products are taken left to right: ``compose(p, q)`` is "apply p, then
 q", so ``compose(p, q)[x] == q[p[x]]``.  Every function in the package
@@ -18,6 +20,18 @@ import re
 from typing import Tuple
 
 Perm = Tuple[int, ...]
+
+
+def check(p: Perm, n: int, name: str) -> Perm:
+    """p itself when it is a permutation of degree n, or ValueError naming
+    it: a list or a tuple of floats is refused, not taken as equal."""
+    if not isinstance(p, tuple):
+        raise ValueError(f"{name} is not a tuple: {p!r}")
+    if len(p) != n:
+        raise ValueError(f"{name} has degree {len(p)}, expected {n}")
+    if not all(isinstance(x, int) for x in p) or sorted(p) != list(range(n)):
+        raise ValueError(f"{name} is not a permutation: {p}")
+    return p
 
 
 def identity(n: int) -> Perm:
@@ -88,37 +102,21 @@ def disjoint_cycles(p: Perm) -> list[Tuple[int, ...]]:
     return cycles
 
 
-def _cycle_lengths(p: Perm) -> list[int]:
-    """The lengths of the cycles disjoint_cycles lists, in its order;
-    raises ValueError when p is not a permutation."""
-    seen = [False] * len(p)
-    lengths = []
-    for start in range(len(p)):
-        length = 0
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            x = p[x]
-            length += 1
-        if length:
-            if x != start:      # two points map to x
-                raise ValueError(f"not a permutation: {p}")
-            lengths.append(length)
-    return lengths
-
-
 def cycle_type(p: Perm) -> Tuple[int, ...]:
     """Cycle lengths including fixed points, sorted descending."""
-    return tuple(sorted(_cycle_lengths(p), reverse=True))
+    return tuple(sorted(map(len, disjoint_cycles(p)), reverse=True))
 
 
 def order_of(p: Perm) -> int:
-    return math.lcm(*_cycle_lengths(p))
+    return math.lcm(*map(len, disjoint_cycles(p)))
 
 
 def is_transposition(p: Perm) -> bool:
-    return (sorted(p) == list(range(len(p)))
-            and sum(1 for i, x in enumerate(p) if x != i) == 2)
+    try:
+        check(p, len(p), "p")
+    except ValueError:
+        return False
+    return sum(1 for i, x in enumerate(p) if x != i) == 2
 
 
 def transposition(n: int, i: int, j: int) -> Perm:
@@ -130,7 +128,9 @@ def transposition(n: int, i: int, j: int) -> Perm:
     return tuple(out)
 
 
-_CYCLE_RE = re.compile(r"\(([^()]*)\)")
+# a cycle body is empty or ASCII digits separated by commas, so int()
+# never sees a sign, an underscore or another script's digits
+_CYCLE_RE = re.compile(r"\(((?:[0-9]+(?:,[0-9]+)*)?)\)")
 
 
 def parse_cycles(text: str, n: int) -> Perm:
@@ -150,10 +150,7 @@ def parse_cycles(text: str, n: int) -> Perm:
     for body in _CYCLE_RE.findall(compact):
         if not body:
             continue
-        try:
-            points = [int(tok) for tok in body.split(",")]
-        except ValueError:
-            raise ValueError(f"malformed cycle string: {text!r}") from None
+        points = [int(tok) for tok in body.split(",")]
         if len(points) < 2:
             raise ValueError(f"cycle needs at least two points: ({body})")
         for x in points:

@@ -597,11 +597,10 @@ def _run_slices(n: int, jobs: Sequence[tuple], workers: int,
 def _resolve_sigma(n: int, sigma: Optional[Perm]) -> Perm:
     if sigma is None:
         return perm.transposition(n, 1, 2)
-    if len(sigma) != n:
-        raise ValueError(f"sigma has degree {len(sigma)}, expected {n}")
+    sigma = perm.check(tuple(sigma), n, "sigma")
     if not perm.is_transposition(sigma):
         raise ValueError("sigma must be a transposition")
-    return tuple(sigma)
+    return sigma
 
 
 def enumerate_fixed_sigma(n: int, collect: bool = False, *,

@@ -100,14 +100,14 @@ class _Images(NamedTuple):
     b2: Perm
 
 
-_PERMUTATIONS: set = set()  # images Assignment found to be permutations
+_PERMUTATIONS: set = set()  # images that passed perm.check in Assignment
 
 
 class Assignment(_Images):
-    """Images of the five generators in one symmetric group S_n: each a
-    tuple of the ints 0..n-1 in some order, or ValueError is raised.  Up
-    to 4096 images found to be permutations are remembered, so that most
-    checks are five set lookups and one sum."""
+    """Images of the five generators in one symmetric group S_n: each
+    passes perm.check, a tuple of the ints 0..n-1 in some order, or
+    ValueError is raised.  Up to 4096 images that passed are remembered,
+    so that most checks are five set lookups and one sum."""
 
     __slots__ = ()
 
@@ -123,16 +123,8 @@ class Assignment(_Images):
         except TypeError:  # a list image or a list point, named below
             seen = False
         if not seen:
-            points = list(range(n))
             for name, p in zip(self._fields[1:], self[1:]):
-                if not isinstance(p, tuple):
-                    raise ValueError(f"{name} is not a tuple: {p!r}")
-                if len(p) != n:
-                    raise ValueError(
-                        f"{name} has degree {len(p)}, expected {n}")
-                if (not all(isinstance(x, int) for x in p)
-                        or sorted(p) != points):
-                    raise ValueError(f"{name} is not a permutation: {p}")
+                perm.check(p, n, name)
             if len(known) > 4096:
                 known.clear()
             known.update(self[1:])

@@ -114,6 +114,16 @@ def test_closure_rejects_non_permutation():
         groups.closure([perm.identity(4), (1, 2, 0, 1)], 4)
     with pytest.raises(ValueError, match=r"\(0, 0, 1\)"):
         groups.fingerprint([(0, 0, 1)], 3)
+    # a list, and a tuple of floats equal to a permutation, are refused
+    # with ValueError, not a TypeError from the element set
+    for call in (groups.closure, groups.fingerprint):
+        with pytest.raises(ValueError,
+                           match=r"generator is not a tuple: \[1, 0, 2\]"):
+            call([[1, 0, 2]], 3)
+        with pytest.raises(
+                ValueError,
+                match=r"generator is not a permutation: \(1\.0, 0\.0, 2\.0\)"):
+            call([(1.0, 0.0, 2.0)], 3)
 
 
 def _element_order(p):

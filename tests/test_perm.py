@@ -69,8 +69,8 @@ def test_cycle_type_and_order():
 
 
 def test_cycle_lengths_match_disjoint_cycles(rng):
-    # order_of and cycle_type read the cycle lengths in one pass; both
-    # must agree with the cycles disjoint_cycles lists
+    # order_of and cycle_type read the cycle lengths off disjoint_cycles;
+    # both must agree with the cycles it lists
     cases = [perm.identity(n) for n in range(1, 10)]
     cases += [random_perm(rng, rng.randint(1, 9)) for _ in range(500)]
     for p in cases:
@@ -111,6 +111,8 @@ def test_is_transposition():
     assert not perm.is_transposition(perm.parse_cycles("(1,2,3)", 4))
     # moves two points but is not a permutation
     assert not perm.is_transposition((1, 2, 2))
+    # equal to a transposition, but its points are floats
+    assert not perm.is_transposition((1.0, 0.0, 2.0))
 
 
 def test_transposition_constructor():
@@ -133,6 +135,10 @@ def test_parse_cycles():
                 "(0,1)", "(1,4)", "(a,b)"]:
         with pytest.raises(ValueError):
             perm.parse_cycles(bad, 3)
+    # a point is ASCII digits only: no underscore, sign or other script
+    for bad, n in [("(1_0,2)", 10), ("(+1,2)", 3), ("(\u0661,2)", 3)]:
+        with pytest.raises(ValueError, match="malformed cycle string"):
+            perm.parse_cycles(bad, n)
 
 
 def test_format_cycles():

@@ -510,6 +510,8 @@ def test_sigma_validation():
         search.enumerate_fixed_sigma(3, sigma=perm.transposition(4, 1, 2))
     with pytest.raises(ValueError):  # moves two points, not a permutation
         search.enumerate_fixed_sigma(3, sigma=(1, 2, 2))
+    with pytest.raises(ValueError, match="sigma is not a permutation"):
+        search.enumerate_fixed_sigma(3, sigma=(1.0, 0.0, 2.0))
     with pytest.raises(ValueError):
         search.enumerate_fixed_sigma(1)
     with pytest.raises(ValueError):
