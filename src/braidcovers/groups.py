@@ -181,10 +181,10 @@ def fingerprint(generators: Sequence[Perm], n: int) -> GroupFingerprint:
 
 
 @functools.lru_cache(maxsize=1024)
-def set_fingerprint(generators: FrozenSet[Perm], n: int) -> GroupFingerprint:
-    """fingerprint of a set of generators, memoized: classes are named
-    twice, and every line `list` writes asks for the set of the leaf or
-    image it is expanded from."""
+def _set_fingerprint(generators: FrozenSet[Perm], n: int) -> GroupFingerprint:
+    """fingerprint of a set of generators that passed perm.check (the memo
+    would answer (1.0, 0.0) as (1, 0)): classes are named twice, and each
+    line `list` writes asks for the set of its leaf or image."""
     return fingerprint(tuple(generators), n)
 
 

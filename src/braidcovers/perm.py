@@ -92,11 +92,14 @@ def disjoint_cycles(p: Perm) -> list[Tuple[int, ...]]:
             continue
         cyc = []
         x = start
-        while not seen[x]:
-            cyc.append(x)
-            seen[x] = True
-            x = p[x]
-        if x != start:          # two points map to x
+        try:
+            while not seen[x]:
+                cyc.append(x)
+                seen[x] = True
+                x = p[x]
+        except (IndexError, TypeError):  # a point beyond n, or not an int
+            x = None
+        if x != start:          # two points map to x, or x is no point
             raise ValueError(f"not a permutation: {p}")
         cycles.append(tuple(cyc))
     return cycles
@@ -164,15 +167,16 @@ def parse_cycles(text: str, n: int) -> Perm:
     return tuple(out)
 
 
-@functools.lru_cache(maxsize=4096)
 def format_cycles(p: Perm) -> str:
-    """1-indexed cycle notation; fixed points are dropped, identity is "()".
+    """1-indexed cycle notation; fixed points are dropped, identity is "()"."""
+    return _cycle_text(*p)
 
-    Memoized: a streamed solution set repeats a few hundred permutations
-    hundreds of thousands of times."""
-    parts = [
-        "(" + ",".join(str(x + 1) for x in cyc) + ")"
-        for cyc in disjoint_cycles(p)
-        if len(cyc) > 1
-    ]
+
+@functools.lru_cache(maxsize=4096, typed=True)
+def _cycle_text(*p: int) -> str:
+    """format_cycles, memoized: a streamed solution set repeats a few
+    hundred permutations hundreds of thousands of times.  Keyed by each
+    point and its type, so (1, 0) in the memo does not answer (1.0, 0.0)."""
+    parts = ["(" + ",".join(str(x + 1) for x in cyc) + ")"
+             for cyc in disjoint_cycles(p) if len(cyc) > 1]
     return "".join(parts) if parts else "()"

@@ -796,7 +796,7 @@ def _image_names(weighted: Iterable[Tuple[Assignment, int]], n: int
     image."""
     out: dict[str, int] = {}
     for sol, weight in weighted:
-        name = groups.set_fingerprint(
+        name = groups._set_fingerprint(
             frozenset((sol.sigma, sol.a1, sol.a2, sol.b1, sol.b2)), n).name
         out[name] = out.get(name, 0) + weight
     return dict(sorted(out.items()))

@@ -244,7 +244,7 @@ def _fingerprint_calls(monkeypatch, capsys, *argv):
         calls.append(generators)
         return fingerprint(generators, n)
 
-    groups.set_fingerprint.cache_clear()
+    groups._set_fingerprint.cache_clear()
     monkeypatch.setattr(groups, "fingerprint", spy)
     assert run(capsys, *argv)[0] == 0
     return calls
@@ -799,6 +799,78 @@ def test_pool_modules_load_only_with_a_pool():
     after = lines[lines.index("loaded: []") + 1:]
     assert after[0].startswith("n=4: 480 representations with sigma=(1,2)")
     assert after[-1] == "loaded: []"
+
+
+@pytest.mark.parametrize("call,frozen", [
+    ("from braidcovers import cli; cli.main(['invariants', '--n', '2'])",
+     "True"),
+    ("from braidcovers import search; search.enumerate_fixed_sigma(4)",
+     "False"),
+], ids=["cli", "library"])
+def test_only_the_cli_freezes_at_exit(call, frozen):
+    # cli.main registers gc.freeze with atexit, so the process skips the
+    # final collection; a handler registered before it runs after it
+    # (last in, first out) and sees the frozen objects.  A library call
+    # registers nothing.
+    import pathlib
+    import subprocess
+
+    import braidcovers
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(pathlib.Path(braidcovers.__file__).parents[1])
+    script = ("import atexit, gc\n"
+              "atexit.register(lambda: print(gc.get_freeze_count() > 0))\n"
+              + call + "\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == frozen
+
+
+def test_cli_process_exit_codes_and_out_file(capsys, tmp_path):
+    # a CLI process that freezes at exit still writes its --out file in
+    # full and exits 0, and a usage error still exits 1
+    import pathlib
+    import subprocess
+
+    import braidcovers
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(pathlib.Path(braidcovers.__file__).parents[1])
+    target = tmp_path / "count.txt"
+    cli_argv = [sys.executable, "-m", "braidcovers.cli", "count", "--n"]
+    proc = subprocess.run(
+        cli_argv + ["6", "--workers", "2", "--out", str(target)],
+        env=env, capture_output=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+    code, out, _ = run(capsys, "count", "--n", "6")
+    assert code == 0
+    assert target.read_bytes() == out.encode()
+    proc = subprocess.run(cli_argv + ["1"], env=env, capture_output=True,
+                          timeout=60)
+    assert proc.returncode == 1
+    assert proc.stdout == b""
+    assert proc.stderr.startswith(b"braidcovers: error: --n:")
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no worker is forked")
+def test_pooled_run_leaks_nothing(capsys):
+    # a CLI process skips the exit collection, which would report a
+    # leaked pipe as a ResourceWarning, so a pooled run is checked here:
+    # every pipe closed, every worker reaped
+    import gc
+    import warnings
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, _ = run(capsys, "count", "--n", "8", "--confirm-long",
+                         "--workers", "2")
+        gc.collect()
+    assert code == 0
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),

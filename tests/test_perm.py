@@ -79,10 +79,12 @@ def test_cycle_lengths_match_disjoint_cycles(rng):
         assert perm.cycle_type(p) == tuple(sorted(lengths, reverse=True)), p
 
 
-@pytest.mark.parametrize("p", [(0, 0, 1), (1, 1, 2), (2, 0, 0), (0, 2, 2, 3)])
+@pytest.mark.parametrize("p", [(0, 0, 1), (1, 1, 2), (2, 0, 0), (0, 2, 2, 3),
+                               (1, 2, 3), (1.0, 0.0)])
 def test_cycle_functions_reject_non_permutations(p):
-    # a cycle walk that reaches a seen point other than its start raises
-    # instead of looping or reading off wrong lengths
+    # a cycle walk that reaches a seen point other than its start, a
+    # point beyond the degree or one that is not an int raises instead of
+    # looping, reading off wrong lengths or failing with another error
     calls = [perm.disjoint_cycles, perm.format_cycles, perm.cycle_type,
              perm.order_of, lambda q: groups.centralizer_elements(q, len(q))]
     for call in calls:
@@ -148,7 +150,12 @@ def test_format_cycles():
 
 
 def test_format_cycles_memo_is_bounded():
-    assert perm.format_cycles.cache_info().maxsize is not None
+    assert perm._cycle_text.cache_info().maxsize is not None
+    # keyed by each point's type: a float twin of a memoized permutation
+    # is refused, not answered from the memo
+    assert perm.format_cycles((1, 0)) == "(1,2)"
+    with pytest.raises(ValueError, match="not a permutation"):
+        perm.format_cycles((1.0, 0.0))
 
 
 def test_parse_format_round_trip(rng):
