@@ -408,27 +408,27 @@ def _cmd_list(args: SimpleNamespace, out: TextIO) -> int:
 def _cmd_oracle(args: SimpleNamespace, out: TextIO) -> int:
     from . import search
     n = args.n
-    engine = search.enumerate_fixed_sigma(n, collect=True,
-                                          workers=args.workers)
+    engine_keys = set()
+    engine = search.enumerate_fixed_sigma(
+        n, workers=args.workers,
+        sink=lambda sol, origin: engine_keys.add(sol.sort_key()))
     brute = search.brute_force_oracle(n)
-    engine_keys = {sol.sort_key() for sol in engine.solutions}
-    brute_keys = {sol.sort_key() for sol in brute.solutions}
-    match = (engine.fixed_count == brute.fixed_count
-             and engine_keys == brute_keys)
+    brute_keys = {sol.sort_key() for sol in brute}
+    match = engine.fixed_count == len(brute) and engine_keys == brute_keys
     if args.fmt == "json":
         doc = {"n": n, "match": match, "engine_count": engine.fixed_count,
-               "brute_force_count": brute.fixed_count}
+               "brute_force_count": len(brute)}
         out.write(_dumps(doc))
     elif args.fmt == "csv":
         data = [("n", "match", "engine_count", "brute_force_count"),
-                (n, match, engine.fixed_count, brute.fixed_count)]
+                (n, match, engine.fixed_count, len(brute))]
         out.write(_csv_text(data))
     elif match:
-        out.write(f"MATCH: {engine.fixed_count} = {brute.fixed_count}\n")
+        out.write(f"MATCH: {engine.fixed_count} = {len(brute)}\n")
     else:
         only_engine = len(engine_keys - brute_keys)
         only_brute = len(brute_keys - engine_keys)
-        out.write(f"MISMATCH: {engine.fixed_count} != {brute.fixed_count} "
+        out.write(f"MISMATCH: {engine.fixed_count} != {len(brute)} "
                   f"(only-engine={only_engine} only-brute={only_brute})\n")
     return 0 if match else 2
 

@@ -85,7 +85,7 @@ def disjoint_cycles(p: Perm) -> list[Tuple[int, ...]]:
     Raises ValueError when p is not a permutation.
     """
     n = len(p)
-    seen = [False] * n
+    seen = [False] * (2 * n)  # -k, read by p as n-k, marks its own slot 2n-k
     cycles = []
     for start in range(n):
         if seen[start]:

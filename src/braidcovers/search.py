@@ -1,6 +1,6 @@
 """Exhaustive enumeration of the transitive representations.
 
-The engine counts (and optionally collects) all 5-tuples of degree-n
+The engine counts (and optionally streams) all 5-tuples of degree-n
 permutations (sigma, a1, a2, b1, b2) with sigma a fixed transposition,
 satisfying the eleven defining relations, whose images generate a
 transitive subgroup.  Conjugating coordinatewise shows every solution
@@ -132,17 +132,17 @@ member comes from _least, one coordinate at a time over C(s).  The
 classes are sorted once, into the order of orbit_decomposition, and
 their sizes must add up to the weighted count.
 
-Collecting and streaming runs expand the same jobs (_expand): the
-solutions with a1 = r are the H1-orbits of the job's leaves, and one g
-per H1-coset of C(s) conjugates them onto those with a1 = g^-1 r g,
-each a1 of the class once; the images of every job, so moved, are those
-with a1 = ().  A solution keeps the leaf or image it comes from,
-conjugate to it, so `list` fingerprints one set per leaf or image.
-`list` writes a1 sorted, then b1 in C1 order, a2 in the order in which
-_intersect_next lists C1 n C(s b1 s), and b2 in the order of the list
-_route picks for C3; _block builds these lists, but only below prefixes
-that carry a solution.  The walk's own order reaches no output: counts,
-classes and expansions read only the H1-orbits of its leaves.
+A run given a sink, the one way solutions leave the search, expands the
+same jobs (_expand): the solutions with a1 = r are the H1-orbits of the
+job's leaves, and one g per H1-coset of C(s) conjugates them onto those
+with a1 = g^-1 r g, each a1 of the class once; the images of every job,
+so moved, are those with a1 = ().  A solution keeps the leaf or image it
+comes from, conjugate to it, so `list` fingerprints one set per leaf or
+image.  `list` writes a1 sorted, then b1 in C1 order, a2 in the order in
+which _intersect_next lists C1 n C(s b1 s), and b2 in the order of the
+list _route picks for C3; _block builds these lists, but only below
+prefixes that carry a solution.  The walk's own order reaches no output:
+counts, classes and expansions read only the H1-orbits of its leaves.
 
 Exact agreement with the relation-table-driven brute force is enforced
 by brute_force_oracle and its tests, not assumed.
@@ -174,11 +174,10 @@ class EnumerationResult(NamedTuple):
     """Counts for one degree, plus orbit and image data once analyzed.
 
     orbit_count, orbit_size_histogram and image_fingerprint_histogram
-    are filled in by classify(), or by analyze() from collected
-    solutions; they stay None on plain counting runs.  The size
-    histogram is over full simultaneous-conjugacy classes (size ->
-    number of classes), so its sizes weighted by multiplicity sum to
-    total_count.
+    are filled in by analyze(), which classify() calls; they stay None
+    on counting and streaming runs.  The size histogram is over full
+    simultaneous-conjugacy classes (size -> number of classes), so its
+    sizes weighted by multiplicity sum to total_count.
     """
 
     n: int
@@ -187,7 +186,6 @@ class EnumerationResult(NamedTuple):
     transpositions: int
     total_count: int
     elapsed_seconds: float
-    solutions: Optional[Tuple[Assignment, ...]] = None
     orbit_count: Optional[int] = None
     orbit_size_histogram: Optional[Dict[int, int]] = None
     image_fingerprint_histogram: Optional[Dict[str, int]] = None
@@ -213,13 +211,11 @@ def _check_run(n: int, workers: int) -> None:
         raise ValueError(f"workers must be positive, got {workers}")
 
 
-def _result(n: int, s: Perm, count: int, elapsed: float,
-            solutions: Optional[Tuple[Assignment, ...]] = None
-            ) -> EnumerationResult:
+def _result(n: int, s: Perm, count: int, elapsed: float) -> EnumerationResult:
     t = n * (n - 1) // 2
     return EnumerationResult(n=n, sigma=s, fixed_count=count,
                              transpositions=t, total_count=count * t,
-                             elapsed_seconds=elapsed, solutions=solutions)
+                             elapsed_seconds=elapsed)
 
 
 def _intersect_next(prev: Sequence[Perm], prev_conjs: Sequence[Perm],
@@ -603,15 +599,14 @@ def _resolve_sigma(n: int, sigma: Optional[Perm]) -> Perm:
     return sigma
 
 
-def enumerate_fixed_sigma(n: int, collect: bool = False, *,
-                          workers: int = 1,
+def enumerate_fixed_sigma(n: int, *, workers: int = 1,
                           sigma: Optional[Perm] = None,
                           sink: Optional[Callable[[Assignment, Assignment],
                                                   None]] = None,
                           progress: Optional[Callable[[int, int], None]] = None,
                           ) -> EnumerationResult:
-    """Count (and with collect=True, return) all solutions with the given
-    sigma image, default (1,2).
+    """Count all solutions with the given sigma image, default (1,2),
+    handing each to sink if one is given.
 
     Every a1 representative is one slice; with workers > 1 and more than
     one slice that walks (all but a1 = ()), forked worker processes
@@ -622,38 +617,31 @@ def enumerate_fixed_sigma(n: int, collect: bool = False, *,
     """
     _check_run(n, workers)
     s = _resolve_sigma(n, sigma)
-    keep = collect or sink is not None
     t0 = time.perf_counter()
     cent = groups.centralizer_elements(s, n)
     blocks: Dict[Perm, List[tuple]] = {}
 
     def absorb(job: tuple, outputs: List[_Output]) -> None:
-        if keep:
+        if sink is not None:
             _expand(job, outputs, cent, blocks)
 
     count = _run_slices(n, _jobs(n, s, cent), workers, absorb, progress)
-    collected: List[Assignment] = []
     kept = 0
     for a1 in sorted(blocks):
         for raw, origin in _block(n, s, a1, blocks.pop(a1)):
-            asg = Assignment(n, s, *raw)
             kept += 1
-            if sink is not None:
-                sink(asg, origin)
-            if collect:
-                collected.append(asg)
-    if keep and kept != count:
+            sink(Assignment(n, s, *raw), origin)
+    if sink is not None and kept != count:
         raise AssertionError(f"kept {kept} solutions, expected {count}")
-    return _result(n, s, count, time.perf_counter() - t0,
-                   tuple(collected) if collect else None)
+    return _result(n, s, count, time.perf_counter() - t0)
 
 
 def classify(n: int, *, workers: int = 1,
              progress: Optional[Callable[[int, int], None]] = None,
              ) -> Tuple[EnumerationResult, List[Orbit]]:
     """The conjugacy classes of the solutions with sigma = (1,2), and
-    the result with its orbit and image fields filled in as analyze
-    fills them, without keeping the solutions.
+    the result with its orbit and image fields filled in by analyze,
+    without keeping the solutions.
 
     The classes are those of orbit_decomposition, in its order and with
     the same representatives, read off the jobs a count runs (module
@@ -676,11 +664,12 @@ def classify(n: int, *, workers: int = 1,
     count = _run_slices(n, _jobs(n, s, cent), workers, absorb, progress)
     orbits.sort(key=lambda o: o.representative.sort_key())
     res = _result(n, s, count, time.perf_counter() - t0)
-    return _summarize(res, orbits), orbits
+    return analyze(res, orbits), orbits
 
 
-def brute_force_oracle(n: int) -> EnumerationResult:
-    """Scan all (n!)^4 tuples against the relation tables; no pruning.
+def brute_force_oracle(n: int) -> List[Assignment]:
+    """The solutions with sigma = (1,2), from a scan of all (n!)^4 tuples
+    against the relation tables; no pruning.
 
     Kept deliberately independent of the engine: solutions are recognised
     by evaluating every relator word from the defining presentation.
@@ -689,7 +678,6 @@ def brute_force_oracle(n: int) -> EnumerationResult:
     if not 2 <= n <= 4:
         raise ValueError(f"the brute-force scan is restricted to 2 <= n <= 4, got {n}")
     s = perm.transposition(n, 1, 2)
-    t0 = time.perf_counter()
     all_perms = list(itertools.permutations(range(n)))
     sols: List[Assignment] = []
     for a1 in all_perms:
@@ -702,7 +690,7 @@ def brute_force_oracle(n: int) -> EnumerationResult:
                     if not groups.is_transitive((s, a1, a2, b1, b2), n):
                         continue
                     sols.append(asg)
-    return _result(n, s, len(sols), time.perf_counter() - t0, tuple(sols))
+    return sols
 
 
 def orbit_decomposition(solutions: Sequence[Assignment], n: int,
@@ -749,21 +737,14 @@ def orbit_decomposition(solutions: Sequence[Assignment], n: int,
     return orbits
 
 
-def analyze(result: EnumerationResult) -> EnumerationResult:
-    """Fill in orbit_count, orbit_size_histogram (full class sizes) and
-    image_fingerprint_histogram from a collected result."""
-    if result.solutions is None:
-        raise ValueError("analyze needs a result with collected solutions")
-    return _summarize(result,
-                      orbit_decomposition(list(result.solutions), result.n))
-
-
-def _summarize(result: EnumerationResult, orbits: Sequence[Orbit]
-               ) -> EnumerationResult:
-    """result with the orbit and image fields filled in from its
-    fixed-sigma classes.  Image fingerprints are isomorphism invariants,
-    so one representative per class is fingerprinted and counted once
-    per solution of its class."""
+def analyze(result: EnumerationResult, orbits: Sequence[Orbit]
+            ) -> EnumerationResult:
+    """result with orbit_count, orbit_size_histogram (full class sizes)
+    and image_fingerprint_histogram filled in from its fixed-sigma
+    classes, as classify or orbit_decomposition gives them.  Image
+    fingerprints are isomorphism invariants, so one representative per
+    class is fingerprinted and counted once per solution of its class.
+    AssertionError unless the class sizes sum to total_count."""
     sizes: Dict[int, int] = {}
     for o in orbits:
         full = o.size * result.transpositions

@@ -17,19 +17,28 @@ def pytest_collection_modifyitems(config, items):
             item.add_marker(skip)
 
 
+def collected(n, **kwargs):
+    """(result, solutions) of search.enumerate_fixed_sigma(n, **kwargs),
+    the solutions gathered through its sink, in the order it gets them."""
+    solutions = []
+    result = search.enumerate_fixed_sigma(
+        n, sink=lambda sol, origin: solutions.append(sol), **kwargs)
+    return result, tuple(solutions)
+
+
 @pytest.fixture(scope="session")
 def n3_result():
-    return search.enumerate_fixed_sigma(3, collect=True)
+    return collected(3)
 
 
 @pytest.fixture(scope="session")
 def n4_result():
-    return search.enumerate_fixed_sigma(4, collect=True)
+    return collected(4)
 
 
 @pytest.fixture(scope="session")
 def n6_result():
-    return search.enumerate_fixed_sigma(6, collect=True)
+    return collected(6)
 
 
 @pytest.fixture()
@@ -139,9 +148,8 @@ def full_orbit_check(n):
     assert 2 <= n <= 4
     sym = list(itertools.permutations(range(n)))
     everything = [sol for i in range(1, n + 1) for j in range(i + 1, n + 1)
-                  for sol in search.enumerate_fixed_sigma(
-                      n, collect=True,
-                      sigma=perm.transposition(n, i, j)).solutions]
+                  for sol in collected(
+                      n, sigma=perm.transposition(n, i, j))[1]]
     keys = {sol.sort_key() for sol in everything}
     if len(keys) != len(everything):  # duplicates
         return False

@@ -9,7 +9,7 @@ import random
 import time
 
 from braidcovers import groups, perm, search, surface, words
-from conftest import full_orbit_check, random_perm
+from conftest import collected, full_orbit_check, random_perm
 
 
 def _report(name: str, ok: bool, detail: str = "") -> None:
@@ -59,8 +59,8 @@ def test_criterion_3_orbit_decomposition():
     t0 = time.perf_counter()
     counts = {}
     for n in expected:
-        res = search.enumerate_fixed_sigma(n, collect=True)
-        orbits = search.orbit_decomposition(list(res.solutions), n)
+        _, sols = collected(n)
+        orbits = search.orbit_decomposition(list(sols), n)
         counts[n] = len(orbits)
     cross = all(full_orbit_check(n) for n in expected)
     elapsed = time.perf_counter() - t0
@@ -74,11 +74,11 @@ def test_criterion_3_orbit_decomposition():
 def test_criterion_4_image_groups():
     # every degree-3 image is S3; every degree-4 image is D8 (order 8,
     # five involutions)
-    res3 = search.enumerate_fixed_sigma(3, collect=True)
-    res4 = search.enumerate_fixed_sigma(4, collect=True)
-    names3 = search.image_name_histogram(res3.solutions, 3)
-    names4 = search.image_name_histogram(res4.solutions, 4)
-    sample = res4.solutions[0]
+    _, sols3 = collected(3)
+    _, sols4 = collected(4)
+    names3 = search.image_name_histogram(sols3, 3)
+    names4 = search.image_name_histogram(sols4, 4)
+    sample = sols4[0]
     fp = groups.fingerprint(
         (sample.sigma, sample.a1, sample.a2, sample.b1, sample.b2), 4)
     d8_shape = (fp.order == 8 and dict(fp.order_histogram)[2] == 5
@@ -97,13 +97,13 @@ def test_criterion_5_oracle_equivalence():
     for n in (2, 3, 4):
         t0 = time.perf_counter()
         brute = search.brute_force_oracle(n)
-        engine = search.enumerate_fixed_sigma(n, collect=True)
+        engine, sols = collected(n)
         elapsed = time.perf_counter() - t0
-        same = ({s.sort_key() for s in brute.solutions}
-                == {s.sort_key() for s in engine.solutions}
-                and brute.fixed_count == engine.fixed_count)
+        same = ({s.sort_key() for s in brute}
+                == {s.sort_key() for s in sols}
+                and len(brute) == engine.fixed_count)
         ok = ok and same and (n < 4 or elapsed < 120.0)
-        details.append(f"n={n}: {brute.fixed_count} in {elapsed:.1f}s")
+        details.append(f"n={n}: {len(brute)} in {elapsed:.1f}s")
     _report("5 (oracle equivalence)", ok, "; ".join(details))
 
 
@@ -183,13 +183,13 @@ def test_criterion_7_property_suites():
     details.append(f"sigma independence={ok_sigma}")
 
     # worker count never changes the result
-    reference = search.enumerate_fixed_sigma(6, collect=True)
+    reference, ref_sols = collected(6)
     ok_workers = True
     for workers in (2, 8):
-        par = search.enumerate_fixed_sigma(6, collect=True, workers=workers)
+        par, par_sols = collected(6, workers=workers)
         ok_workers = ok_workers and (
             par.fixed_count == reference.fixed_count
-            and par.solutions == reference.solutions)
+            and par_sols == ref_sols)
     details.append(f"worker determinism={ok_workers}")
 
     _report(

@@ -370,14 +370,30 @@ def test_oracle_mismatch_exits_2(capsys, monkeypatch):
     real = search.brute_force_oracle
 
     def doctored(n):
-        res = real(n)
-        return res._replace(fixed_count=res.fixed_count - 1,
-                            solutions=res.solutions[:-1])
+        return real(n)[:-1]
 
     monkeypatch.setattr(search, "brute_force_oracle", doctored)
     code, out, _ = run(capsys, "oracle", "--n", "2")
     assert code == 2
     assert out == "MISMATCH: 16 != 15 (only-engine=1 only-brute=0)\n"
+
+
+def test_oracle_compares_sets(capsys, monkeypatch):
+    # one solution swapped for a non-solution: the counts agree and the
+    # sets do not
+    from braidcovers import perm, search, words
+
+    real = search.brute_force_oracle
+
+    def doctored(n):
+        sols = real(n)
+        e = perm.identity(n)
+        return [words.Assignment(n, sols[0].sigma, e, e, e, e), *sols[1:]]
+
+    monkeypatch.setattr(search, "brute_force_oracle", doctored)
+    code, out, _ = run(capsys, "oracle", "--n", "3")
+    assert code == 2
+    assert out == "MISMATCH: 80 != 80 (only-engine=1 only-brute=1)\n"
 
 
 def test_oracle_json(capsys):
@@ -531,7 +547,7 @@ def test_interrupted_out_leaves_no_file(capsys, monkeypatch, tmp_path):
 
     real = search.enumerate_fixed_sigma
 
-    def interrupted(n, collect=False, *, sink=None, **kwargs):
+    def interrupted(n, *, sink=None, **kwargs):
         written = []
 
         def stop_after_ten(sol, origin):
@@ -539,7 +555,7 @@ def test_interrupted_out_leaves_no_file(capsys, monkeypatch, tmp_path):
             written.append(sol)
             if len(written) == 10:
                 raise KeyboardInterrupt
-        return real(n, collect, sink=stop_after_ten, **kwargs)
+        return real(n, sink=stop_after_ten, **kwargs)
 
     monkeypatch.setattr(search, "enumerate_fixed_sigma", interrupted)
     path = tmp_path / "sols.jsonl"

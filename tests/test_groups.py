@@ -376,7 +376,7 @@ def _reference_fingerprint(gens, n):
 
 def test_fingerprint_matches_reference_on_list_n6(n6_result):
     gen_sets = {(sol.sigma, sol.a1, sol.a2, sol.b1, sol.b2)
-                for sol in n6_result.solutions}
+                for sol in n6_result[1]}
     assert len({frozenset(gens) for gens in gen_sets}) == 288
     for gens in sorted(gen_sets):
         assert groups.fingerprint(gens, 6) == _reference_fingerprint(gens, 6)

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import os
 import pickle
@@ -11,6 +12,7 @@ from braidcovers import groups, perm, search, surface, words
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "perfbench")
+README = os.path.join(os.path.dirname(PERFBENCH), "README.md")
 
 
 def test_all_names_resolve():
@@ -28,6 +30,26 @@ def test_all_names_resolve():
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.stdout == "12 braidcovers.words\n", proc.stderr
+
+
+def test_readme_library_block():
+    # README's Library block runs as written, and each line `expr  # x`
+    # gives the literal x, the comment up to any " ("
+    with open(README, encoding="utf-8") as fh:
+        block = fh.read().split("## Library\n\n```python\n")[1]
+    block = block.split("```")[0]
+    lines = block.splitlines()
+    env: dict = {}
+    checked = []
+    for stmt in ast.parse(block).body:
+        code, _, comment = lines[stmt.end_lineno - 1].partition("  # ")
+        if isinstance(stmt, ast.Expr) and comment:
+            got = eval(compile(ast.Expression(stmt.value), "README", "eval"), env)
+            assert got == ast.literal_eval(comment.split(" (")[0]), code
+            checked.append(code.strip())
+        else:
+            exec(compile(ast.Module([stmt], []), "README", "exec"), env)
+    assert len(checked) == 12, checked
 
 
 def test_benchmark_tracer_installs(monkeypatch):
@@ -99,7 +121,7 @@ _RECORDS = [
      "order transitive abelian order_histogram name"),
     (search.enumerate_fixed_sigma(2),
      "n sigma fixed_count transpositions total_count elapsed_seconds "
-     "solutions orbit_count orbit_size_histogram image_fingerprint_histogram"),
+     "orbit_count orbit_size_histogram image_fingerprint_histogram"),
     (search.Orbit(words.Assignment(2, _S, _E, _E, _E, _E), 1),
      "representative size"),
     (surface.invariants_for(2),
@@ -127,7 +149,7 @@ def test_assignment_replace_validates_degrees():
 
 def test_records_pickle_to_equal_values():
     asg = words.Assignment(2, _S, _E, _S, _E, _S)
-    res = search.enumerate_fixed_sigma(2, collect=True)
+    res = search.enumerate_fixed_sigma(2)
     for record in (asg, res):
         again = pickle.loads(pickle.dumps(record))
         assert again == record and type(again) is type(record)

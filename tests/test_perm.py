@@ -80,11 +80,12 @@ def test_cycle_lengths_match_disjoint_cycles(rng):
 
 
 @pytest.mark.parametrize("p", [(0, 0, 1), (1, 1, 2), (2, 0, 0), (0, 2, 2, 3),
-                               (1, 2, 3), (1.0, 0.0)])
+                               (1, 2, 3), (1.0, 0.0), (-1, 0), (0, -1, 1)])
 def test_cycle_functions_reject_non_permutations(p):
     # a cycle walk that reaches a seen point other than its start, a
-    # point beyond the degree or one that is not an int raises instead of
-    # looping, reading off wrong lengths or failing with another error
+    # point beyond the degree, a negative point (which a tuple would read
+    # from its end) or one that is not an int raises instead of looping,
+    # reading off wrong lengths or failing with another error
     calls = [perm.disjoint_cycles, perm.format_cycles, perm.cycle_type,
              perm.order_of, lambda q: groups.centralizer_elements(q, len(q))]
     for call in calls:

@@ -11,14 +11,14 @@ import time
 import pytest
 
 from braidcovers import groups, perm, search, words
-from conftest import full_orbit_check, plain_loop, reversed_pool
+from conftest import collected, full_orbit_check, plain_loop, reversed_pool
 
 EXPECTED_FIXED = {2: 16, 3: 80, 4: 480, 5: 0, 6: 2880}
 EXPECTED_ORBITS = {2: 16, 3: 40, 4: 240}
 
 
-def _keys(result):
-    return {sol.sort_key() for sol in result.solutions}
+def _keys(solutions):
+    return {sol.sort_key() for sol in solutions}
 
 
 @pytest.mark.parametrize("n,expected", sorted(EXPECTED_FIXED.items()))
@@ -28,13 +28,13 @@ def test_fixed_sigma_counts(n, expected):
     assert res.transpositions == n * (n - 1) // 2
     assert res.total_count == expected * res.transpositions
     assert res.sigma == perm.transposition(n, 1, 2)
-    assert res.solutions is None
 
 
 def test_collected_solutions_are_consistent(n4_result):
-    assert len(n4_result.solutions) == n4_result.fixed_count == 480
-    assert len(_keys(n4_result)) == 480
-    for sol in n4_result.solutions[:50]:
+    res, sols = n4_result
+    assert len(sols) == res.fixed_count == 480
+    assert len(_keys(sols)) == 480
+    for sol in sols[:50]:
         assert sol.sigma == perm.transposition(4, 1, 2)
         assert words.satisfies_all_relations(sol)
         assert groups.is_transitive(
@@ -42,24 +42,25 @@ def test_collected_solutions_are_consistent(n4_result):
 
 
 def test_every_n3_solution_satisfies_relations(n3_result):
-    assert len(n3_result.solutions) == 80
-    for sol in n3_result.solutions:
+    _, sols = n3_result
+    assert len(sols) == 80
+    for sol in sols:
         assert words.satisfies_all_relations(sol)
         assert groups.is_transitive(
             (sol.sigma, sol.a1, sol.a2, sol.b1, sol.b2), 3)
 
 
 def test_deterministic_repeat(n4_result):
-    again = search.enumerate_fixed_sigma(4, collect=True)
-    assert again.solutions == n4_result.solutions
-    assert again.fixed_count == n4_result.fixed_count
+    again, again_sols = collected(4)
+    assert again_sols == n4_result[1]
+    assert again.fixed_count == n4_result[0].fixed_count
 
 
 def test_parallel_matches_single(n6_result):
     for workers in (2, 8):
-        par = search.enumerate_fixed_sigma(6, collect=True, workers=workers)
-        assert par.fixed_count == n6_result.fixed_count == 2880
-        assert par.solutions == n6_result.solutions
+        par, par_sols = collected(6, workers=workers)
+        assert par.fixed_count == n6_result[0].fixed_count == 2880
+        assert par_sols == n6_result[1]
 
 
 @pytest.fixture
@@ -156,9 +157,9 @@ def test_plain_jobs_are_the_solution_a1(n, monkeypatch):
         return out
 
     monkeypatch.setattr(search, "_block", spy)
-    res = search.enumerate_fixed_sigma(n, collect=True)
+    _, sols = collected(n)
     a1s = [a1 for a1, _ in blocks]
-    assert a1s == sorted({sol.a1 for sol in res.solutions})
+    assert a1s == sorted({sol.a1 for sol in sols})
     assert all(size for _, size in blocks)
     if n == 6:
         assert len(a1s) == 29
@@ -172,8 +173,7 @@ def test_sink_streams_same_solutions(n3_result):
         res = search.enumerate_fixed_sigma(
             3, workers=workers, sink=lambda sol, origin: streamed.append(sol))
         assert res.fixed_count == 80
-        assert res.solutions is None
-        assert tuple(streamed) == n3_result.solutions
+        assert tuple(streamed) == n3_result[1]
 
 
 def test_sink_error_stops_pooled_search():
@@ -520,18 +520,19 @@ def test_sigma_validation():
         search.enumerate_fixed_sigma(4, workers=0)
     # a list sigma is taken as its tuple, so the result formats and its
     # collected solutions analyze
-    res = search.enumerate_fixed_sigma(3, collect=True, sigma=[1, 0, 2])
+    res, sols = collected(3, sigma=[1, 0, 2])
     assert res.fixed_count == 80 and res.sigma == (1, 0, 2)
     assert str(res).startswith("n=3: 80 representations with sigma=(1,2)")
-    assert search.analyze(res).orbit_count == 40
+    orbits = search.orbit_decomposition(list(sols), 3)
+    assert search.analyze(res, orbits).orbit_count == 40
 
 
 def test_oracle_agrees_small():
     for n in (2, 3):
         brute = search.brute_force_oracle(n)
-        engine = search.enumerate_fixed_sigma(n, collect=True)
-        assert brute.fixed_count == engine.fixed_count
-        assert _keys(brute) == _keys(engine)
+        engine, sols = collected(n)
+        assert len(brute) == engine.fixed_count
+        assert _keys(brute) == _keys(sols)
     with pytest.raises(ValueError):
         search.brute_force_oracle(5)
 
@@ -866,9 +867,9 @@ def _assert_symmetry_closed(solutions):
 def test_solutions_closed_under_symmetries(n4_result, n6_result):
     # a1 -> a1 b1, b1 -> a1 b1 and (a1, b1) <-> (a2, b2) map solutions to
     # solutions; the reversed product b1 a1 does not
-    _assert_symmetry_closed(n4_result.solutions)
-    _assert_symmetry_closed(n6_result.solutions)
-    keys = {(sol.a1, sol.a2, sol.b1, sol.b2) for sol in n6_result.solutions}
+    _assert_symmetry_closed(n4_result[1])
+    _assert_symmetry_closed(n6_result[1])
+    keys = {(sol.a1, sol.a2, sol.b1, sol.b2) for sol in n6_result[1]}
     reversed_images = sum((perm.compose(b1, a1), a2, b1, b2) in keys
                           for a1, a2, b1, b2 in keys)
     assert (reversed_images, len(keys)) == (2016, 2880)
@@ -1021,14 +1022,13 @@ def test_filtered_walk_is_the_plain_walk(sig):
     plain = plain_loop(n, sig)
     cent = groups.centralizer_elements(sig, n)
     for workers in (1, 2):
-        res = search.enumerate_fixed_sigma(n, collect=True, sigma=sig,
-                                           workers=workers)
+        res, sols = collected(n, sigma=sig, workers=workers)
         streamed = []
         search.enumerate_fixed_sigma(
             n, sigma=sig, workers=workers,
             sink=lambda sol, origin: streamed.append((sol, origin)))
-        assert [sol for sol, _ in streamed] == list(res.solutions)
-        assert [(x.a1, x.a2, x.b1, x.b2) for x in res.solutions] == plain
+        assert [sol for sol, _ in streamed] == list(sols)
+        assert [(x.a1, x.a2, x.b1, x.b2) for x in sols] == plain
         assert res.fixed_count == len(plain)
     for sol, origin in streamed:
         assert origin.sigma == sig
@@ -1232,12 +1232,11 @@ def test_classify_matches_collected_decomposition(n, classes):
     solutions = tuple(words.Assignment(n, s, *raw) for raw in _plain_walk(n, s))
     expected = search.orbit_decomposition(list(solutions), n)
     analyzed = search.analyze(
-        search._result(n, s, len(solutions), 0.0, solutions))
+        search._result(n, s, len(solutions), 0.0), expected)
     for workers in (1, 2):
         res, orbits = search.classify(n, workers=workers)
         assert len(orbits) == res.orbit_count == classes
         assert orbits == expected
-        assert res.solutions is None
         for field in _RESULT_FIELDS:
             assert getattr(res, field) == getattr(analyzed, field), field
 
@@ -1250,7 +1249,7 @@ def test_out_of_memory_is_one_line(monkeypatch):
 
     monkeypatch.setattr(search, "_search_chunk", exhausted)
     for run in (lambda: search.enumerate_fixed_sigma(4),
-                lambda: search.enumerate_fixed_sigma(4, collect=True),
+                lambda: collected(4),
                 lambda: search.classify(4)):
         with pytest.raises(RuntimeError, match="out of memory in the "
                                                "degree-4 search"):
@@ -1274,8 +1273,8 @@ def test_classify_n8():
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_orbit_counts(n):
-    res = search.enumerate_fixed_sigma(n, collect=True)
-    orbits = search.orbit_decomposition(list(res.solutions), n)
+    res, sols = collected(n)
+    orbits = search.orbit_decomposition(list(sols), n)
     assert len(orbits) == EXPECTED_ORBITS[n]
     assert sum(o.size for o in orbits) == res.fixed_count
     # representatives are the least member of their orbit, listed sorted
@@ -1287,20 +1286,21 @@ def test_orbit_sizes_are_uniform_small():
     # degree 2: conjugation is trivial; degrees 3 and 4: every class meets
     # the fixed-sigma slice in exactly two solutions
     for n, size in ((2, 1), (3, 2), (4, 2)):
-        res = search.enumerate_fixed_sigma(n, collect=True)
-        orbits = search.orbit_decomposition(list(res.solutions), n)
+        _, sols = collected(n)
+        orbits = search.orbit_decomposition(list(sols), n)
         assert {o.size for o in orbits} == {size}
 
 
 def test_orbit_representative_is_member(n3_result):
-    orbits = search.orbit_decomposition(list(n3_result.solutions), 3)
-    keys = _keys(n3_result)
+    _, sols = n3_result
+    orbits = search.orbit_decomposition(list(sols), 3)
+    keys = _keys(sols)
     for o in orbits:
         assert o.representative.sort_key() in keys
 
 
 def test_orbit_decomposition_rejects_broken_input(n3_result):
-    sols = list(n3_result.solutions)
+    sols = list(n3_result[1])
     with pytest.raises(ValueError):
         search.orbit_decomposition(sols + [sols[0]], 3)  # duplicate
     with pytest.raises(AssertionError):
@@ -1320,8 +1320,8 @@ def test_full_orbit_check(n):
 def test_orbit_count_matches_burnside(n, expected):
     # independent route: orbits = average number of fixed solutions over
     # the conjugating group (Burnside), using only membership tests
-    res = search.enumerate_fixed_sigma(n, collect=True)
-    keys = {(s.a1, s.a2, s.b1, s.b2) for s in res.solutions}
+    res, sols = collected(n)
+    keys = {(s.a1, s.a2, s.b1, s.b2) for s in sols}
     total_fixed = 0
     for h in groups.centralizer_elements(res.sigma, n):
         total_fixed += sum(
@@ -1333,22 +1333,25 @@ def test_orbit_count_matches_burnside(n, expected):
 
 
 def test_image_name_histogram(n3_result, n4_result):
-    assert search.image_name_histogram(n3_result.solutions, 3) == {"S3": 80}
-    assert search.image_name_histogram(n4_result.solutions, 4) == {"D8": 480}
+    assert search.image_name_histogram(n3_result[1], 3) == {"S3": 80}
+    assert search.image_name_histogram(n4_result[1], 4) == {"D8": 480}
 
 
 def test_analyze_fills_orbit_and_image_fields(n3_result, n4_result):
     import math
 
-    done = search.analyze(n3_result)
+    res, sols = n3_result
+    done = search.analyze(res, search.orbit_decomposition(list(sols), 3))
     assert done.orbit_count == 40
     assert done.orbit_size_histogram == {6: 40}
     assert done.image_fingerprint_histogram == {"S3": 80}
     # the plain counts are untouched
     assert (done.n, done.fixed_count, done.total_count) == (3, 80, 240)
-    assert done.solutions == n3_result.solutions
+    assert done._replace(orbit_count=None, orbit_size_histogram=None,
+                         image_fingerprint_histogram=None) == res
 
-    done4 = search.analyze(n4_result)
+    res4, sols4 = n4_result
+    done4 = search.analyze(res4, search.orbit_decomposition(list(sols4), 4))
     assert done4.orbit_count == 240
     assert done4.orbit_size_histogram == {12: 240}
     for size, count in done4.orbit_size_histogram.items():
@@ -1358,17 +1361,21 @@ def test_analyze_fills_orbit_and_image_fields(n3_result, n4_result):
 
 
 def test_analyze_empty_degree():
-    done = search.analyze(search.enumerate_fixed_sigma(5, collect=True))
+    res, sols = collected(5)
+    done = search.analyze(res, search.orbit_decomposition(list(sols), 5))
     assert done.orbit_count == 0
     assert done.orbit_size_histogram == {}
     assert done.image_fingerprint_histogram == {}
 
 
-def test_analyze_requires_collected_solutions():
-    with pytest.raises(ValueError):
-        search.analyze(search.enumerate_fixed_sigma(3))
+def test_analyze_checks_class_sizes():
+    # classes that miss solutions do not add up to the count
+    res, orbits = search.classify(4)
+    with pytest.raises(AssertionError, match="orbit sizes sum to 2868, "
+                                             "expected 2880"):
+        search.analyze(res, orbits[:-1])
 
 
 def test_result_str(n3_result):
-    text = str(n3_result)
+    text = str(n3_result[0])
     assert "80" in text and "240" in text and "(1,2)" in text

@@ -84,13 +84,13 @@ def test_genus_and_adjoint_consistency():
 
 
 def test_existence_verdict():
-    empty = search.enumerate_fixed_sigma(5, collect=True)
+    empty = search.enumerate_fixed_sigma(5)
     gone = surface.existence_verdict(5, empty)
     assert not gone.exists
     assert gone.total_representations == 0
     assert "no degree-5 cover" in str(gone)
 
-    found = search.analyze(search.enumerate_fixed_sigma(3, collect=True))
+    found, _ = search.classify(3)
     here = surface.existence_verdict(3, found)
     assert here.exists
     assert here.total_representations == 240

@@ -93,7 +93,7 @@ def test_failing_assignment_reports_exact_labels():
 
 
 def test_enumerated_solutions_pass(n3_result):
-    for sol in n3_result.solutions[:20]:
+    for sol in n3_result[1][:20]:
         assert _failing(sol) == ()
         assert words.satisfies_all_relations(sol)
 
