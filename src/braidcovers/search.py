@@ -138,10 +138,10 @@ job's leaves, and one g per H1-coset of C(s) conjugates them onto those
 with a1 = g^-1 r g, each a1 of the class once; the images of every job,
 so moved, are those with a1 = ().  A solution keeps the leaf or image it
 comes from, conjugate to it, so `list` fingerprints one set per leaf or
-image.  `list` writes a1 sorted, then b1 in C1 order, a2 in the order in
-which _intersect_next lists C1 n C(s b1 s), and b2 in the order of the
-list _route picks for C3; _block builds these lists, but only below
-prefixes that carry a solution.  The walk's own order reaches no output:
+image.  `list` writes a1 sorted, then b1 in C1 order, a2 in the order of
+the list _route picks for C2 and b2 in the order of the one it picks for
+C3; _block builds these lists, but only below prefixes that carry a
+solution.  The walk's own order reaches no output:
 counts, classes and expansions read only the H1-orbits of its leaves.
 
 Exact agreement with the relation-table-driven brute force is enforced
@@ -218,24 +218,14 @@ def _result(n: int, s: Perm, count: int, elapsed: float) -> EnumerationResult:
                              elapsed_seconds=elapsed)
 
 
-def _intersect_next(prev: Sequence[Perm], prev_conjs: Sequence[Perm],
-                    new_conj: Perm) -> List[Perm]:
-    """prev n C(new_conj), where prev is an intersection of centralizers
-    of the permutations in prev_conjs, in the order of _route's list."""
-    source = _route(prev, prev_conjs, new_conj)
-    for c in (new_conj,) if source is prev else prev_conjs:
-        source = [z for z in source if perm.commutes(z, c)]
-    return source
-
-
 def _route(prev: Sequence[Perm], prev_conjs: Sequence[Perm],
            new_conj: Perm) -> Sequence[Perm]:
-    """The list _intersect_next filters: prev, by |prev| commuting tests,
-    or C(new_conj), listed from its cycle type and filtered by about
-    |C| * len(prev_conjs) tests, whichever is cheaper, so near-identity
-    prefixes, where |prev| is huge, do not dominate.  The two routes list
-    the intersection in different orders, which set the order `list`
-    writes: changing the cost rule changes its bytes."""
+    """The list to filter for prev n C(new_conj), prev being the centralizer
+    of prev_conjs: prev, by |prev| commuting tests, or C(new_conj), listed
+    from its cycle type and filtered by about |C| * len(prev_conjs) tests,
+    whichever is cheaper, so near-identity prefixes do not dominate.  The
+    routes list the intersection in different orders, which set the order
+    `list` writes: changing the cost rule changes its bytes."""
     if groups.centralizer_order(new_conj) * (len(prev_conjs) + 2) < len(prev):
         return groups.centralizer_elements(new_conj, len(new_conj))
     return prev
@@ -395,10 +385,10 @@ def _expand(job: tuple, outputs: Iterable[_Output], cent: Sequence[Perm],
     leaves: Dict[RawSolution, Assignment] = {}
     images: Dict[RawSolution, Assignment] = {}
     for leaf, orbit, leaf_images in _new_orbits(stab, outputs):
-        leaves.update(dict.fromkeys(orbit, Assignment(n, s, *leaf)))
+        leaves.update(dict.fromkeys(orbit, Assignment._unchecked(n, s, *leaf)))
         for image in leaf_images:
             images.update(dict.fromkeys(_h1_orbit(image, stab),
-                                        Assignment(n, s, *image)))
+                                        Assignment._unchecked(n, s, *image)))
     for r_g, g in {perm.conjugate(r, g): g for g in cent}.items():
         for a1, closed in ((r_g, leaves), (perm.identity(n), images)):
             if closed:
@@ -421,7 +411,10 @@ def _block(n: int, s: Perm, a1: Perm, entries: Iterable[tuple]
     for b1 in filter(tree.__contains__, c1):
         below_b1 = tree[b1]
         sb1s = perm.conjugate(b1, s)
-        c2 = _intersect_next(c1, (sa1s,), sb1s)
+        # C2 = C1 n C(s b1 s), filtered from the one of them _route picks
+        route = _route(c1, (sa1s,), sb1s)
+        c2 = [z for z in route
+              if perm.commutes(z, sb1s if route is c1 else sa1s)]
         for a2 in filter(below_b1.__contains__, c2):
             below_a2 = below_b1[a2]
             # C3 keeps the order of the list it filters
@@ -492,7 +485,9 @@ def _jobs(n: int, s: Perm, cent: Sequence[Perm]) -> List[tuple]:
             continue
         orbit = _orbit(a1, gens)
         r = min(orbit)
-        stab = _intersect_next(cent, (s,), r) if len(orbit) > 1 else cent
+        stab = cent if len(orbit) == 1 else [
+            h for h in groups.centralizer_elements(r, n)
+            if perm.commutes(h, s)]
         if len(orbit) * len(stab) != len(cent):
             raise AssertionError(f"orbit and stabilizer of {r} miss C(s)")
         jobs.append((n, s, r, len(orbit), stab))
@@ -630,7 +625,7 @@ def enumerate_fixed_sigma(n: int, *, workers: int = 1,
     for a1 in sorted(blocks):
         for raw, origin in _block(n, s, a1, blocks.pop(a1)):
             kept += 1
-            sink(Assignment(n, s, *raw), origin)
+            sink(Assignment._unchecked(n, s, *raw), origin)
     if sink is not None and kept != count:
         raise AssertionError(f"kept {kept} solutions, expected {count}")
     return _result(n, s, count, time.perf_counter() - t0)
@@ -657,9 +652,8 @@ def classify(n: int, *, workers: int = 1,
         _, _, _, r_size, stab = job
         for _, orbit, images in _new_orbits(stab, outputs):
             size = r_size * len(orbit)
-            orbits.append(Orbit(Assignment(n, s, *min(orbit)), size))
-            orbits.extend(Orbit(Assignment(n, s, *_least(image, cent)), size)
-                          for image in images)
+            for key in [min(orbit)] + [_least(i, cent) for i in images]:
+                orbits.append(Orbit(Assignment._unchecked(n, s, *key), size))
 
     count = _run_slices(n, _jobs(n, s, cent), workers, absorb, progress)
     orbits.sort(key=lambda o: o.representative.sort_key())
@@ -684,7 +678,7 @@ def brute_force_oracle(n: int) -> List[Assignment]:
         for a2 in all_perms:
             for b1 in all_perms:
                 for b2 in all_perms:
-                    asg = Assignment(n, s, a1, a2, b1, b2)
+                    asg = Assignment._unchecked(n, s, a1, a2, b1, b2)
                     if not words.satisfies_all_relations(asg):
                         continue
                     if not groups.is_transitive((s, a1, a2, b1, b2), n):

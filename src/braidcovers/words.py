@@ -100,35 +100,23 @@ class _Images(NamedTuple):
     b2: Perm
 
 
-_PERMUTATIONS: set = set()  # images that passed perm.check in Assignment
-
-
 class Assignment(_Images):
     """Images of the five generators in one symmetric group S_n: each
     passes perm.check, a tuple of the ints 0..n-1 in some order, or
-    ValueError is raised.  Up to 4096 images that passed are remembered,
-    so that most checks are five set lookups and one sum."""
+    ValueError is raised."""
 
     __slots__ = ()
 
     def __new__(cls, n: int, sigma: Perm, a1: Perm, a2: Perm, b1: Perm,
                 b2: Perm) -> "Assignment":
         self = tuple.__new__(cls, (n, sigma, a1, a2, b1, b2))
-        known = _PERMUTATIONS
-        try:  # a float point equal to an int makes the sum a float
-            seen = (len(sigma) == len(a1) == len(a2) == len(b1) == len(b2) == n
-                    and sigma in known and a1 in known and a2 in known
-                    and b1 in known and b2 in known
-                    and type(sum(sigma + a1 + a2 + b1 + b2)) is int)
-        except TypeError:  # a list image or a list point, named below
-            seen = False
-        if not seen:
-            for name, p in zip(self._fields[1:], self[1:]):
-                perm.check(p, n, name)
-            if len(known) > 4096:
-                known.clear()
-            known.update(self[1:])
+        for name, p in zip(self._fields[1:], self[1:]):
+            perm.check(p, n, name)
         return self
+
+    # for images the package built itself from permutations: no check
+    _unchecked = classmethod(lambda cls, n, sigma, a1, a2, b1, b2:
+                             tuple.__new__(cls, (n, sigma, a1, a2, b1, b2)))
 
     # _replace builds through _make, which would skip the check in __new__
     _make = classmethod(lambda cls, values: cls(*values))

@@ -61,14 +61,14 @@ def reversed_pool(jobs, size, oom):
 
 def plain_loop(n, s):
     """Every solution with sigma image s, in the order `list` writes: a1
-    in lexicographic order, b1 in the order of C1 = C(s a1 s), a2 in the
-    order in which search._intersect_next lists C2 = C1 n C(s b1 s), and
-    b2 in the order of the list search._route picks for C3 = C2 n
-    C(s a2 s).  This is the factored walk over the trivial group as it
-    was before it drew its lists from the elements of C1 that pass R2:
-    each level is cut by R2, the a1 prune and transitivity of <s, prefix,
-    list of the level>, a2 by the cycle-type test of the torus relation,
-    and each leaf must pass the torus relation, R2 and transitivity."""
+    in lexicographic order, b1 in the order of C1 = C(s a1 s), and a2 and
+    b2 in the order of the lists search._route picks for C2 = C1 n
+    C(s b1 s) and C3 = C2 n C(s a2 s), filtered here.  This is the
+    factored walk over the trivial group as it was before it drew its
+    lists from the elements of C1 that pass R2: each level is cut by R2,
+    the a1 prune and transitivity of <s, prefix, list of the level>, a2
+    by the cycle-type test of the torus relation, and each leaf must pass
+    the torus relation, R2 and transitivity."""
     out = []
     for a1 in itertools.permutations(range(n)):
         sa1s = perm.conjugate(a1, s)
@@ -79,7 +79,7 @@ def plain_loop(n, s):
             sb1s = perm.conjugate(b1, s)
             if not perm.commutes(b1, sb1s):
                 continue
-            c2 = search._intersect_next(c1, (sa1s,), sb1s)
+            c2 = _intersect(c1, (sa1s,), sb1s)
             if not groups.is_transitive((s, a1, b1, *c2), n):
                 continue
             # the torus relation says b2^-1 a2^-1 b2 = a2^-1 k^-1, with
@@ -94,7 +94,7 @@ def plain_loop(n, s):
                 target = perm.compose(a2_inv, k_inv)
                 if perm.cycle_type(a2_inv) != perm.cycle_type(target):
                     continue
-                c3 = search._intersect_next(c2, (sa1s, sb1s), sa2s)
+                c3 = _intersect(c2, (sa1s, sb1s), sa2s)
                 if not groups.is_transitive((s, a1, b1, a2, *c3), n):
                     continue
                 for b2 in c3:
@@ -103,6 +103,13 @@ def plain_loop(n, s):
                             and groups.is_transitive((s, a1, a2, b1, b2), n)):
                         out.append((a1, a2, b1, b2))
     return out
+
+
+def _intersect(prev, prev_conjs, new_conj):
+    # prev n C(new_conj), prev being the centralizer of prev_conjs
+    conjs = (*prev_conjs, new_conj)
+    return [z for z in search._route(prev, prev_conjs, new_conj)
+            if all(perm.commutes(z, c) for c in conjs)]
 
 
 def reference_centralizer(g, n):

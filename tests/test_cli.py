@@ -334,8 +334,8 @@ def test_list_lines_match_solution_json(capsys, n):
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_list_n8_digest(tmp_path, workers):
     # the order list streams at degree 8 follows the order of the C2 and
-    # C3 lists (search._intersect_next), which the n=6 digest does not
-    # pin; one slice, and one progress line, per factored job
+    # C3 lists search._route picks, which the n=6 digest does not pin;
+    # one slice, and one progress line, per factored job
     import pathlib
     import subprocess
 

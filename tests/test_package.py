@@ -135,6 +135,7 @@ _RECORDS = [
 @pytest.mark.parametrize("record,fields", _RECORDS,
                          ids=[type(r).__name__ for r, _ in _RECORDS])
 def test_records_are_immutable(record, fields):
+    assert record._fields == tuple(fields.split())
     for name in fields.split():
         with pytest.raises(AttributeError):
             setattr(record, name, getattr(record, name))

@@ -527,12 +527,22 @@ def test_sigma_validation():
     assert search.analyze(res, orbits).orbit_count == 40
 
 
+def _assert_images_are_permutations(asg, sig):
+    assert type(asg) is words.Assignment and asg.sigma == sig
+    for name, p in zip(asg._fields[1:], asg[1:]):
+        perm.check(p, len(sig), name)
+
+
 def test_oracle_agrees_small():
+    # the oracle builds its assignments unchecked, from the tuples of
+    # itertools.permutations: each image still passes perm.check
     for n in (2, 3):
         brute = search.brute_force_oracle(n)
         engine, sols = collected(n)
         assert len(brute) == engine.fixed_count
         assert _keys(brute) == _keys(sols)
+        for asg in brute:
+            _assert_images_are_permutations(asg, perm.transposition(n, 1, 2))
     with pytest.raises(ValueError):
         search.brute_force_oracle(5)
 
@@ -1035,36 +1045,42 @@ def test_filtered_walk_is_the_plain_walk(sig):
         assert any(origin.conjugated(h) == sol for h in cent)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("sig", [perm.transposition(n, 1, 2)
+                                 for n in range(2, 7)]
+                         + [perm.transposition(4, 1, 3)],
+                         ids=lambda sig: f"n{len(sig)}-"
+                         + perm.format_cycles(sig))
+def test_engine_assignments_hold_permutations(sig, workers):
+    # the solutions a sink gets, their origins and classify's
+    # representatives are built without Assignment's check, from the
+    # engine's own permutations: each image still passes perm.check
+    n = len(sig)
+    built = []
+    search.enumerate_fixed_sigma(n, sigma=sig, workers=workers,
+                                 sink=lambda *pair: built.extend(pair))
+    if sig == perm.transposition(n, 1, 2):
+        built += [o.representative
+                  for o in search.classify(n, workers=workers)[1]]
+    for asg in built:
+        _assert_images_are_permutations(asg, sig)
+
+
 @pytest.mark.parametrize("sig", [sig for sig in _SIGMAS if len(sig) <= 6],
                          ids=lambda sig: f"n{len(sig)}-"
                          + perm.format_cycles(sig))
 def test_fertile_map_is_the_plain_walk_prefixes(sig, monkeypatch):
-    # the a1 blocks build C2 below exactly the (a1, b1) prefixes, and
-    # choose the C3 route below exactly the (a1, b1, a2) prefixes, of the
-    # unfiltered plain loop's solutions, each once
+    # the a1 blocks choose the C2 route below exactly the (a1, b1)
+    # prefixes, and the C3 route below exactly the (a1, b1, a2) prefixes,
+    # of the unfiltered plain loop's solutions, each once
     n = len(sig)
     c2s, c3s = [], []
-    block, intersect, route = search._block, search._intersect_next, \
-        search._route
-    writing = []
-
-    def block_spy(*args):
-        writing.append(True)
-        yield from block(*args)
-        writing.pop()
-
-    def intersect_spy(prev, prev_conjs, new_conj):
-        if writing:
-            c2s.append((*prev_conjs, new_conj))
-        return intersect(prev, prev_conjs, new_conj)
+    route = search._route
 
     def route_spy(prev, prev_conjs, new_conj):
-        if writing and len(prev_conjs) == 2:
-            c3s.append((*prev_conjs, new_conj))
+        (c2s, c3s)[len(prev_conjs) - 1].append((*prev_conjs, new_conj))
         return route(prev, prev_conjs, new_conj)
 
-    monkeypatch.setattr(search, "_block", block_spy)
-    monkeypatch.setattr(search, "_intersect_next", intersect_spy)
     monkeypatch.setattr(search, "_route", route_spy)
     search.enumerate_fixed_sigma(n, sigma=sig, sink=lambda *args: None)
     plain = _plain_walk(n, sig)
@@ -1075,23 +1091,16 @@ def test_fertile_map_is_the_plain_walk_prefixes(sig, monkeypatch):
 
 
 def test_list_walk_without_solutions_builds_nothing(monkeypatch):
-    # degree 9 has no solution: beyond the factored jobs of a count, a
-    # streaming run builds no C2 or C3 and hands the sink nothing
-    intersected = []
-    intersect = search._intersect_next
-
-    def spy(*args):
-        intersected.append(args)
-        return intersect(*args)
-
-    monkeypatch.setattr(search, "_intersect_next", spy)
+    # degree 9 has no solution: neither a count nor a streaming run
+    # picks a C2 or C3 list, and the streaming run hands the sink nothing
+    routed = []
+    monkeypatch.setattr(search, "_route", lambda *args: routed.append(args))
     ticks = []
     search.enumerate_fixed_sigma(9, progress=lambda i, m: ticks.append(m))
-    counted = len(intersected)
     res = search.enumerate_fixed_sigma(9, sink=_refuse,
                                        progress=lambda i, m: ticks.append(m))
     assert res.fixed_count == 0
-    assert len(intersected) == 2 * counted
+    assert routed == []
     assert ticks == [2] * 4
 
 

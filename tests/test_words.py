@@ -126,11 +126,11 @@ def test_assignment_rejects_non_permutations():
 
 def test_assignment_rejects_list_images():
     # images are tuples: a list is refused with ValueError, not a
-    # TypeError from the lookup of remembered images, whether or not its
-    # values are remembered and at every position
+    # TypeError, after a tuple of the same values was taken, and at every
+    # position
     e = perm.identity(2)
     t = perm.transposition(2, 1, 2)
-    Assignment(2, t, e, e, e, e)            # (0, 1) and (1, 0) remembered
+    Assignment(2, t, e, e, e, e)
     with pytest.raises(ValueError, match=r"sigma is not a tuple: \[1, 0\]"):
         Assignment(2, [1, 0], e, e, e, e)
     for i, name in enumerate(("a1", "a2", "b1", "b2")):
@@ -141,15 +141,14 @@ def test_assignment_rejects_list_images():
 
 
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
-def test_assignment_rejects_non_int_points(monkeypatch, warm):
+def test_assignment_rejects_non_int_points(warm):
     # a tuple of lists, and a tuple of floats equal to a permutation, are
-    # refused with ValueError whether or not the permutations they look
-    # like are remembered
-    monkeypatch.setattr(words, "_PERMUTATIONS", set())
+    # refused with ValueError whether or not Assignment has already been
+    # given the permutations they look like
     e = perm.identity(2)
     s = perm.transposition(2, 1, 2)
     if warm:
-        Assignment(2, s, s, e, e, e)        # (0, 1) and (1, 0) remembered
+        Assignment(2, s, s, e, e, e)
     for bad in [([1], [0]), (1.0, 0.0)]:
         with pytest.raises(ValueError, match=r"a1 is not a permutation"):
             Assignment(2, s, bad, e, e, e)
