@@ -107,7 +107,7 @@ and ((), (), (), r) when both hold.  Below r = () it gives only
 by H1 or H2 fixes b1 = r and a2 = b2 = (), so an image carries the weight
 of its leaf, and the weights of a job, times the size of the C(s)-class
 of r, count the solutions with a1 in that class and their images: summed
-over the jobs (_run_slices), every solution once, with no list the size
+over the jobs (_run), every solution once, with no list the size
 of S_n.  The () job, empty at n >= 3, runs first and in process, so a
 count reports its first slice before any worker is forked.  The others
 run in forked workers, one per job and at most `workers` at a time, and
@@ -200,22 +200,6 @@ class EnumerationResult(NamedTuple):
 class Orbit(NamedTuple):
     representative: Assignment
     size: int  # solutions in the fixed-sigma slice of the class
-
-
-def _check_run(n: int, workers: int) -> None:
-    if n < 2:
-        raise ValueError(f"degree must be at least 2, got {n}")
-    if n > MAX_DEGREE:
-        raise ValueError(f"degree {n} exceeds the cap {MAX_DEGREE}")
-    if workers < 1:
-        raise ValueError(f"workers must be positive, got {workers}")
-
-
-def _result(n: int, s: Perm, count: int, elapsed: float) -> EnumerationResult:
-    t = n * (n - 1) // 2
-    return EnumerationResult(n=n, sigma=s, fixed_count=count,
-                             transpositions=t, total_count=count * t,
-                             elapsed_seconds=elapsed)
 
 
 def _route(prev: Sequence[Perm], prev_conjs: Sequence[Perm],
@@ -555,15 +539,30 @@ def _forked(jobs: Sequence[tuple], size: int, oom: str
             os.waitpid(pid, 0)
 
 
-def _run_slices(n: int, jobs: Sequence[tuple], workers: int,
-                absorb: Callable[[tuple, List[_Output]], None],
-                progress: Optional[Callable[[int, int], None]]) -> int:
-    """The weighted count of _search_chunk on every job: a1 = () in this
-    process first, the rest one per forked worker, at most min(workers,
-    jobs that walk) at once (_forked) if that exceeds one and os.fork
-    exists.  Outputs are absorbed as they finish, changing no count, class
-    or solution (module docstring), and the k-th progress call reports k
-    slices done; out of memory, or a dead worker, is a one-line error."""
+def _run(n: int, sigma: Optional[Perm], workers: int,
+         absorb: Callable[[tuple, List[_Output], Sequence[Perm]], None],
+         progress: Optional[Callable[[int, int], None]]) -> EnumerationResult:
+    """The result, weighted count and all, of _search_chunk on every job
+    of degree n with sigma, (1,2) if None; ValueError, before any job is
+    built, unless n and workers are ints in range and sigma reads as a
+    transposition.  a1 = () runs in this process first, the rest one per
+    forked worker, at most min(workers, jobs that walk) at once (_forked)
+    if that exceeds one and os.fork exists.  Each job's outputs go to
+    absorb with C(s) as they finish, changing no count, class or solution
+    (module docstring), and the k-th progress call reports k slices done;
+    out of memory, or a dead worker, is a one-line error."""
+    if not isinstance(n, int) or not 2 <= n <= MAX_DEGREE:
+        raise ValueError(f"degree must be an int from 2 to {MAX_DEGREE}, "
+                         f"got {n!r}")
+    if not isinstance(workers, int) or workers < 1:
+        raise ValueError(f"workers must be a positive int, got {workers!r}")
+    s = perm.transposition(n, 1, 2) if sigma is None else perm.check(
+        tuple(sigma) if isinstance(sigma, Iterable) else sigma, n, "sigma")
+    if not perm.is_transposition(s):
+        raise ValueError("sigma must be a transposition")
+    t0 = time.perf_counter()
+    cent = groups.centralizer_elements(s, n)
+    jobs = _jobs(n, s, cent)
     oom = f"out of memory in the degree-{n} search"
     pool_size = min(workers, len(jobs) - 1) if hasattr(os, "fork") else 1
     count = 0
@@ -575,23 +574,17 @@ def _run_slices(n: int, jobs: Sequence[tuple], workers: int,
             for done, (i, out) in enumerate(outputs, 1):
                 count += jobs[i][3] * sum(w * (1 + len(images))
                                           for _, w, images in out)
-                absorb(jobs[i], out)
+                absorb(jobs[i], out, cent)
                 if progress is not None:
                     progress(done, len(jobs))
     except MemoryError:
         raise RuntimeError(oom) from None
     except EOFError:
         raise RuntimeError("a search worker ended early") from None
-    return count
-
-
-def _resolve_sigma(n: int, sigma: Optional[Perm]) -> Perm:
-    if sigma is None:
-        return perm.transposition(n, 1, 2)
-    sigma = perm.check(tuple(sigma), n, "sigma")
-    if not perm.is_transposition(sigma):
-        raise ValueError("sigma must be a transposition")
-    return sigma
+    t = n * (n - 1) // 2
+    return EnumerationResult(n=n, sigma=s, fixed_count=count,
+                             transpositions=t, total_count=count * t,
+                             elapsed_seconds=time.perf_counter() - t0)
 
 
 def enumerate_fixed_sigma(n: int, *, workers: int = 1,
@@ -610,25 +603,24 @@ def enumerate_fixed_sigma(n: int, *, workers: int = 1,
     Once every slice is in, sink gets each solution in the order `list`
     writes, with the leaf or image it comes from, a C(s)-conjugate.
     """
-    _check_run(n, workers)
-    s = _resolve_sigma(n, sigma)
     t0 = time.perf_counter()
-    cent = groups.centralizer_elements(s, n)
     blocks: Dict[Perm, List[tuple]] = {}
 
-    def absorb(job: tuple, outputs: List[_Output]) -> None:
+    def absorb(job: tuple, outputs: List[_Output], cent: Sequence[Perm]
+               ) -> None:
         if sink is not None:
             _expand(job, outputs, cent, blocks)
 
-    count = _run_slices(n, _jobs(n, s, cent), workers, absorb, progress)
+    res = _run(n, sigma, workers, absorb, progress)
     kept = 0
     for a1 in sorted(blocks):
-        for raw, origin in _block(n, s, a1, blocks.pop(a1)):
+        for raw, origin in _block(n, res.sigma, a1, blocks.pop(a1)):
             kept += 1
-            sink(Assignment._unchecked(n, s, *raw), origin)
-    if sink is not None and kept != count:
-        raise AssertionError(f"kept {kept} solutions, expected {count}")
-    return _result(n, s, count, time.perf_counter() - t0)
+            sink(Assignment._unchecked(n, res.sigma, *raw), origin)
+    if sink is not None and kept != res.fixed_count:
+        raise AssertionError(
+            f"kept {kept} solutions, expected {res.fixed_count}")
+    return res._replace(elapsed_seconds=time.perf_counter() - t0)
 
 
 def classify(n: int, *, workers: int = 1,
@@ -642,22 +634,18 @@ def classify(n: int, *, workers: int = 1,
     the same representatives, read off the jobs a count runs (module
     docstring); workers and progress work as in enumerate_fixed_sigma.
     """
-    _check_run(n, workers)
-    s = perm.transposition(n, 1, 2)
-    t0 = time.perf_counter()
-    cent = groups.centralizer_elements(s, n)
     orbits: List[Orbit] = []
 
-    def absorb(job: tuple, outputs: List[_Output]) -> None:
-        _, _, _, r_size, stab = job
+    def absorb(job: tuple, outputs: List[_Output], cent: Sequence[Perm]
+               ) -> None:
+        _, s, _, r_size, stab = job
         for _, orbit, images in _new_orbits(stab, outputs):
             size = r_size * len(orbit)
             for key in [min(orbit)] + [_least(i, cent) for i in images]:
                 orbits.append(Orbit(Assignment._unchecked(n, s, *key), size))
 
-    count = _run_slices(n, _jobs(n, s, cent), workers, absorb, progress)
+    res = _run(n, None, workers, absorb, progress)
     orbits.sort(key=lambda o: o.representative.sort_key())
-    res = _result(n, s, count, time.perf_counter() - t0)
     return analyze(res, orbits), orbits
 
 

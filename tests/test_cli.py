@@ -345,13 +345,13 @@ def test_list_n8_digest(tmp_path, workers):
     env["PYTHONPATH"] = str(pathlib.Path(braidcovers.__file__).parents[1])
     digest = hashlib.sha256()
     with open(tmp_path / "err", "w+b") as err:
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "braidcovers.cli", "list", "--n", "8",
-             "--confirm-long", "--workers", workers],
-            env=env, stdout=subprocess.PIPE, stderr=err)
-        for chunk in iter(lambda: proc.stdout.read(1 << 16), b""):
-            digest.update(chunk)
-        assert proc.wait() == 0
+        with subprocess.Popen(
+                [sys.executable, "-m", "braidcovers.cli", "list", "--n", "8",
+                 "--confirm-long", "--workers", workers],
+                env=env, stdout=subprocess.PIPE, stderr=err) as proc:
+            for chunk in iter(lambda: proc.stdout.read(1 << 16), b""):
+                digest.update(chunk)
+        assert proc.returncode == 0
         err.seek(0)
         progress = err.read().decode().splitlines()
     assert digest.hexdigest() == LIST_N8_SHA256

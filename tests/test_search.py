@@ -527,6 +527,32 @@ def test_sigma_validation():
     assert search.analyze(res, orbits).orbit_count == 40
 
 
+@pytest.mark.parametrize("call,name", [
+    (lambda: search.enumerate_fixed_sigma(6, workers=2.0), "workers"),
+    (lambda: search.classify(6, workers="2"), "workers"),
+    (lambda: search.classify(6.0), "degree"),
+    (lambda: search.classify("6"), "degree"),
+    (lambda: search.enumerate_fixed_sigma(6.0, workers=2), "degree"),
+    (lambda: search.enumerate_fixed_sigma(3, sigma=5), "sigma"),
+], ids=["count-workers", "classify-workers", "classify-float-degree",
+        "classify-str-degree", "count-float-degree", "count-int-sigma"])
+def test_non_int_input_is_refused_before_any_job(monkeypatch, call, name):
+    # a degree or worker count that is not an int, or a sigma that does
+    # not read as a tuple, is a ValueError naming it, raised before any
+    # job is built or worker forked
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        raise OSError("not to be called")
+
+    monkeypatch.setattr(search, "_jobs", spy)
+    monkeypatch.setattr(os, "fork", spy)
+    with pytest.raises(ValueError, match=f"^{name} "):
+        call()
+    assert calls == []
+
+
 def _assert_images_are_permutations(asg, sig):
     assert type(asg) is words.Assignment and asg.sigma == sig
     for name, p in zip(asg._fields[1:], asg[1:]):
@@ -1240,8 +1266,10 @@ def test_classify_matches_collected_decomposition(n, classes):
     s = perm.transposition(n, 1, 2)
     solutions = tuple(words.Assignment(n, s, *raw) for raw in _plain_walk(n, s))
     expected = search.orbit_decomposition(list(solutions), n)
-    analyzed = search.analyze(
-        search._result(n, s, len(solutions), 0.0), expected)
+    t = n * (n - 1) // 2
+    analyzed = search.analyze(search.EnumerationResult(
+        n=n, sigma=s, fixed_count=len(solutions), transpositions=t,
+        total_count=len(solutions) * t, elapsed_seconds=0.0), expected)
     for workers in (1, 2):
         res, orbits = search.classify(n, workers=workers)
         assert len(orbits) == res.orbit_count == classes
