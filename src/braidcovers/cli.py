@@ -9,6 +9,11 @@ Every searching command runs the orbit-factored count search.
 classes and their image groups without keeping the solutions; `list`
 streams every solution, expanded from the same search, fingerprinting
 the one leaf or image of the search each solution comes from.
+Every command but `list` (JSON lines only) builds its records once and
+writes them as --format asks: CSV, a header of field names, then one row
+per record, list cells joined by ";" and None empty; JSON, {"rows": [...]}
+for table and invariants, one object for count, orbits and oracle; or
+text lines.
 
 Every run is deterministic: same command, same bytes out, for any
 --workers.  Exit codes: 0 success, 1 usage error or failure, 2 oracle
@@ -22,7 +27,6 @@ from __future__ import annotations
 import atexit
 import contextlib
 import gc
-import io
 import os
 import signal
 import sys
@@ -171,7 +175,7 @@ def _progress_printer(n: int):
 
 
 def _dumps(doc) -> str:
-    import json  # here, as csv below: a command that writes none skips it
+    import json  # here, as csv in _write: a command that writes none skips it
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
@@ -180,12 +184,29 @@ def _dumps_line(doc) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _csv_text(rows: Sequence[Sequence[object]]) -> str:
-    import csv
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerows(rows)
-    return buf.getvalue()
+def _cell(value: object) -> str:
+    """A record value as a CSV or table cell: a list joined by ";",
+    None empty."""
+    if value is None:
+        return ""
+    return ";".join(value) if isinstance(value, list) else str(value)
+
+
+def _write(out: TextIO, fmt: str, fields: Sequence[str],
+           records: List[Dict[str, object]], lines: List[str],
+           doc: Optional[Dict[str, object]] = None) -> None:
+    """A command's output in its --format: JSON, doc or else
+    {"rows": records}; CSV, a header of fields, then each record's cells;
+    text, the lines."""
+    if fmt == "json":
+        out.write(_dumps({"rows": records} if doc is None else doc))
+    elif fmt == "csv":
+        import csv
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(fields)
+        writer.writerows([_cell(r[f]) for f in fields] for r in records)
+    else:
+        out.write("\n".join(lines) + "\n")
 
 
 @contextlib.contextmanager
@@ -236,26 +257,6 @@ def _solution_json(sol: Assignment, cache: _ImageCache) -> Dict[str, object]:
     return {"n": sol.n, **doc, "image": cache.get(sol).to_json_dict()}
 
 
-def _result_json(res: search.EnumerationResult) -> Dict[str, object]:
-    from . import perm
-    return {
-        "n": res.n,
-        "sigma": perm.format_cycles(res.sigma),
-        "fixed_count": res.fixed_count,
-        "transpositions": res.transpositions,
-        "total_count": res.total_count,
-        "orbit_count": res.orbit_count,
-        "orbit_size_histogram": (
-            None if res.orbit_size_histogram is None
-            else {str(k): v for k, v in res.orbit_size_histogram.items()}),
-        "image_fingerprint_histogram": res.image_fingerprint_histogram,
-    }
-
-
-_TABLE_HEADER = ("n", "fixed_count", "transpositions", "total",
-                 "orbit_count", "K2", "chi", "c2", "image_names")
-
-
 def _search_degree(n: int, args: SimpleNamespace) -> search.EnumerationResult:
     from . import search
     if args.collect:
@@ -282,63 +283,49 @@ def _table_row(res: search.EnumerationResult) -> Dict[str, object]:
     }
 
 
-def _render_table(rows: List[Dict[str, object]], fmt: str) -> str:
-    def cell(row: Dict[str, object], col: str) -> str:
-        value = row[col]
-        if value is None:
-            return ""
-        if col == "image_names":
-            return ";".join(value)
-        return str(value)
-
-    if fmt == "json":
-        return _dumps({"rows": rows})
-    if fmt == "csv":
-        data = [_TABLE_HEADER]
-        data += [[cell(r, c) for c in _TABLE_HEADER] for r in rows]
-        return _csv_text(data)
-    widths = [max(len(h), *(len(cell(r, h)) for r in rows)) if rows else len(h)
-              for h in _TABLE_HEADER]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(_TABLE_HEADER, widths)).rstrip()]
-    for r in rows:
-        lines.append("  ".join(
-            cell(r, h).ljust(w) for h, w in zip(_TABLE_HEADER, widths)).rstrip())
-    return "\n".join(lines) + "\n"
-
-
 def _cmd_count(args: SimpleNamespace, out: TextIO) -> int:
+    from . import perm
     n = args.n
     res = _search_degree(n, args)
     inv = surface.invariants_for(n)
     verdict = surface.existence_verdict(n, res)
-    if args.fmt == "json":
-        doc = _result_json(res)
-        doc["surface"] = inv.to_json_dict()
-        doc["existence"] = verdict.to_json_dict()
-        out.write(_dumps(doc))
-    elif args.fmt == "csv":
-        out.write(_render_table([_table_row(res)], "csv"))
-    else:
-        lines = [
-            str(res),
-            f"surface: chi={inv.chi} K^2={inv.K2} c_2={inv.c2} "
-            f"(K^2 + c_2 = {inv.K2 + inv.c2})",
-        ]
-        if res.orbit_count is not None:
-            lines.append(
-                f"classes: {res.orbit_count} under simultaneous conjugation; "
-                f"images: " + ", ".join(
-                    f"{name} x{count}" for name, count in
-                    res.image_fingerprint_histogram.items()))
-        lines.append(str(verdict))
-        out.write("\n".join(lines) + "\n")
+    row = _table_row(res)
+    doc = res._asdict()
+    del doc["elapsed_seconds"]
+    doc.update(sigma=perm.format_cycles(res.sigma), surface=inv.to_json_dict(),
+               existence=verdict.to_json_dict())
+    lines = [
+        str(res),
+        f"surface: chi={inv.chi} K^2={inv.K2} c_2={inv.c2} "
+        f"(K^2 + c_2 = {inv.K2 + inv.c2})",
+    ]
+    if res.orbit_count is not None:
+        # str keys: sort_keys would order int sizes by value
+        doc["orbit_size_histogram"] = {
+            str(k): v for k, v in res.orbit_size_histogram.items()}
+        lines.append(
+            f"classes: {res.orbit_count} under simultaneous conjugation; "
+            f"images: " + ", ".join(
+                f"{name} x{count}" for name, count in
+                res.image_fingerprint_histogram.items()))
+    lines.append(str(verdict))
+    _write(out, args.fmt, tuple(row), [row], lines, doc)
     return 0
 
 
 def _cmd_table(args: SimpleNamespace, out: TextIO) -> int:
     rows = [_table_row(_search_degree(n, args)) for n in args.n]
-    out.write(_render_table(rows, args.fmt))
+    fields = tuple(rows[0])
+    # text: each column as wide as its widest cell, trailing spaces dropped
+    cells = [fields, *([_cell(r[f]) for f in fields] for r in rows)]
+    widths = [max(map(len, column)) for column in zip(*cells)]
+    lines = ["  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip()
+             for row in cells]
+    _write(out, args.fmt, fields, rows, lines)
     return 0
+
+
+_ORBIT_FIELDS = ("n", "orbit", "size", "image", "sigma", "a1", "a2", "b1", "b2")
 
 
 def _cmd_orbits(args: SimpleNamespace, out: TextIO) -> int:
@@ -347,33 +334,19 @@ def _cmd_orbits(args: SimpleNamespace, out: TextIO) -> int:
     res, orbits = search.classify(
         n, workers=args.workers, progress=_progress_printer(n))
     cache = _ImageCache()
-    if args.fmt == "json":
-        doc = {
-            "n": n,
-            "sigma": perm.format_cycles(res.sigma),
-            "fixed_count": res.fixed_count,
-            "orbit_count": len(orbits),
-            "orbits": [{
-                "size": o.size,
-                "representative": _solution_json(o.representative, cache),
-            } for o in orbits],
-        }
-        out.write(_dumps(doc))
-    elif args.fmt == "csv":
-        data = [("n", "orbit", "size", "image", "sigma", "a1", "a2", "b1", "b2")]
-        for i, o in enumerate(orbits, start=1):
-            rep = o.representative
-            data.append((n, i, o.size, cache.get(rep).name,
-                         *map(perm.format_cycles, rep[1:])))
-        out.write(_csv_text(data))
-    else:
-        lines = [f"n={n}: {res.fixed_count} solutions in {len(orbits)} "
-                 f"conjugacy classes under the sigma centralizer"]
-        for i, o in enumerate(orbits, start=1):
-            rep = o.representative
-            lines.append(f"  class {i}: size={o.size} "
-                         f"image={cache.get(rep).name} {rep}")
-        out.write("\n".join(lines) + "\n")
+    reps = [_solution_json(o.representative, cache) for o in orbits]
+    records = [{**rep, "orbit": i, "size": o.size, "image": rep["image"]["name"]}
+               for i, (o, rep) in enumerate(zip(orbits, reps), start=1)]
+    lines = [f"n={n}: {res.fixed_count} solutions in {len(orbits)} "
+             f"conjugacy classes under the sigma centralizer"]
+    lines += [f"  class {r['orbit']}: size={r['size']} image={r['image']} "
+              + " ".join(f"{k}={r[k]}" for k in _ORBIT_FIELDS[4:])
+              for r in records]
+    doc = {"n": n, "sigma": perm.format_cycles(res.sigma),
+           "fixed_count": res.fixed_count, "orbit_count": len(orbits),
+           "orbits": [{"size": o.size, "representative": rep}
+                      for o, rep in zip(orbits, reps)]}
+    _write(out, args.fmt, _ORBIT_FIELDS, records, lines, doc)
     return 0
 
 
@@ -415,41 +388,26 @@ def _cmd_oracle(args: SimpleNamespace, out: TextIO) -> int:
     brute = search.brute_force_oracle(n)
     brute_keys = {sol.sort_key() for sol in brute}
     match = engine.fixed_count == len(brute) and engine_keys == brute_keys
-    if args.fmt == "json":
-        doc = {"n": n, "match": match, "engine_count": engine.fixed_count,
-               "brute_force_count": len(brute)}
-        out.write(_dumps(doc))
-    elif args.fmt == "csv":
-        data = [("n", "match", "engine_count", "brute_force_count"),
-                (n, match, engine.fixed_count, len(brute))]
-        out.write(_csv_text(data))
-    elif match:
-        out.write(f"MATCH: {engine.fixed_count} = {len(brute)}\n")
-    else:
-        only_engine = len(engine_keys - brute_keys)
-        only_brute = len(brute_keys - engine_keys)
-        out.write(f"MISMATCH: {engine.fixed_count} != {len(brute)} "
-                  f"(only-engine={only_engine} only-brute={only_brute})\n")
+    record = {"n": n, "match": match, "engine_count": engine.fixed_count,
+              "brute_force_count": len(brute)}
+    line = (f"MATCH: {engine.fixed_count} = {len(brute)}" if match else
+            f"MISMATCH: {engine.fixed_count} != {len(brute)} "
+            f"(only-engine={len(engine_keys - brute_keys)} "
+            f"only-brute={len(brute_keys - engine_keys)})")
+    _write(out, args.fmt, tuple(record), [record], [line], record)
     return 0 if match else 2
 
 
 def _cmd_invariants(args: SimpleNamespace, out: TextIO) -> int:
     # a range too large to list fails here at once, out of memory
-    records = [surface.invariants_for(n) for n in list(args.n)]
-    if args.fmt == "json":
-        out.write(_dumps({"rows": [r.to_json_dict() for r in records]}))
-    elif args.fmt == "csv":
-        out.write(_csv_text([surface.SurfaceInvariants._fields, *records]))
-    else:
-        lines = []
-        for r in records:
-            lines.append(
-                f"n={r.n}: chi={r.chi} K^2={r.K2} c_2={r.c2} pa(Z)={r.pa_Z} "
-                f"Gamma^2={r.Gamma2} Z^2={r.Z2} Gamma.Z={r.GammaZ} "
-                f"R^2={r.R2} R.Z={r.RZ} R.R0={r.RR0} "
-                f"general_type={r.general_type} "
-                f"z_reducible_forced={r.z_reducible_forced}")
-        out.write("\n".join(lines) + "\n")
+    invs = [surface.invariants_for(n) for n in list(args.n)]
+    lines = [f"n={r.n}: chi={r.chi} K^2={r.K2} c_2={r.c2} pa(Z)={r.pa_Z} "
+             f"Gamma^2={r.Gamma2} Z^2={r.Z2} Gamma.Z={r.GammaZ} "
+             f"R^2={r.R2} R.Z={r.RZ} R.R0={r.RR0} "
+             f"general_type={r.general_type} "
+             f"z_reducible_forced={r.z_reducible_forced}" for r in invs]
+    _write(out, args.fmt, surface.SurfaceInvariants._fields,
+           [r.to_json_dict() for r in invs], lines)
     return 0
 
 

@@ -544,17 +544,17 @@ def _run(n: int, sigma: Optional[Perm], workers: int,
          progress: Optional[Callable[[int, int], None]]) -> EnumerationResult:
     """The result, weighted count and all, of _search_chunk on every job
     of degree n with sigma, (1,2) if None; ValueError, before any job is
-    built, unless n and workers are ints in range and sigma reads as a
-    transposition.  a1 = () runs in this process first, the rest one per
+    built, unless n and workers are ints in range (a bool is not one) and
+    sigma reads as a transposition.  a1 = () runs in this process first, the rest one per
     forked worker, at most min(workers, jobs that walk) at once (_forked)
     if that exceeds one and os.fork exists.  Each job's outputs go to
     absorb with C(s) as they finish, changing no count, class or solution
     (module docstring), and the k-th progress call reports k slices done;
     out of memory, or a dead worker, is a one-line error."""
-    if not isinstance(n, int) or not 2 <= n <= MAX_DEGREE:
+    if type(n) is not int or not 2 <= n <= MAX_DEGREE:
         raise ValueError(f"degree must be an int from 2 to {MAX_DEGREE}, "
                          f"got {n!r}")
-    if not isinstance(workers, int) or workers < 1:
+    if type(workers) is not int or workers < 1:
         raise ValueError(f"workers must be a positive int, got {workers!r}")
     s = perm.transposition(n, 1, 2) if sigma is None else perm.check(
         tuple(sigma) if isinstance(sigma, Iterable) else sigma, n, "sigma")

@@ -30,11 +30,85 @@ LIST_N6_SHA256 = (
 LIST_N8_SHA256 = (
     "6bb69d749dd20fce1d167ce878fe464af4f773b366b75e915be86864a537af19")
 
+# sha256 of the stdout of each command that writes records, in each
+# --format: the padding, key order and cell spelling of every byte
+FORMAT_SHA256 = {
+    ("count --n 3", "text"):
+        "cb9b87df3522de86b796dc9dbc3d55efc0a5c566511dca19b997dd6d474da48a",
+    ("count --n 3", "csv"):
+        "365af3462d0ea189c0dfab14a238a2646da9c90d0f7641ba2b0080b118ce1ff2",
+    ("count --n 3", "json"):
+        "fd4a84b2d418fe563736d30c83505a980657a45f6600c5024282f7ab7b6f8f49",
+    ("count --n 4 --collect", "text"):
+        "6bd0130b01d9fb22e8976c1640360c5f931e1f76fccad60a656848937fdc7400",
+    ("count --n 4 --collect", "csv"):
+        "22ae65228339519e77c0bd37a04cf092cb0b15e9a04198232721dc6a9740501e",
+    ("count --n 4 --collect", "json"):
+        "b21a31a8866e8473a1de3fae704bbbfd598c685d74106d646373029dd77bda65",
+    ("count --n 5", "text"):
+        "f25e72620a4f255b40391eb036030e325cfd907c7518db06f3e7177e4f7e04e6",
+    ("count --n 5", "csv"):
+        "23d1e7b75db91377489dc45bfef2f66ab55df26050e0833aef0533e06738f71b",
+    ("count --n 5", "json"):
+        "d0e7f8a9e301ae3914be5193b23b575b0d6b585da217a325ef7060cedf5d66c4",
+    ("table --n 2..5", "text"):
+        "3db260ec0dceea39d6e1c8e1cbe2e49188e234c36a99562b96af032a87e49b23",
+    ("table --n 2..5", "csv"):
+        "0d4bcd49cdb9a764528a9588c45b0f9303df8b5a427d80f11e82aca9f358d682",
+    ("table --n 2..5", "json"):
+        "32b8ca27acde3dcdf24e1dc61f28afedb0d0b41cdb5a0fa50dca5feacf512aca",
+    ("table --n 2..5 --collect", "text"):
+        "397222a2af7ba15efa38bacd9893c2d8f58ff9318ebadc351bec1419b7ad7f33",
+    ("table --n 2..5 --collect", "csv"):
+        "bae0a8118e04f195a8c76e8c09d4d6631f76829ba623d5298967d71723d25a18",
+    ("table --n 2..5 --collect", "json"):
+        "daf127a37246a9965667eb89acd218912de5c7a32836b6ed0fb4438095db46a9",
+    ("orbits --n 3", "text"):
+        "f612c7426eb1106ca4baafd393d0e0368660305f9d1d6573e8f379e7b0e5a60d",
+    ("orbits --n 3", "csv"):
+        "f36f8df7ab530751197df34e26196a5ca257a6fdd1a6c4e762f3abd93a8d3375",
+    ("orbits --n 3", "json"):
+        "28515c8e7f90a464c1a0ec3fb31eba5f17993bd3405df27a1035f8ba51ffa51c",
+    ("oracle --n 3", "text"):
+        "1e23081e523a30824066a06f50ed2c2680b5832ace4646b74b4667a9beefc41e",
+    ("oracle --n 3", "csv"):
+        "6b717e962e2f8fc32f9c43675ed4d39e79a18c181f4aeee26456e66769215bac",
+    ("oracle --n 3", "json"):
+        "ac29d4914654ead8611dcc6a0affe62b43caabc2ed9055ad611451cc1636d6d8",
+    ("invariants --n 2..9", "text"):
+        "4d976b3082ac2dbb2d08cfd41a228448e240d4776316b28fb1236d9499e30a14",
+    ("invariants --n 2..9", "csv"):
+        "8e1406fd3e3a08533051f5252c279e50333c595ec5ba692f8016d8622387ba32",
+    ("invariants --n 2..9", "json"):
+        "24a9064f91256702ddb66604326ca1351525702d16f6831da35145a8184ca186",
+}
+
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("command,fmt", sorted(FORMAT_SHA256))
+def test_output_bytes_in_every_format(capsys, command, fmt):
+    code, out, _ = run(capsys, *command.split(), "--format", fmt)
+    assert code == 0
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == FORMAT_SHA256[command, fmt], out
+
+
+@pytest.mark.parametrize("fmt,expected", [
+    ("text", "n=5: 0 solutions in 0 conjugacy classes under the sigma "
+             "centralizer\n"),
+    ("csv", "n,orbit,size,image,sigma,a1,a2,b1,b2\n"),
+    ("json", '{\n  "fixed_count": 0,\n  "n": 5,\n  "orbit_count": 0,\n'
+             '  "orbits": [],\n  "sigma": "(1,2)"\n}\n'),
+])
+def test_no_records_still_write_header_and_empty_list(capsys, fmt, expected):
+    code, out, _ = run(capsys, "orbits", "--n", "5", "--format", fmt)
+    assert code == 0
+    assert out == expected
 
 
 def test_count_text(capsys):

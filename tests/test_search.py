@@ -534,11 +534,14 @@ def test_sigma_validation():
     (lambda: search.classify("6"), "degree"),
     (lambda: search.enumerate_fixed_sigma(6.0, workers=2), "degree"),
     (lambda: search.enumerate_fixed_sigma(3, sigma=5), "sigma"),
+    (lambda: search.enumerate_fixed_sigma(4, workers=True), "workers"),
+    (lambda: search.classify(4, workers=True), "workers"),
 ], ids=["count-workers", "classify-workers", "classify-float-degree",
-        "classify-str-degree", "count-float-degree", "count-int-sigma"])
+        "classify-str-degree", "count-float-degree", "count-int-sigma",
+        "count-bool-workers", "classify-bool-workers"])
 def test_non_int_input_is_refused_before_any_job(monkeypatch, call, name):
-    # a degree or worker count that is not an int, or a sigma that does
-    # not read as a tuple, is a ValueError naming it, raised before any
+    # a degree or worker count that is not an int (a bool is not), or a
+    # sigma that does not read as a tuple, is a ValueError naming it, raised before any
     # job is built or worker forked
     calls = []
 
