@@ -36,19 +36,18 @@ one needs no test:
   * that relation puts b2^-1 a2^-1 b2 = a2^-1 k^-1, conjugate elements
     share a cycle type, so a2^-1 and a2^-1 k^-1 must.
 
-Transitivity is tested exactly at the leaves, and also cut above them,
-each time by groups.is_transitive.  Every later coordinate lies in the
-centralizer list of its level: b1, a2 and b2 in C1 (and in R1), a2 and
-b2 in C2, b2 in C3.  So the group a solution generates lies in
-<s, a1, C1>, and in <s, a1, b1, C2> and <s, a1, b1, a2, C3> below b1
-and a2; if that group is not transitive, no solution below the prefix
-is, and its subtree is cut.  At the b1 and a2 levels the walk builds C2
-and C3 from R1 anyway, and reads them until the orbit of a point holds
-every point.  At the a1 level no list is needed (_a1_transitive): an
-element of C(g) maps each cycle of g onto a cycle of the same length,
-and swapping two such cycles or rotating one centralizes g, so the point
-orbits of C(g) are exactly the unions of the cycles of g of equal
-length.
+Transitivity is tested exactly at the leaves, and also cut above them.
+Every later coordinate lies in the centralizer list of its level: b1, a2
+and b2 in C1 (and in R1), a2 and b2 in C2, b2 in C3.  So the group a
+solution generates lies in <s, a1, C1>, and in <s, a1, b1, C2> and
+<s, a1, b1, a2, C3> below b1 and a2; if that group is not transitive, no
+solution below the prefix is, and its subtree is cut.  At the b1 and a2
+levels the walk holds C2 and C3 anyway, as masks (below), and reads them
+point by point (_mask_transitive).  At the a1 level no list is needed
+(_a1_transitive): an element of C(g) maps each cycle of g onto a cycle
+of the same length, and swapping two such cycles or rotating one
+centralizes g, so the point orbits of C(g) are exactly the unions of the
+cycles of g of equal length.
 
 Every run walks below each a1 with one walk (_iter_for_a1), factored
 by symmetry (orderly generation in the sense of McKay, "Isomorph-free
@@ -70,7 +69,8 @@ and at the a2 level over C2; the cycle-type test is H2-invariant, so it
 is made on the representative alone.  Each orbit is built breadth first
 from generators of H, as the a1 orbits are below.  Over the trivial
 group the walk gives every solution once, in an order that reaches no
-output (see the end).
+output (see the end).  C2, C3, H2 = H1 n C(b1) and the b2 that pass the
+torus relation are masks over R1, read in its order (_fits).
 
 The a1 level scans no S_n (_jobs).  With p and q the points s
 moves, C(s) = <s> x Sym(the other points), so two permutations are
@@ -109,10 +109,10 @@ of its leaf, and the weights of a job, times the size of the C(s)-class
 of r, count the solutions with a1 in that class and their images: summed
 over the jobs (_run), every solution once, with no list the size
 of S_n.  The () job, empty at n >= 3, runs first and in process, so a
-count reports its first slice before any worker is forked.  The others
-run in forked workers, one per job and at most `workers` at a time, and
-are absorbed as they finish; no two jobs give one solution, so that
-order reaches no output.
+count reports its first slice before any process is forked.  The others
+run in this process (job 1) and in forked helpers, one fewer than
+min(workers, jobs that walk), and are absorbed as they arrive; no two
+jobs give one solution, so that order reaches no output.
 
 The conjugacy classes of the fixed-sigma solutions (orbits of C(s)
 acting by coordinatewise conjugation) come from the same jobs: a job
@@ -151,6 +151,7 @@ by brute_force_oracle and its tests, not assumed.
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import marshal
 import math
@@ -281,6 +282,35 @@ def _orbit_reps(group: Sequence[Perm], items: Iterable[Perm]
     return reps
 
 
+def _fits(at: List[List[int]], mask: int, a: Perm, t: Perm) -> int:
+    """The members x of mask with x a = t x, x[a[i]] == t[x[i]] for every
+    i: the AND over i of the OR over j of at[i][j] & at[a[i]][t[j]]."""
+    for row, ai in zip(at, a):
+        col, hit = at[ai], 0
+        for m, tj in zip(row, t):
+            hit |= m & col[tj]
+        mask &= hit
+        if not mask:
+            break
+    return mask
+
+
+def _members(items: Sequence[Perm], mask: int) -> List[Perm]:
+    """The items whose bits are set in mask, in their order."""
+    return list(itertools.compress(items, map("1".__eq__, bin(mask)[:1:-1])))
+
+
+def _mask_transitive(n: int, gens: tuple, at: list, mask: int) -> bool:
+    """groups.is_transitive on gens and the members of mask, read off at."""
+    orbit = [0]
+    for x in orbit:
+        orbit += {g[x] for g in gens}.union(itertools.compress(
+            range(n), [m & mask for m in at[x]])).difference(orbit)
+        if len(orbit) == n:
+            return True
+    return False
+
+
 def _iter_for_a1(n: int, s: Perm, a1: Perm, stab: Sequence[Perm]
                  ) -> Iterator[Tuple[RawSolution, int]]:
     """Solutions below one fixed a1 that passes R2(a1), each with a
@@ -295,34 +325,37 @@ def _iter_for_a1(n: int, s: Perm, a1: Perm, stab: Sequence[Perm]
     sa1s = perm.conjugate(a1, s)
     r1 = [x for x in groups.centralizer_elements(sa1s, n)
           if perm.commutes(x, perm.conjugate(x, s))]            # R2
+    at = [[0] * n for _ in range(n)]  # bit k of at[i][j]: r1[k] maps i to j
+    for k, x in enumerate(r1):
+        for row, j in zip(at, x):
+            row[j] |= 1 << k
+    index = {x: k for k, x in enumerate(r1)}
+    h1, every = sum({1 << index[h] for h in stab}), (1 << len(r1)) - 1
     a1_inv = perm.inverse(a1)
     cycle_type = perm.cycle_type
-    for b1, w1 in _orbit_reps(stab, r1):
+
+    @functools.lru_cache(maxsize=None)  # a2 levels may repeat a build
+    def orbit_reps(group: int, items: int) -> list:
+        return list(_orbit_reps(_members(r1, group), _members(r1, items)))
+
+    for b1, w1 in orbit_reps(h1, every):
         sb1s = perm.conjugate(b1, s)
-        c2 = [x for x in r1 if perm.commutes(x, sb1s)]
-        if not groups.is_transitive((s, a1, b1, *c2), n):      # a2, b2 in C2
+        c2 = _fits(at, every, sb1s, sb1s)
+        if not _mask_transitive(n, (s, a1, b1), at, c2):      # a2, b2 in C2
             continue
         b1_inv = perm.inverse(b1)
         k_inv = perm.inverse(tuple(b1[a1_inv[b1_inv[x]]] for x in a1))
-        stab2 = [h for h in stab if perm.commutes(h, b1)]
-        for a2, w2 in _orbit_reps(stab2, c2):
+        for a2, w2 in orbit_reps(_fits(at, h1, b1, b1), c2):
             a2_inv = perm.inverse(a2)
             # torus relation, rearranged: b2^-1 a2^-1 b2 = a2^-1 k^-1
             target = tuple(k_inv[x] for x in a2_inv)
             if cycle_type(a2_inv) != cycle_type(target):
                 continue
             sa2s = perm.conjugate(a2, s)
-            c3 = [x for x in c2 if perm.commutes(x, sa2s)]
-            if not groups.is_transitive((s, a1, b1, a2, *c3), n):  # b2 in C3
+            c3 = _fits(at, c2, sa2s, sa2s)
+            if not _mask_transitive(n, (s, a1, b1, a2), at, c3):  # b2 in C3
                 continue
-            for b2 in c3:
-                ok = True
-                for y in range(n):
-                    if b2[a2_inv[y]] != target[b2[y]]:
-                        ok = False
-                        break
-                if not ok:
-                    continue
+            for b2 in _members(r1, _fits(at, c3, a2_inv, target)):
                 raw = (a1, a2, b1, b2)
                 if groups.is_transitive((s,) + raw, n):
                     yield raw, w1 * w2
@@ -478,63 +511,70 @@ def _jobs(n: int, s: Perm, cent: Sequence[Perm]) -> List[tuple]:
     return sorted(jobs, key=lambda job: job[2])
 
 
-def _work(job: tuple, results: int, oom: str) -> None:
-    """A forked worker: it writes the marshalled output of _search_chunk
-    on job, or a one-line error, to results and leaves by os._exit only:
-    no stdio buffer, --out file or atexit hook runs twice."""
+def _work(jobs: Sequence[tuple], todo: range, results: List[int],
+          oom: str) -> None:
+    """A forked helper: for each of jobs[todo] in turn it writes the
+    marshalled output of _search_chunk, or a one-line error, to that job's
+    pipe in results and closes it; it leaves by os._exit only: no stdio
+    buffer, --out file or atexit hook runs twice."""
     try:
         for signum in (signal.SIGINT, signal.SIGTERM):  # end it at once
             signal.signal(signum, signal.SIG_DFL)
-        try:
-            answer = marshal.dumps(_search_chunk(job))
-        except Exception as exc:  # MemoryError included
-            answer = marshal.dumps(oom if isinstance(exc, MemoryError)
-                                   else f"search worker failed: {exc!r}")
-        with open(results, "wb") as out:  # completes a cut-short write
-            out.write(answer)
+        for i, fd in zip(todo, results):
+            try:
+                answer = marshal.dumps(_search_chunk(jobs[i]))
+            except Exception as exc:  # MemoryError included
+                answer = marshal.dumps(oom if isinstance(exc, MemoryError)
+                                       else f"search worker failed: {exc!r}")
+            with open(fd, "wb") as out:  # completes a cut-short write
+                out.write(answer)
     finally:
         os._exit(0)
 
 
 def _forked(jobs: Sequence[tuple], size: int, oom: str
             ) -> Iterator[Tuple[int, List[_Output]]]:
-    """(i, output) for each of jobs[1:] as it arrives, from one forked
-    worker per job, at most size at once: the next is forked once an
-    answer is read to EOF, so a cut one is an EOFError, and its worker
-    reaped.  Each pipe's write end is closed in the parent before it forks
-    again, and its read end in the worker; any end of the generator,
-    closing included, kills and reaps the workers left."""
+    """(i, output) for each of jobs[1:]: size - 1 helpers are forked, the
+    h-th running jobs[2 + h::size - 1], then this process runs job 1 and
+    reads each answer to EOF from its job's pipe as it arrives, so a cut
+    one is an EOFError.  The pipes' write ends are closed in the parent
+    before it forks again; any end of the generator, closing included,
+    kills and reaps the helpers left."""
     import select
     pool: Dict[BinaryIO, Tuple[int, int]] = {}  # result pipe: pid, job index
-    todo = iter(range(1, len(jobs)))
     try:
-        for _ in range(1, len(jobs)):
-            for i in itertools.islice(todo, size - len(pool)):
-                fds: List[int] = []  # result_r, result_w
-                try:
+        for h in range(size - 1):
+            todo = range(2 + h, len(jobs), size - 1)
+            fds: List[int] = []  # result_r, result_w of each job in turn
+            try:
+                for _ in todo:
                     fds += os.pipe()
-                    pid = os.fork()
-                except OSError as exc:
-                    for fd in fds:
-                        os.close(fd)
-                    raise RuntimeError(
-                        f"cannot start a search worker: {exc}") from None
-                if pid == 0:
-                    os.close(fds[0])
-                    _work(jobs[i], fds[1], oom)
-                os.close(fds[1])
-                pool[open(fds[0], "rb")] = pid, i
+                pid = os.fork()
+            except OSError as exc:
+                for fd in fds:
+                    os.close(fd)
+                raise RuntimeError(
+                    f"cannot start a search worker: {exc}") from None
+            if pid == 0:
+                _work(jobs, todo, fds[1::2], oom)
+            for read_end, write_end, i in zip(fds[::2], fds[1::2], todo):
+                os.close(write_end)
+                pool[open(read_end, "rb")] = pid, i
+        yield 1, _search_chunk(jobs[1])
+        while pool:
             pipe = select.select(list(pool), [], [])[0][0]
             with pipe:
                 out = marshal.loads(pipe.read())
             pid, i = pool.pop(pipe)
-            os.waitpid(pid, 0)
-            if isinstance(out, str):  # the worker's one-line error
+            if pid not in {p for p, _ in pool.values()}:  # its last answer
+                os.waitpid(pid, 0)
+            if isinstance(out, str):  # the helper's one-line error
                 raise RuntimeError(out)
             yield i, out
     finally:
-        for pipe, (pid, _) in pool.items():
+        for pipe in pool:
             pipe.close()
+        for pid in {pid for pid, _ in pool.values()}:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
 
@@ -545,12 +585,12 @@ def _run(n: int, sigma: Optional[Perm], workers: int,
     """The result, weighted count and all, of _search_chunk on every job
     of degree n with sigma, (1,2) if None; ValueError, before any job is
     built, unless n and workers are ints in range (a bool is not one) and
-    sigma reads as a transposition.  a1 = () runs in this process first, the rest one per
-    forked worker, at most min(workers, jobs that walk) at once (_forked)
-    if that exceeds one and os.fork exists.  Each job's outputs go to
-    absorb with C(s) as they finish, changing no count, class or solution
+    sigma reads as a transposition.  a1 = () runs in this process first,
+    the rest here too, or with _forked's helpers where min(workers, jobs
+    that walk) exceeds one and os.fork exists.  Each job's outputs go to
+    absorb with C(s) as they come in, changing no count, class or solution
     (module docstring), and the k-th progress call reports k slices done;
-    out of memory, or a dead worker, is a one-line error."""
+    out of memory, or a dead helper, is a one-line error."""
     if type(n) is not int or not 2 <= n <= MAX_DEGREE:
         raise ValueError(f"degree must be an int from 2 to {MAX_DEGREE}, "
                          f"got {n!r}")
@@ -597,9 +637,9 @@ def enumerate_fixed_sigma(n: int, *, workers: int = 1,
     handing each to sink if one is given.
 
     Every a1 representative is one slice; with workers > 1 and more than
-    one slice that walks (all but a1 = ()), forked worker processes
-    search those.  The result, the solutions and the progress calls
-    (slices done, slices in all) are the same for every worker count.
+    one slice that walks (all but a1 = ()), this process and forked helper
+    processes search those.  The result, the solutions and the progress
+    calls (slices done, slices in all) are the same for every worker count.
     Once every slice is in, sink gets each solution in the order `list`
     writes, with the leaf or image it comes from, a C(s)-conjugate.
     """

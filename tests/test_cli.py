@@ -682,20 +682,22 @@ def _group_size(pgid):
     return len(_group_members(pgid))
 
 
-# `braidcovers` with every search job but a1 = () held for 60 s, so that
-# a pool's workers are still busy when a test signals the run; the
-# workers are forked, so they run the held job too
+# `braidcovers` with every search job its forked helpers run held for
+# 60 s, so that they are still busy when a test signals the run, while
+# the parent has walked its own jobs and waits on them
 _HELD_CLI = """\
+import os
 import sys
 import time
 
-from braidcovers import cli, perm, search
+from braidcovers import cli, search
 
 search_chunk = search._search_chunk
+parent = os.getpid()
 
 
 def held_chunk(job):
-    if job[2] != perm.identity(job[0]):
+    if os.getpid() != parent:
         time.sleep(60)
     return search_chunk(job)
 
@@ -706,11 +708,11 @@ sys.exit(cli.main(sys.argv[1:]))
 
 
 def _pooled_list(out_path):
-    """list --n 6 --out out_path on two workers, each job held by
-    _HELD_CLI, in a subprocess leading its own process group, returned
-    once both pool workers have run for a second.  The parent builds the
-    factored jobs before the pool starts, so a fixed delay could come
-    before any worker exists."""
+    """list --n 6 --out out_path on three workers, the two helpers' jobs
+    held by _HELD_CLI, in a subprocess leading its own process group,
+    returned once both helpers have run for a second.  The parent builds
+    the factored jobs before the pool starts, so a fixed delay could come
+    before any helper exists."""
     import pathlib
     import signal
     import subprocess
@@ -723,7 +725,7 @@ def _pooled_list(out_path):
     env["PYTHONPATH"] = str(pathlib.Path(braidcovers.__file__).parents[1])
     proc = subprocess.Popen(
         [sys.executable, "-c", _HELD_CLI, "list", "--n", "6",
-         "--workers", "2", "--out", str(out_path)],
+         "--workers", "3", "--out", str(out_path)],
         env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         start_new_session=True,
         preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
@@ -758,7 +760,7 @@ def _assert_group_gone(pgid):
 @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
 def test_ctrl_c_under_pool_exits_130(tmp_path):
     # SIGINT to the whole process group, as a terminal's Ctrl-C sends it,
-    # once the two pool workers are running; neither the target nor the
+    # once the two helpers are running; neither the target nor the
     # temporary file beside it is left
     import signal
 
@@ -779,7 +781,7 @@ def test_ctrl_c_under_pool_exits_130(tmp_path):
 @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
 def test_sigint_to_cli_alone_under_pool_exits_130(tmp_path):
     # SIGINT to the CLI process only, as `kill -INT <pid>` sends it: the
-    # pool workers get no signal, and the CLI ends them rather than
+    # helpers get no signal, and the CLI ends them rather than
     # waiting for their running slices
     import signal
     import time
@@ -802,8 +804,8 @@ def test_sigint_to_cli_alone_under_pool_exits_130(tmp_path):
 
 @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
 def test_killed_worker_exits_1(tmp_path):
-    # a pool worker killed outright ends the run with one error line,
-    # and the other worker goes with it
+    # a helper killed outright ends the run with one error line,
+    # and the other helper goes with it
     import signal
 
     proc = _pooled_list(tmp_path / "sols.jsonl")
@@ -1057,9 +1059,9 @@ def test_out_of_memory_in_worker_exits_1(capsys, monkeypatch):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no worker is forked")
 def test_failed_worker_start_exits_1(capsys, monkeypatch, tmp_path):
-    # a worker that cannot be forked ends the run with one error line,
-    # which names the start and not the output, and leaves no --out file
-    # and no worker behind
+    # a helper that cannot be forked, the second of a run on three
+    # workers, ends the run with one error line, which names the start and
+    # not the output, and leaves no --out file and no helper behind
     import errno
 
     fork = os.fork
@@ -1072,7 +1074,7 @@ def test_failed_worker_start_exits_1(capsys, monkeypatch, tmp_path):
         return fork()
 
     monkeypatch.setattr(os, "fork", failing_fork)
-    code, out, err = run(capsys, "list", "--n", "6", "--workers", "2",
+    code, out, err = run(capsys, "list", "--n", "6", "--workers", "3",
                          "--out", str(tmp_path / "sols.jsonl"))
     assert code == 1
     assert out == ""

@@ -194,7 +194,8 @@ def _refuse(*args):
 
 
 def _refuse_pooled(done, slices):
-    # a progress call that fails on the first slice a worker searched
+    # a progress call that fails on the first slice that walks, job 1,
+    # which the parent runs while its helpers run the others
     if done > 1:
         raise _Refused
 
@@ -211,9 +212,9 @@ needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
 
 @needs_fork
 def test_failed_pooled_search_ends_workers(monkeypatch):
-    # the progress call fails on slice 2, the first a worker searched,
-    # while the other worker runs a 20 s slice: the error comes back at
-    # once, and no worker is left
+    # the progress call fails on slice 2, the parent's own, while the
+    # helper runs a 20 s slice: the error comes back at once, and no
+    # helper is left
     n = 4
     jobs = _factored_jobs(n, perm.transposition(n, 1, 2))
     chunk = search._search_chunk
@@ -253,8 +254,8 @@ def test_failed_pooled_search_spares_other_children():
 @needs_fork
 def test_first_progress_comes_before_any_fork(monkeypatch):
     # the a1 = () job, which walks nothing, is in and reported before
-    # the search forks its first two workers; the third walking job's
-    # worker is forked once the first answer is in and reported
+    # the search forks its one helper; the parent's job 1 and the
+    # helper's jobs 2 and 3 follow with no other fork
     forks = []
     fork = os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
@@ -262,44 +263,49 @@ def test_first_progress_comes_before_any_fork(monkeypatch):
     res = search.enumerate_fixed_sigma(
         6, workers=2, progress=lambda i, m: ticks.append((i, len(forks))))
     assert res.fixed_count == 2880
-    assert ticks == [(1, 0), (2, 2), (3, 3), (4, 3)]
+    assert ticks == [(1, 0), (2, 1), (3, 1), (4, 1)]
     _assert_no_child_left()
 
 
 @needs_fork
-def test_one_worker_per_walking_job(monkeypatch):
-    # each of the three walking jobs at n = 6 gets a worker of its own,
-    # never more than two are unreaped at once, and none is left; so for
-    # seven jobs handed to the pool directly
-    fork, waitpid = os.fork, os.waitpid
-    forked, live, most = [], set(), []
+@pytest.mark.parametrize("n,workers,forks", [
+    (8, 2, 1), (6, 2, 1), (8, 3, 2), (8, 1, 0), (6, 1, 0), (9, 2, 0)])
+def test_pool_forks_one_helper_fewer_than_its_size(monkeypatch, n, workers,
+                                                   forks):
+    # a pool of min(workers, jobs that walk) processes is the parent and
+    # one forked helper fewer: the parent runs jobs 0 and 1 itself (all of
+    # them without a pool), the helpers the rest, and none is left
+    parent = os.getpid()
+    fork, chunk = os.fork, search._search_chunk
+    forked, ran = [], []
 
     def spy_fork():
         pid = fork()
-        if pid:
-            forked.append(pid)
-            live.add(pid)
-            most.append(len(live))
+        forked.extend([pid] if pid else [])
         return pid
 
-    def spy_waitpid(pid, options):
-        live.discard(pid)
-        return waitpid(pid, options)
+    def spy_chunk(job):     # the helpers' calls stay in their processes
+        ran.append((os.getpid(), job))
+        return chunk(job)
 
     monkeypatch.setattr(os, "fork", spy_fork)
-    monkeypatch.setattr(os, "waitpid", spy_waitpid)
-    res = search.enumerate_fixed_sigma(6, workers=2)
-    assert res.fixed_count == 2880
-    assert len(forked) == len(set(forked)) == 3
-    assert max(most) == 2
-    assert live == set()
+    monkeypatch.setattr(search, "_search_chunk", spy_chunk)
+    res = search.enumerate_fixed_sigma(n, workers=workers)
+    assert res.fixed_count == {6: 2880, 8: 172800, 9: 0}[n]
+    assert len(forked) == len(set(forked)) == forks
+    jobs = _factored_jobs(n, perm.transposition(n, 1, 2))
+    assert ran == [(parent, job) for job in (jobs[:2] if forks else jobs)]
     _assert_no_child_left()
+    # a helper runs every (size - 1)-th job after job 1, in order
     jobs = _factored_jobs(6, perm.transposition(6, 1, 2)) * 2
-    done = dict(search._forked(jobs, 2, "out of memory"))
-    assert done == {i: search._search_chunk(jobs[i]) for i in range(1, 8)}
-    assert len(forked) == 3 + 7
-    assert max(most) == 2
-    assert live == set()
+    forked.clear()
+    done = list(search._forked(jobs, 3, "out of memory"))
+    assert len(forked) == 2
+    assert sorted(done) == [(i, chunk(jobs[i])) for i in range(1, 8)]
+    assert done[0][0] == 1
+    for h in (0, 1):
+        mine = [i for i, _ in done if i > 1 and (i - 2) % 2 == h]
+        assert mine == list(range(2 + h, 8, 2))
     _assert_no_child_left()
 
 
@@ -324,12 +330,12 @@ def test_out_of_memory_in_worker(monkeypatch):
 
 @needs_fork
 def test_stopped_worker_still_sends_whole_output(monkeypatch):
-    # workers stopped and continued, as Ctrl-Z and `fg` do, while they
+    # helpers stopped and continued, as Ctrl-Z and `fg` do, while they
     # write outputs larger than a pipe holds: each write is cut short,
-    # and the rest must still follow, or the search waits forever
+    # and the rest must still follow, or the search waits forever; one
+    # helper writes two such answers, two helpers one each
     import select
 
-    parent = os.getpid()
     chunk = search._search_chunk
     pids, reaped = [], set()
     fork, waitpid = os.fork, os.waitpid
@@ -345,10 +351,10 @@ def test_stopped_worker_still_sends_whole_output(monkeypatch):
         return waitpid(pid, options)
 
     def big_chunk(job):     # outputs of up to 0.4 MB, a pipe holding 64 KB
-        return chunk(job) * (2000 if os.getpid() != parent else 1)
+        return chunk(job) * 2000
 
     def stopping_select(*args):
-        time.sleep(0.1)     # the workers fill their pipes and block
+        time.sleep(0.1)     # the helpers fill their pipes and block
         running = [pid for pid in pids if pid not in reaped]
         for pid in running:
             os.kill(pid, signal.SIGSTOP)
@@ -365,35 +371,41 @@ def test_stopped_worker_still_sends_whole_output(monkeypatch):
     monkeypatch.setattr(search, "_search_chunk", big_chunk)
     monkeypatch.setattr(select, "select", stopping_select)
     previous = signal.signal(signal.SIGALRM, timed_out)
-    signal.alarm(20)
     try:
-        res = search.enumerate_fixed_sigma(6, workers=2)
+        for workers in (2, 3):
+            pids.clear()
+            signal.alarm(20)
+            res = search.enumerate_fixed_sigma(6, workers=workers)
+            signal.alarm(0)
+            assert len(pids) == workers - 1
+            assert res.fixed_count == 2000 * 2880  # the a1 = () job is empty
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
-    assert len(pids) == 3
-    assert res.fixed_count == 2000 * 2880   # the a1 = () job is empty
     _assert_no_child_left()
 
 
 @needs_fork
-@pytest.mark.parametrize("cut", [0, -1, None],
-                         ids=["nothing", "in-answer", "whole"])
-def test_worker_cut_mid_answer_ended_early(monkeypatch, cut):
-    # workers that end before their answer or part-way through it end
-    # the search with one error, and no worker is left; the same workers
-    # writing their whole answers give the full count
+@pytest.mark.parametrize("cut,answers", [(0, 1), (-1, 1), (None, 1),
+                                         (None, None)],
+                         ids=["nothing", "in-answer", "one-answer", "whole"])
+def test_worker_cut_mid_answer_ended_early(monkeypatch, cut, answers):
+    # a helper that ends before its first answer, part-way through it or
+    # with one of its two jobs answered ends the search with one error, and
+    # no helper is left; the same helper writing every answer whole gives
+    # the full count
     import marshal
 
-    def cut_work(job, results, oom):
+    def cut_work(jobs, todo, results, oom):
         try:
-            answer = marshal.dumps(search._search_chunk(job))
-            os.write(results, answer[:cut])
+            for i, fd in itertools.islice(zip(todo, results), answers):
+                os.write(fd, marshal.dumps(search._search_chunk(jobs[i]))[:cut])
+                os.close(fd)
         finally:
             os._exit(0)
 
     monkeypatch.setattr(search, "_work", cut_work)
-    if cut is None:
+    if answers is None:
         assert search.enumerate_fixed_sigma(6, workers=2).fixed_count == 2880
     else:
         with pytest.raises(RuntimeError,
@@ -425,8 +437,9 @@ def test_arrival_order_changes_no_result(n, monkeypatch):
 
 @needs_fork
 def test_slow_job_holds_back_no_other_slice(monkeypatch):
-    # the worker on job 1 sleeps: the other jobs are absorbed, and their
-    # slices reported, before its output comes in
+    # on three workers the helper on job 2 sleeps: the parent's job 1 and
+    # the other helper's job 3 are absorbed, and their slices reported,
+    # before its output comes in
     n = 6
     jobs = _factored_jobs(n, perm.transposition(n, 1, 2))
     reps = [job[2] for job in jobs]
@@ -435,8 +448,8 @@ def test_slow_job_holds_back_no_other_slice(monkeypatch):
     expand = search._expand
     events = []
 
-    def slow_chunk(job):    # the workers are forked, so they run it too
-        if job[2] == reps[1] and os.getpid() != parent:
+    def slow_chunk(job):    # the helpers are forked, so they run it too
+        if job[2] == reps[2] and os.getpid() != parent:
             time.sleep(1.5)
         return chunk(job)
 
@@ -447,11 +460,11 @@ def test_slow_job_holds_back_no_other_slice(monkeypatch):
     monkeypatch.setattr(search, "_search_chunk", slow_chunk)
     monkeypatch.setattr(search, "_expand", spy)
     res = search.enumerate_fixed_sigma(
-        n, workers=2, sink=lambda *sol: None,
+        n, workers=3, sink=lambda *sol: None,
         progress=lambda i, m: events.append(i))
     assert res.fixed_count == 2880
     assert len(reps) == 4
-    assert events == [reps[0], 1, reps[2], 2, reps[3], 3, reps[1], 4]
+    assert events == [reps[0], 1, reps[1], 2, reps[3], 3, reps[2], 4]
     _assert_no_child_left()
 
 
@@ -462,10 +475,11 @@ def test_slow_job_holds_back_no_other_slice(monkeypatch):
                                             ("fork", 3, errno.EAGAIN)])
 def test_failed_worker_start_leaves_nothing_open(monkeypatch, name, call,
                                                  code):
-    # the second worker cannot be started, at its fork or at its pipe, or
-    # the third, forked after the first answer is in: the pipe ends opened
-    # for it are closed, the running worker is killed and reaped, and the
-    # failure is a one-line RuntimeError
+    # the second or third of three helpers, for seven jobs after job 1,
+    # cannot be started, at its fork or at its pipe: the pipe ends opened
+    # for it are closed, the running helpers are killed and reaped, and
+    # the failure is a one-line RuntimeError; so on a search whose second
+    # helper cannot be forked
     real = getattr(os, name)
     calls = []
 
@@ -475,15 +489,37 @@ def test_failed_worker_start_leaves_nothing_open(monkeypatch, name, call,
             raise OSError(code, os.strerror(code))
         return real()
 
+    jobs = _factored_jobs(6, perm.transposition(6, 1, 2)) * 2
+    runs = [lambda: list(search._forked(jobs, 4, "out of memory"))]
+    if call == 2:
+        runs.append(lambda: search.enumerate_fixed_sigma(6, workers=3))
     fds = len(os.listdir("/proc/self/fd"))
     monkeypatch.setattr(os, name, failing)
-    with pytest.raises(RuntimeError) as exc:
-        search.enumerate_fixed_sigma(6, workers=2)
-    assert str(exc.value) == ("cannot start a search worker: "
-                              f"[Errno {code}] {os.strerror(code)}")
-    assert len(calls) == call
-    assert len(os.listdir("/proc/self/fd")) == fds
-    _assert_no_child_left()
+    for run in runs:
+        calls.clear()
+        with pytest.raises(RuntimeError) as exc:
+            run()
+        assert str(exc.value) == ("cannot start a search worker: "
+                                  f"[Errno {code}] {os.strerror(code)}")
+        assert len(calls) == call
+        assert len(os.listdir("/proc/self/fd")) == fds
+        _assert_no_child_left()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("run", [
+    search.enumerate_fixed_sigma,
+    functools.partial(search.enumerate_fixed_sigma, sink=lambda *sol: None),
+    lambda n, workers: search.classify(n, workers=workers)[0],
+], ids=["count", "sink", "classify"])
+def test_elapsed_seconds_is_a_duration(run, workers):
+    # the reported time is a span inside the caller's own: not negative,
+    # and no longer than the call as the caller times it
+    t0 = time.perf_counter()
+    res = run(6, workers=workers)
+    span = time.perf_counter() - t0
+    assert res.fixed_count == 2880
+    assert 0 <= res.elapsed_seconds <= span
 
 
 def test_progress_reports_all_slices():
@@ -683,8 +719,10 @@ def _orbit_reps_by_elements(group, items):
 
 def test_orbit_reps_by_generators_match_every_element(monkeypatch):
     # every H1 and H2 the walks of the count runs at n <= 7 act by, on the
-    # lists they act on: the orbits built from generators give the same
-    # representatives and weights as conjugating by every element
+    # lists they act on, for sigma (1,2) and the other transpositions of
+    # _a1_sigmas (a walk asks once for each group and list): the orbits
+    # built from generators give the same representatives and weights as
+    # conjugating by every element
     calls = []
     orbit_reps = search._orbit_reps
 
@@ -695,8 +733,8 @@ def test_orbit_reps_by_generators_match_every_element(monkeypatch):
         return reps
 
     monkeypatch.setattr(search, "_orbit_reps", spy)
-    for n in range(2, 8):
-        search.enumerate_fixed_sigma(n)
+    for s in _a1_sigmas():
+        search.enumerate_fixed_sigma(len(s), sigma=s)
     for group, items, reps in calls:
         assert reps == _orbit_reps_by_elements(group, items)
     sizes = {len(group) for group, _, _ in calls}
@@ -836,16 +874,57 @@ def _same_list(tail, expected):
     return len(tail) == len(expected) and set(tail) == set(expected)
 
 
+def test_mask_filter_is_its_definition():
+    # the walk's one filter against its definition, with at[i][j] the
+    # mask of the elements of R1 that map i to j, on R1 of every job
+    # that walks at n = 4..8 and of the walk below a1 = () at n <= 6: each
+    # y in R1 as a = t = y (C2, C3 and H2), and 200 pairs (a, t) from S_n
+    # (the torus relation; every other t a conjugate of a by an element of
+    # R1, so that some x fits) give the members of R1 with x a = t x, in
+    # R1 order
+    rng = random.Random(20)
+    checked = 0
+    for n in range(4, 9):
+        s = perm.transposition(n, 1, 2)
+        e = perm.identity(n)
+        a1s = [r for _, _, r, _, _ in _factored_jobs(n, s) if r != e]
+        for a1 in a1s + [e] * (n <= 6):
+            r1 = _r1(n, s, a1)
+            at = [[sum(1 << k for k, x in enumerate(r1) if x[i] == j)
+                   for j in range(n)] for i in range(n)]
+            pairs = [(y, y) for y in r1]
+            for k in range(200):
+                a = tuple(rng.sample(range(n), n))
+                pairs.append((a, perm.conjugate(a, rng.choice(r1)) if k % 2
+                              else tuple(rng.sample(range(n), n))))
+            for a, t in pairs:
+                mask = search._fits(at, (1 << len(r1)) - 1, a, t)
+                assert search._members(r1, mask) == [
+                    x for x in r1
+                    if all(x[a[i]] == t[x[i]] for i in range(n))], (a1, a, t)
+            checked += 1
+    assert checked == 4 + 1 + 4 + 0 + 3
+
+
+def _mask_list(at, mask):
+    # the permutations whose bits mask sets, read back from the point
+    # masks at[i][j] of the walk
+    n = len(at)
+    return [tuple(next(j for j in range(n) if at[i][j] >> k & 1)
+                  for i in range(n))
+            for k in range(mask.bit_length()) if mask >> k & 1]
+
+
 def test_prune_verdicts_match_reference(monkeypatch):
-    # every transitivity test the walk over the trivial group makes at n=6
-    # goes through groups.is_transitive: at the a1 level (s, a1, u), at
-    # the b1 level (s, a1, b1) and all of C2, at the a2 level
-    # (s, a1, b1, a2) and all of C3, and at the leaves (s, a1, a2, b1, b2)
-    # of relation-satisfying tuples, C2 and C3 holding only elements that
+    # every transitivity test the walk over the trivial group makes at n=6:
+    # groups.is_transitive at the a1 level (s, a1, u) and at the leaves
+    # (s, a1, a2, b1, b2) of relation-satisfying tuples, and the mask prune
+    # at the b1 level on (s, a1, b1) and all of C2 and at the a2 level on
+    # (s, a1, b1, a2) and all of C3, C2 and C3 holding only elements that
     # pass R2; each prune verdict equals the reference from explicit lists
     n = 6
     s = perm.transposition(n, 1, 2)
-    real = groups.is_transitive
+    real, real_mask = groups.is_transitive, search._mask_transitive
     calls = []
 
     def spy(gens, degree):
@@ -853,8 +932,15 @@ def test_prune_verdicts_match_reference(monkeypatch):
         calls.append((tuple(gens), verdict))
         return verdict
 
+    def mask_spy(degree, gens, at, mask):
+        verdict = real_mask(degree, gens, at, mask)
+        assert verdict == real([*gens, *_mask_list(at, mask)], degree)
+        calls.append((tuple(gens) + tuple(_mask_list(at, mask)), verdict))
+        return verdict
+
     with monkeypatch.context() as patched:
         patched.setattr(groups, "is_transitive", spy)
+        patched.setattr(search, "_mask_transitive", mask_spy)
         e = perm.identity(n)
         assert sum(1 for a1 in _plain_a1s(n, s)
                    for _ in search._iter_for_a1(n, s, a1, [e])) == 2880
@@ -958,7 +1044,7 @@ def _plain_walk(n, s):
 @functools.lru_cache(maxsize=None)
 def _trivial_walk(n, s, a1):
     # the solutions below a1 by the walk over the trivial group, kept:
-    # two long tests walk below a1 = () at degree 8, about 10 s each
+    # two long tests walk below a1 = () at degree 8, about 2 s each
     e = perm.identity(n)
     return tuple(raw for raw, _ in search._iter_for_a1(n, s, a1, [e]))
 
@@ -1044,6 +1130,39 @@ def test_factored_count_matches_plain_loop():
         units.append(len(unit))
         assert _unit_subtree_route(n, sig) == len(unit)
     assert units == [8, 26, 112, 0, 480, 0, 112, 112]
+
+
+# sha256 of repr([search._search_chunk(job) for job in jobs]) over the
+# jobs of each degree and sigma (i, j), as the element-wise walk gave
+# them; repr, not marshal, whose reference flags follow object identity
+_WALK_DIGESTS = {
+    (2, (1, 2)): "fd6423f1ee79224ff7ac29f28f287db1aeb13f3ba7041ef94ef71370471c3d76",
+    (3, (1, 2)): "5676e0342edc7e0b206ce5bb70c320b3c7d15768e07cc0bbf50c653de28bd7c5",
+    (4, (1, 2)): "25d43b8620e7d278f6648e894f475589ebab16e5997b5fbd030a156a11d1a423",
+    (5, (1, 2)): "cf1cbb66a638b4860a516671fb74850e6ccf787fe6c4c8d29e9c04efe880bd05",
+    (6, (1, 2)): "20c8346027e295dde1b69a03bab876ac9fa2369e2f32057c180bf9b7ca52c5fc",
+    (7, (1, 2)): "cf1cbb66a638b4860a516671fb74850e6ccf787fe6c4c8d29e9c04efe880bd05",
+    (8, (1, 2)): "b2c651bcc968eba46fd5449ab8892b0d2bd94b0f57a395938c7eb3d8a23c6fa8",
+    (9, (1, 2)): "a683096011db3975a1e401e33b0047d1f2677a11efe85ef12806f016ae039795",
+    (3, (2, 3)): "5676e0342edc7e0b206ce5bb70c320b3c7d15768e07cc0bbf50c653de28bd7c5",
+    (3, (1, 3)): "5676e0342edc7e0b206ce5bb70c320b3c7d15768e07cc0bbf50c653de28bd7c5",
+    (4, (2, 3)): "31b737462e1da0ab2b107e8c3cc20563a0baf9376f4c760b2ac8cf06f879badc",
+    (4, (1, 4)): "31b737462e1da0ab2b107e8c3cc20563a0baf9376f4c760b2ac8cf06f879badc",
+}
+
+
+@pytest.mark.parametrize("n,ij", sorted(_WALK_DIGESTS),
+                         ids=lambda x: "-".join(map(str, x))
+                         if isinstance(x, tuple) else str(x))
+def test_job_outputs_match_digests(n, ij):
+    # every job's leaves, weights and images, in the walk's own order,
+    # byte for byte as the element-wise walk gave them
+    import hashlib
+
+    s = perm.transposition(n, *ij)
+    outputs = [search._search_chunk(job) for job in _factored_jobs(n, s)]
+    assert hashlib.sha256(repr(outputs).encode()).hexdigest() \
+        == _WALK_DIGESTS[n, ij]
 
 
 _SIGMAS = [perm.transposition(n, 1, 2) for n in range(2, 8)] + [
