@@ -54,28 +54,21 @@ def is_transitive(generators: Sequence[Perm], n: int) -> bool:
     """True when the generated group has a single orbit on 1..n.
 
     The orbit of point 0 grows breadth first and the scan stops as soon
-    as it holds every point, so a long generator list is read in full
-    only when the answer is False.
+    as it holds every point.
     """
     for g in generators:
         if len(g) != n:
             raise ValueError(f"generator of degree {len(g)}, expected {n}")
-    reached = 1 << 0
-    frontier = [0]
-    size = 1
-    while frontier and size < n:
-        nxt = []
-        for x in frontier:
-            for g in generators:
-                y = g[x]
-                if not reached >> y & 1:
-                    reached |= 1 << y
-                    size += 1
-                    if size == n:
-                        return True
-                    nxt.append(y)
-        frontier = nxt
-    return size == n
+    orbit, seen = [0], {0}
+    for x in orbit:
+        for g in generators:
+            y = g[x]
+            if y not in seen:
+                seen.add(y)
+                orbit.append(y)
+                if len(orbit) == n:
+                    return True
+    return len(orbit) == n
 
 
 def centralizer_order(g: Perm) -> int:

@@ -66,11 +66,11 @@ Hence the number of solutions below (prefix, x) is constant on each
 H-orbit of the candidates x.  The walk visits one candidate per orbit
 and multiplies by the orbit size (_orbit_reps), at the b1 level over R1
 and at the a2 level over C2; the cycle-type test is H2-invariant, so it
-is made on the representative alone.  Each orbit is built breadth first
-from generators of H, as the a1 orbits are below.  Over the trivial
-group the walk gives every solution once, in an order that reaches no
-output (see the end).  C2, C3, H2 = H1 n C(b1) and the b2 that pass the
-torus relation are masks over R1, read in its order (_fits).
+is made on the representative alone.  Each orbit is every conjugate of
+its first candidate by an element of H.  Over the trivial group the walk
+gives every solution once, in an order that reaches no output (see the
+end).  C2, C3, H2 = H1 n C(b1) and the b2 that pass the torus relation
+are masks over R1, read in its order (_fits).
 
 The a1 level scans no S_n (_jobs).  With p and q the points s
 moves, C(s) = <s> x Sym(the other points), so two permutations are
@@ -79,9 +79,9 @@ cycle type off p and q, plus (L, d) when p and q share an L-cycle with
 q = x^d(p), d and L - d being one type as s swaps them, or the unordered
 (l1, l2) when they lie in cycles of those lengths.  R2(a1) and the a1
 prune are C(s)-invariant, so each type is tested once (_marked_types)
-and only the orbits that pass are built, from three generators of C(s),
-each giving its least member r, its size and C(s) n C(r), whose orders
-must multiply to |C(s)|.
+and only the orbits that pass are built, breadth first from three
+generators of C(s) (_orbit), each giving its least member r, its size
+and C(s) n C(r), whose orders must multiply to |C(s)|.
 
 Counts and classes never walk below a1 = (), the only a1 whose C1 is
 all of S_n: they read that subtree off the walks below the other a1
@@ -210,7 +210,7 @@ def _route(prev: Sequence[Perm], prev_conjs: Sequence[Perm],
     from its cycle type and filtered by about |C| * len(prev_conjs) tests,
     whichever is cheaper, so near-identity prefixes do not dominate.  The
     routes list the intersection in different orders, which set the order
-    `list` writes: changing the cost rule changes its bytes."""
+    `list` writes: changing the cost rule can change its bytes."""
     if groups.centralizer_order(new_conj) * (len(prev_conjs) + 2) < len(prev):
         return groups.centralizer_elements(new_conj, len(new_conj))
     return prev
@@ -250,33 +250,24 @@ def _orbit(x: Perm, gens: Sequence[Perm]) -> set:
 
 
 def _orbit_reps(group: Sequence[Perm], items: Iterable[Perm]
-                ) -> Iterable[Tuple[Perm, int]]:
+                ) -> List[Tuple[Perm, int]]:
     """One (x, orbit size) per orbit of group, acting by conjugation, on
     the permutations items, which must be a union of its orbits; the b1
     and a2 levels of the walk use it.
 
     An orbit is represented by its first item, and orbits come in the
-    order of their representatives.  They are built from generators of
-    group, each element not in the closure of those chosen before it;
-    AssertionError unless these close to exactly the elements group
-    lists.  Over the trivial group every item comes with weight 1, in its
-    own order, and no set is built.
+    order of their representatives; each is every conjugate of its first
+    item by an element of group.  AssertionError unless group lists
+    exactly the elements of the group they generate.
     """
-    gens: List[Perm] = []
-    closed = frozenset([perm.identity(len(group[0]))])
-    for h in group:
-        if h not in closed:
-            gens.append(h)
-            closed = groups.closure(gens, len(h))
+    closed = groups.closure(group, len(group[0]))
     if len(closed) != len(group) or closed != frozenset(group):
         raise AssertionError("the acting list is not a group")
-    if not gens:
-        return zip(items, itertools.repeat(1))
     seen: set = set()
     reps: List[Tuple[Perm, int]] = []
     for x in items:
         if x not in seen:
-            orbit = _orbit(x, gens)
+            orbit = {perm.conjugate(x, h) for h in group}
             seen |= orbit
             reps.append((x, len(orbit)))
     return reps
@@ -406,6 +397,8 @@ def _expand(job: tuple, outputs: Iterable[_Output], cent: Sequence[Perm],
         for image in leaf_images:
             images.update(dict.fromkeys(_h1_orbit(image, stab),
                                         Assignment._unchecked(n, s, *image)))
+    if not leaves:  # so no images either: nothing to file
+        return
     for r_g, g in {perm.conjugate(r, g): g for g in cent}.items():
         for a1, closed in ((r_g, leaves), (perm.identity(n), images)):
             if closed:

@@ -374,14 +374,24 @@ def test_list_to_file(tmp_path, capsys):
     assert all(json.loads(line)["image"]["name"] == "S3" for line in lines)
 
 
+# sha256 of `list --n N` stdout at the smaller degrees with solutions:
+# n = 4 pins _route's a2-level choice, where |C1| is 3 |C(s b1 s)|
+LIST_SHA256 = {
+    "2": "22c490ffbd280af257d6a1f3d227d597613aef5cf2e76504a3d17d31a726cf9d",
+    "3": "f2d361ed5b202a898e29e662f06fd07bda51b68f219aab7a89d95b89ba298746",
+    "4": "000235b1e85b27a1afd6d56ccc8b13c925da8ee368a8a646b39bf5ea9107d24c",
+    "6": LIST_N6_SHA256,
+}
+
+
 def test_list_parallel_matches_stream(tmp_path, capsys):
     # n=6 has many non-empty slices, absorbed from the pool as they
-    # finish; the digest of its output pins the solution order
-    for n in ("3", "6"):
+    # finish; the digest of each output pins the solution order
+    for n, digest in LIST_SHA256.items():
         _, streamed, _ = run(capsys, "list", "--n", n)
         _, pooled, _ = run(capsys, "list", "--n", n, "--workers", "2")
-        assert streamed == pooled
-    assert hashlib.sha256(streamed.encode()).hexdigest() == LIST_N6_SHA256
+        assert hashlib.sha256(streamed.encode()).hexdigest() == digest
+        assert hashlib.sha256(pooled.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("n", range(2, 7))

@@ -705,24 +705,12 @@ def test_orbit_reps_over_trivial_group_keep_every_item():
     assert weighted == [(item, 1) for item in items]
 
 
-def _orbit_reps_by_elements(group, items):
-    # one (first item, orbit size) per orbit, the orbit built by
-    # conjugating by every element of group
-    seen, reps = set(), []
-    for x in items:
-        if x not in seen:
-            orbit = {perm.conjugate(x, h) for h in group}
-            seen |= orbit
-            reps.append((x, len(orbit)))
-    return reps
-
-
-def test_orbit_reps_by_generators_match_every_element(monkeypatch):
+def test_orbit_reps_partition_the_walks_lists(monkeypatch):
     # every H1 and H2 the walks of the count runs at n <= 7 act by, on the
     # lists they act on, for sigma (1,2) and the other transpositions of
     # _a1_sigmas (a walk asks once for each group and list): the orbits
-    # built from generators give the same representatives and weights as
-    # conjugating by every element
+    # are disjoint and cover the items, each is led by its first item, and
+    # each size divides |group|
     calls = []
     orbit_reps = search._orbit_reps
 
@@ -736,7 +724,14 @@ def test_orbit_reps_by_generators_match_every_element(monkeypatch):
     for s in _a1_sigmas():
         search.enumerate_fixed_sigma(len(s), sigma=s)
     for group, items, reps in calls:
-        assert reps == _orbit_reps_by_elements(group, items)
+        covered = set()
+        for rep, size in reps:
+            orbit = {perm.conjugate(rep, h) for h in group}
+            assert len(orbit) == size and len(group) % size == 0
+            assert not orbit & covered
+            assert min(map(items.index, orbit)) == items.index(rep)
+            covered |= orbit
+        assert covered == set(items)
     sizes = {len(group) for group, _, _ in calls}
     assert len(calls) > 30 and 1 in sizes and max(sizes) > 2
 
@@ -1266,6 +1261,22 @@ def test_list_walk_skips_a1_without_fertile_prefix(monkeypatch):
     res = search.enumerate_fixed_sigma(7, sink=_refuse)
     assert res.fixed_count == 0
     assert centralized and perm.identity(7) not in centralized
+
+
+def test_list_walk_without_leaves_conjugates_no_more_than_a_count(
+        monkeypatch):
+    # degrees 5, 7 and 9 have no solution: a streaming run files nothing,
+    # so it makes no more perm.conjugate calls than the count
+    calls = []
+    conjugate = perm.conjugate
+    monkeypatch.setattr(perm, "conjugate",
+                        lambda p, q: calls.append(p) or conjugate(p, q))
+    for n in (5, 7, 9):
+        calls.clear()
+        search.enumerate_fixed_sigma(n)
+        counted = len(calls)
+        search.enumerate_fixed_sigma(n, sink=_refuse)
+        assert 0 < len(calls) - counted <= counted
 
 
 @pytest.mark.parametrize("n", range(2, 9))
