@@ -139,10 +139,14 @@ with a1 = g^-1 r g, each a1 of the class once; the images of every job,
 so moved, are those with a1 = ().  A solution keeps the leaf or image it
 comes from, conjugate to it, so `list` fingerprints one set per leaf or
 image.  `list` writes a1 sorted, then b1 in C1 order, a2 in the order of
-the list _route picks for C2 and b2 in the order of the one it picks for
-C3; _block builds these lists, but only below prefixes that carry a
-solution.  The walk's own order reaches no output:
-counts, classes and expansions read only the H1-orbits of its leaves.
+its route list, C(s b1 s) where |C(s b1 s)| * 3 < |C1|, else C1, and b2
+in the order of C(s a2 s) where |C(s a2 s)| * 4 < |C2|, else of a2's
+route list; changing either rule can change its bytes.  C2 and C3 are
+their route lists filtered in order, so _block builds neither: below
+each (a1, b1) that carries a solution it counts |C2| and keeps a2's
+route list to the a2 and b2 below b1, which lists both in order.  The
+walk's own order reaches no output: counts, classes and expansions read
+only the H1-orbits of its leaves.
 
 Exact agreement with the relation-table-driven brute force is enforced
 by brute_force_oracle and its tests, not assumed.
@@ -201,19 +205,6 @@ class EnumerationResult(NamedTuple):
 class Orbit(NamedTuple):
     representative: Assignment
     size: int  # solutions in the fixed-sigma slice of the class
-
-
-def _route(prev: Sequence[Perm], prev_conjs: Sequence[Perm],
-           new_conj: Perm) -> Sequence[Perm]:
-    """The list to filter for prev n C(new_conj), prev being the centralizer
-    of prev_conjs: prev, by |prev| commuting tests, or C(new_conj), listed
-    from its cycle type and filtered by about |C| * len(prev_conjs) tests,
-    whichever is cheaper, so near-identity prefixes do not dominate.  The
-    routes list the intersection in different orders, which set the order
-    `list` writes: changing the cost rule can change its bytes."""
-    if groups.centralizer_order(new_conj) * (len(prev_conjs) + 2) < len(prev):
-        return groups.centralizer_elements(new_conj, len(new_conj))
-    return prev
 
 
 def _a1_transitive(n: int, s: Perm, a1: Perm) -> bool:
@@ -337,14 +328,14 @@ def _iter_for_a1(n: int, s: Perm, a1: Perm, stab: Sequence[Perm]
         b1_inv = perm.inverse(b1)
         k_inv = perm.inverse(tuple(b1[a1_inv[b1_inv[x]]] for x in a1))
         for a2, w2 in orbit_reps(_fits(at, h1, b1, b1), c2):
+            sa2s = perm.conjugate(a2, s)
+            c3 = _fits(at, c2, sa2s, sa2s)
+            if not _mask_transitive(n, (s, a1, b1, a2), at, c3):  # b2 in C3
+                continue
             a2_inv = perm.inverse(a2)
             # torus relation, rearranged: b2^-1 a2^-1 b2 = a2^-1 k^-1
             target = tuple(k_inv[x] for x in a2_inv)
             if cycle_type(a2_inv) != cycle_type(target):
-                continue
-            sa2s = perm.conjugate(a2, s)
-            c3 = _fits(at, c2, sa2s, sa2s)
-            if not _mask_transitive(n, (s, a1, b1, a2), at, c3):  # b2 in C3
                 continue
             for b2 in _members(r1, _fits(at, c3, a2_inv, target)):
                 raw = (a1, a2, b1, b2)
@@ -421,15 +412,21 @@ def _block(n: int, s: Perm, a1: Perm, entries: Iterable[tuple]
     for b1 in filter(tree.__contains__, c1):
         below_b1 = tree[b1]
         sb1s = perm.conjugate(b1, s)
-        # C2 = C1 n C(s b1 s), filtered from the one of them _route picks
-        route = _route(c1, (sa1s,), sb1s)
-        c2 = [z for z in route
-              if perm.commutes(z, sb1s if route is c1 else sa1s)]
-        for a2 in filter(below_b1.__contains__, c2):
+        # C2 = C1 n C(s b1 s) is one of them filtered in order: C(s b1 s)
+        # by s a1 s where it is under a third of C1, else C1 by s b1 s
+        direct = groups.centralizer_order(sb1s) * 3 < len(c1)
+        route = groups.centralizer_elements(sb1s, n) if direct else c1
+        size2 = sum(perm.commutes(z, sa1s if direct else sb1s) for z in route)
+        # so route kept to the a2 and b2 below b1 lists them in C2 order
+        present = set(below_b1).union(*below_b1.values())
+        kept = [z for z in route if z in present]
+        for a2 in filter(below_b1.__contains__, kept):
             below_a2 = below_b1[a2]
-            # C3 keeps the order of the list it filters
-            for b2 in filter(below_a2.__contains__, _route(
-                    c2, (sa1s, sb1s), perm.conjugate(a2, s))):
+            sa2s = perm.conjugate(a2, s)
+            # C3 = C2 n C(s a2 s) likewise: C(s a2 s) under a quarter of C2
+            b2s = (groups.centralizer_elements(sa2s, n)
+                   if groups.centralizer_order(sa2s) * 4 < size2 else kept)
+            for b2 in filter(below_a2.__contains__, b2s):
                 yield (a1, a2, b1, b2), below_a2[b2]
 
 

@@ -62,8 +62,8 @@ def reversed_pool(jobs, size, oom):
 def plain_loop(n, s):
     """Every solution with sigma image s, in the order `list` writes: a1
     in lexicographic order, b1 in the order of C1 = C(s a1 s), and a2 and
-    b2 in the order of the lists search._route picks for C2 = C1 n
-    C(s b1 s) and C3 = C2 n C(s a2 s), filtered here.  This is the
+    b2 in the order of C2 = C1 n C(s b1 s) and C3 = C2 n C(s a2 s), each
+    filtered from the list the size rule picks (_intersect).  This is the
     factored walk over the trivial group as it was before it drew its
     lists from the elements of C1 that pass R2: each level is cut by R2,
     the a1 prune and transitivity of <s, prefix, list of the level>, a2
@@ -106,10 +106,14 @@ def plain_loop(n, s):
 
 
 def _intersect(prev, prev_conjs, new_conj):
-    # prev n C(new_conj), prev being the centralizer of prev_conjs
+    # prev n C(new_conj), prev being the centralizer of prev_conjs, in the
+    # order of C(new_conj) where |C(new_conj)| * (len(prev_conjs) + 2) is
+    # under |prev|, else of prev: the size rule that sets `list`'s order
+    route = prev
+    if groups.centralizer_order(new_conj) * (len(prev_conjs) + 2) < len(prev):
+        route = groups.centralizer_elements(new_conj, len(new_conj))
     conjs = (*prev_conjs, new_conj)
-    return [z for z in search._route(prev, prev_conjs, new_conj)
-            if all(perm.commutes(z, c) for c in conjs)]
+    return [z for z in route if all(perm.commutes(z, c) for c in conjs)]
 
 
 def reference_centralizer(g, n):

@@ -375,7 +375,7 @@ def test_list_to_file(tmp_path, capsys):
 
 
 # sha256 of `list --n N` stdout at the smaller degrees with solutions:
-# n = 4 pins _route's a2-level choice, where |C1| is 3 |C(s b1 s)|
+# n = 4 pins the a2-level size rule, where |C1| is 3 |C(s b1 s)|
 LIST_SHA256 = {
     "2": "22c490ffbd280af257d6a1f3d227d597613aef5cf2e76504a3d17d31a726cf9d",
     "3": "f2d361ed5b202a898e29e662f06fd07bda51b68f219aab7a89d95b89ba298746",
@@ -417,8 +417,8 @@ def test_list_lines_match_solution_json(capsys, n):
 @pytest.mark.long
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_list_n8_digest(tmp_path, workers):
-    # the order list streams at degree 8 follows the order of the C2 and
-    # C3 lists search._route picks, which the n=6 digest does not pin;
+    # the order list streams at degree 8 follows the route lists
+    # search._block picks for a2 and b2, which the n=6 digest does not pin;
     # one slice, and one progress line, per factored job
     import pathlib
     import subprocess

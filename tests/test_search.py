@@ -1,5 +1,6 @@
 import errno
 import functools
+import hashlib
 import itertools
 import math
 import multiprocessing
@@ -1188,6 +1189,31 @@ def test_filtered_walk_is_the_plain_walk(sig):
         assert any(origin.conjugated(h) == sol for h in cent)
 
 
+# sha256 of the first 20,000 solutions `list --n 8` writes, a line of
+# a1 a2 b1 b2 cycle strings each.  Every b2-level choice of the size rule
+# goes one way at n = 6; below these prefixes 298 a2-level choices go to
+# C(s b1 s) and 29 to C1, and 720 b2-level ones to C(s a2 s) and 3,356 to C2
+LIST_N8_PREFIX_SHA256 = (
+    "7025c024308057436f831ad3389217339d870a938b8e46cedec878da0833b33e")
+
+
+def test_list_n8_prefix_order():
+    # the order a streaming run hands out at degree 8, cut short by the
+    # sink: the long tests' LIST_N8_SHA256 pins the whole of it
+    lines = []
+
+    def sink(sol, origin):
+        lines.append(" ".join(map(perm.format_cycles,
+                                  (sol.a1, sol.a2, sol.b1, sol.b2))) + "\n")
+        if len(lines) == 20000:
+            raise _Refused
+
+    with pytest.raises(_Refused):
+        search.enumerate_fixed_sigma(8, sink=sink)
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == (
+        LIST_N8_PREFIX_SHA256)
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("sig", [perm.transposition(n, 1, 2)
                                  for n in range(2, 7)]
@@ -1213,37 +1239,40 @@ def test_engine_assignments_hold_permutations(sig, workers):
                          ids=lambda sig: f"n{len(sig)}-"
                          + perm.format_cycles(sig))
 def test_fertile_map_is_the_plain_walk_prefixes(sig, monkeypatch):
-    # the a1 blocks choose the C2 route below exactly the (a1, b1)
-    # prefixes, and the C3 route below exactly the (a1, b1, a2) prefixes,
-    # of the unfiltered plain loop's solutions, each once
+    # the a1 blocks size the C2 route (groups.centralizer_order of
+    # s b1 s) below exactly the (a1, b1) prefixes, and the C3 route (of
+    # s a2 s) below exactly the (a1, b1, a2) prefixes, of the unfiltered
+    # plain loop's solutions, each once, in the order `list` writes them
     n = len(sig)
-    c2s, c3s = [], []
-    route = search._route
+    sized = []
+    centralizer_order = groups.centralizer_order
 
-    def route_spy(prev, prev_conjs, new_conj):
-        (c2s, c3s)[len(prev_conjs) - 1].append((*prev_conjs, new_conj))
-        return route(prev, prev_conjs, new_conj)
+    def spy(g):
+        sized.append(g)
+        return centralizer_order(g)
 
-    monkeypatch.setattr(search, "_route", route_spy)
-    search.enumerate_fixed_sigma(n, sigma=sig, sink=lambda *args: None)
+    monkeypatch.setattr(groups, "centralizer_order", spy)
+    _, sols = collected(n, sigma=sig)
+    prefixes = list(dict.fromkeys(prefix for x in sols for prefix in (
+        (x.a1, x.b1), (x.a1, x.b1, x.a2))))
+    assert sized == [_s_conj(prefix[-1], sig) for prefix in prefixes]
     plain = _plain_walk(n, sig)
-    for built, length in ((c2s, 2), (c3s, 3)):
-        prefixes = [tuple(_s_conj(x, sig) for x in conjs) for conjs in built]
-        assert sorted(prefixes) == sorted(
+    for length in (2, 3):
+        assert sorted(p for p in prefixes if len(p) == length) == sorted(
             {(a1, b1, a2)[:length] for a1, a2, b1, _ in plain})
 
 
 def test_list_walk_without_solutions_builds_nothing(monkeypatch):
     # degree 9 has no solution: neither a count nor a streaming run
-    # picks a C2 or C3 list, and the streaming run hands the sink nothing
-    routed = []
-    monkeypatch.setattr(search, "_route", lambda *args: routed.append(args))
+    # sizes a C2 or C3 route, and the streaming run hands the sink nothing
+    sized = []
+    monkeypatch.setattr(groups, "centralizer_order", sized.append)
     ticks = []
     search.enumerate_fixed_sigma(9, progress=lambda i, m: ticks.append(m))
     res = search.enumerate_fixed_sigma(9, sink=_refuse,
                                        progress=lambda i, m: ticks.append(m))
     assert res.fixed_count == 0
-    assert routed == []
+    assert sized == []
     assert ticks == [2] * 4
 
 
