@@ -53,24 +53,25 @@ Every run walks below each a1 with one walk (_iter_for_a1), factored
 by symmetry (orderly generation in the sense of McKay, "Isomorph-free
 exhaustive generation", J. Algorithms 1998).  Let H be the subgroup of
 C(s) fixing the prefix chosen so far: H0 = C(s) before a1,
-H1 = C(s) n C(a1) before b1 and H2 = H1 n C(b1) before a2.  Conjugating
-coordinatewise by any h in H
+H1 = C(s) n C(a1) before b1, H2 = H1 n C(b1) before a2 and
+H3 = H2 n C(a2) before b2.  Conjugating coordinatewise by any h in H
   * fixes sigma and every coordinate of the prefix;
   * commutes with s, so h (s x s) h^-1 = s (h x h^-1) s and the next
-    candidate list (S_n, R1 or C2) is mapped onto itself;
+    candidate list (S_n, R1, C2 or C3) is mapped onto itself;
   * preserves R2, cycle types, the torus relation and transitivity (it
     conjugates the group each transitivity prune tests), so it maps
     candidates that pass a prune to candidates that pass it, and
     solutions to solutions.
 Hence the number of solutions below (prefix, x) is constant on each
 H-orbit of the candidates x.  The walk visits one candidate per orbit
-and multiplies by the orbit size (_orbit_reps), at the b1 level over R1
-and at the a2 level over C2; the cycle-type test is H2-invariant, so it
-is made on the representative alone.  Each orbit is every conjugate of
-its first candidate by an element of H.  Over the trivial group the walk
-gives every solution once, in an order that reaches no output (see the
-end).  C2, C3, H2 = H1 n C(b1) and the b2 that pass the torus relation
-are masks over R1, read in its order (_fits).
+and multiplies by the orbit size (_orbit_reps), over R1 for b1, C2 for
+a2 and, for b2, the members of C3 that pass the torus relation (H3 fixes
+a2 and k); the cycle-type test is H2-invariant, so it is made on the
+representative alone.  Each orbit is every conjugate of its first
+candidate by an element of H.  Over the trivial group the walk gives
+every solution once, in an order that reaches no output (see the end).
+C2, C3, H2, H3 and the b2 that pass the torus relation are masks over
+R1, read in its order (_fits).
 
 The a1 level scans no S_n (_jobs).  With p and q the points s
 moves, C(s) = <s> x Sym(the other points), so two permutations are
@@ -104,7 +105,7 @@ leaf (r, a2, b1, b2) of the walk below a representative r != () with its
 images: ((), a2, r, b2) when b1 = r, ((), r, (), b1) when a2 = b2 = (),
 and ((), (), (), r) when both hold.  Below r = () it gives only
 ((), (), (), ()), a solution exactly when <s> is transitive.  Conjugating
-by H1 or H2 fixes b1 = r and a2 = b2 = (), so an image carries the weight
+by H1 fixes b1 = r and a2 = b2 = (), so an image carries the weight
 of its leaf, and the weights of a job, times the size of the C(s)-class
 of r, count the solutions with a1 in that class and their images: summed
 over the jobs (_run), every solution once, with no list the size
@@ -119,18 +120,20 @@ acting by coordinatewise conjugation) come from the same jobs: a job
 only walks, and classify reads the classes off its weighted leaves.
 A class with a1 != () has members whose a1 is the least element of a1's
 C(s)-class, the representative r of its job; they form one H1-orbit,
-and the walk below r visits at least one member of every H1-orbit (H1
-brings any b1 to its orbit representative, then H2 any a2, and every b2
-is visited).  The H1-orbit of each leaf not yet met in its job is built
-(_new_orbits); its least member is the class's, and its class has
+and the walk below r visits each H1-orbit exactly once: H1 brings any
+b1 to its orbit representative, then H2 any a2 and H3 any b2, and an h
+in H1 mapping one leaf onto another fixes b1, both being representatives
+of one H1-orbit, so lies in H2, likewise in H3, and fixes b2.  So a
+leaf's weight, |H1 : H1 n C(leaf)|, is the size of its H1-orbit
+(_h1_orbit), whose least member is the class's; its class has
 |C(s)-class of r| times that many fixed-sigma solutions.
 A class with a1 = () other than {((), (), (), ())} is the image of a
 class in one of the three sets above, the images being one-to-one and
-commuting with C(s), so one job meets it, through one leaf class.  An
-image's class is new with its leaf's class and has its size; its least
-member comes from _least, one coordinate at a time over C(s).  The
-classes are sorted once, into the order of orbit_decomposition, and
-their sizes must add up to the weighted count.
+commuting with C(s), so one job meets it, through one leaf, and it has
+the size of that leaf's class; its least member comes from _least, one
+coordinate at a time over C(s).  The classes are sorted once, into the
+order of orbit_decomposition, and their sizes, not the weights, must add
+up to the weighted count.
 
 A run given a sink, the one way solutions leave the search, expands the
 same jobs (_expand): the solutions with a1 = r are the H1-orbits of the
@@ -243,8 +246,8 @@ def _orbit(x: Perm, gens: Sequence[Perm]) -> set:
 def _orbit_reps(group: Sequence[Perm], items: Iterable[Perm]
                 ) -> List[Tuple[Perm, int]]:
     """One (x, orbit size) per orbit of group, acting by conjugation, on
-    the permutations items, which must be a union of its orbits; the b1
-    and a2 levels of the walk use it.
+    the permutations items, which must be a union of its orbits; the b1,
+    a2 and b2 levels of the walk use it.
 
     An orbit is represented by its first item, and orbits come in the
     order of their representatives; each is every conjugate of its first
@@ -298,9 +301,10 @@ def _iter_for_a1(n: int, s: Perm, a1: Perm, stab: Sequence[Perm]
     """Solutions below one fixed a1 that passes R2(a1), each with a
     weight.
 
-    stab lists a subgroup of C(s) n C(a1): the b1 level walks one
-    candidate per stab-orbit and the a2 level one per orbit of its
-    subgroup fixing b1, and the weights sum to the count below a1.
+    stab lists a subgroup of C(s) n C(a1): the b1, a2 and b2 levels walk
+    one candidate per orbit of its subgroup fixing the coordinates before
+    them, so each leaf stands for its own stab-orbit, of its weight's
+    size, and the weights sum to the count below a1.
     b1, a2 and b2 are drawn from R1, the elements of C1 that pass R2, and
     over the trivial group every solution comes once, with weight 1.
     """
@@ -327,7 +331,8 @@ def _iter_for_a1(n: int, s: Perm, a1: Perm, stab: Sequence[Perm]
             continue
         b1_inv = perm.inverse(b1)
         k_inv = perm.inverse(tuple(b1[a1_inv[b1_inv[x]]] for x in a1))
-        for a2, w2 in orbit_reps(_fits(at, h1, b1, b1), c2):
+        h2 = _fits(at, h1, b1, b1)
+        for a2, w2 in orbit_reps(h2, c2):
             sa2s = perm.conjugate(a2, s)
             c3 = _fits(at, c2, sa2s, sa2s)
             if not _mask_transitive(n, (s, a1, b1, a2), at, c3):  # b2 in C3
@@ -337,10 +342,11 @@ def _iter_for_a1(n: int, s: Perm, a1: Perm, stab: Sequence[Perm]
             target = tuple(k_inv[x] for x in a2_inv)
             if cycle_type(a2_inv) != cycle_type(target):
                 continue
-            for b2 in _members(r1, _fits(at, c3, a2_inv, target)):
+            for b2, w3 in orbit_reps(_fits(at, h2, a2, a2),
+                                     _fits(at, c3, a2_inv, target)):
                 raw = (a1, a2, b1, b2)
                 if groups.is_transitive((s,) + raw, n):
-                    yield raw, w1 * w2
+                    yield raw, w1 * w2 * w3
 
 
 def _search_chunk(job: tuple) -> List[_Output]:
@@ -363,18 +369,6 @@ def _h1_orbit(key: RawSolution, stab: Sequence[Perm]) -> set:
     return {(key[0], *map(perm.conjugate, key[1:], [h] * 3)) for h in stab}
 
 
-def _new_orbits(stab: Sequence[Perm], outputs: Iterable[_Output]
-                ) -> Iterator[tuple]:
-    """(leaf, H1-orbit, images) for each output of a job, H1 = stab,
-    whose leaf's H1-orbit, and so its images', the job has not met."""
-    seen: set = set()
-    for leaf, _, images in outputs:
-        if leaf not in seen:
-            orbit = _h1_orbit(leaf, stab)
-            seen |= orbit
-            yield leaf, orbit, images
-
-
 def _expand(job: tuple, outputs: Iterable[_Output], cent: Sequence[Perm],
             blocks: Dict[Perm, List[tuple]]) -> None:
     """Add to blocks, a1 -> (closed, g) entries, a job's solutions: closed
@@ -383,8 +377,9 @@ def _expand(job: tuple, outputs: Iterable[_Output], cent: Sequence[Perm],
     n, s, r, _, stab = job
     leaves: Dict[RawSolution, Assignment] = {}
     images: Dict[RawSolution, Assignment] = {}
-    for leaf, orbit, leaf_images in _new_orbits(stab, outputs):
-        leaves.update(dict.fromkeys(orbit, Assignment._unchecked(n, s, *leaf)))
+    for leaf, _, leaf_images in outputs:
+        leaves.update(dict.fromkeys(_h1_orbit(leaf, stab),
+                                    Assignment._unchecked(n, s, *leaf)))
         for image in leaf_images:
             images.update(dict.fromkeys(_h1_orbit(image, stab),
                                         Assignment._unchecked(n, s, *image)))
@@ -669,7 +664,8 @@ def classify(n: int, *, workers: int = 1,
     def absorb(job: tuple, outputs: List[_Output], cent: Sequence[Perm]
                ) -> None:
         _, s, _, r_size, stab = job
-        for _, orbit, images in _new_orbits(stab, outputs):
+        for leaf, _, images in outputs:
+            orbit = _h1_orbit(leaf, stab)
             size = r_size * len(orbit)
             for key in [min(orbit)] + [_least(i, cent) for i in images]:
                 orbits.append(Orbit(Assignment._unchecked(n, s, *key), size))

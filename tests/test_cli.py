@@ -287,6 +287,20 @@ def test_orbits_workers_do_not_change_output(capsys):
     assert json.loads(solo)["orbit_count"] == 60
 
 
+# sha256 of `orbits --n 8 --confirm-long --format json` stdout
+ORBITS_N8_SHA256 = (
+    "d9d152c427d486c5afa8b2418225afa17dd643d79bb5bbbd16434297158a3fb4")
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_orbits_n8_digest(capsys, workers):
+    # the 240 classes of degree 8, in process and pooled
+    code, out, _ = run(capsys, "orbits", "--n", "8", "--confirm-long",
+                       "--workers", workers, "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ORBITS_N8_SHA256
+
+
 @pytest.mark.parametrize("n", ["4", "6"])
 def test_arrival_order_changes_no_byte(capsys, monkeypatch, n):
     # the pool's outputs are absorbed as they finish: count, orbits and

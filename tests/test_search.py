@@ -1086,7 +1086,7 @@ def _unit_subtree_route(n, s):
 
 
 def test_factored_count_matches_plain_loop():
-    # counting runs factor the a1, b1 and a2 levels by symmetry; the
+    # counting runs factor the a1, b1, a2 and b2 levels by symmetry; the
     # unfiltered plain loop walks over the trivial group; both must produce
     # the same counts, in total and term by term below every a1
     # representative
@@ -1129,36 +1129,94 @@ def test_factored_count_matches_plain_loop():
 
 
 # sha256 of repr([search._search_chunk(job) for job in jobs]) over the
-# jobs of each degree and sigma (i, j), as the element-wise walk gave
-# them; repr, not marshal, whose reference flags follow object identity
+# jobs of each degree and sigma (i, j), as the walk that takes b2 by
+# H3-orbit gives them; repr, not marshal, whose reference flags follow
+# object identity
 _WALK_DIGESTS = {
     (2, (1, 2)): "fd6423f1ee79224ff7ac29f28f287db1aeb13f3ba7041ef94ef71370471c3d76",
     (3, (1, 2)): "5676e0342edc7e0b206ce5bb70c320b3c7d15768e07cc0bbf50c653de28bd7c5",
-    (4, (1, 2)): "25d43b8620e7d278f6648e894f475589ebab16e5997b5fbd030a156a11d1a423",
+    (4, (1, 2)): "8b8a5d0dc8d70fc971deb49ac41ad9b548e0fa2169abca7062eae100caf4c3c8",
     (5, (1, 2)): "cf1cbb66a638b4860a516671fb74850e6ccf787fe6c4c8d29e9c04efe880bd05",
-    (6, (1, 2)): "20c8346027e295dde1b69a03bab876ac9fa2369e2f32057c180bf9b7ca52c5fc",
+    (6, (1, 2)): "dc2f773e2d8833d4967606d6b5741348e88f9ecac3738feb0e0279f298f3db50",
     (7, (1, 2)): "cf1cbb66a638b4860a516671fb74850e6ccf787fe6c4c8d29e9c04efe880bd05",
-    (8, (1, 2)): "b2c651bcc968eba46fd5449ab8892b0d2bd94b0f57a395938c7eb3d8a23c6fa8",
+    (8, (1, 2)): "bff169fa3d88b4dd89acb5dc804bf050eb5ce2f632805983f7028b0a64a982ac",
     (9, (1, 2)): "a683096011db3975a1e401e33b0047d1f2677a11efe85ef12806f016ae039795",
     (3, (2, 3)): "5676e0342edc7e0b206ce5bb70c320b3c7d15768e07cc0bbf50c653de28bd7c5",
     (3, (1, 3)): "5676e0342edc7e0b206ce5bb70c320b3c7d15768e07cc0bbf50c653de28bd7c5",
-    (4, (2, 3)): "31b737462e1da0ab2b107e8c3cc20563a0baf9376f4c760b2ac8cf06f879badc",
-    (4, (1, 4)): "31b737462e1da0ab2b107e8c3cc20563a0baf9376f4c760b2ac8cf06f879badc",
+    (4, (2, 3)): "849dbfa116a313402557ad0f66c0312376087ca915d645ca0b87d90bb189bfce",
+    (4, (1, 4)): "849dbfa116a313402557ad0f66c0312376087ca915d645ca0b87d90bb189bfce",
 }
 
 
-@pytest.mark.parametrize("n,ij", sorted(_WALK_DIGESTS),
-                         ids=lambda x: "-".join(map(str, x))
-                         if isinstance(x, tuple) else str(x))
+# the degrees and sigmas (i, j) the job-output tests run on
+_JOB_CASES = pytest.mark.parametrize(
+    "n,ij", sorted(_WALK_DIGESTS),
+    ids=lambda x: "-".join(map(str, x)) if isinstance(x, tuple) else str(x))
+
+
+@_JOB_CASES
 def test_job_outputs_match_digests(n, ij):
     # every job's leaves, weights and images, in the walk's own order,
-    # byte for byte as the element-wise walk gave them
+    # byte for byte as _WALK_DIGESTS pins them
     import hashlib
 
     s = perm.transposition(n, *ij)
     outputs = [search._search_chunk(job) for job in _factored_jobs(n, s)]
     assert hashlib.sha256(repr(outputs).encode()).hexdigest() \
         == _WALK_DIGESTS[n, ij]
+
+
+def _job_classes(n, ij):
+    # per job, the least members of the H1-orbits of its leaves and images,
+    # sorted, and its weighted count: what the job says up to the choice
+    # of leaf within a class
+    classes = []
+    for job in _factored_jobs(n, perm.transposition(n, *ij)):
+        out = search._search_chunk(job)
+        classes.append((sorted({min(search._h1_orbit(key, job[4]))
+                                for leaf, _, images in out
+                                for key in (leaf, *images)}),
+                        sum(w * (1 + len(images)) for _, w, images in out)))
+    return repr(classes)
+
+
+# sha256 of _job_classes(n, ij), as the walk that visited every b2 gave it
+_CLASS_DIGESTS = {
+    (2, (1, 2)): "02d6fc8058f03d2acfc3a2252eb46d80789747c46a65a726699e453c097b18a0",
+    (3, (1, 2)): "c37f119aa69f4db846ec3b1d78773423bda6046f94f84b5b4ea5734fe7ef7fb3",
+    (4, (1, 2)): "0620a1916d0569fdffa2d5554081fad097f30cdb11372b133585038886dc97f3",
+    (5, (1, 2)): "78c4b0fdf3e108c047b3175d5237b14c1611a45d884901de13a78775c5fc48f7",
+    (6, (1, 2)): "46a3b686973e38c1eaea4663154eddc9166411a9bec56e32b6c990d5354a8023",
+    (7, (1, 2)): "78c4b0fdf3e108c047b3175d5237b14c1611a45d884901de13a78775c5fc48f7",
+    (8, (1, 2)): "eb203b87928126698066dbf663684d3850ce063fc14b32589ed0626b148d4495",
+    (9, (1, 2)): "773fb44f6d5f9c405333419d56783d6f6b705ca92c37da6d524c82149297521f",
+    (3, (2, 3)): "c37f119aa69f4db846ec3b1d78773423bda6046f94f84b5b4ea5734fe7ef7fb3",
+    (3, (1, 3)): "c37f119aa69f4db846ec3b1d78773423bda6046f94f84b5b4ea5734fe7ef7fb3",
+    (4, (2, 3)): "e49c8f0753ed1cc5fc7da507b6120f889e4f6660c5b137bfc707d6cba92226bf",
+    (4, (1, 4)): "e49c8f0753ed1cc5fc7da507b6120f889e4f6660c5b137bfc707d6cba92226bf",
+}
+
+
+@_JOB_CASES
+def test_job_classes_match_digests(n, ij):
+    # every job meets the same classes of leaves and images, with the same
+    # weighted count, whichever member of a class it yields
+    assert hashlib.sha256(_job_classes(n, ij).encode()).hexdigest() \
+        == _CLASS_DIGESTS[n, ij]
+
+
+@_JOB_CASES
+def test_each_leaf_is_one_class_weighted_by_its_size(n, ij):
+    # the walk yields one leaf per H1-orbit, weighted by that orbit's size,
+    # and no two leaves or images of a job share an H1-orbit
+    for job in _factored_jobs(n, perm.transposition(n, *ij)):
+        stab, seen = job[4], set()
+        for leaf, w, images in search._search_chunk(job):
+            assert len(search._h1_orbit(leaf, stab)) == w
+            for key in (leaf, *images):
+                orbit = search._h1_orbit(key, stab)
+                assert not orbit & seen
+                seen |= orbit
 
 
 _SIGMAS = [perm.transposition(n, 1, 2) for n in range(2, 8)] + [
