@@ -109,11 +109,9 @@ by H1 fixes b1 = r and a2 = b2 = (), so an image carries the weight
 of its leaf, and the weights of a job, times the size of the C(s)-class
 of r, count the solutions with a1 in that class and their images: summed
 over the jobs (_run), every solution once, with no list the size
-of S_n.  The () job, empty at n >= 3, runs first and in process, so a
-count reports its first slice before any process is forked.  The others
-run in this process (job 1) and in forked helpers, one fewer than
-min(workers, jobs that walk), and are absorbed as they arrive; no two
-jobs give one solution, so that order reaches no output.
+of S_n.  The jobs run in the pool module, the () job, empty at n >= 3,
+first, and are absorbed as they arrive; no two jobs give one solution, so
+that order reaches no output.
 
 The conjugacy classes of the fixed-sigma solutions (orbits of C(s)
 acting by coordinatewise conjugation) come from the same jobs: a job
@@ -157,18 +155,14 @@ by brute_force_oracle and its tests, not assumed.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import itertools
-import marshal
 import math
-import os
-import signal
 import time
-from typing import (BinaryIO, Callable, Dict, Iterable, Iterator, List,
-                    NamedTuple, Optional, Sequence, Tuple)
+from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple,
+                    Optional, Sequence, Tuple)
 
-from . import groups, perm, words
+from . import groups, perm, pool, words
 from .perm import Perm
 from .words import Assignment
 
@@ -496,86 +490,16 @@ def _jobs(n: int, s: Perm, cent: Sequence[Perm]) -> List[tuple]:
     return sorted(jobs, key=lambda job: job[2])
 
 
-def _work(jobs: Sequence[tuple], todo: range, results: List[int],
-          oom: str) -> None:
-    """A forked helper: for each of jobs[todo] in turn it writes the
-    marshalled output of _search_chunk, or a one-line error, to that job's
-    pipe in results and closes it; it leaves by os._exit only: no stdio
-    buffer, --out file or atexit hook runs twice."""
-    try:
-        for signum in (signal.SIGINT, signal.SIGTERM):  # end it at once
-            signal.signal(signum, signal.SIG_DFL)
-        for i, fd in zip(todo, results):
-            try:
-                answer = marshal.dumps(_search_chunk(jobs[i]))
-            except Exception as exc:  # MemoryError included
-                answer = marshal.dumps(oom if isinstance(exc, MemoryError)
-                                       else f"search worker failed: {exc!r}")
-            with open(fd, "wb") as out:  # completes a cut-short write
-                out.write(answer)
-    finally:
-        os._exit(0)
-
-
-def _forked(jobs: Sequence[tuple], size: int, oom: str
-            ) -> Iterator[Tuple[int, List[_Output]]]:
-    """(i, output) for each of jobs[1:]: size - 1 helpers are forked, the
-    h-th running jobs[2 + h::size - 1], then this process runs job 1 and
-    reads each answer to EOF from its job's pipe as it arrives, so a cut
-    one is an EOFError.  The pipes' write ends are closed in the parent
-    before it forks again; any end of the generator, closing included,
-    kills and reaps the helpers left."""
-    import select
-    pool: Dict[BinaryIO, Tuple[int, int]] = {}  # result pipe: pid, job index
-    try:
-        for h in range(size - 1):
-            todo = range(2 + h, len(jobs), size - 1)
-            fds: List[int] = []  # result_r, result_w of each job in turn
-            try:
-                for _ in todo:
-                    fds += os.pipe()
-                pid = os.fork()
-            except OSError as exc:
-                for fd in fds:
-                    os.close(fd)
-                raise RuntimeError(
-                    f"cannot start a search worker: {exc}") from None
-            if pid == 0:
-                _work(jobs, todo, fds[1::2], oom)
-            for read_end, write_end, i in zip(fds[::2], fds[1::2], todo):
-                os.close(write_end)
-                pool[open(read_end, "rb")] = pid, i
-        yield 1, _search_chunk(jobs[1])
-        while pool:
-            pipe = select.select(list(pool), [], [])[0][0]
-            with pipe:
-                out = marshal.loads(pipe.read())
-            pid, i = pool.pop(pipe)
-            if pid not in {p for p, _ in pool.values()}:  # its last answer
-                os.waitpid(pid, 0)
-            if isinstance(out, str):  # the helper's one-line error
-                raise RuntimeError(out)
-            yield i, out
-    finally:
-        for pipe in pool:
-            pipe.close()
-        for pid in {pid for pid, _ in pool.values()}:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-
-
 def _run(n: int, sigma: Optional[Perm], workers: int,
          absorb: Callable[[tuple, List[_Output], Sequence[Perm]], None],
          progress: Optional[Callable[[int, int], None]]) -> EnumerationResult:
     """The result, weighted count and all, of _search_chunk on every job
     of degree n with sigma, (1,2) if None; ValueError, before any job is
     built, unless n and workers are ints in range (a bool is not one) and
-    sigma reads as a transposition.  a1 = () runs in this process first,
-    the rest here too, or with _forked's helpers where min(workers, jobs
-    that walk) exceeds one and os.fork exists.  Each job's outputs go to
-    absorb with C(s) as they come in, changing no count, class or solution
-    (module docstring), and the k-th progress call reports k slices done;
-    out of memory, or a dead helper, is a one-line error."""
+    sigma reads as a transposition.  The jobs run through pool.run_jobs,
+    a1 = () first; each job's outputs go to absorb with C(s) as they come
+    in, changing no count, class or solution (module docstring), and the
+    k-th progress call reports k slices done."""
     if type(n) is not int or not 2 <= n <= MAX_DEGREE:
         raise ValueError(f"degree must be an int from 2 to {MAX_DEGREE}, "
                          f"got {n!r}")
@@ -588,24 +512,19 @@ def _run(n: int, sigma: Optional[Perm], workers: int,
     t0 = time.perf_counter()
     cent = groups.centralizer_elements(s, n)
     jobs = _jobs(n, s, cent)
-    oom = f"out of memory in the degree-{n} search"
-    pool_size = min(workers, len(jobs) - 1) if hasattr(os, "fork") else 1
-    count = 0
-    try:
-        rest = (_forked(jobs, pool_size, oom) if pool_size > 1 else
-                ((i, _search_chunk(jobs[i])) for i in range(1, len(jobs))))
-        with contextlib.closing(rest):
-            outputs = itertools.chain([(0, _search_chunk(jobs[0]))], rest)
-            for done, (i, out) in enumerate(outputs, 1):
-                count += jobs[i][3] * sum(w * (1 + len(images))
-                                          for _, w, images in out)
-                absorb(jobs[i], out, cent)
-                if progress is not None:
-                    progress(done, len(jobs))
-    except MemoryError:
-        raise RuntimeError(oom) from None
-    except EOFError:
-        raise RuntimeError("a search worker ended early") from None
+    count = slices = 0
+
+    def done(i: int, out: List[_Output]) -> None:
+        nonlocal count, slices
+        count += jobs[i][3] * sum(w * (1 + len(images))
+                                  for _, w, images in out)
+        slices += 1
+        absorb(jobs[i], out, cent)
+        if progress is not None:
+            progress(slices, len(jobs))
+
+    pool.run_jobs(jobs, _search_chunk, workers, done,
+                  f"out of memory in the degree-{n} search")
     t = n * (n - 1) // 2
     return EnumerationResult(n=n, sigma=s, fixed_count=count,
                              transpositions=t, total_count=count * t,
@@ -621,10 +540,9 @@ def enumerate_fixed_sigma(n: int, *, workers: int = 1,
     """Count all solutions with the given sigma image, default (1,2),
     handing each to sink if one is given.
 
-    Every a1 representative is one slice; with workers > 1 and more than
-    one slice that walks (all but a1 = ()), this process and forked helper
-    processes search those.  The result, the solutions and the progress
-    calls (slices done, slices in all) are the same for every worker count.
+    Every a1 representative is one slice, run by pool.run_jobs on up to
+    workers processes.  The result, the solutions and the progress calls
+    (slices done, slices in all) are the same for every worker count.
     Once every slice is in, sink gets each solution in the order `list`
     writes, with the leaf or image it comes from, a C(s)-conjugate.
     """

@@ -52,11 +52,11 @@ def random_perm(rng, n):
     return tuple(images)
 
 
-def reversed_pool(jobs, size, oom):
-    """An in-process stand-in for the forked workers (search._forked)
-    whose jobs finish last to first."""
-    for i in reversed(range(1, len(jobs))):
-        yield i, search._search_chunk(jobs[i])
+def reversed_pool(jobs, chunk, workers, done, oom):
+    """An in-process stand-in for pool.run_jobs whose jobs after job 0
+    finish last to first."""
+    for i in (0, *reversed(range(1, len(jobs)))):
+        done(i, chunk(jobs[i]))
 
 
 def plain_loop(n, s):

@@ -306,7 +306,7 @@ def test_arrival_order_changes_no_byte(capsys, monkeypatch, n):
     # the pool's outputs are absorbed as they finish: count, orbits and
     # list write the same stdout and stderr on 1, 2 and 3 workers, and
     # when the pooled jobs finish in reverse order
-    from braidcovers import search
+    from braidcovers import pool
 
     def outputs(workers):
         return [run(capsys, *command, "--n", n, "--workers", workers)
@@ -317,7 +317,7 @@ def test_arrival_order_changes_no_byte(capsys, monkeypatch, n):
     assert [code for code, _, _ in expected] == [0, 0, 0]
     for workers in ("2", "3"):
         assert outputs(workers) == expected
-    monkeypatch.setattr(search, "_forked", reversed_pool)
+    monkeypatch.setattr(pool, "run_jobs", reversed_pool)
     assert outputs("2") == expected
 
 
@@ -1079,6 +1079,30 @@ def test_out_of_memory_in_worker_exits_1(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert err == "braidcovers: error: out of memory in the degree-6 search\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no worker is forked")
+def test_failed_worker_exits_1(capsys, monkeypatch):
+    # a forked worker whose slice raises ends the run with one error line
+    # naming the exception, no traceback, and no helper left
+    from braidcovers import search
+
+    parent = os.getpid()
+    chunk = search._search_chunk
+
+    def failing(job):
+        if os.getpid() != parent:
+            raise ValueError("bad slice")
+        return chunk(job)
+
+    monkeypatch.setattr(search, "_search_chunk", failing)
+    code, out, err = run(capsys, "count", "--n", "6", "--workers", "2")
+    assert code == 1
+    assert out == ""
+    assert err == ("braidcovers: error: search worker failed: "
+                   "ValueError('bad slice')\n")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no worker is forked")

@@ -93,6 +93,32 @@ def test_cli_loads_no_dataclasses_or_inspect():
     assert lists == ["[]", "[]"]
 
 
+def test_pool_stands_apart_from_the_search():
+    # the search leaves processes, signals and pipes to the pool module,
+    # which runs jobs on three workers without loading the search
+    with open(search.__file__, encoding="utf-8") as source:
+        tree = ast.parse(source.read())
+    imported = {alias.name.split(".")[0] for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module.split(".")[0] for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.level == 0}
+    assert not imported & {"os", "signal", "select", "marshal", "contextlib"}
+    script = (
+        "import sys\n"
+        "from braidcovers import pool\n"
+        "done = {}\n"
+        "pool.run_jobs(list(range(6)), lambda job: [job * job], 3,\n"
+        "              done.__setitem__, 'out of memory')\n"
+        "print(done == {i: [i * i] for i in range(6)},\n"
+        "      'braidcovers.search' in sys.modules)\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(braidcovers.__file__))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True False\n"
+
+
 def test_text_commands_load_no_json_or_csv():
     # json and csv are imported only by the code that writes them, so the
     # text forms of invariants and count start without either

@@ -8,10 +8,11 @@ import os
 import random
 import signal
 import time
+import types
 
 import pytest
 
-from braidcovers import groups, perm, search, words
+from braidcovers import groups, perm, pool, search, words
 from conftest import collected, full_orbit_check, plain_loop, reversed_pool
 
 EXPECTED_FIXED = {2: 16, 3: 80, 4: 480, 5: 0, 6: 2880}
@@ -64,76 +65,102 @@ def test_parallel_matches_single(n6_result):
         assert par_sols == n6_result[1]
 
 
+def _assert_no_child_left():
+    # waitpid sees every child, forked or not, running or unreaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
+                                reason="the search forks no worker here")
+
+
+def _wrap_chunk(monkeypatch, wrap):
+    """Have every search hand pool.run_jobs wrap(chunk) for its chunk: a
+    spy or a fault injected at the pool's seam."""
+    run_jobs = pool.run_jobs
+    monkeypatch.setattr(pool, "run_jobs", lambda jobs, chunk, *args:
+                        run_jobs(jobs, wrap(chunk), *args))
+
+
 @pytest.fixture
-def inline_pool(monkeypatch):
-    """An in-process stand-in for the forked workers (search._forked),
-    which records each pool's requested size and the jobs handed to it,
-    so no process is started."""
-    requested = []
-    submitted = []
+def pool_spy(monkeypatch):
+    """Records, in turn, the job lists the searches hand pool.run_jobs,
+    the jobs it runs in this process and the helpers it forks."""
+    spy = types.SimpleNamespace(submitted=[], ran=[], forks=[])
+    run_jobs, fork = pool.run_jobs, getattr(pool.os, "fork", None)
 
-    def inline_forked(jobs, size, oom):
-        requested.append(size)
-        for i, job in enumerate(jobs[1:], 1):
-            submitted.append(job)
-            yield i, search._search_chunk(job)
+    def spy_run(jobs, chunk, *args):
+        spy.submitted.append(jobs)
+        # a helper's appends stay in its own process
+        return run_jobs(jobs, lambda job: spy.ran.append(job) or chunk(job),
+                        *args)
 
-    monkeypatch.setattr(search, "_forked", inline_forked)
-    return requested, submitted
+    def spy_fork():
+        pid = fork()
+        spy.forks.extend([pid] if pid else [])
+        return pid
+
+    monkeypatch.setattr(pool, "run_jobs", spy_run)
+    if fork is not None:
+        monkeypatch.setattr(pool.os, "fork", spy_fork)
+    return spy
 
 
-def test_pool_capped_at_slice_count(inline_pool):
-    # every a1 representative is one job; the first, a1 = (), runs in
-    # process, and the pool asks for no more worker processes than there
-    # are jobs that walk: all the others
-    requested, submitted = inline_pool
+def _toy_chunk(job):
+    """A pool job's output: the job and the process that ran it."""
+    return [job, os.getpid()]
+
+
+@needs_fork
+def test_pool_capped_at_slice_count(pool_spy):
+    # every a1 representative is one job, and the search hands the pool
+    # all of them; the first, a1 = (), runs in process, and the pool
+    # starts no more processes than there are jobs that walk: all the
+    # others, so 64 workers at n = 4 are this process and two helpers
     s = perm.transposition(4, 1, 2)
-    reps = [(a1, size) for _, _, a1, size, _ in _factored_jobs(4, s)]
+    jobs = _factored_jobs(4, s)
     res = search.enumerate_fixed_sigma(4, workers=64)
     assert res.fixed_count == 480
-    assert reps[0][0] == perm.identity(4)
-    assert [(a1, size) for _, _, a1, size, _ in submitted] == reps[1:]
-    assert requested == [len(reps) - 1] == [3]
+    assert jobs[0][2] == perm.identity(4)
+    assert pool_spy.submitted == [jobs]
+    assert len(pool_spy.forks) == len(jobs) - 2 == 2
+    assert pool_spy.ran == jobs[:2]
+    _assert_no_child_left()
     # each job carries the stabilizer its walk is factored by
-    for _, _, a1, _, stab in submitted:
+    for _, _, a1, _, stab in jobs:
         assert sorted(stab) == _stab(4, s, a1)
 
 
-def test_single_job_runs_in_process(inline_pool):
+def test_single_job_runs_in_process(pool_spy):
     # counts and classes at n = 5 and 7 are one job, and a pool of one
     # worker would only pay for its start-up
-    requested, submitted = inline_pool
     for n in (5, 7):
         assert len(_factored_jobs(n, perm.transposition(n, 1, 2))) == 1
     assert search.enumerate_fixed_sigma(5, workers=2).fixed_count == 0
     res, orbits = search.classify(7, workers=2)
     assert res.fixed_count == 0 and orbits == []
-    assert requested == [] and submitted == []
+    assert [len(jobs) for jobs in pool_spy.submitted] == [1, 1]
+    assert pool_spy.ran == [job for jobs in pool_spy.submitted for job in jobs]
+    assert pool_spy.forks == []
 
 
-def test_list_without_solutions_submits_only_the_count_jobs(
-        inline_pool, monkeypatch):
+def test_list_without_solutions_submits_only_the_count_jobs(pool_spy):
     # degree 9 has no solution: a streaming run runs the two factored
     # jobs of a count in process, as only one of them walks, reports
     # their slices and hands the sink nothing
-    requested, submitted = inline_pool
-    ran = []
-    chunk = search._search_chunk
-    monkeypatch.setattr(search, "_search_chunk",
-                        lambda job: ran.append(job) or chunk(job))
     ticks = []
     res = search.enumerate_fixed_sigma(9, sink=_refuse, workers=2,
                                        progress=lambda i, m: ticks.append(i))
     assert res.fixed_count == 0
-    assert ran == _factored_jobs(9, perm.transposition(9, 1, 2))
-    assert requested == [] and submitted == []
+    assert pool_spy.ran == _factored_jobs(9, perm.transposition(9, 1, 2))
+    assert pool_spy.submitted == [pool_spy.ran] and pool_spy.forks == []
     assert ticks == [1, 2]
 
 
-def test_one_walking_job_starts_no_pool(inline_pool):
+def test_one_walking_job_starts_no_pool(pool_spy):
     # at degrees 3 and 9 there are two jobs, and a1 = () walks nothing,
     # so counts, classes and streaming runs on two workers stay in process
-    requested, submitted = inline_pool
     for n in (3, 9):
         assert len(_factored_jobs(n, perm.transposition(n, 1, 2))) == 2
     res, orbits = search.classify(9, workers=2)
@@ -141,7 +168,8 @@ def test_one_walking_job_starts_no_pool(inline_pool):
     assert search.enumerate_fixed_sigma(
         9, workers=2, sink=_refuse).fixed_count == 0
     assert search.enumerate_fixed_sigma(3, workers=2).fixed_count == 80
-    assert requested == [] and submitted == []
+    assert pool_spy.ran == [job for jobs in pool_spy.submitted for job in jobs]
+    assert len(pool_spy.submitted) == 3 and pool_spy.forks == []
 
 
 @pytest.mark.parametrize("n", range(2, 8))
@@ -201,35 +229,22 @@ def _refuse_pooled(done, slices):
         raise _Refused
 
 
-def _assert_no_child_left():
-    # waitpid sees every child, forked or not, running or unreaped
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
-                                reason="the search forks no worker here")
-
-
 @needs_fork
-def test_failed_pooled_search_ends_workers(monkeypatch):
-    # the progress call fails on slice 2, the parent's own, while the
-    # helper runs a 20 s slice: the error comes back at once, and no
-    # helper is left
-    n = 4
-    jobs = _factored_jobs(n, perm.transposition(n, 1, 2))
-    chunk = search._search_chunk
-
-    def slow_chunk(job):    # the workers are forked, so they run it too
-        if job[2] not in (jobs[0][2], jobs[1][2]):
+def test_failed_pooled_search_ends_workers():
+    # done fails on job 1, this process's own, while the helper runs a 20 s
+    # job: the error comes back at once, and no helper is left
+    def slow_chunk(job):    # the helper is forked, so it runs it too
+        if job > 1:
             time.sleep(20)
-        return chunk(job)
+        return [job]
 
-    monkeypatch.setattr(search, "_search_chunk", slow_chunk)
+    def refuse(i, out):
+        if i == 1:
+            raise _Refused
+
     t0 = time.monotonic()
     with pytest.raises(_Refused):
-        search.enumerate_fixed_sigma(n, workers=2, sink=_refuse,
-                                     progress=_refuse_pooled)
+        pool.run_jobs(list(range(4)), slow_chunk, 2, refuse, "out of memory")
     assert time.monotonic() - t0 < 5.0
     _assert_no_child_left()
 
@@ -271,42 +286,31 @@ def test_first_progress_comes_before_any_fork(monkeypatch):
 @needs_fork
 @pytest.mark.parametrize("n,workers,forks", [
     (8, 2, 1), (6, 2, 1), (8, 3, 2), (8, 1, 0), (6, 1, 0), (9, 2, 0)])
-def test_pool_forks_one_helper_fewer_than_its_size(monkeypatch, n, workers,
+def test_pool_forks_one_helper_fewer_than_its_size(pool_spy, n, workers,
                                                    forks):
-    # a pool of min(workers, jobs that walk) processes is the parent and
-    # one forked helper fewer: the parent runs jobs 0 and 1 itself (all of
+    # a pool of min(workers, jobs that walk) processes is this one and one
+    # forked helper fewer: this process runs jobs 0 and 1 itself (all of
     # them without a pool), the helpers the rest, and none is left
-    parent = os.getpid()
-    fork, chunk = os.fork, search._search_chunk
-    forked, ran = [], []
-
-    def spy_fork():
-        pid = fork()
-        forked.extend([pid] if pid else [])
-        return pid
-
-    def spy_chunk(job):     # the helpers' calls stay in their processes
-        ran.append((os.getpid(), job))
-        return chunk(job)
-
-    monkeypatch.setattr(os, "fork", spy_fork)
-    monkeypatch.setattr(search, "_search_chunk", spy_chunk)
     res = search.enumerate_fixed_sigma(n, workers=workers)
     assert res.fixed_count == {6: 2880, 8: 172800, 9: 0}[n]
-    assert len(forked) == len(set(forked)) == forks
+    assert len(pool_spy.forks) == len(set(pool_spy.forks)) == forks
     jobs = _factored_jobs(n, perm.transposition(n, 1, 2))
-    assert ran == [(parent, job) for job in (jobs[:2] if forks else jobs)]
+    assert pool_spy.ran == (jobs[:2] if forks else jobs)
     _assert_no_child_left()
-    # a helper runs every (size - 1)-th job after job 1, in order
-    jobs = _factored_jobs(6, perm.transposition(6, 1, 2)) * 2
-    forked.clear()
-    done = list(search._forked(jobs, 3, "out of memory"))
-    assert len(forked) == 2
-    assert sorted(done) == [(i, chunk(jobs[i])) for i in range(1, 8)]
-    assert done[0][0] == 1
-    for h in (0, 1):
-        mine = [i for i, _ in done if i > 1 and (i - 2) % 2 == h]
-        assert mine == list(range(2 + h, 8, 2))
+    # a helper runs every (size - 1)-th job after job 1, in order: of
+    # eight jobs on three workers, this process runs jobs 0 and 1 and each
+    # of two helpers every other job from job 2 or job 3
+    pool_spy.forks.clear()
+    done = []
+    pool.run_jobs(list(range(8)), _toy_chunk, 3,
+                  lambda i, out: done.append((i, *out)), "out of memory")
+    assert len(pool_spy.forks) == 2
+    assert sorted(i for i, _, _ in done) == list(range(8))
+    assert all(i == job for i, job, _ in done)
+    assert [(i, pid) for i, _, pid in done[:2]] == [(0, os.getpid()),
+                                                    (1, os.getpid())]
+    for h, pid in enumerate(pool_spy.forks):
+        assert [i for i, _, p in done if p == pid] == list(range(2 + h, 8, 2))
     _assert_no_child_left()
 
 
@@ -315,14 +319,15 @@ def test_out_of_memory_in_worker(monkeypatch):
     # a MemoryError in a forked worker reaches the caller as the one-line
     # RuntimeError of a search that runs out of memory in process
     parent = os.getpid()
-    chunk = search._search_chunk
 
-    def exhausted(job):
-        if os.getpid() != parent:
-            raise MemoryError
-        return chunk(job)
+    def exhausted(chunk):
+        def run(job):
+            if os.getpid() != parent:
+                raise MemoryError
+            return chunk(job)
+        return run
 
-    monkeypatch.setattr(search, "_search_chunk", exhausted)
+    _wrap_chunk(monkeypatch, exhausted)
     with pytest.raises(RuntimeError) as exc:
         search.classify(6, workers=2)
     assert str(exc.value) == "out of memory in the degree-6 search"
@@ -330,17 +335,30 @@ def test_out_of_memory_in_worker(monkeypatch):
 
 
 @needs_fork
+def test_failed_helper_job_is_one_line():
+    # a helper's job that raises anything but MemoryError ends the run
+    # with one RuntimeError naming the exception, and no helper is left
+    def chunk(job):         # job 2 is the helper's first
+        if job == 2:
+            raise ValueError("bad job")
+        return [job]
+
+    with pytest.raises(RuntimeError) as exc:
+        pool.run_jobs(list(range(4)), chunk, 2, lambda i, out: None,
+                      "out of memory")
+    assert str(exc.value) == "search worker failed: ValueError('bad job')"
+    _assert_no_child_left()
+
+
+@needs_fork
 def test_stopped_worker_still_sends_whole_output(monkeypatch):
     # helpers stopped and continued, as Ctrl-Z and `fg` do, while they
     # write outputs larger than a pipe holds: each write is cut short,
-    # and the rest must still follow, or the search waits forever; one
+    # and the rest must still follow, or the run waits forever; one
     # helper writes two such answers, two helpers one each
-    import select
-
-    chunk = search._search_chunk
     pids, reaped = [], set()
-    fork, waitpid = os.fork, os.waitpid
-    real_select = select.select
+    fork, waitpid = pool.os.fork, pool.os.waitpid
+    real_select = pool.select.select
 
     def spy_fork():
         pid = fork()
@@ -351,8 +369,8 @@ def test_stopped_worker_still_sends_whole_output(monkeypatch):
         reaped.add(pid)     # from here on, the pid may name no process
         return waitpid(pid, options)
 
-    def big_chunk(job):     # outputs of up to 0.4 MB, a pipe holding 64 KB
-        return chunk(job) * 2000
+    def big_chunk(job):     # answers of 0.5 MB, a pipe holding 64 KB
+        return [job] * 100_000
 
     def stopping_select(*args):
         time.sleep(0.1)     # the helpers fill their pipes and block
@@ -365,21 +383,22 @@ def test_stopped_worker_still_sends_whole_output(monkeypatch):
         return real_select(*args)
 
     def timed_out(signum, frame):
-        raise TimeoutError("the search waited for a cut-short output")
+        raise TimeoutError("the run waited for a cut-short output")
 
-    monkeypatch.setattr(os, "fork", spy_fork)
-    monkeypatch.setattr(os, "waitpid", spy_waitpid)
-    monkeypatch.setattr(search, "_search_chunk", big_chunk)
-    monkeypatch.setattr(select, "select", stopping_select)
+    monkeypatch.setattr(pool.os, "fork", spy_fork)
+    monkeypatch.setattr(pool.os, "waitpid", spy_waitpid)
+    monkeypatch.setattr(pool.select, "select", stopping_select)
     previous = signal.signal(signal.SIGALRM, timed_out)
     try:
         for workers in (2, 3):
             pids.clear()
+            done = {}
             signal.alarm(20)
-            res = search.enumerate_fixed_sigma(6, workers=workers)
+            pool.run_jobs(list(range(4)), big_chunk, workers,
+                          done.__setitem__, "out of memory")
             signal.alarm(0)
             assert len(pids) == workers - 1
-            assert res.fixed_count == 2000 * 2880  # the a1 = () job is empty
+            assert done == {i: big_chunk(i) for i in range(4)}
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
@@ -392,27 +411,48 @@ def test_stopped_worker_still_sends_whole_output(monkeypatch):
                          ids=["nothing", "in-answer", "one-answer", "whole"])
 def test_worker_cut_mid_answer_ended_early(monkeypatch, cut, answers):
     # a helper that ends before its first answer, part-way through it or
-    # with one of its two jobs answered ends the search with one error, and
+    # with one of its two jobs answered ends the run with one error, and
     # no helper is left; the same helper writing every answer whole gives
-    # the full count
-    import marshal
+    # every output
+    parent = os.getpid()
+    dumps = pool.marshal.dumps
+    answered = []
 
-    def cut_work(jobs, todo, results, oom):
-        try:
-            for i, fd in itertools.islice(zip(todo, results), answers):
-                os.write(fd, marshal.dumps(search._search_chunk(jobs[i]))[:cut])
-                os.close(fd)
-        finally:
-            os._exit(0)
+    def cut_dumps(value):   # the helper's answers, cut at cut
+        return dumps(value)[:cut] if os.getpid() != parent else dumps(value)
 
-    monkeypatch.setattr(search, "_work", cut_work)
+    def chunk(job):         # the helper leaves after its first answers
+        if os.getpid() != parent:
+            if len(answered) == answers:
+                os._exit(0)
+            answered.append(job)
+        return [job]
+
+    monkeypatch.setattr(pool.marshal, "dumps", cut_dumps)
+    done = {}
+    run = functools.partial(pool.run_jobs, list(range(4)), chunk, 2,
+                            done.__setitem__, "out of memory")
     if answers is None:
-        assert search.enumerate_fixed_sigma(6, workers=2).fixed_count == 2880
+        run()
+        assert done == {i: [i] for i in range(4)}
     else:
         with pytest.raises(RuntimeError,
                            match="^a search worker ended early$"):
-            search.enumerate_fixed_sigma(6, workers=2)
+            run()
     _assert_no_child_left()
+
+
+def _observed(n, workers):
+    """What a count with a sink and a class search on workers show: the
+    results, the sink's (sol, origin) stream, the progress calls and the
+    classes."""
+    streamed, ticks = [], []
+    res = search.enumerate_fixed_sigma(
+        n, workers=workers, sink=lambda *sol: streamed.append(sol),
+        progress=lambda i, m: ticks.append((i, m)))
+    classified, orbits = search.classify(n, workers=workers)
+    return (res._replace(elapsed_seconds=0), streamed, ticks,
+            classified._replace(elapsed_seconds=0), orbits)
 
 
 @pytest.mark.parametrize("n", [4, 6])
@@ -420,52 +460,40 @@ def test_arrival_order_changes_no_result(n, monkeypatch):
     # outputs are absorbed as they arrive: the sink's (sol, origin)
     # stream, the progress calls and the classes are the same for 1, 2
     # and 3 workers, and for a pool whose jobs finish in reverse order
-    def run(workers):
-        streamed, ticks = [], []
-        res = search.enumerate_fixed_sigma(
-            n, workers=workers, sink=lambda *sol: streamed.append(sol),
-            progress=lambda i, m: ticks.append((i, m)))
-        classified, orbits = search.classify(n, workers=workers)
-        return (res._replace(elapsed_seconds=0), streamed, ticks,
-                classified._replace(elapsed_seconds=0), orbits)
-
-    runs = [run(workers) for workers in (1, 2, 3)]
-    monkeypatch.setattr(search, "_forked", reversed_pool)
-    runs.append(run(2))
+    runs = [_observed(n, workers) for workers in (1, 2, 3)]
+    monkeypatch.setattr(pool, "run_jobs", reversed_pool)
+    runs.append(_observed(n, 2))
     assert runs[0][0].fixed_count == EXPECTED_FIXED[n]
     assert all(other == runs[0] for other in runs[1:])
 
 
+def test_no_fork_runs_every_slice_in_process(monkeypatch):
+    # where the platform has no os.fork, a run on three workers searches
+    # every slice in process: the one-worker result, stream, progress
+    # calls and classes, and no child
+    expected = _observed(6, 1)
+    monkeypatch.delattr(pool.os, "fork", raising=False)
+    assert _observed(6, 3) == expected
+    assert expected[0].fixed_count == EXPECTED_FIXED[6]
+    _assert_no_child_left()
+
+
 @needs_fork
-def test_slow_job_holds_back_no_other_slice(monkeypatch):
-    # on three workers the helper on job 2 sleeps: the parent's job 1 and
-    # the other helper's job 3 are absorbed, and their slices reported,
-    # before its output comes in
-    n = 6
-    jobs = _factored_jobs(n, perm.transposition(n, 1, 2))
-    reps = [job[2] for job in jobs]
+def test_slow_job_holds_back_no_other_slice():
+    # on three workers the helper on job 2 sleeps: this process's jobs 0
+    # and 1 and the other helper's job 3 are done before its output comes
+    # in
     parent = os.getpid()
-    chunk = search._search_chunk
-    expand = search._expand
-    events = []
 
-    def slow_chunk(job):    # the helpers are forked, so they run it too
-        if job[2] == reps[2] and os.getpid() != parent:
+    def slow_chunk(job):
+        if job == 2 and os.getpid() != parent:
             time.sleep(1.5)
-        return chunk(job)
+        return [job]
 
-    def spy(job, *args):
-        events.append(job[2])
-        return expand(job, *args)
-
-    monkeypatch.setattr(search, "_search_chunk", slow_chunk)
-    monkeypatch.setattr(search, "_expand", spy)
-    res = search.enumerate_fixed_sigma(
-        n, workers=3, sink=lambda *sol: None,
-        progress=lambda i, m: events.append(i))
-    assert res.fixed_count == 2880
-    assert len(reps) == 4
-    assert events == [reps[0], 1, reps[1], 2, reps[3], 3, reps[2], 4]
+    events = []
+    pool.run_jobs(list(range(4)), slow_chunk, 3,
+                  lambda i, out: events.append((i, out)), "out of memory")
+    assert events == [(0, [0]), (1, [1]), (3, [3]), (2, [2])]
     _assert_no_child_left()
 
 
@@ -476,12 +504,12 @@ def test_slow_job_holds_back_no_other_slice(monkeypatch):
                                             ("fork", 3, errno.EAGAIN)])
 def test_failed_worker_start_leaves_nothing_open(monkeypatch, name, call,
                                                  code):
-    # the second or third of three helpers, for seven jobs after job 1,
-    # cannot be started, at its fork or at its pipe: the pipe ends opened
-    # for it are closed, the running helpers are killed and reaped, and
-    # the failure is a one-line RuntimeError; so on a search whose second
-    # helper cannot be forked
-    real = getattr(os, name)
+    # of three helpers for the six jobs after job 1, the second or third
+    # cannot be started at its fork, or the first at its second pipe: the
+    # pipe ends opened for it are closed, the running helpers are killed
+    # and reaped, and the failure is a one-line RuntimeError; so on a
+    # search whose second helper cannot be forked
+    real = getattr(pool.os, name)
     calls = []
 
     def failing():
@@ -490,12 +518,12 @@ def test_failed_worker_start_leaves_nothing_open(monkeypatch, name, call,
             raise OSError(code, os.strerror(code))
         return real()
 
-    jobs = _factored_jobs(6, perm.transposition(6, 1, 2)) * 2
-    runs = [lambda: list(search._forked(jobs, 4, "out of memory"))]
+    runs = [functools.partial(pool.run_jobs, list(range(8)), _toy_chunk, 4,
+                              lambda i, out: None, "out of memory")]
     if call == 2:
         runs.append(lambda: search.enumerate_fixed_sigma(6, workers=3))
     fds = len(os.listdir("/proc/self/fd"))
-    monkeypatch.setattr(os, name, failing)
+    monkeypatch.setattr(pool.os, name, failing)
     for run in runs:
         calls.clear()
         with pytest.raises(RuntimeError) as exc:
@@ -587,7 +615,7 @@ def test_non_int_input_is_refused_before_any_job(monkeypatch, call, name):
         raise OSError("not to be called")
 
     monkeypatch.setattr(search, "_jobs", spy)
-    monkeypatch.setattr(os, "fork", spy)
+    monkeypatch.setattr(pool.os, "fork", spy)
     with pytest.raises(ValueError, match=f"^{name} "):
         call()
     assert calls == []
@@ -1367,25 +1395,17 @@ def test_list_walk_without_leaves_conjugates_no_more_than_a_count(
 
 
 @pytest.mark.parametrize("n", range(2, 9))
-def test_counts_and_classes_submit_one_job_kind(n, monkeypatch):
+def test_counts_and_classes_submit_one_job_kind(n, pool_spy):
     # a count, a class search and a streaming run hand the pool the same
     # factored jobs; only the parent's aggregation of their outputs
     # differs
-    submitted = []
-    chunk = search._search_chunk
-
-    def spy(job):
-        jobs.append(job)
-        return chunk(job)
-
-    monkeypatch.setattr(search, "_search_chunk", spy)
     for run in (search.enumerate_fixed_sigma, search.classify,
                 functools.partial(search.enumerate_fixed_sigma,
                                   sink=lambda *args: None)):
-        jobs = []
         run(n)
-        submitted.append(jobs)
-    assert submitted == [_factored_jobs(n, perm.transposition(n, 1, 2))] * 3
+    jobs = _factored_jobs(n, perm.transposition(n, 1, 2))
+    assert pool_spy.submitted == [jobs] * 3
+    assert pool_spy.ran == jobs * 3
 
 
 def test_least_is_min_of_orbit():
@@ -1504,7 +1524,7 @@ def test_out_of_memory_is_one_line(monkeypatch):
     def exhausted(args):
         raise MemoryError
 
-    monkeypatch.setattr(search, "_search_chunk", exhausted)
+    _wrap_chunk(monkeypatch, lambda chunk: exhausted)
     for run in (lambda: search.enumerate_fixed_sigma(4),
                 lambda: collected(4),
                 lambda: search.classify(4)):
