@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import marshal
 import os
-import select
 import signal
 from typing import Any, BinaryIO, Callable, Dict, List, Sequence, Tuple
 
@@ -71,6 +70,7 @@ def run_jobs(jobs: Sequence[Any], chunk: Callable[[Any], Any], workers: int,
                                        chunk, oom))
             done(i, chunk(jobs[i]))
         while pool:
+            import select  # loaded only where a helper answers
             pipe = select.select(list(pool), [], [])[0][0]
             with pipe:
                 out = marshal.loads(pipe.read())

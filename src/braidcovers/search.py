@@ -143,11 +143,11 @@ image.  `list` writes a1 sorted, then b1 in C1 order, a2 in the order of
 its route list, C(s b1 s) where |C(s b1 s)| * 3 < |C1|, else C1, and b2
 in the order of C(s a2 s) where |C(s a2 s)| * 4 < |C2|, else of a2's
 route list; changing either rule can change its bytes.  C2 and C3 are
-their route lists filtered in order, so _block builds neither: below
-each (a1, b1) that carries a solution it counts |C2| and keeps a2's
-route list to the a2 and b2 below b1, which lists both in order.  The
-walk's own order reaches no output: counts, classes and expansions read
-only the H1-orbits of its leaves.
+their route lists filtered in order, so _block builds neither: below each
+(a1, b1) that carries a solution it keeps a2's route list to the a2 and
+b2 below b1, which lists both in order, and |C2|, counted over C1 once
+per origin (a1, b1) a run.  The walk's own order reaches no output:
+counts, classes and expansions read only the H1-orbits of its leaves.
 
 Exact agreement with the relation-table-driven brute force is enforced
 by brute_force_oracle and its tests, not assumed.
@@ -385,10 +385,11 @@ def _expand(job: tuple, outputs: Iterable[_Output], cent: Sequence[Perm],
                 blocks.setdefault(a1, []).append((closed, g))
 
 
-def _block(n: int, s: Perm, a1: Perm, entries: Iterable[tuple]
-           ) -> Iterator[Tuple[RawSolution, Assignment]]:
+def _block(n: int, s: Perm, a1: Perm, entries: Iterable[tuple],
+           sizes: dict) -> Iterator[Tuple[RawSolution, Assignment]]:
     """The solutions with this a1 in its entries (_expand), each with its
-    leaf or image, in the order `list` writes (module docstring)."""
+    leaf or image, in the order `list` writes (module docstring); sizes
+    holds |C2| by origin (a1, b1), as conjugation by C(s) conjugates C2."""
     tree: Dict[Perm, Dict[Perm, Dict[Perm, Assignment]]] = {}
     for closed, g in entries:
         moved: Dict[Perm, Perm] = {}
@@ -396,17 +397,18 @@ def _block(n: int, s: Perm, a1: Perm, entries: Iterable[tuple]
             _, a2, b1, b2 = [moved.get(p) or moved.setdefault(
                 p, perm.conjugate(p, g)) for p in key]
             tree.setdefault(b1, {}).setdefault(a2, {})[b2] = origin
-    sa1s = perm.conjugate(a1, s)
-    c1 = groups.centralizer_elements(sa1s, n)
+    c1 = groups.centralizer_elements(perm.conjugate(a1, s), n)
     for b1 in filter(tree.__contains__, c1):
         below_b1 = tree[b1]
         sb1s = perm.conjugate(b1, s)
-        # C2 = C1 n C(s b1 s) is one of them filtered in order: C(s b1 s)
-        # by s a1 s where it is under a third of C1, else C1 by s b1 s
-        direct = groups.centralizer_order(sb1s) * 3 < len(c1)
-        route = groups.centralizer_elements(sb1s, n) if direct else c1
-        size2 = sum(perm.commutes(z, sa1s if direct else sb1s) for z in route)
-        # so route kept to the a2 and b2 below b1 lists them in C2 order
+        origin = next(iter(next(iter(below_b1.values())).values()))
+        key = origin.a1, origin.b1
+        size2 = sizes.get(key) or sizes.setdefault(key, sum(
+            perm.commutes(z, sb1s) for z in c1))
+        # C2 = C1 n C(s b1 s) is route filtered in order: C(s b1 s) where it
+        # is under a third of C1, else C1, so kept lists the a2 and b2 below b1
+        route = (groups.centralizer_elements(sb1s, n)
+                 if groups.centralizer_order(sb1s) * 3 < len(c1) else c1)
         present = set(below_b1).union(*below_b1.values())
         kept = [z for z in route if z in present]
         for a2 in filter(below_b1.__contains__, kept):
@@ -548,6 +550,7 @@ def enumerate_fixed_sigma(n: int, *, workers: int = 1,
     """
     t0 = time.perf_counter()
     blocks: Dict[Perm, List[tuple]] = {}
+    sizes: Dict[Tuple[Perm, Perm], int] = {}  # |C2| by origin (a1, b1)
 
     def absorb(job: tuple, outputs: List[_Output], cent: Sequence[Perm]
                ) -> None:
@@ -557,7 +560,7 @@ def enumerate_fixed_sigma(n: int, *, workers: int = 1,
     res = _run(n, sigma, workers, absorb, progress)
     kept = 0
     for a1 in sorted(blocks):
-        for raw, origin in _block(n, res.sigma, a1, blocks.pop(a1)):
+        for raw, origin in _block(n, res.sigma, a1, blocks.pop(a1), sizes):
             kept += 1
             sink(Assignment._unchecked(n, res.sigma, *raw), origin)
     if sink is not None and kept != res.fixed_count:

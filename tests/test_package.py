@@ -119,6 +119,25 @@ def test_pool_stands_apart_from_the_search():
     assert proc.stdout == "True False\n"
 
 
+def test_one_worker_run_loads_no_select():
+    # only the pool's wait for helper answers uses select, so a run on
+    # one worker starts without it; a run on two gives the same result
+    script = (
+        "import sys\n"
+        "from braidcovers import search\n"
+        "one = search.enumerate_fixed_sigma(6)\n"
+        "print('select' in sys.modules)\n"
+        "two = search.enumerate_fixed_sigma(6, workers=2)\n"
+        "print(one.fixed_count, one._replace(elapsed_seconds=0)\n"
+        "      == two._replace(elapsed_seconds=0))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(braidcovers.__file__))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n2880 True\n"
+
+
 def test_text_commands_load_no_json_or_csv():
     # json and csv are imported only by the code that writes them, so the
     # text forms of invariants and count start without either

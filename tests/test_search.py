@@ -6,6 +6,7 @@ import math
 import multiprocessing
 import os
 import random
+import select
 import signal
 import time
 import types
@@ -180,8 +181,8 @@ def test_plain_jobs_are_the_solution_a1(n, monkeypatch):
     blocks = []
     block = search._block
 
-    def spy(n, s, a1, entries):
-        out = list(block(n, s, a1, entries))
+    def spy(n, s, a1, *args):
+        out = list(block(n, s, a1, *args))
         blocks.append((a1, len(out)))
         return out
 
@@ -358,7 +359,7 @@ def test_stopped_worker_still_sends_whole_output(monkeypatch):
     # helper writes two such answers, two helpers one each
     pids, reaped = [], set()
     fork, waitpid = pool.os.fork, pool.os.waitpid
-    real_select = pool.select.select
+    real_select = select.select
 
     def spy_fork():
         pid = fork()
@@ -387,7 +388,7 @@ def test_stopped_worker_still_sends_whole_output(monkeypatch):
 
     monkeypatch.setattr(pool.os, "fork", spy_fork)
     monkeypatch.setattr(pool.os, "waitpid", spy_waitpid)
-    monkeypatch.setattr(pool.select, "select", stopping_select)
+    monkeypatch.setattr(select, "select", stopping_select)
     previous = signal.signal(signal.SIGALRM, timed_out)
     try:
         for workers in (2, 3):
@@ -1248,7 +1249,8 @@ def test_each_leaf_is_one_class_weighted_by_its_size(n, ij):
 
 
 _SIGMAS = [perm.transposition(n, 1, 2) for n in range(2, 8)] + [
-    perm.transposition(4, 1, 3), perm.transposition(4, 2, 3)]
+    perm.transposition(4, 1, 3), perm.transposition(4, 2, 3),
+    perm.transposition(6, 2, 5)]
 
 
 @pytest.mark.parametrize("sig", _SIGMAS, ids=lambda sig: f"n{len(sig)}-"
@@ -1346,6 +1348,37 @@ def test_fertile_map_is_the_plain_walk_prefixes(sig, monkeypatch):
     for length in (2, 3):
         assert sorted(p for p in prefixes if len(p) == length) == sorted(
             {(a1, b1, a2)[:length] for a1, a2, b1, _ in plain})
+
+
+def test_block_counts_c2_once_per_origin_pair(monkeypatch):
+    # a streaming run counts |C2| = |C1 n C(s b1 s)| over C1 once for
+    # each (a1, b1) of an origin, in one dict for the run, and reads it
+    # for every (a1, b1) prefix conjugate to that pair
+    sig = perm.transposition(6, 1, 2)
+    memos, counted, origins, prefixes = [], [], set(), set()
+    block, commutes = search._block, perm.commutes
+
+    def spy(n, s, a1, entries, sizes):
+        memos.append(sizes)
+        monkeypatch.setattr(perm, "commutes",
+                            lambda p, q: counted.append(q) or commutes(p, q))
+        yield from block(n, s, a1, entries, sizes)
+
+    def sink(sol, origin):
+        origins.add((origin.a1, origin.b1))
+        prefixes.add((sol.a1, sol.b1))
+
+    monkeypatch.setattr(search, "_block", spy)
+    search.enumerate_fixed_sigma(6, sink=sink)
+    assert all(sizes is memos[0] for sizes in memos)
+    assert set(memos[0]) == origins and len(prefixes) > 10 * len(origins)
+    cent = groups.centralizer_elements(sig, 6)
+    assert len({search._least(key, cent) for key in origins}) == len(origins)
+    c1s = {(a1, b1): groups.centralizer_elements(_s_conj(a1, sig), 6)
+           for a1, b1 in origins}
+    assert memos[0] == {key: sum(commutes(z, _s_conj(key[1], sig))
+                                 for z in c1) for key, c1 in c1s.items()}
+    assert len(counted) == sum(map(len, c1s.values()))
 
 
 def test_list_walk_without_solutions_builds_nothing(monkeypatch):
