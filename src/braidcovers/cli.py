@@ -291,7 +291,6 @@ def _cmd_count(args: SimpleNamespace, out: TextIO) -> int:
     verdict = surface.existence_verdict(n, res)
     row = _table_row(res)
     doc = res._asdict()
-    del doc["elapsed_seconds"]
     doc.update(sigma=perm.format_cycles(res.sigma), surface=inv.to_json_dict(),
                existence=verdict.to_json_dict())
     lines = [

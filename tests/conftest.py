@@ -65,16 +65,19 @@ def plain_loop(n, s):
     b2 in the order of C2 = C1 n C(s b1 s) and C3 = C2 n C(s a2 s), each
     filtered from the list the size rule picks (_intersect).  This is the
     factored walk over the trivial group as it was before it drew its
-    lists from the elements of C1 that pass R2: each level is cut by R2,
-    the a1 prune and transitivity of <s, prefix, list of the level>, a2
-    by the cycle-type test of the torus relation, and each leaf must pass
-    the torus relation, R2 and transitivity."""
+    lists from the elements of C1 that pass R2: each level is cut by R2
+    and transitivity of <s, prefix, list of the level>, at the a1 level
+    by its definition with C1 listed in full, a2 by the cycle-type test
+    of the torus relation, and each leaf must pass the torus relation, R2
+    and transitivity."""
     out = []
     for a1 in itertools.permutations(range(n)):
         sa1s = perm.conjugate(a1, s)
-        if not (perm.commutes(a1, sa1s) and search._a1_transitive(n, s, a1)):
+        if not perm.commutes(a1, sa1s):
             continue
         c1 = groups.centralizer_elements(sa1s, n)
+        if not groups.is_transitive((s, a1, *c1), n):
+            continue
         for b1 in c1:
             sb1s = perm.conjugate(b1, s)
             if not perm.commutes(b1, sb1s):

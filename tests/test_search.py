@@ -1,3 +1,4 @@
+import collections
 import errno
 import functools
 import hashlib
@@ -174,25 +175,18 @@ def test_one_walking_job_starts_no_pool(pool_spy):
 
 
 @pytest.mark.parametrize("n", range(2, 8))
-def test_plain_jobs_are_the_solution_a1(n, monkeypatch):
-    # the plain order is written one a1 block at a time: a run that keeps
-    # solutions writes one block per a1 of its solutions, in order, and
-    # no block is empty
-    blocks = []
-    block = search._block
-
-    def spy(n, s, a1, *args):
-        out = list(block(n, s, a1, *args))
-        blocks.append((a1, len(out)))
-        return out
-
-    monkeypatch.setattr(search, "_block", spy)
+def test_plain_jobs_are_the_solution_a1(n):
+    # the plain order is written one a1 block at a time: the a1 a run that
+    # keeps solutions hands out never decrease, and they are the a1 of the
+    # plain walk's solutions, so no block is empty
     _, sols = collected(n)
-    a1s = [a1 for a1, _ in blocks]
-    assert a1s == sorted({sol.a1 for sol in sols})
-    assert all(size for _, size in blocks)
+    a1s = [sol.a1 for sol in sols]
+    assert a1s == sorted(a1s)
+    distinct = sorted(set(a1s))
+    assert distinct == sorted({raw[0] for raw in _plain_walk(
+        n, perm.transposition(n, 1, 2))})
     if n == 6:
-        assert len(a1s) == 29
+        assert len(distinct) == 29
 
 
 def test_sink_streams_same_solutions(n3_result):
@@ -452,8 +446,7 @@ def _observed(n, workers):
         n, workers=workers, sink=lambda *sol: streamed.append(sol),
         progress=lambda i, m: ticks.append((i, m)))
     classified, orbits = search.classify(n, workers=workers)
-    return (res._replace(elapsed_seconds=0), streamed, ticks,
-            classified._replace(elapsed_seconds=0), orbits)
+    return res, streamed, ticks, classified, orbits
 
 
 @pytest.mark.parametrize("n", [4, 6])
@@ -536,22 +529,6 @@ def test_failed_worker_start_leaves_nothing_open(monkeypatch, name, call,
         _assert_no_child_left()
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("run", [
-    search.enumerate_fixed_sigma,
-    functools.partial(search.enumerate_fixed_sigma, sink=lambda *sol: None),
-    lambda n, workers: search.classify(n, workers=workers)[0],
-], ids=["count", "sink", "classify"])
-def test_elapsed_seconds_is_a_duration(run, workers):
-    # the reported time is a span inside the caller's own: not negative,
-    # and no longer than the call as the caller times it
-    t0 = time.perf_counter()
-    res = run(6, workers=workers)
-    span = time.perf_counter() - t0
-    assert res.fixed_count == 2880
-    assert 0 <= res.elapsed_seconds <= span
-
-
 def test_progress_reports_all_slices():
     ticks = []
     search.enumerate_fixed_sigma(3, progress=lambda i, m: ticks.append((i, m)))
@@ -607,15 +584,16 @@ def test_sigma_validation():
         "count-bool-workers", "classify-bool-workers"])
 def test_non_int_input_is_refused_before_any_job(monkeypatch, call, name):
     # a degree or worker count that is not an int (a bool is not), or a
-    # sigma that does not read as a tuple, is a ValueError naming it, raised before any
-    # job is built or worker forked
+    # sigma that does not read as a tuple, is a ValueError naming it, raised
+    # before C(s) is listed, any job run or any worker forked
     calls = []
 
     def spy(*args):
         calls.append(args)
         raise OSError("not to be called")
 
-    monkeypatch.setattr(search, "_jobs", spy)
+    monkeypatch.setattr(groups, "centralizer_elements", spy)
+    monkeypatch.setattr(pool, "run_jobs", spy)
     monkeypatch.setattr(pool.os, "fork", spy)
     with pytest.raises(ValueError, match=f"^{name} "):
         call()
@@ -735,35 +713,32 @@ def test_orbit_reps_over_trivial_group_keep_every_item():
     assert weighted == [(item, 1) for item in items]
 
 
-def test_orbit_reps_partition_the_walks_lists(monkeypatch):
-    # every H1 and H2 the walks of the count runs at n <= 7 act by, on the
-    # lists they act on, for sigma (1,2) and the other transpositions of
-    # _a1_sigmas (a walk asks once for each group and list): the orbits
-    # are disjoint and cover the items, each is led by its first item, and
-    # each size divides |group|
-    calls = []
-    orbit_reps = search._orbit_reps
-
-    def spy(group, items):
-        items = list(items)
-        reps = list(orbit_reps(group, items))
-        calls.append((group, items, reps))
-        return reps
-
-    monkeypatch.setattr(search, "_orbit_reps", spy)
+def test_orbit_reps_partition_the_walks_lists():
+    # the groups and lists the b1 and a2 levels of the walks act on, for
+    # sigma (1,2) and the other transpositions of _a1_sigmas: the
+    # stabilizer H1 of each job that walks on R1, and H2 = H1 n C(b1) on C2
+    # below each b1 it yields; the orbits are disjoint and cover the items,
+    # each is led by its first item, and each size divides |group|
+    acting = []
     for s in _a1_sigmas():
-        search.enumerate_fixed_sigma(len(s), sigma=s)
-    for group, items, reps in calls:
+        n = len(s)
+        for _, _, a1, _, stab in _factored_jobs(n, s)[1:]:
+            r1 = _r1(n, s, a1)
+            acting.append((stab, r1))
+            for b1, _ in search._orbit_reps(stab, r1):
+                acting.append(([h for h in stab if perm.commutes(h, b1)],
+                               _level_list(s, (a1, b1), r1)))
+    for group, items in acting:
         covered = set()
-        for rep, size in reps:
+        for rep, size in search._orbit_reps(group, items):
             orbit = {perm.conjugate(rep, h) for h in group}
             assert len(orbit) == size and len(group) % size == 0
             assert not orbit & covered
             assert min(map(items.index, orbit)) == items.index(rep)
             covered |= orbit
         assert covered == set(items)
-    sizes = {len(group) for group, _, _ in calls}
-    assert len(calls) > 30 and 1 in sizes and max(sizes) > 2
+    sizes = {len(group) for group, _ in acting}
+    assert len(acting) > 30 and 1 in sizes and max(sizes) > 2
 
 
 def test_orbit_reps_refuse_a_list_that_is_not_a_group():
@@ -895,8 +870,10 @@ def test_a1_prune_matches_reference():
     assert verdicts == {True, False}
 
 
-def _same_list(tail, expected):
-    return len(tail) == len(expected) and set(tail) == set(expected)
+def _point_masks(n, r1):
+    # at[i][j], the mask of the elements of r1 that map i to j
+    return [[sum(1 << k for k, x in enumerate(r1) if x[i] == j)
+             for j in range(n)] for i in range(n)]
 
 
 def test_mask_filter_is_its_definition():
@@ -915,8 +892,7 @@ def test_mask_filter_is_its_definition():
         a1s = [r for _, _, r, _, _ in _factored_jobs(n, s) if r != e]
         for a1 in a1s + [e] * (n <= 6):
             r1 = _r1(n, s, a1)
-            at = [[sum(1 << k for k, x in enumerate(r1) if x[i] == j)
-                   for j in range(n)] for i in range(n)]
+            at = _point_masks(n, r1)
             pairs = [(y, y) for y in r1]
             for k in range(200):
                 a = tuple(rng.sample(range(n), n))
@@ -931,25 +907,18 @@ def test_mask_filter_is_its_definition():
     assert checked == 4 + 1 + 4 + 0 + 3
 
 
-def _mask_list(at, mask):
-    # the permutations whose bits mask sets, read back from the point
-    # masks at[i][j] of the walk
-    n = len(at)
-    return [tuple(next(j for j in range(n) if at[i][j] >> k & 1)
-                  for i in range(n))
-            for k in range(mask.bit_length()) if mask >> k & 1]
-
-
 def test_prune_verdicts_match_reference(monkeypatch):
-    # every transitivity test the walk over the trivial group makes at n=6:
-    # groups.is_transitive at the a1 level (s, a1, u) and at the leaves
-    # (s, a1, a2, b1, b2) of relation-satisfying tuples, and the mask prune
-    # at the b1 level on (s, a1, b1) and all of C2 and at the a2 level on
-    # (s, a1, b1, a2) and all of C3, C2 and C3 holding only elements that
-    # pass R2; each prune verdict equals the reference from explicit lists
+    # every transitivity test the walk over the trivial group makes at n=6
+    # through groups.is_transitive, at the a1 level (s, a1, u) and at the
+    # leaves (s, a1, a2, b1, b2) of relation-satisfying tuples, and the mask
+    # prune at each node the walk cuts at, on (s, a1, b1) and all of C2 for
+    # every b1 in R1 and on (s, a1, b1, a2) and all of C3 for every a2 in
+    # C2 below a b1 that passes, C2 and C3 holding only elements that pass
+    # R2 and read as masks over R1; each verdict equals the reference from
+    # explicit lists
     n = 6
     s = perm.transposition(n, 1, 2)
-    real, real_mask = groups.is_transitive, search._mask_transitive
+    real = groups.is_transitive
     calls = []
 
     def spy(gens, degree):
@@ -957,15 +926,8 @@ def test_prune_verdicts_match_reference(monkeypatch):
         calls.append((tuple(gens), verdict))
         return verdict
 
-    def mask_spy(degree, gens, at, mask):
-        verdict = real_mask(degree, gens, at, mask)
-        assert verdict == real([*gens, *_mask_list(at, mask)], degree)
-        calls.append((tuple(gens) + tuple(_mask_list(at, mask)), verdict))
-        return verdict
-
     with monkeypatch.context() as patched:
         patched.setattr(groups, "is_transitive", spy)
-        patched.setattr(search, "_mask_transitive", mask_spy)
         e = perm.identity(n)
         assert sum(1 for a1 in _plain_a1s(n, s)
                    for _ in search._iter_for_a1(n, s, a1, [e])) == 2880
@@ -982,19 +944,25 @@ def test_prune_verdicts_match_reference(monkeypatch):
     for gens, verdict in calls:
         assert gens[0] == s
         if len(gens) == 3:  # the a1 prune, C1 by a cycle-union stand-in
-            prefix = gens[1:2]
-        elif _same_list(gens[3:], level(gens[1:3])):
-            prefix = gens[1:3]
-        elif _same_list(gens[4:], level(gens[1:4])):
-            prefix = gens[1:4]
+            assert verdict == _reference_transitive(
+                n, s, gens[1:2], level(gens[1:2])), gens
+            seen.add((1, verdict))
         else:  # a leaf: every relation holds and only transitivity is left
             assert len(gens) == 5, gens
             assert words.satisfies_all_relations(
                 words.Assignment(n, *gens)), gens
-            continue
-        assert verdict == _reference_transitive(
-            n, s, prefix, level(prefix)), gens
-        seen.add((len(prefix), verdict))
+    for a1 in _plain_a1s(n, s):
+        r1 = _r1(n, s, a1)
+        at, index = _point_masks(n, r1), {x: k for k, x in enumerate(r1)}
+        prefixes = [(a1, b1) for b1 in r1]
+        for prefix in prefixes:
+            mask = sum(1 << index[x] for x in level(prefix))
+            verdict = search._mask_transitive(n, (s, *prefix), at, mask)
+            assert verdict == _reference_transitive(
+                n, s, prefix, level(prefix)), prefix
+            seen.add((len(prefix), verdict))
+            if verdict and len(prefix) == 2:
+                prefixes += [prefix + (a2,) for a2 in level(prefix)]
     # both verdicts occur at the a1, b1 and a2 levels
     assert seen == {(k, v) for k in (1, 2, 3) for v in (True, False)}
 
@@ -1157,44 +1125,6 @@ def test_factored_count_matches_plain_loop():
     assert units == [8, 26, 112, 0, 480, 0, 112, 112]
 
 
-# sha256 of repr([search._search_chunk(job) for job in jobs]) over the
-# jobs of each degree and sigma (i, j), as the walk that takes b2 by
-# H3-orbit gives them; repr, not marshal, whose reference flags follow
-# object identity
-_WALK_DIGESTS = {
-    (2, (1, 2)): "fd6423f1ee79224ff7ac29f28f287db1aeb13f3ba7041ef94ef71370471c3d76",
-    (3, (1, 2)): "5676e0342edc7e0b206ce5bb70c320b3c7d15768e07cc0bbf50c653de28bd7c5",
-    (4, (1, 2)): "8b8a5d0dc8d70fc971deb49ac41ad9b548e0fa2169abca7062eae100caf4c3c8",
-    (5, (1, 2)): "cf1cbb66a638b4860a516671fb74850e6ccf787fe6c4c8d29e9c04efe880bd05",
-    (6, (1, 2)): "dc2f773e2d8833d4967606d6b5741348e88f9ecac3738feb0e0279f298f3db50",
-    (7, (1, 2)): "cf1cbb66a638b4860a516671fb74850e6ccf787fe6c4c8d29e9c04efe880bd05",
-    (8, (1, 2)): "bff169fa3d88b4dd89acb5dc804bf050eb5ce2f632805983f7028b0a64a982ac",
-    (9, (1, 2)): "a683096011db3975a1e401e33b0047d1f2677a11efe85ef12806f016ae039795",
-    (3, (2, 3)): "5676e0342edc7e0b206ce5bb70c320b3c7d15768e07cc0bbf50c653de28bd7c5",
-    (3, (1, 3)): "5676e0342edc7e0b206ce5bb70c320b3c7d15768e07cc0bbf50c653de28bd7c5",
-    (4, (2, 3)): "849dbfa116a313402557ad0f66c0312376087ca915d645ca0b87d90bb189bfce",
-    (4, (1, 4)): "849dbfa116a313402557ad0f66c0312376087ca915d645ca0b87d90bb189bfce",
-}
-
-
-# the degrees and sigmas (i, j) the job-output tests run on
-_JOB_CASES = pytest.mark.parametrize(
-    "n,ij", sorted(_WALK_DIGESTS),
-    ids=lambda x: "-".join(map(str, x)) if isinstance(x, tuple) else str(x))
-
-
-@_JOB_CASES
-def test_job_outputs_match_digests(n, ij):
-    # every job's leaves, weights and images, in the walk's own order,
-    # byte for byte as _WALK_DIGESTS pins them
-    import hashlib
-
-    s = perm.transposition(n, *ij)
-    outputs = [search._search_chunk(job) for job in _factored_jobs(n, s)]
-    assert hashlib.sha256(repr(outputs).encode()).hexdigest() \
-        == _WALK_DIGESTS[n, ij]
-
-
 def _job_classes(n, ij):
     # per job, the least members of the H1-orbits of its leaves and images,
     # sorted, and its weighted count: what the job says up to the choice
@@ -1224,6 +1154,12 @@ _CLASS_DIGESTS = {
     (4, (2, 3)): "e49c8f0753ed1cc5fc7da507b6120f889e4f6660c5b137bfc707d6cba92226bf",
     (4, (1, 4)): "e49c8f0753ed1cc5fc7da507b6120f889e4f6660c5b137bfc707d6cba92226bf",
 }
+
+
+# the degrees and sigmas (i, j) the job-output tests run on
+_JOB_CASES = pytest.mark.parametrize(
+    "n,ij", sorted(_CLASS_DIGESTS),
+    ids=lambda x: "-".join(map(str, x)) if isinstance(x, tuple) else str(x))
 
 
 @_JOB_CASES
@@ -1327,58 +1263,52 @@ def test_engine_assignments_hold_permutations(sig, workers):
                          ids=lambda sig: f"n{len(sig)}-"
                          + perm.format_cycles(sig))
 def test_fertile_map_is_the_plain_walk_prefixes(sig, monkeypatch):
-    # the a1 blocks size the C2 route (groups.centralizer_order of
-    # s b1 s) below exactly the (a1, b1) prefixes, and the C3 route (of
-    # s a2 s) below exactly the (a1, b1, a2) prefixes, of the unfiltered
-    # plain loop's solutions, each once, in the order `list` writes them
+    # the a1 blocks size the C2 route (groups.centralizer_order of s b1 s)
+    # and the C3 route (of s a2 s) only below the (a1, b1) and (a1, b1, a2)
+    # prefixes they write, at most once per prefix, and those prefixes are
+    # the unfiltered plain loop's
     n = len(sig)
-    sized = []
+    sized = collections.Counter()
     centralizer_order = groups.centralizer_order
-
-    def spy(g):
-        sized.append(g)
-        return centralizer_order(g)
-
-    monkeypatch.setattr(groups, "centralizer_order", spy)
+    monkeypatch.setattr(groups, "centralizer_order",
+                        lambda g: sized.update([g]) or centralizer_order(g))
     _, sols = collected(n, sigma=sig)
-    prefixes = list(dict.fromkeys(prefix for x in sols for prefix in (
-        (x.a1, x.b1), (x.a1, x.b1, x.a2))))
-    assert sized == [_s_conj(prefix[-1], sig) for prefix in prefixes]
+    prefixes = {prefix for x in sols
+                for prefix in ((x.a1, x.b1), (x.a1, x.b1, x.a2))}
+    assert sized <= collections.Counter(_s_conj(p[-1], sig) for p in prefixes)
+    assert bool(sized) == bool(prefixes)
     plain = _plain_walk(n, sig)
     for length in (2, 3):
-        assert sorted(p for p in prefixes if len(p) == length) == sorted(
-            {(a1, b1, a2)[:length] for a1, a2, b1, _ in plain})
+        assert {p for p in prefixes if len(p) == length} == {
+            (a1, b1, a2)[:length] for a1, a2, b1, _ in plain}
 
 
 def test_block_counts_c2_once_per_origin_pair(monkeypatch):
-    # a streaming run counts |C2| = |C1 n C(s b1 s)| over C1 once for
-    # each (a1, b1) of an origin, in one dict for the run, and reads it
-    # for every (a1, b1) prefix conjugate to that pair
-    sig = perm.transposition(6, 1, 2)
-    memos, counted, origins, prefixes = [], [], set(), set()
-    block, commutes = search._block, perm.commutes
+    # a streaming run counts |C2| = |C1 n C(s b1 s)| by one perm.commutes
+    # call per element of C1 = C(s a1 s), once for each (a1, b1) of an
+    # origin, and reads it for every (a1, b1) prefix conjugate to that
+    # pair: it makes that many more calls than a count, and no other
+    calls = []
+    commutes = perm.commutes
+    monkeypatch.setattr(perm, "commutes",
+                        lambda p, q: calls.append(q) or commutes(p, q))
+    for n, pairs, extra in ((4, 16, 176), (6, 10, 1704)):
+        sig = perm.transposition(n, 1, 2)
+        origins, prefixes = set(), set()
 
-    def spy(n, s, a1, entries, sizes):
-        memos.append(sizes)
-        monkeypatch.setattr(perm, "commutes",
-                            lambda p, q: counted.append(q) or commutes(p, q))
-        yield from block(n, s, a1, entries, sizes)
+        def sink(sol, origin):
+            origins.add((origin.a1, origin.b1))
+            prefixes.add((sol.a1, sol.b1))
 
-    def sink(sol, origin):
-        origins.add((origin.a1, origin.b1))
-        prefixes.add((sol.a1, sol.b1))
-
-    monkeypatch.setattr(search, "_block", spy)
-    search.enumerate_fixed_sigma(6, sink=sink)
-    assert all(sizes is memos[0] for sizes in memos)
-    assert set(memos[0]) == origins and len(prefixes) > 10 * len(origins)
-    cent = groups.centralizer_elements(sig, 6)
-    assert len({search._least(key, cent) for key in origins}) == len(origins)
-    c1s = {(a1, b1): groups.centralizer_elements(_s_conj(a1, sig), 6)
-           for a1, b1 in origins}
-    assert memos[0] == {key: sum(commutes(z, _s_conj(key[1], sig))
-                                 for z in c1) for key, c1 in c1s.items()}
-    assert len(counted) == sum(map(len, c1s.values()))
+        calls.clear()
+        search.enumerate_fixed_sigma(n)
+        counted = len(calls)
+        search.enumerate_fixed_sigma(n, sink=sink)
+        assert len(origins) == pairs and len(prefixes) > len(origins)
+        cent = groups.centralizer_elements(sig, n)
+        assert len({search._least(key, cent) for key in origins}) == pairs
+        assert len(calls) - 2 * counted == extra == sum(
+            groups.centralizer_order(_s_conj(a1, sig)) for a1, _ in origins)
 
 
 def test_list_walk_without_solutions_builds_nothing(monkeypatch):
@@ -1490,23 +1420,19 @@ def test_k_lies_in_c3_at_every_node():
 
 @pytest.mark.parametrize("n", range(2, 8))
 def test_counts_and_classes_never_walk_below_unit(n, monkeypatch):
-    # counts and classes read the a1 = () subtree, whose C1 is all of
-    # S_n, off the images: each run walks below every other
-    # representative once and never below a1 = ()
-    walked = []
-    walk = search._iter_for_a1
-
-    def spy(n, s, a1, stab):
-        walked.append(a1)
-        return walk(n, s, a1, stab)
-
-    monkeypatch.setattr(search, "_iter_for_a1", spy)
+    # counts and classes read the a1 = () subtree, whose C1 is all of S_n,
+    # off the images, so they never list the centralizer of (); a
+    # streaming run writes the a1 = () block and lists it
+    listed = set()
+    centralizer_elements = groups.centralizer_elements
+    monkeypatch.setattr(groups, "centralizer_elements", lambda g, degree: (
+        listed.add(g) or centralizer_elements(g, degree)))
     search.enumerate_fixed_sigma(n)
     search.classify(n)
-    reps = [a1 for _, _, a1, *_ in _factored_jobs(
-        n, perm.transposition(n, 1, 2))]
-    assert reps[0] == perm.identity(n)
-    assert walked == reps[1:] * 2
+    assert listed and perm.identity(n) not in listed
+    if n == 6:
+        collected(n)
+        assert perm.identity(n) in listed
 
 
 @pytest.mark.long
@@ -1524,11 +1450,6 @@ def test_factored_n8_heavy_subtrees():
     assert _unit_subtree_route(n, s) == 17280
 
 
-_RESULT_FIELDS = ("n", "sigma", "fixed_count", "transpositions",
-                  "total_count", "orbit_count", "orbit_size_histogram",
-                  "image_fingerprint_histogram")
-
-
 @pytest.mark.parametrize("n,classes",
                          [(2, 16), (3, 40), (4, 240), (5, 0), (6, 60), (7, 0)])
 def test_classify_matches_collected_decomposition(n, classes):
@@ -1542,13 +1463,12 @@ def test_classify_matches_collected_decomposition(n, classes):
     t = n * (n - 1) // 2
     analyzed = search.analyze(search.EnumerationResult(
         n=n, sigma=s, fixed_count=len(solutions), transpositions=t,
-        total_count=len(solutions) * t, elapsed_seconds=0.0), expected)
+        total_count=len(solutions) * t), expected)
     for workers in (1, 2):
         res, orbits = search.classify(n, workers=workers)
         assert len(orbits) == res.orbit_count == classes
         assert orbits == expected
-        for field in _RESULT_FIELDS:
-            assert getattr(res, field) == getattr(analyzed, field), field
+        assert res == analyzed
 
 
 def test_out_of_memory_is_one_line(monkeypatch):
